@@ -148,11 +148,8 @@ def system_to_json(system: FrameSystem) -> dict:
     obj = {
         "n": system.n,
         "vectors": [
-            {
-                "re": [float(x) for x in row.real],
-                "im": [float(x) for x in row.imag],
-            }
-            for row in system.vectors
+            {"re": re, "im": im}
+            for re, im in zip(system.vectors.real.tolist(), system.vectors.imag.tolist())
         ],
     }
     if system.labels is not None:
@@ -161,18 +158,23 @@ def system_to_json(system: FrameSystem) -> dict:
 
 
 def system_from_json(obj: dict) -> FrameSystem:
+    if not isinstance(obj, dict):
+        raise ValueError(f"system JSON must be an object, got {type(obj).__name__}")
     try:
         n = int(obj["n"])
         raw = obj["vectors"]
     except KeyError as exc:
         raise ValueError(f"system JSON missing field: {exc}") from exc
     rows = []
-    for k, entry in enumerate(raw):
-        re = np.asarray(entry["re"], dtype=np.float64)
-        im = np.asarray(entry.get("im", np.zeros_like(re)), dtype=np.float64)
-        if re.shape != (n,) or im.shape != (n,):
-            raise ValueError(f"vector {k} has wrong length (expected {n})")
-        rows.append(re + 1j * im)
+    try:
+        for k, entry in enumerate(raw):
+            re = np.asarray(entry["re"], dtype=np.float64)
+            im = np.asarray(entry.get("im", np.zeros_like(re)), dtype=np.float64)
+            if re.shape != (n,) or im.shape != (n,):
+                raise ValueError(f"vector {k} has wrong length (expected {n})")
+            rows.append(re + 1j * im)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed system JSON vectors: {exc!r}") from exc
     labels = obj.get("labels")
     if labels is not None:
         labels = tuple(tuple(int(x) for x in lab) for lab in labels)

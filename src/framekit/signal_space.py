@@ -111,15 +111,18 @@ def modulate(f: Signal, b: float) -> Signal:
 
 def dilate(f: Signal, c: int) -> Signal:
     """Index dilation ``g[i] = f[(c*i) mod n]``; requires ``gcd(c, n) = 1``."""
+    return Signal(f.grid, f.values[_dilation_index(c, f.grid.n)])
+
+
+def _dilation_index(c, n: int) -> np.ndarray:
+    """Index map ``i -> (c*i) mod n`` of dilation by ``c``; requires ``gcd(c, n) = 1``."""
     if not isinstance(c, (int, np.integer)):
         raise ValueError(f"dilation factor must be an integer, got {c!r}")
-    n = f.grid.n
     if math.gcd(int(c), n) != 1:
         raise NonCoprimeDilation(
             f"dilation factor {c} shares divisor {math.gcd(int(c), n)} with grid size {n}"
         )
-    idx = (int(c) * np.arange(n)) % n
-    return Signal(f.grid, f.values[idx])
+    return (int(c) * np.arange(n)) % n
 
 
 def indicator(grid: Grid, s: float, t: float) -> Signal:
@@ -156,15 +159,7 @@ def operator_of(grid: Grid, kind: str, value) -> np.ndarray:
         _aligned_int(value, grid.P, OffGridFrequency, "frequency")
         return np.diag(np.exp(2j * np.pi * value * grid.times))
     if kind == "dilate":
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"dilation factor must be an integer, got {value!r}")
-        if math.gcd(int(value), n) != 1:
-            raise NonCoprimeDilation(
-                f"dilation factor {value} shares divisor {math.gcd(int(value), n)} "
-                f"with grid size {n}"
-            )
-        idx = (int(value) * np.arange(n)) % n
-        return np.eye(n, dtype=np.complex128)[idx]
+        return np.eye(n, dtype=np.complex128)[_dilation_index(value, n)]
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
@@ -218,8 +213,8 @@ def signal_to_json(f: Signal) -> dict:
     return {
         "q": f.grid.q,
         "P": f.grid.P,
-        "re": [float(x) for x in f.values.real],
-        "im": [float(x) for x in f.values.imag],
+        "re": f.values.real.tolist(),
+        "im": f.values.imag.tolist(),
     }
 
 

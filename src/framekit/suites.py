@@ -425,6 +425,8 @@ def run_suite(
     except KeyError:
         known = ", ".join(sorted(SUITES))
         raise KeyError(f"unknown suite {name!r}; known: {known}") from None
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     failures: list[TrialFailure] = []
     for index in range(trials):
         rng = np.random.default_rng([seed, index])

@@ -27,6 +27,8 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    OffGridFrequency,
+    OffGridShift,
     PartitionNotDisjoint,
     PartitionNotExhaustive,
 )
@@ -41,7 +43,7 @@ from .numerics import (
     range_inclusion,
 )
 from .operator_theory import hyponormality, pencil_inf, relative_hyponormality
-from .signal_space import Grid, Signal, dilate, modulate, translate
+from .signal_space import Grid, Signal, _aligned_int, _dilation_index
 from .theta_frame import ThetaFrameReport, check_theta_frame, _checked_subspace
 
 _DEDUPE_ATOL = 1e-12
@@ -89,13 +91,6 @@ class WavePacketParams:
         return tuple(range(self.k_range[0], self.k_range[1] + 1))
 
 
-def _atom(params: WavePacketParams, psi: Signal, j: int, k: int, m: int) -> np.ndarray:
-    sig = modulate(psi, params.c_list[m])
-    sig = translate(sig, params.b * k)
-    sig = dilate(sig, params.a_list[j])
-    return sig.coordinates
-
-
 def _labels(params: WavePacketParams) -> list[tuple[int, int, int]]:
     return [
         (j, k, m)
@@ -105,29 +100,82 @@ def _labels(params: WavePacketParams) -> list[tuple[int, int, int]]:
     ]
 
 
-def _dedupe_vectors(
-    vectors: list[np.ndarray], labels: list[tuple[int, int, int]]
-) -> tuple[list[np.ndarray], list[tuple[int, int, int]]]:
-    kept_v: list[np.ndarray] = []
-    kept_l: list[tuple[int, int, int]] = []
-    for vec, lab in zip(vectors, labels):
-        duplicate = any(
-            np.linalg.norm(vec - v) <= _DEDUPE_ATOL * max(1.0, np.linalg.norm(v))
-            for v in kept_v
-        )
-        if not duplicate:
-            kept_v.append(vec)
-            kept_l.append(lab)
-    return kept_v, kept_l
+def _atoms(params: WavePacketParams, psi: Signal) -> np.ndarray:
+    """Every atom ``dilate_a(translate_{bk}(modulate_c(psi)))``, one row per label.
+
+    Rows follow ``_labels`` order.  Row (j, k, m) gathers the modulated window
+    ``exp(2 pi i c_m t) psi`` at ``(a_j i - b k q) mod n``.  Each parameter
+    passes the check that ``modulate``, ``translate`` or ``dilate`` makes, and
+    the arithmetic is theirs in their order (phase, product, then the
+    coordinate scaling), so every row equals the composed grid operations bit
+    for bit.
+    """
+    grid = params.grid
+    for c in params.c_list:
+        _aligned_int(c, grid.P, OffGridFrequency, "frequency")
+    steps = np.array(
+        [_aligned_int(params.b * k, grid.q, OffGridShift, "shift") for k in params.k_values()]
+    )
+    dilations = np.array([_dilation_index(a, grid.n) for a in params.a_list])
+    phases = np.exp(np.array([2j * np.pi * c for c in params.c_list])[:, None] * grid.times)
+    windows = phases * psi.values / math.sqrt(grid.q)
+    index = (dilations[:, None, None, :] - steps[None, :, None, None]) % grid.n
+    rows = np.arange(len(params.c_list))[None, None, :, None]
+    return windows[rows, index].reshape(-1, grid.n)
+
+
+def _dedupe_mask(vectors: np.ndarray) -> np.ndarray:
+    """Keep-mask of the greedy dedupe over the rows of ``vectors``.
+
+    Row x is dropped iff some earlier kept row v has
+    ``||x - v|| <= _DEDUPE_ATOL * max(1, ||v||)``.  That norm test only runs
+    on candidate pairs: rows are projected onto one fixed real unit vector w
+    of C^n = R^2n (any w keeps the result exact; it only sets how many pairs
+    are tested), and since ``|<x - v, w>| <= ||x - v||``, every pair the
+    test can accept has projections within ``_DEDUPE_ATOL * max(1, s)`` of
+    each other, where s is the largest row norm.  In floating point the
+    projections err by at most ``(n + 1) * eps/2 * s`` each and the norms by a
+    relative ``n * eps``, so the window below, twice the first term plus
+    ``8 n eps s``, holds every such pair with room to spare.  Rows whose norm
+    could overflow (or is not finite) make every earlier row a candidate.
+    """
+    count, n = vectors.shape
+    w = np.sin(np.arange(1.0, 2 * n + 1) ** 2).reshape(2, n)  # a chirp: no grid period
+    w /= np.linalg.norm(w)
+    proj = vectors.real @ w[0] + vectors.imag @ w[1]
+    scale = float(np.max(np.linalg.norm(vectors, axis=1)))
+    if scale < 1e150:
+        window = 2.0 * _DEDUPE_ATOL * max(1.0, scale) + 8.0 * n * np.finfo(float).eps * scale
+    else:
+        window, proj = math.inf, np.zeros(count)
+    order = np.argsort(proj)
+    lo = np.searchsorted(proj[order], proj - window, side="left")
+    hi = np.searchsorted(proj[order], proj + window, side="right")
+    keep = np.ones(count, dtype=bool)
+    for i in np.flatnonzero(hi - lo > 1):
+        candidates = order[lo[i] : hi[i]]
+        vec = vectors[i]
+        for j in np.sort(candidates[(candidates < i) & keep[candidates]]):
+            v = vectors[j]
+            if np.linalg.norm(vec - v) <= _DEDUPE_ATOL * max(1.0, np.linalg.norm(v)):
+                keep[i] = False
+                break
+    return keep
+
+
+def _system(params: WavePacketParams, vectors: np.ndarray) -> FrameSystem:
+    """Labelled system of the atoms in ``_labels`` order, deduplicated if asked."""
+    labels = _labels(params)
+    if params.dedupe:
+        keep = _dedupe_mask(vectors)
+        vectors = vectors[keep]
+        labels = [lab for lab, kept in zip(labels, keep) if kept]
+    return FrameSystem(vectors, labels=tuple(labels))
 
 
 def generate_system(params: WavePacketParams) -> FrameSystem:
     """All wave-packet vectors of the given parameter box, labels retained."""
-    labels = _labels(params)
-    vectors = [_atom(params, params.psi, j, k, m) for (j, k, m) in labels]
-    if params.dedupe:
-        vectors, labels = _dedupe_vectors(vectors, labels)
-    return FrameSystem(np.array(vectors), labels=tuple(labels))
+    return _system(params, _atoms(params, params.psi))
 
 
 def system_from_signals(signals, labels=None) -> FrameSystem:
@@ -140,11 +188,6 @@ def system_from_signals(signals, labels=None) -> FrameSystem:
         if s.grid != grid:
             raise DimensionMismatch("signals live on different grids")
     return FrameSystem(np.array([s.coordinates for s in sigs]), labels=labels)
-
-
-def analysis_into_coordinates(system: FrameSystem) -> np.ndarray:
-    """Analysis map as a matrix: row for each label, acting on coordinates."""
-    return analysis_matrix(system)
 
 
 @dataclass(frozen=True)
@@ -369,17 +412,9 @@ class FiniteSumSpec:
 
 def finite_sum_system(spec: FiniteSumSpec, params: WavePacketParams) -> FrameSystem:
     """Per-label sums sum_s alpha_s * atom(psi_s); labels from params' ranges."""
-    labels = _labels(params)
-    vectors = [
-        sum(
-            alpha * _atom(params, psi, j, k, m)
-            for alpha, psi in zip(spec.alphas, spec.psis)
-        )
-        for (j, k, m) in labels
-    ]
-    if params.dedupe:
-        vectors, labels = _dedupe_vectors(vectors, labels)
-    return FrameSystem(np.array(vectors), labels=tuple(labels))
+    return _system(
+        params, sum(alpha * _atoms(params, psi) for alpha, psi in zip(spec.alphas, spec.psis))
+    )
 
 
 @dataclass(frozen=True)
@@ -415,13 +450,7 @@ def finite_sum_criterion_check(
     theta = as_operator(theta)
     basis = _checked_subspace(subspace, params.grid.n)
     labels = _labels(params)
-    singles = [
-        FrameSystem(
-            np.array([_atom(params, psi, j, k, m) for (j, k, m) in labels]),
-            labels=tuple(labels),
-        )
-        for psi in spec.psis
-    ]
+    singles = [FrameSystem(_atoms(params, psi), labels=tuple(labels)) for psi in spec.psis]
     summed = finite_sum_system(spec, params)
 
     def compressed_operator(system: FrameSystem) -> np.ndarray:
@@ -486,7 +515,6 @@ __all__ = [
     "WavePacketParams",
     "generate_system",
     "system_from_signals",
-    "analysis_into_coordinates",
     "SynthesisCriterion",
     "synthesis_criterion_check",
     "PartitionCombination",

@@ -197,6 +197,24 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [[1, 2], {"n": 2, "vectors": [1]}, {"n": 2, "vectors": [[1, 2]]}, {"n": 2, "vectors": 5}],
+)
+def test_malformed_system_document_exits_two(tmp_path, capsys, doc):
+    path = _write(tmp_path, "system.json", doc)
+    code, report = _run(capsys, ["check-frame", path])
+    assert code == 2
+    assert "system JSON" in report["verdicts"]["error"]
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_non_positive_trials_exit_two(capsys, trials):
+    code, report = _run(capsys, ["prop-run", "gram-psd", "--trials", trials])
+    assert code == 2
+    assert "at least one trial" in report["verdicts"]["error"]
+
+
 def test_env_seed_feeds_the_report(capsys, monkeypatch):
     monkeypatch.setenv("FRAMEKIT_SEED", "77")
     code, report = _run(capsys, ["prop-run", "gram-psd", "--trials", "3"])

@@ -11,22 +11,36 @@ import pytest
 
 from framekit.errors import (
     DimensionMismatch,
+    NonCoprimeDilation,
+    OffGridFrequency,
+    OffGridShift,
     PartitionNotDisjoint,
     PartitionNotExhaustive,
 )
 from framekit.frame_core import (
+    analysis_matrix,
     canonical_basis,
     frame_operator,
     optimal_bounds,
     synthesis_matrix,
 )
 from framekit.numerics import op_norm
-from framekit.signal_space import Grid, Signal, indicator, mult_operator, operator_of
+from framekit.signal_space import (
+    Grid,
+    Signal,
+    dilate,
+    indicator,
+    modulate,
+    mult_operator,
+    operator_of,
+    translate,
+)
 from framekit.wavepacket import (
     FiniteSumSpec,
     PartitionCombination,
     WavePacketParams,
-    analysis_into_coordinates,
+    _DEDUPE_ATOL,
+    _dedupe_mask,
     finite_sum_criterion_check,
     finite_sum_system,
     generate_system,
@@ -171,9 +185,146 @@ def test_analysis_coefficients_are_inner_products():
     rng = np.random.default_rng(17)
     system = generate_system(_full_gabor_params())
     f = rng.normal(size=16) + 1j * rng.normal(size=16)
-    coeffs = analysis_into_coordinates(system) @ f
+    coeffs = analysis_matrix(system) @ f
     for i in (0, 7, 15):
         assert coeffs[i] == pytest.approx(np.vdot(system.vector(i), f), rel=1e-12)
+
+
+def _greedy_keep(vectors):
+    """The greedy dedupe as a plain loop: the reference ``_dedupe_mask`` must match."""
+    kept = []
+    keep = []
+    for vec in vectors:
+        duplicate = any(
+            np.linalg.norm(vec - v) <= _DEDUPE_ATOL * max(1.0, np.linalg.norm(v))
+            for v in kept
+        )
+        keep.append(not duplicate)
+        if not duplicate:
+            kept.append(vec)
+    return np.array(keep)
+
+
+@pytest.mark.parametrize(
+    "q, P, a_list, c_list",
+    [
+        (4, 4, (1,), (0.0, 0.25, 1.5, -0.75)),
+        (2, 6, (1, 5), (0.5, -1.0 / 3.0, 2.0)),
+        (6, 5, (7, 11), (0.2, 3.4, -1.0)),
+    ],
+)
+@pytest.mark.parametrize("b", [0.0, 0.5, 1.0])
+def test_atoms_are_the_composed_grid_operations(q, P, a_list, c_list, b):
+    grid = Grid(q, P)
+    rng = np.random.default_rng(q * P)
+    psi = Signal(grid, rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n))
+    params = WavePacketParams(
+        grid=grid, psi=psi, a_list=a_list, b=b, k_range=(-2, 3), c_list=c_list, dedupe=False
+    )
+    system = generate_system(params)
+    labels = [
+        (j, k, m) for j in range(len(a_list)) for k in range(-2, 4) for m in range(len(c_list))
+    ]
+    assert list(system.labels) == labels
+    expected = np.array(
+        [
+            dilate(translate(modulate(psi, c_list[m]), b * k), a_list[j]).coordinates
+            for j, k, m in labels
+        ]
+    )
+    assert np.array_equal(system.vectors, expected)
+
+
+def _near(rng, v, factor):
+    d = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
+    return v + factor * _DEDUPE_ATOL * max(1.0, np.linalg.norm(v)) * d / np.linalg.norm(d)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+def test_dedupe_matches_the_greedy_loop(scale):
+    rng = np.random.default_rng(31)
+    u, v = scale * (rng.normal(size=(2, 12)) + 1j * rng.normal(size=(2, 12)))
+    rows = [u, v, u.copy(), _near(rng, u, 0.5), _near(rng, v, 2.0), v.copy(), _near(rng, u, 2.0)]
+    expected = [True, True, False, False, True, False, True]
+    vectors = np.array(rows)
+    assert list(_greedy_keep(vectors)) == expected
+    assert np.array_equal(_dedupe_mask(vectors), _greedy_keep(vectors))
+
+
+def test_dedupe_chain_follows_the_greedy_order():
+    # x ~ y and y ~ z within the tolerance, x and z apart: which of the three
+    # survive depends only on the order they arrive in
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=10) + 1j * rng.normal(size=10)
+    d = rng.normal(size=10) + 1j * rng.normal(size=10)
+    step = 0.8 * _DEDUPE_ATOL * max(1.0, np.linalg.norm(x)) * d / np.linalg.norm(d)
+    x, y, z = x, x + step, x + 2.0 * step
+    for rows, expected in [
+        ((x, y, z), [True, False, True]),
+        ((y, x, z), [True, False, False]),
+        ((z, y, x), [True, False, True]),
+    ]:
+        vectors = np.array(rows)
+        assert list(_greedy_keep(vectors)) == expected
+        assert np.array_equal(_dedupe_mask(vectors), _greedy_keep(vectors))
+
+
+def test_dedupe_matches_the_greedy_loop_on_random_families():
+    rng = np.random.default_rng(404)
+    for _ in range(40):
+        n = int(rng.integers(1, 20))
+        base = 10.0 ** rng.integers(-6, 6) * (rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n)))
+        rows = [base[0]]
+        for _ in range(int(rng.integers(1, 40))):
+            if rng.random() < 0.4:
+                rows.append(base[rng.integers(5)].copy())
+            else:
+                src = rows[rng.integers(len(rows))]
+                rows.append(_near(rng, src, rng.choice([0.0, 0.5, 0.99, 1.01, 2.0])))
+        vectors = np.array(rows)
+        assert np.array_equal(_dedupe_mask(vectors), _greedy_keep(vectors))
+
+
+def test_generated_keep_set_and_labels_match_the_greedy_loop():
+    # two modulation periods and two equal dilations: three quarters of the
+    # atoms repeat an earlier one
+    grid = Grid(4, 3)
+    rng = np.random.default_rng(12)
+    psi = Signal(grid, rng.normal(size=12) + 1j * rng.normal(size=12))
+    box = dict(grid=grid, psi=psi, a_list=(5, 5), b=1.0, k_range=(0, 2), c_list=tuple(range(8)))
+    full = generate_system(WavePacketParams(**box, dedupe=False))
+    kept = generate_system(WavePacketParams(**box, dedupe=True))
+    keep = _greedy_keep(full.vectors)
+    assert keep.sum() == len(full) // 4
+    assert np.array_equal(kept.vectors, full.vectors[keep])
+    assert list(kept.labels) == [lab for lab, k in zip(full.labels, keep) if k]
+    spec = FiniteSumSpec(alphas=(1.0, -2j), psis=(psi, Signal(grid, psi.values[::-1])))
+    summed_full = finite_sum_system(spec, WavePacketParams(**box, dedupe=False))
+    summed = finite_sum_system(spec, WavePacketParams(**box, dedupe=True))
+    keep = _greedy_keep(summed_full.vectors)
+    assert np.array_equal(summed.vectors, summed_full.vectors[keep])
+    assert list(summed.labels) == [lab for lab, k in zip(summed_full.labels, keep) if k]
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        ({"b": 0.3}, OffGridShift),
+        ({"c_list": (0.0, 0.1)}, OffGridFrequency),
+        ({"a_list": (1, 2)}, NonCoprimeDilation),
+    ],
+)
+def test_generation_rejects_off_grid_parameters(change, error):
+    box = dict(
+        grid=GRID, psi=indicator(GRID, 0.0, 1.0), a_list=(1,), b=1.0, k_range=(0, 3), c_list=(0.0,)
+    )
+    box.update(change)
+    params = WavePacketParams(**box)
+    with pytest.raises(error):
+        generate_system(params)
+    spec = FiniteSumSpec(alphas=(1.0,), psis=(params.psi,))
+    with pytest.raises(error):
+        finite_sum_system(spec, params)
 
 
 def test_system_from_signals():
