@@ -85,8 +85,27 @@ def to_jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _digest(payload) -> str:
-    canonical = json.dumps(to_jsonable(payload), sort_keys=True, separators=(",", ":"))
+def _digest_skeleton(obj):
+    """JSON input with every non-empty all-float list replaced by a tag.
+
+    The tag ``{"\\0f8": sha256 of the list as little-endian float64}`` names
+    the floats as exactly as their shortest decimal form, without printing
+    them.  Keys starting with NUL get one more, so no input spells the tag.
+    """
+    if isinstance(obj, dict):
+        return {
+            "\0" + k if k.startswith("\0") else k: _digest_skeleton(v) for k, v in obj.items()
+        }
+    if isinstance(obj, (list, tuple)):
+        if obj and all(type(x) is float for x in obj):
+            return {"\0f8": hashlib.sha256(np.array(obj, dtype="<f8").tobytes()).hexdigest()}
+        return [_digest_skeleton(v) for v in obj]
+    return obj
+
+
+def _digest(inputs) -> str:
+    """sha256 of the inputs' canonical JSON; formatting and key order do not count."""
+    canonical = json.dumps(_digest_skeleton(inputs), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -100,6 +119,8 @@ def _complex_list(doc) -> np.ndarray:
     im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
     if re.shape != im.shape:
         raise ValueError("re/im lists must have equal length")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("re/im lists must be finite")
     return re + 1j * im
 
 
@@ -384,7 +405,7 @@ def main(argv=None) -> int:
     except FramekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         verdicts, digest, code = {"error": str(exc)}, "", 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         verdicts, digest, code = {"error": str(exc)}, "", 2
     report = {

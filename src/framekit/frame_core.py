@@ -175,7 +175,10 @@ def system_from_json(obj: dict) -> FrameSystem:
             rows.append(re + 1j * im)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed system JSON vectors: {exc!r}") from exc
+    vectors = np.asarray(rows)
+    if not np.isfinite(vectors).all():
+        raise ValueError("system JSON vectors must be finite")
     labels = obj.get("labels")
     if labels is not None:
         labels = tuple(tuple(int(x) for x in lab) for lab in labels)
-    return FrameSystem(np.asarray(rows), labels)
+    return FrameSystem(vectors, labels)

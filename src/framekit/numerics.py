@@ -214,4 +214,6 @@ def operator_from_json(obj: dict) -> np.ndarray:
             f"operator JSON length mismatch: rows*cols={rows * cols}, "
             f"len(re)={re.size}, len(im)={im.size}"
         )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("operator JSON entries must be finite")
     return (re + 1j * im).reshape(rows, cols)

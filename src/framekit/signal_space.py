@@ -235,4 +235,6 @@ def signal_from_json(obj: dict) -> Signal:
         raise ValueError(
             f"signal JSON needs {grid.n} samples, got len(re)={re.size}, len(im)={im.size}"
         )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("signal JSON samples must be finite")
     return Signal(grid, re + 1j * im)

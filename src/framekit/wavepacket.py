@@ -49,6 +49,13 @@ from .theta_frame import ThetaFrameReport, check_theta_frame, _checked_subspace
 _DEDUPE_ATOL = 1e-12
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int: integral floats such as 3.0 pass, 3.5 raises."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class WavePacketParams:
     """Finite label ranges and the window defining a wave-packet system.
@@ -70,10 +77,12 @@ class WavePacketParams:
     dedupe: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "a_list", tuple(int(a) for a in self.a_list))
+        a_list = tuple(_integer(a, "dilation factor") for a in self.a_list)
+        object.__setattr__(self, "a_list", a_list)
         object.__setattr__(self, "c_list", tuple(float(c) for c in self.c_list))
         lo, hi = self.k_range
-        object.__setattr__(self, "k_range", (int(lo), int(hi)))
+        k_range = (_integer(lo, "translation multiplier"), _integer(hi, "translation multiplier"))
+        object.__setattr__(self, "k_range", k_range)
         if self.psi.grid != self.grid:
             raise DimensionMismatch("window signal lives on a different grid")
         if not self.a_list:
@@ -410,11 +419,16 @@ class FiniteSumSpec:
         return len(self.alphas)
 
 
+def _summed_system(
+    spec: FiniteSumSpec, params: WavePacketParams, atoms: list[np.ndarray]
+) -> FrameSystem:
+    """The finite-sum system from each window's atoms, ``atoms[s]`` for ``psi_s``."""
+    return _system(params, sum(alpha * a for alpha, a in zip(spec.alphas, atoms)))
+
+
 def finite_sum_system(spec: FiniteSumSpec, params: WavePacketParams) -> FrameSystem:
     """Per-label sums sum_s alpha_s * atom(psi_s); labels from params' ranges."""
-    return _system(
-        params, sum(alpha * _atoms(params, psi) for alpha, psi in zip(spec.alphas, spec.psis))
-    )
+    return _summed_system(spec, params, [_atoms(params, psi) for psi in spec.psis])
 
 
 @dataclass(frozen=True)
@@ -449,9 +463,10 @@ def finite_sum_criterion_check(
 ) -> FiniteSumReport:
     theta = as_operator(theta)
     basis = _checked_subspace(subspace, params.grid.n)
-    labels = _labels(params)
-    singles = [FrameSystem(_atoms(params, psi), labels=tuple(labels)) for psi in spec.psis]
-    summed = finite_sum_system(spec, params)
+    labels = tuple(_labels(params))
+    atoms = [_atoms(params, psi) for psi in spec.psis]
+    singles = [FrameSystem(a, labels=labels) for a in atoms]
+    summed = _summed_system(spec, params, atoms)
 
     def compressed_operator(system: FrameSystem) -> np.ndarray:
         s = frame_operator(system)

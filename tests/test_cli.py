@@ -1,13 +1,16 @@
 """CLI surface: one JSON report on stdout, exit codes 0/1/2, env seeding."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from framekit.cli import main, to_jsonable
+from framekit.cli import _digest, main, to_jsonable
 from framekit.numerics import operator_from_json
 from framekit.registry import ExampleOutcome
 
@@ -53,6 +56,96 @@ def test_to_jsonable_encodings():
     assert vec == {"re": [1.0, 2.0], "im": [1.0, 0.0]}
     mat = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.complex128)
     assert np.allclose(operator_from_json(to_jsonable(mat)), mat)
+
+
+# ---------------------------------------------------------------------------
+# input digest
+
+
+def _old_canonical(inputs) -> str:
+    """The canonical text that inputs_digest hashed before float lists were hashed as bytes."""
+    return json.dumps(to_jsonable(inputs), sort_keys=True, separators=(",", ":"))
+
+
+def _system_doc(rng, n=3, count=4):
+    return {
+        "n": n,
+        "vectors": [
+            {"re": rng.normal(size=n).tolist(), "im": rng.normal(size=n).tolist()}
+            for _ in range(count)
+        ],
+        "labels": [[0, k, 0] for k in range(count)],
+    }
+
+
+def test_digest_ignores_formatting_and_key_order(tmp_path, capsys):
+    doc = _system_doc(np.random.default_rng(1))
+    pretty = tmp_path / "pretty.json"
+    pretty.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    shuffled = {
+        "labels": doc["labels"],
+        "vectors": [{"im": v["im"], "re": v["re"]} for v in doc["vectors"]],
+        "n": doc["n"],
+    }
+    compact = tmp_path / "compact.json"
+    compact.write_text(json.dumps(shuffled, separators=(",", ":")))
+    assert compact.read_text().index('"im"') < compact.read_text().index('"re"')
+    _, first = _run(capsys, ["check-frame", str(pretty)])
+    _, second = _run(capsys, ["check-frame", str(compact)])
+    assert first["inputs_digest"] == second["inputs_digest"]
+
+
+def _bump_one_entry(doc):
+    bumped = json.loads(json.dumps(doc))
+    bumped["vectors"][1]["re"][2] = float(np.nextafter(bumped["vectors"][1]["re"][2], np.inf))
+    return bumped
+
+
+_TAG_OF_ONE = hashlib.sha256(np.array([1.0], dtype="<f8").tobytes()).hexdigest()
+_DOC = _system_doc(np.random.default_rng(2))
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ({"system": _DOC}, {"system": _bump_one_entry(_DOC)}),
+        ({"x": [[1.0, 2.0], [3.0]]}, {"x": [[1.0], [2.0, 3.0]]}),
+        ({"x": [1.0, 2.0]}, {"x": [1, 2.0]}),
+        ({"x": 1.0}, {"x": 1}),
+        ({"x": [0.0]}, {"x": [-0.0]}),
+        ({"x": [1.0]}, {"x": {"\0f8": _TAG_OF_ONE}}),
+    ],
+    ids=["one-ulp", "moved-float", "int-in-list", "int-scalar", "signed-zero", "spelled-tag"],
+)
+def test_digest_sees_every_value_change(first, second):
+    assert _old_canonical(first) != _old_canonical(second)
+    assert _digest(first) != _digest(second)
+
+
+_LEAVES = st.sampled_from(
+    [None, True, False, 0, 1, -1, 0.0, -0.0, 1.0, 0.5, 5e-324, "", "re", "\0f8", _TAG_OF_ONE]
+) | st.floats(allow_nan=False, allow_infinity=False)
+_KEYS = st.sampled_from(["re", "im", "n", "\0f8", "\0\0f8", ""])
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def _reversed_keys(doc):
+    if isinstance(doc, dict):
+        return {k: _reversed_keys(doc[k]) for k in reversed(list(doc))}
+    if isinstance(doc, list):
+        return [_reversed_keys(v) for v in doc]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS, _DOCUMENTS)
+def test_digest_equality_is_canonical_json_equality(first, second):
+    assert (_digest(first) == _digest(second)) == (_old_canonical(first) == _old_canonical(second))
+    assert _digest(_reversed_keys(first)) == _digest(first)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +299,63 @@ def test_malformed_system_document_exits_two(tmp_path, capsys, doc):
     code, report = _run(capsys, ["check-frame", path])
     assert code == 2
     assert "system JSON" in report["verdicts"]["error"]
+
+
+_BASIS = {"n": 2, "vectors": [{"re": [1.0, 0.0]}, {"re": [0.0, 1.0]}]}
+_NAN_SYSTEM = {"n": 2, "vectors": [{"re": [1.0, float("nan")], "im": [0.0, 0.0]}]}
+_INF_OPERATOR = {"rows": 2, "cols": 2, "re": [0, float("inf"), 0, 0], "im": [0, 0, 0, 0]}
+_NAN_WINDOW = {"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0, float("nan")], "im": [0.0] * 4}
+
+
+@pytest.mark.parametrize(
+    "verb, docs, message",
+    [
+        ("check-frame", [_NAN_SYSTEM], "system JSON vectors must be finite"),
+        ("check-frame", [{"n": float("inf"), "vectors": []}], "infinity"),
+        ("check-theta", [_BASIS, _NAN_WINDOW], "operator JSON entries must be finite"),
+        ("check-hypo", [_INF_OPERATOR], "operator JSON entries must be finite"),
+        (
+            "gen",
+            [{**PARAMS_DOC, "psi": {"q": 4, "P": 4, "re": [float("nan")] + [1.0] * 15}}],
+            "signal JSON samples must be finite",
+        ),
+        (
+            "check-comb",
+            [
+                {
+                    "kind": "finite-sum",
+                    "params": PARAMS_DOC,
+                    "theta": THETA_DOC,
+                    "alphas": {"re": [1.0, float("nan")], "im": [0.0, 0.0]},
+                }
+            ],
+            "re/im lists must be finite",
+        ),
+    ],
+    ids=["system", "system-size", "theta-window", "operator", "signal", "complex-list"],
+)
+def test_non_finite_input_exits_two(tmp_path, capsys, verb, docs, message):
+    paths = [_write(tmp_path, f"doc{i}.json", doc) for i, doc in enumerate(docs)]
+    code, report = _run(capsys, [verb, *paths])
+    assert code == 2
+    assert message in report["verdicts"]["error"]
+
+
+@pytest.mark.parametrize("change", [{"a_list": [3.5]}, {"k_range": [0, 7.9]}])
+def test_gen_rejects_non_integral_labels(tmp_path, capsys, change):
+    code, report = _run(capsys, ["gen", _write(tmp_path, "params.json", {**PARAMS_DOC, **change})])
+    assert code == 2
+    assert "must be an integer" in report["verdicts"]["error"]
+
+
+def test_gen_accepts_integral_floats(tmp_path, capsys):
+    exact = {**PARAMS_DOC, "a_list": [3], "k_range": [0, 7]}
+    floats = {**PARAMS_DOC, "a_list": [3.0], "k_range": [0, 7.0]}
+    code, first = _run(capsys, ["gen", _write(tmp_path, "exact.json", exact)])
+    assert code == 0
+    code, second = _run(capsys, ["gen", _write(tmp_path, "floats.json", floats)])
+    assert code == 0
+    assert second["verdicts"] == first["verdicts"]
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

@@ -172,6 +172,26 @@ def test_params_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "change", [{"a_list": (3.5,)}, {"k_range": (0, 7.9)}, {"k_range": (0.5, 3)}]
+)
+def test_params_reject_non_integral_labels(change):
+    box = dict(
+        grid=GRID, psi=indicator(GRID, 0.0, 1.0), a_list=(3,), b=1.0, k_range=(0, 7), c_list=(0.0,)
+    )
+    box.update(change)
+    with pytest.raises(ValueError, match="must be an integer"):
+        WavePacketParams(**box)
+
+
+def test_integral_float_labels_give_the_integer_system():
+    box = dict(grid=GRID, psi=indicator(GRID, 0.0, 1.0), b=1.0, c_list=(0.0, 1.0))
+    exact = generate_system(WavePacketParams(**box, a_list=(3,), k_range=(0, 7)))
+    floats = generate_system(WavePacketParams(**box, a_list=(3.0,), k_range=(0.0, 7.0)))
+    assert np.array_equal(floats.vectors, exact.vectors)
+    assert floats.labels == exact.labels
+
+
 def test_synthesis_returns_the_atoms():
     system = generate_system(_full_gabor_params())
     w_star = synthesis_matrix(system)
@@ -518,6 +538,35 @@ def test_single_term_sum_matches_scaled_base():
     assert rep.mu_opts[0] == pytest.approx(4.0, rel=1e-9)
     assert rep.best_xi == 0
     assert rep.agrees
+
+
+def test_criterion_check_builds_each_window_once(monkeypatch):
+    import framekit.wavepacket as wp
+
+    rng = np.random.default_rng(77)
+    psis = tuple(Signal(GRID, rng.normal(size=16) + 1j * rng.normal(size=16)) for _ in range(3))
+    spec = FiniteSumSpec(alphas=(1.0, -0.5j, 2.0), psis=psis)
+    params = WavePacketParams(
+        grid=GRID, psi=psis[0], a_list=(1, 3), b=1.0, k_range=(0, 3), c_list=(0.0, 1.0, 5.0)
+    )
+    expected = finite_sum_system(spec, params)
+    built, checked = [], []
+
+    def counting_atoms(params, psi):
+        built.append(psi)
+        return atoms(params, psi)
+
+    def capturing_check(system, *args, **kwargs):
+        checked.append(system)
+        return check(system, *args, **kwargs)
+
+    atoms, check = wp._atoms, wp.check_theta_frame
+    monkeypatch.setattr(wp, "_atoms", counting_atoms)
+    monkeypatch.setattr(wp, "check_theta_frame", capturing_check)
+    finite_sum_criterion_check(spec, params, operator_of(GRID, "modulate", 1.0))
+    assert [id(psi) for psi in built] == [id(psi) for psi in psis]
+    assert np.array_equal(checked[0].vectors, expected.vectors)
+    assert checked[0].labels == expected.labels
 
 
 def test_mixed_windows_sum_system_is_the_atomwise_sum():
