@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FramekitError
 from .frame_core import optimal_bounds, system_from_json, system_to_json
-from .numerics import Tolerance, operator_from_json, operator_to_json
+from .numerics import Tolerance, complex_from_json, operator_from_json, operator_to_json
 from .operator_theory import douglas_check, hyponormality
 from .registry import run_case
 from .signal_space import (
@@ -114,27 +114,16 @@ def _load_json(path: str):
         return json.load(handle)
 
 
-def _complex_list(doc) -> np.ndarray:
-    re = np.asarray(doc.get("re", []), dtype=float)
-    im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
-    if re.shape != im.shape:
-        raise ValueError("re/im lists must have equal length")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValueError("re/im lists must be finite")
-    return re + 1j * im
-
-
 def _operator_from_any(doc) -> np.ndarray:
     """Accept a raw matrix document or a named grid operator description."""
     if "kind" in doc:
-        grid_doc = doc["grid"]
-        grid = Grid(int(grid_doc["q"]), int(grid_doc["P"]))
+        grid = Grid(doc["grid"]["q"], doc["grid"]["P"])
         return operator_of(grid, doc["kind"], doc["value"])
     return operator_from_json(doc)
 
 
 def _params_from_json(doc) -> WavePacketParams:
-    grid = Grid(int(doc["grid"]["q"]), int(doc["grid"]["P"]))
+    grid = Grid(doc["grid"]["q"], doc["grid"]["P"])
     psi = signal_from_json(doc["psi"])
     return WavePacketParams(
         grid=grid,
@@ -265,17 +254,16 @@ def _cmd_check_comb(args, tol):
     kind = doc.get("kind", "partition")
     if kind == "partition":
         base = generate_system(params)
-        cells = tuple(tuple(int(i) for i in cell) for cell in doc["cells"])
         if "coefficients" in doc:
-            coeffs = _complex_list(doc["coefficients"])
+            coeffs = complex_from_json(doc["coefficients"], None, "coefficients re/im lists")
         else:
             coeffs = np.ones(len(base), dtype=np.complex128)
-        pc = PartitionCombination(cells=cells, coefficients=coeffs)
+        pc = PartitionCombination(cells=doc["cells"], coefficients=coeffs)
         phi = partition_combination(base, pc)
         rep = partition_domination_check(phi, base, theta, tol, combination=pc)
         agrees = rep.agrees
     elif kind == "finite-sum":
-        alphas = tuple(_complex_list(doc["alphas"]))
+        alphas = tuple(complex_from_json(doc["alphas"], None, "alphas re/im lists"))
         if "psis" in doc:
             psis = tuple(signal_from_json(d) for d in doc["psis"])
         else:

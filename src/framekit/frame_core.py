@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotAFrame
-from .numerics import DEFAULT_TOL, Tolerance, as_vector, herm_eig, hermitize
+from .numerics import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_integer,
+    as_vector,
+    complex_from_json,
+    herm_eig,
+    hermitize,
+)
 
 
 @dataclass(frozen=True)
@@ -37,7 +45,7 @@ class FrameSystem:
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
         if self.labels is not None:
-            labels = tuple(tuple(int(x) for x in lab) for lab in self.labels)
+            labels = tuple(tuple(as_integer(x, "label") for x in lab) for lab in self.labels)
             if len(labels) != v.shape[0]:
                 raise DimensionMismatch(
                     f"{len(labels)} labels for {v.shape[0]} vectors"
@@ -161,24 +169,18 @@ def system_from_json(obj: dict) -> FrameSystem:
     if not isinstance(obj, dict):
         raise ValueError(f"system JSON must be an object, got {type(obj).__name__}")
     try:
-        n = int(obj["n"])
+        n = as_integer(obj["n"], "system JSON n")
         raw = obj["vectors"]
+        parts = {
+            "re": [entry["re"] for entry in raw],
+            "im": [entry["im"] if "im" in entry else [0.0] * len(entry["re"]) for entry in raw],
+        }
     except KeyError as exc:
         raise ValueError(f"system JSON missing field: {exc}") from exc
-    rows = []
-    try:
-        for k, entry in enumerate(raw):
-            re = np.asarray(entry["re"], dtype=np.float64)
-            im = np.asarray(entry.get("im", np.zeros_like(re)), dtype=np.float64)
-            if re.shape != (n,) or im.shape != (n,):
-                raise ValueError(f"vector {k} has wrong length (expected {n})")
-            rows.append(re + 1j * im)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except TypeError as exc:
         raise ValueError(f"malformed system JSON vectors: {exc!r}") from exc
-    vectors = np.asarray(rows)
-    if not np.isfinite(vectors).all():
-        raise ValueError("system JSON vectors must be finite")
-    labels = obj.get("labels")
-    if labels is not None:
-        labels = tuple(tuple(int(x) for x in lab) for lab in labels)
-    return FrameSystem(vectors, labels)
+    vectors = complex_from_json(parts, (len(raw), n), "system JSON vectors")
+    try:
+        return FrameSystem(vectors, obj.get("labels"))
+    except TypeError as exc:
+        raise ValueError(f"malformed system JSON labels: {exc!r}") from exc

@@ -6,11 +6,23 @@ through :mod:`numpy.linalg`; what this module adds is the explicit tolerance
 discipline (Hermiticity verdicts, rank cutoffs, positivity floors) that
 operator inequalities need once they meet floating point.
 
+The spectral step every criterion shares lives here, once:
+
+* ``hermitian_eigh`` is the one eigensolver: the only caller of
+  ``np.linalg.eigh`` / ``eigvalsh`` in the package.  It hermitizes its operand
+  once, refuses non-finite entries and maps LAPACK failures to
+  ``NoConvergence``.  ``herm_eig`` adds a Hermiticity verdict in front of it.
+* ``rank_mask`` is the one rank cut; ``psd_split``, ``pinv`` and
+  ``numerical_rank`` and every caller that truncates a spectrum use it.
+* ``compress`` is the one compression ``basis* X basis`` onto orthonormal
+  columns, and ``checked_subspace`` the one check of such columns.
+
 Conventions:
 
 * ``herm_eig`` returns eigenvalues ascending, ``svd`` singular values
   descending.
-* Rank cutoffs are relative to the operand's own largest singular value.
+* Rank cutoffs are relative to the operand's own largest eigenvalue or
+  singular value.
 * Positivity verdicts compare the smallest eigenvalue against
   ``-psd_floor * max(1, ||H||)`` so the zero operator and tiny operators are
   both handled sensibly.
@@ -70,6 +82,23 @@ def as_vector(entries) -> np.ndarray:
     return v
 
 
+def as_integer(value, what: str) -> int:
+    """``value`` as an int: integers and integral floats such as 3.0 pass.
+
+    Every integer field read from JSON goes through here.  A non-integral
+    number, a bool, None, a string or a list raises ValueError; NaN and
+    infinities raise what ``int`` raises for them (ValueError, OverflowError).
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    integral = int(value)
+    if integral != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return integral
+
+
 def adjoint(m) -> np.ndarray:
     """Conjugate transpose."""
     return as_operator(m).conj().T
@@ -89,20 +118,49 @@ def hermitize(m) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def require_square(m, what: str = "operator") -> np.ndarray:
-    from .errors import NotSquare
+def compress(x, basis) -> np.ndarray:
+    """Hermitian part of ``basis* x basis``; ``x`` itself when ``basis`` is None."""
+    if basis is None:
+        return x
+    return hermitize(basis.conj().T @ x @ basis)
 
-    m = as_operator(m)
-    if m.shape[0] != m.shape[1]:
-        raise NotSquare(f"{what} must be square, got shape {m.shape}")
-    return m
+
+def checked_subspace(p, n: int) -> np.ndarray | None:
+    """``p`` as a matrix of orthonormal columns in C^n; None passes through."""
+    if p is None:
+        return None
+    p = as_operator(p)
+    if p.shape[0] != n:
+        raise DimensionMismatch(f"subspace basis has {p.shape[0]} rows, expected {n}")
+    if op_norm(p.conj().T @ p - np.eye(p.shape[1])) > 1e-10:
+        raise ValueError("subspace basis columns must be orthonormal")
+    return p
+
+
+def hermitian_eigh(h, vectors: bool = True, basis=None):
+    """Eigenvalues (ascending) and eigenvectors of the Hermitian part of ``h``.
+
+    With a ``basis``, the operand is ``compress(h, basis)`` instead.  Either
+    way it is hermitized exactly once, so callers pass raw products.  With
+    ``vectors`` False only the eigenvalues are computed and returned.
+    Raises NoConvergence for an operand with a non-finite entry and when the
+    LAPACK iteration fails.
+    """
+    h = hermitize(h) if basis is None else compress(h, basis)
+    if not np.isfinite(h).all():
+        raise NoConvergence("eigenvalue problem has a non-finite entry")
+    try:
+        # Looked up on np.linalg at each call, so a wrapper installed there sees it.
+        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
 
 
 def herm_eig(h, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending, real) and orthonormal eigenvectors of a Hermitian matrix.
 
-    Raises NotHermitian when ``||H - H*|| > verdict_rel * ||H||`` and
-    NoConvergence when the LAPACK iteration fails.
+    Raises NotHermitian when ``||H - H*|| > verdict_rel * ||H||``, and
+    NoConvergence as :func:`hermitian_eigh` does.
     """
     h = as_operator(h)
     if h.shape[0] != h.shape[1]:
@@ -113,11 +171,28 @@ def herm_eig(h, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         raise NotHermitian(
             f"asymmetry {dev:.3e} exceeds verdict_rel * ||H|| = {tol.verdict_rel * scale:.3e}"
         )
-    try:
-        vals, vecs = np.linalg.eigh(hermitize(h))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - exercised only on LAPACK failure
-        raise NoConvergence(str(exc)) from exc
-    return vals, vecs
+    return hermitian_eigh(h)
+
+
+def rank_mask(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """The rank cut: mask of the values above ``rank_rel`` times the largest one.
+
+    Serves PSD eigenvalues and singular values alike; when the largest value
+    is not positive, nothing is kept.
+    """
+    top = float(np.max(values)) if values.size else 0.0
+    return values > tol.rank_rel * max(top, 0.0)
+
+
+def psd_split(y, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split a PSD matrix at the rank cut.
+
+    Returns the kept eigenvectors, their eigenvalues (ascending) and the
+    eigenvectors of the discarded kernel.
+    """
+    vals, vecs = hermitian_eigh(y)
+    keep = rank_mask(vals, tol)
+    return vecs[:, keep], vals[keep], vecs[:, ~keep]
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,24 +209,20 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above ``rank_rel * sigma_max``."""
+    """Number of singular values kept by the rank cut."""
     _, s, _ = svd(m)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_rel * s[0]))
+    return int(np.count_nonzero(rank_mask(s, tol)))
 
 
 def pinv(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse via truncated SVD.
 
-    Singular values at or below ``rank_rel * sigma_max`` are discarded, so the
-    zero matrix maps to the (transposed) zero matrix.
+    Singular values the rank cut discards are dropped, so the zero matrix
+    maps to the (transposed) zero matrix.
     """
     m = as_operator(m)
     u, s, v = svd(m)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    keep = s > tol.rank_rel * s[0]
+    keep = rank_mask(s, tol)
     if not np.any(keep):
         return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
     return (v[:, keep] / s[keep]) @ u[:, keep].conj().T
@@ -190,6 +261,25 @@ def range_inclusion(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
 # JSON form: {"rows": r, "cols": c, "re": [...], "im": [...]} row-major.
 
 
+def complex_from_json(obj, shape: tuple[int, ...] | None, what: str) -> np.ndarray:
+    """``re + 1j * im`` from a ``{"re": [...], "im": [...]}`` object; ``im`` defaults to zeros.
+
+    Both parts must be real arrays of ``shape`` (of any 1-D length when
+    ``shape`` is None) with finite entries; anything else raises ValueError.
+    """
+    try:
+        re = np.asarray(obj["re"], dtype=np.float64)
+        im = np.asarray(obj["im"], dtype=np.float64) if "im" in obj else np.zeros_like(re)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {what}: {exc!r}") from exc
+    expected = (re.size,) if shape is None else shape
+    if re.shape != expected or im.shape != expected:
+        raise ValueError(f"{what} need shape {expected}, got re {re.shape} and im {im.shape}")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError(f"{what} must be finite")
+    return re + 1j * im
+
+
 def operator_to_json(m) -> dict:
     m = as_operator(m)
     flat = m.reshape(-1)
@@ -203,17 +293,8 @@ def operator_to_json(m) -> dict:
 
 def operator_from_json(obj: dict) -> np.ndarray:
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=np.float64)
+        rows = as_integer(obj["rows"], "operator rows")
+        cols = as_integer(obj["cols"], "operator cols")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed operator JSON: {exc}") from exc
-    if re.shape != (rows * cols,) or im.shape != (rows * cols,):
-        raise ValueError(
-            f"operator JSON length mismatch: rows*cols={rows * cols}, "
-            f"len(re)={re.size}, len(im)={im.size}"
-        )
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValueError("operator JSON entries must be finite")
-    return (re + 1j * im).reshape(rows, cols)
+    return complex_from_json(obj, (rows * cols,), "operator JSON entries").reshape(rows, cols)

@@ -31,12 +31,15 @@ from .errors import DimensionMismatch, NotSquare
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
-    adjoint,
     as_operator,
+    checked_subspace,
+    compress,
+    hermitian_eigh,
     hermitize,
     is_psd,
     op_norm,
     pinv,
+    psd_split,
     range_inclusion,
 )
 
@@ -62,19 +65,10 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     return v if norm == 0 else v / norm
 
 
-def _psd_split(y: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split a PSD matrix into kept range (basis, eigenvalues) and discarded kernel basis."""
-    vals, vecs = np.linalg.eigh(hermitize(y))
-    top = float(vals[-1]) if vals.size else 0.0
-    cutoff = tol.rank_rel * max(top, 0.0)
-    keep = vals > cutoff
-    return vecs[:, keep], vals[keep], vecs[:, ~keep]
-
-
 def _herm_norm(x: np.ndarray) -> float:
     if x.size == 0:
         return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(hermitize(x)))))
+    return float(np.max(np.abs(hermitian_eigh(x, vectors=False))))
 
 
 def pencil_sup(x, y, tol: Tolerance = DEFAULT_TOL) -> PencilBound:
@@ -83,19 +77,17 @@ def pencil_sup(x, y, tol: Tolerance = DEFAULT_TOL) -> PencilBound:
     y = as_operator(y)
     if x.shape != y.shape or x.shape[0] != x.shape[1]:
         raise DimensionMismatch(f"pencil operands must be square and equal: {x.shape} vs {y.shape}")
-    basis_r, vals_r, basis_k = _psd_split(y, tol)
+    basis_r, vals_r, basis_k = psd_split(y, tol)
     floor = tol.psd_floor * max(1.0, _herm_norm(x))
     if basis_k.shape[1] > 0:
-        kernel_block = hermitize(basis_k.conj().T @ x @ basis_k)
-        kvals, kvecs = np.linalg.eigh(kernel_block)
+        kvals, kvecs = hermitian_eigh(x, basis=basis_k)
         if float(kvals[-1]) > floor:
             obstruction = _normalize(basis_k @ kvecs[:, -1])
             return PencilBound(value=math.inf, obstruction=obstruction)
     if basis_r.shape[1] == 0:
         return PencilBound(value=0.0, degenerate=True)
     whitener = basis_r / np.sqrt(vals_r)
-    core = hermitize(whitener.conj().T @ x @ whitener)
-    cvals, cvecs = np.linalg.eigh(core)
+    cvals, cvecs = hermitian_eigh(x, basis=whitener)
     witness = _normalize(whitener @ cvecs[:, -1])
     return PencilBound(value=float(cvals[-1]), witness=witness)
 
@@ -111,23 +103,19 @@ def pencil_inf(x, y, tol: Tolerance = DEFAULT_TOL) -> PencilBound:
     y = as_operator(y)
     if x.shape != y.shape or x.shape[0] != x.shape[1]:
         raise DimensionMismatch(f"pencil operands must be square and equal: {x.shape} vs {y.shape}")
-    basis_r, vals_r, basis_k = _psd_split(y, tol)
+    basis_r, vals_r, basis_k = psd_split(y, tol)
     if basis_r.shape[1] == 0:
         return PencilBound(value=math.inf, degenerate=True)
     whitener = basis_r / np.sqrt(vals_r)
-    core = hermitize(whitener.conj().T @ x @ whitener)
-    kernel_lift = None
-    if basis_k.shape[1] > 0:
-        cross = whitener.conj().T @ x @ basis_k
-        kernel_block = hermitize(basis_k.conj().T @ x @ basis_k)
-        kernel_pinv = pinv(kernel_block, tol)
-        core = hermitize(core - cross @ kernel_pinv @ cross.conj().T)
-        kernel_lift = -basis_k @ kernel_pinv @ cross.conj().T
-    cvals, cvecs = np.linalg.eigh(core)
+    if basis_k.shape[1] == 0:
+        cvals, cvecs = hermitian_eigh(x, basis=whitener)
+        return PencilBound(value=float(cvals[0]), witness=_normalize(whitener @ cvecs[:, 0]))
+    cross = whitener.conj().T @ x @ basis_k
+    kernel_pinv = pinv(compress(x, basis_k), tol)
+    kernel_lift = -basis_k @ kernel_pinv @ cross.conj().T
+    cvals, cvecs = hermitian_eigh(compress(x, whitener) - cross @ kernel_pinv @ cross.conj().T)
     w = cvecs[:, 0]
-    witness = whitener @ w
-    if kernel_lift is not None:
-        witness = witness + kernel_lift @ w
+    witness = whitener @ w + kernel_lift @ w
     return PencilBound(value=float(cvals[0]), witness=_normalize(witness))
 
 
@@ -153,16 +141,6 @@ class HyponormalityReport:
     operator_norm: float
 
 
-def _check_subspace(p: np.ndarray, n: int) -> np.ndarray:
-    p = as_operator(p)
-    if p.shape[0] != n:
-        raise DimensionMismatch(f"subspace basis has {p.shape[0]} rows, operator has {n}")
-    gram = p.conj().T @ p
-    if op_norm(gram - np.eye(p.shape[1])) > 1e-10:
-        raise ValueError("test subspace columns must be orthonormal")
-    return p
-
-
 def hyponormality(
     t, tol: Tolerance = DEFAULT_TOL, test_subspace=None
 ) -> HyponormalityReport:
@@ -175,17 +153,16 @@ def hyponormality(
     t = as_operator(t)
     if t.shape[0] != t.shape[1]:
         raise NotSquare(f"hyponormality needs a square operator, got {t.shape}")
-    commutator = hermitize(t.conj().T @ t - t @ t.conj().T)
-    vals = np.linalg.eigvalsh(commutator)
+    commutator = t.conj().T @ t - t @ t.conj().T
+    vals = hermitian_eigh(commutator, vectors=False)
     min_eig = float(vals[0]) if vals.size else 0.0
     norm = op_norm(t)
     floor = tol.psd_floor * max(1.0, norm**2)
     margin_verdict = None
     margin_min = None
     if test_subspace is not None:
-        p = _check_subspace(test_subspace, t.shape[0])
-        compressed = hermitize(p.conj().T @ commutator @ p)
-        mvals = np.linalg.eigvalsh(compressed)
+        p = checked_subspace(test_subspace, t.shape[0])
+        mvals = hermitian_eigh(commutator, vectors=False, basis=p)
         margin_min = float(mvals[0]) if mvals.size else 0.0
         margin_verdict = margin_min >= -floor
     return HyponormalityReport(
@@ -224,7 +201,7 @@ def relative_hyponormality(
             f"T1*T1 is {t1.shape[1]}x{t1.shape[1]} but T2 T2* is {t2.shape[0]}x{t2.shape[0]}"
         )
     x = hermitize(t2 @ t2.conj().T)
-    y = hermitize(t1.conj().T @ t1)
+    y = t1.conj().T @ t1
     bound = pencil_sup(x, y, tol)
     holds = math.isfinite(bound.value)
     degenerate = holds and bound.value <= tol.psd_floor
@@ -267,7 +244,7 @@ def douglas_check(t1, t2, tol: Tolerance = DEFAULT_TOL) -> DouglasReport:
             f"operators must share a codomain: {t1.shape[0]} vs {t2.shape[0]} rows"
         )
     included = range_inclusion(t1, t2, tol)
-    majorize = pencil_sup(hermitize(t1 @ t1.conj().T), hermitize(t2 @ t2.conj().T), tol)
+    majorize = pencil_sup(hermitize(t1 @ t1.conj().T), t2 @ t2.conj().T, tol)
     lambda_min = math.sqrt(majorize.value) if math.isfinite(majorize.value) else math.inf
     candidate = pinv(t2, tol) @ t1
     residual = op_norm(t2 @ candidate - t1)
@@ -309,5 +286,4 @@ __all__ = [
     "DouglasReport",
     "douglas_check",
     "djordjevic_hyponormal",
-    "adjoint",
 ]

@@ -32,6 +32,7 @@ from .errors import (
     OffGridFrequency,
     OffGridShift,
 )
+from .numerics import as_integer, complex_from_json
 
 _ALIGN_ATOL = 1e-12
 
@@ -44,10 +45,11 @@ class Grid:
     P: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.q, int) and self.q >= 1):
-            raise ValueError(f"q must be a positive integer, got {self.q!r}")
-        if not (isinstance(self.P, int) and self.P >= 1):
-            raise ValueError(f"P must be a positive integer, got {self.P!r}")
+        for name in ("q", "P"):
+            value = as_integer(getattr(self, name), name)
+            if value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -116,13 +118,12 @@ def dilate(f: Signal, c: int) -> Signal:
 
 def _dilation_index(c, n: int) -> np.ndarray:
     """Index map ``i -> (c*i) mod n`` of dilation by ``c``; requires ``gcd(c, n) = 1``."""
-    if not isinstance(c, (int, np.integer)):
-        raise ValueError(f"dilation factor must be an integer, got {c!r}")
-    if math.gcd(int(c), n) != 1:
+    c = as_integer(c, "dilation factor")
+    if math.gcd(c, n) != 1:
         raise NonCoprimeDilation(
-            f"dilation factor {c} shares divisor {math.gcd(int(c), n)} with grid size {n}"
+            f"dilation factor {c} shares divisor {math.gcd(c, n)} with grid size {n}"
         )
-    return (int(c) * np.arange(n)) % n
+    return (c * np.arange(n)) % n
 
 
 def indicator(grid: Grid, s: float, t: float) -> Signal:
@@ -220,21 +221,10 @@ def signal_to_json(f: Signal) -> dict:
 
 def signal_from_json(obj: dict) -> Signal:
     try:
-        grid = Grid(int(obj["q"]), int(obj["P"]))
-    except KeyError as exc:
+        grid = Grid(obj["q"], obj["P"])
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"signal JSON missing grid field: {exc}") from exc
     if "indicator" in obj:
         s, t = obj["indicator"]
         return indicator(grid, float(s), float(t))
-    try:
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=np.float64)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed signal JSON: {exc}") from exc
-    if re.shape != (grid.n,) or im.shape != (grid.n,):
-        raise ValueError(
-            f"signal JSON needs {grid.n} samples, got len(re)={re.size}, len(im)={im.size}"
-        )
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValueError("signal JSON samples must be finite")
-    return Signal(grid, re + 1j * im)
+    return Signal(grid, complex_from_json(obj, (grid.n,), "signal JSON samples"))

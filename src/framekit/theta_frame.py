@@ -37,9 +37,14 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     as_operator,
+    checked_subspace,
+    compress,
+    hermitian_eigh,
     hermitize,
     op_norm,
     pinv,
+    psd_split,
+    rank_mask,
     svd,
 )
 from .operator_theory import (
@@ -50,33 +55,11 @@ from .operator_theory import (
 )
 
 
-def _window_products(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Theta Theta*, Theta* Theta) as exact Hermitian matrices."""
-    return hermitize(theta @ theta.conj().T), hermitize(theta.conj().T @ theta)
-
-
-def _compress(op: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
-    if basis is None:
-        return op
-    return basis.conj().T @ op @ basis
-
-
 def _checked_window(theta, n: int) -> np.ndarray:
     theta = as_operator(theta)
     if theta.shape != (n, n):
         raise DimensionMismatch(f"window operator is {theta.shape}, system lives in C^{n}")
     return theta
-
-
-def _checked_subspace(subspace, n: int) -> np.ndarray | None:
-    if subspace is None:
-        return None
-    p = as_operator(subspace)
-    if p.shape[0] != n:
-        raise DimensionMismatch(f"subspace basis has {p.shape[0]} rows, expected {n}")
-    if op_norm(p.conj().T @ p - np.eye(p.shape[1])) > 1e-10:
-        raise ValueError("subspace basis columns must be orthonormal")
-    return p
 
 
 @dataclass(frozen=True)
@@ -112,12 +95,10 @@ def check_theta_frame(
     that subspace first and the inequalities are scored there.
     """
     theta = _checked_window(theta, system.n)
-    basis = _checked_subspace(subspace, system.n)
-    s = frame_operator(system)
-    c, d = _window_products(theta)
-    s_c = _compress(s, basis)
-    lower = pencil_inf(s_c, _compress(c, basis), tol)
-    upper = pencil_sup(s_c, _compress(d, basis), tol)
+    basis = checked_subspace(subspace, system.n)
+    s = compress(frame_operator(system), basis)
+    lower = pencil_inf(s, compress(theta @ theta.conj().T, basis), tol)
+    upper = pencil_sup(s, compress(theta.conj().T @ theta, basis), tol)
     lower_ok = lower.degenerate or lower.value > tol.psd_floor
     return ThetaFrameReport(
         alpha_opt=lower.value,
@@ -148,11 +129,10 @@ def check_k_frame(
 ) -> KFrameReport:
     """Greatest A with ``A ||K* f||^2 <= sum |<f, f_k>|^2``, and the plain upper bound."""
     k = _checked_window(k, system.n)
-    basis = _checked_subspace(subspace, system.n)
-    s = _compress(frame_operator(system), basis)
-    kk = _compress(hermitize(k @ k.conj().T), basis)
-    lower = pencil_inf(s, kk, tol)
-    vals, vecs = np.linalg.eigh(hermitize(s))
+    basis = checked_subspace(subspace, system.n)
+    s = compress(frame_operator(system), basis)
+    lower = pencil_inf(s, compress(k @ k.conj().T, basis), tol)
+    vals, vecs = hermitian_eigh(s)
     b_opt = float(vals[-1]) if vals.size else 0.0
     return KFrameReport(
         a_opt=lower.value,
@@ -198,14 +178,12 @@ def theta_tight_check(
 ) -> ThetaTightReport:
     theta = _checked_window(theta, system.n)
     s = frame_operator(system)
-    c, d = _window_products(theta)
+    d = theta.conj().T @ theta
     n = system.n
     theta_is_identity = op_norm(theta - np.eye(n)) <= tol.verdict_rel * max(1.0, op_norm(theta))
 
-    cvals, cvecs = np.linalg.eigh(c)
-    top = float(cvals[-1]) if cvals.size else 0.0
-    keep = cvals > tol.rank_rel * max(top, 0.0)
-    if not np.any(keep):
+    basis_r, vals_r, _ = psd_split(theta @ theta.conj().T, tol)
+    if basis_r.shape[1] == 0:
         return ThetaTightReport(
             is_tight=False,
             alpha0=0.0,
@@ -214,8 +192,7 @@ def theta_tight_check(
             theta_is_identity=bool(theta_is_identity),
             degenerate=True,
         )
-    whitener = cvecs[:, keep] / np.sqrt(cvals[keep])
-    spectrum = np.linalg.eigvalsh(hermitize(whitener.conj().T @ s @ whitener))
+    spectrum = hermitian_eigh(s, vectors=False, basis=basis_r / np.sqrt(vals_r))
     lo, hi = float(spectrum[0]), float(spectrum[-1])
     alpha0 = 0.5 * (lo + hi)
     spread = hi - lo
@@ -274,7 +251,7 @@ def tight_frame_from_hyponormal(
             f"window self-commutator has negative eigenvalue {hypo.commutator_min_eig:.3e}"
         )
     image = FrameSystem(parseval.vectors @ theta.T, labels=parseval.labels)
-    c, _ = _window_products(theta)
+    c = hermitize(theta @ theta.conj().T)
     residual = op_norm(frame_operator(image) - c) / max(1.0, op_norm(c))
     report = ConstructionReport(
         operator_residual=float(residual),
@@ -325,7 +302,7 @@ def transform_frame_check(
     theta = _checked_window(theta, system.n)
     u = _checked_window(u, system.n)
     _, singulars, _ = svd(u)
-    if singulars.size == 0 or singulars[-1] <= tol.rank_rel * singulars[0]:
+    if singulars.size == 0 or not rank_mask(singulars, tol).all():
         raise SingularU("transform operator is numerically singular")
     u_norm = float(singulars[0])
     u_inv_norm = 1.0 / float(singulars[-1])
@@ -393,8 +370,7 @@ def pseudoinverse_bound_chain(
     if not report.passes():
         raise NotThetaFrame("bound chain requires a verified window frame")
     left, singulars, _ = svd(theta)
-    keep = singulars > tol.rank_rel * (singulars[0] if singulars.size else 0.0)
-    basis = left[:, keep]
+    basis = left[:, rank_mask(singulars, tol)]
     rank = basis.shape[1]
     if rank == 0:
         return PinvChainReport(
@@ -411,8 +387,7 @@ def pseudoinverse_bound_chain(
     dagger_norm = op_norm(dagger)
     projector_residual = op_norm(theta @ dagger @ basis - basis)
     s = frame_operator(system)
-    restricted = hermitize(basis.conj().T @ s @ basis)
-    rvals = np.linalg.eigvalsh(restricted)
+    rvals = hermitian_eigh(s, vectors=False, basis=basis)
     restricted_min = float(rvals[0])
     restricted_ok = restricted_min > tol.psd_floor * max(1.0, float(rvals[-1]))
 

@@ -37,23 +37,18 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     adjoint,
+    as_integer,
     as_operator,
-    hermitize,
+    checked_subspace,
+    compress,
     op_norm,
     range_inclusion,
 )
 from .operator_theory import hyponormality, pencil_inf, relative_hyponormality
 from .signal_space import Grid, Signal, _aligned_int, _dilation_index
-from .theta_frame import ThetaFrameReport, check_theta_frame, _checked_subspace
+from .theta_frame import ThetaFrameReport, check_theta_frame
 
 _DEDUPE_ATOL = 1e-12
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int: integral floats such as 3.0 pass, 3.5 raises."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -77,12 +72,11 @@ class WavePacketParams:
     dedupe: bool = True
 
     def __post_init__(self):
-        a_list = tuple(_integer(a, "dilation factor") for a in self.a_list)
+        a_list = tuple(as_integer(a, "dilation factor") for a in self.a_list)
         object.__setattr__(self, "a_list", a_list)
         object.__setattr__(self, "c_list", tuple(float(c) for c in self.c_list))
-        lo, hi = self.k_range
-        k_range = (_integer(lo, "translation multiplier"), _integer(hi, "translation multiplier"))
-        object.__setattr__(self, "k_range", k_range)
+        lo, hi = (as_integer(k, "translation multiplier") for k in self.k_range)
+        object.__setattr__(self, "k_range", (lo, hi))
         if self.psi.grid != self.grid:
             raise DimensionMismatch("window signal lives on a different grid")
         if not self.a_list:
@@ -256,9 +250,8 @@ class PartitionCombination:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "cells", tuple(tuple(int(i) for i in cell) for cell in self.cells)
-        )
+        cells = tuple(tuple(as_integer(i, "cell index") for i in cell) for cell in self.cells)
+        object.__setattr__(self, "cells", cells)
         coeffs = np.asarray(self.coefficients, dtype=np.complex128).reshape(-1)
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
@@ -332,13 +325,9 @@ def partition_domination_check(
     combination: PartitionCombination | None = None,
 ) -> PartitionDominationReport:
     theta = as_operator(theta)
-    basis = _checked_subspace(subspace, base.n)
-    s_phi = frame_operator(phi)
-    s_base = frame_operator(base)
-    if basis is not None:
-        s_phi = hermitize(basis.conj().T @ s_phi @ basis)
-        s_base = hermitize(basis.conj().T @ s_base @ basis)
-    pencil = pencil_inf(s_phi, s_base, tol)
+    basis = checked_subspace(subspace, base.n)
+    s_phi = compress(frame_operator(phi), basis)
+    pencil = pencil_inf(s_phi, compress(frame_operator(base), basis), tol)
     dominates = pencil.degenerate or pencil.value > tol.psd_floor
     phi_report = check_theta_frame(phi, theta, tol, subspace=subspace)
     base_report = check_theta_frame(base, theta, tol, subspace=subspace)
@@ -462,19 +451,14 @@ def finite_sum_criterion_check(
     subspace=None,
 ) -> FiniteSumReport:
     theta = as_operator(theta)
-    basis = _checked_subspace(subspace, params.grid.n)
+    basis = checked_subspace(subspace, params.grid.n)
     labels = tuple(_labels(params))
     atoms = [_atoms(params, psi) for psi in spec.psis]
     singles = [FrameSystem(a, labels=labels) for a in atoms]
     summed = _summed_system(spec, params, atoms)
-
-    def compressed_operator(system: FrameSystem) -> np.ndarray:
-        s = frame_operator(system)
-        return s if basis is None else hermitize(basis.conj().T @ s @ basis)
-
-    s_sum = compressed_operator(summed)
+    s_sum = compress(frame_operator(summed), basis)
     mu_opts = tuple(
-        pencil_inf(s_sum, compressed_operator(f), tol).value for f in singles
+        pencil_inf(s_sum, compress(frame_operator(f), basis), tol).value for f in singles
     )
     exists = any(math.isinf(mu) or mu > tol.psd_floor for mu in mu_opts)
     if all(math.isinf(m) for m in mu_opts):

@@ -292,7 +292,13 @@ def test_malformed_json_exits_two(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "doc",
-    [[1, 2], {"n": 2, "vectors": [1]}, {"n": 2, "vectors": [[1, 2]]}, {"n": 2, "vectors": 5}],
+    [
+        [1, 2],
+        {"n": 2, "vectors": [1]},
+        {"n": 2, "vectors": [[1, 2]]},
+        {"n": 2, "vectors": 5},
+        {"n": 2, "vectors": [{"re": [1, 0]}], "labels": 5},
+    ],
 )
 def test_malformed_system_document_exits_two(tmp_path, capsys, doc):
     path = _write(tmp_path, "system.json", doc)
@@ -354,6 +360,57 @@ def test_gen_accepts_integral_floats(tmp_path, capsys):
     code, first = _run(capsys, ["gen", _write(tmp_path, "exact.json", exact)])
     assert code == 0
     code, second = _run(capsys, ["gen", _write(tmp_path, "floats.json", floats)])
+    assert code == 0
+    assert second["verdicts"] == first["verdicts"]
+
+
+_HUGE_BASIS = {"n": 2, "vectors": [{"re": [1e200, 0.0]}, {"re": [0.0, 1e200]}]}
+_IDENTITY = {"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0, 1.0]}
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+@pytest.mark.parametrize("verb", ["check-theta", "check-k"])
+def test_overflowing_frame_operator_exits_two_with_strict_json(tmp_path, capsys, verb):
+    # Finite entries whose frame operator overflows: a refusal, not a NaN verdict.
+    system = _write(tmp_path, "system.json", _HUGE_BASIS)
+    code = main([verb, system, _write(tmp_path, "window.json", _IDENTITY)])
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 2
+    assert "non-finite" in report["verdicts"]["error"]
+
+
+_UNIT_VECTORS = [{"re": [1.0, 0.0]}, {"re": [0.0, 1.0]}]
+
+
+@pytest.mark.parametrize(
+    "verb, doc",
+    [
+        ("check-hypo", {"grid": {"q": 4.5, "P": 4}, "kind": "translate", "value": 1.0}),
+        ("check-hypo", {"grid": {"q": None, "P": 4}, "kind": "translate", "value": 1.0}),
+        ("check-hypo", {"rows": 2.5, "cols": 2, "re": [1.0, 0.0, 0.0, 1.0]}),
+        ("check-frame", {"n": 2.7, "vectors": _UNIT_VECTORS}),
+        ("check-frame", {"n": 2, "vectors": _UNIT_VECTORS, "labels": [[0, 0, 0], [0, 0.5, 0]]}),
+        ("gen", {**PARAMS_DOC, "grid": {"q": 4, "P": 4.5}}),
+        ("gen", {**PARAMS_DOC, "psi": {"q": "4", "P": 4, "indicator": [0, 1]}}),
+        ("gen", {**PARAMS_DOC, "a_list": [None]}),
+    ],
+    ids=["grid-q", "grid-q-null", "rows", "system-n", "label", "params-P", "signal-q", "a-null"],
+)
+def test_non_integral_json_integers_exit_two(tmp_path, capsys, verb, doc):
+    code, report = _run(capsys, [verb, _write(tmp_path, "doc.json", doc)])
+    assert code == 2
+    assert "must be an integer" in report["verdicts"]["error"]
+
+
+def test_named_dilation_accepts_an_integral_float(tmp_path, capsys):
+    exact = {"grid": {"q": 4, "P": 4}, "kind": "dilate", "value": 3}
+    code, first = _run(capsys, ["check-hypo", _write(tmp_path, "exact.json", exact)])
+    assert code == 0
+    as_float = _write(tmp_path, "float.json", {**exact, "value": 3.0})
+    code, second = _run(capsys, ["check-hypo", as_float])
     assert code == 0
     assert second["verdicts"] == first["verdicts"]
 

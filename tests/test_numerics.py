@@ -4,12 +4,17 @@ Frozen oracle values were computed by hand (2x2 closed forms) or by an
 independent least-squares check, then pinned here.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framekit.errors import NotHermitian
+import framekit
+from framekit.errors import NoConvergence, NotHermitian
+from framekit.frame_core import FrameSystem, canonical_basis
 from framekit.numerics import (
     DEFAULT_TOL,
     Tolerance,
@@ -22,9 +27,12 @@ from framekit.numerics import (
     operator_from_json,
     operator_to_json,
     pinv,
+    psd_split,
     range_inclusion,
     svd,
 )
+from framekit.operator_theory import hyponormality, pencil_inf, pencil_sup
+from framekit.theta_frame import check_k_frame, pseudoinverse_bound_chain, theta_tight_check
 
 
 def test_tolerance_defaults_and_validation():
@@ -182,3 +190,63 @@ def test_op_norm_triangle_and_scaling(n, seed):
     b = rng.normal(size=(n, n))
     assert op_norm(a + b) <= op_norm(a) + op_norm(b) + 1e-12
     assert op_norm(2.5 * a) == pytest.approx(2.5 * op_norm(a))
+
+
+def _raise_linalg_error(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pencil_sup(np.eye(3), np.diag([1.0, 1.0, 0.0])),
+        lambda: pencil_inf(np.eye(3), np.diag([1.0, 1.0, 0.0])),
+        lambda: hyponormality(np.eye(3)),
+        lambda: theta_tight_check(canonical_basis(3), np.eye(3)),
+        lambda: check_k_frame(canonical_basis(3), np.eye(3)),
+    ],
+    ids=["pencil_sup", "pencil_inf", "hyponormality", "theta_tight_check", "check_k_frame"],
+)
+def test_every_eigensolve_maps_lapack_failure_to_no_convergence(monkeypatch, call):
+    monkeypatch.setattr(np.linalg, "eigh", _raise_linalg_error)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _raise_linalg_error)
+    with pytest.raises(NoConvergence):
+        call()
+
+
+def test_non_finite_operand_raises_no_convergence():
+    with pytest.raises(NoConvergence):
+        pencil_sup(np.diag([np.inf, 1.0]), np.eye(2))
+    with pytest.raises(NoConvergence):
+        hyponormality(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_rank_cut_is_shared_across_splits_pinv_and_the_bound_chain():
+    # Eigenvalues straddle the cutoff rank_rel * top at 2x and 0.5x: every
+    # truncating kernel must keep exactly the top three directions.
+    r = DEFAULT_TOL.rank_rel
+    rng = np.random.default_rng(12)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    y = (u * [1.0, 1.0, 2.0 * r, 0.5 * r]) @ u.conj().T
+    kept, vals, kernel = psd_split(y)
+    assert (kept.shape[1], vals.size, kernel.shape[1]) == (3, 3, 1)
+    assert numerical_rank(y) == 3
+    truncated = (u[:, :3] / [1.0, 1.0, 2.0 * r]) @ u[:, :3].conj().T
+    assert op_norm(pinv(y) - truncated) <= 1e-4 * op_norm(truncated)
+    # The bound chain cuts the window's singular values (here y's eigenvalues).
+    # A system spanning the top two directions leaves the restricted frame
+    # operator singular iff the chain keeps the third direction, and the
+    # projector residual stays small only if it drops the fourth as pinv does.
+    report = pseudoinverse_bound_chain(FrameSystem(u[:, :2].T), y, samples=4)
+    assert report.projector_residual <= 1e-3
+    assert abs(report.restricted_min_eig) <= 1e-8
+
+
+def test_linalg_eigensolvers_are_called_only_in_numerics():
+    package = Path(framekit.__file__).parent
+    callers = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if re.search(r"linalg\.eig", path.read_text(encoding="utf-8"))
+    )
+    assert callers == ["numerics.py"]
