@@ -114,24 +114,35 @@ def _load_json(path: str):
         return json.load(handle)
 
 
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _grid(doc) -> Grid:
+    grid = _object(doc["grid"], "grid")
+    return Grid(grid["q"], grid["P"])
+
+
 def _operator_from_any(doc) -> np.ndarray:
     """Accept a raw matrix document or a named grid operator description."""
-    if "kind" in doc:
-        grid = Grid(doc["grid"]["q"], doc["grid"]["P"])
-        return operator_of(grid, doc["kind"], doc["value"])
+    if isinstance(doc, dict) and "kind" in doc:
+        return operator_of(_grid(doc), doc["kind"], doc["value"])
     return operator_from_json(doc)
 
 
 def _params_from_json(doc) -> WavePacketParams:
-    grid = Grid(doc["grid"]["q"], doc["grid"]["P"])
+    doc = _object(doc, "wave-packet params")
+    grid = _grid(doc)
     psi = signal_from_json(doc["psi"])
     return WavePacketParams(
         grid=grid,
         psi=psi,
-        a_list=tuple(doc.get("a_list", [1])),
-        b=float(doc["b"]),
-        k_range=tuple(doc["k_range"]),
-        c_list=tuple(doc.get("c_list", [0.0])),
+        a_list=doc.get("a_list", [1]),
+        b=doc["b"],
+        k_range=doc["k_range"],
+        c_list=doc.get("c_list", [0.0]),
         dedupe=bool(doc.get("dedupe", True)),
     )
 
@@ -248,7 +259,7 @@ def _cmd_pinv(args, tol):
 
 
 def _cmd_check_comb(args, tol):
-    doc = _load_json(args.spec)
+    doc = _object(_load_json(args.spec), "combination spec")
     params = _params_from_json(doc["params"])
     theta = _operator_from_any(doc["theta"])
     kind = doc.get("kind", "partition")

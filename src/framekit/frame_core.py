@@ -40,8 +40,8 @@ class FrameSystem:
         v = np.array(self.vectors, dtype=np.complex128)
         if v.ndim != 2:
             raise DimensionMismatch(f"vectors must form a 2-D array, got ndim={v.ndim}")
-        if v.shape[0] < 1:
-            raise DimensionMismatch("a frame system needs at least one vector")
+        if v.shape[0] < 1 or v.shape[1] < 1:
+            raise DimensionMismatch(f"a frame system needs nonempty vectors, got shape {v.shape}")
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
         if self.labels is not None:

@@ -12,10 +12,21 @@ The spectral step every criterion shares lives here, once:
   ``np.linalg.eigh`` / ``eigvalsh`` in the package.  It hermitizes its operand
   once, refuses non-finite entries and maps LAPACK failures to
   ``NoConvergence``.  ``herm_eig`` adds a Hermiticity verdict in front of it.
+* ``spectral_scope`` decorates the public checks.  While the outermost one
+  runs, ``hermitian_eigh`` remembers each result under the shape, the
+  ``vectors`` flag and the sha256 of the bytes of the operand it hands to
+  LAPACK, so a check decomposes each operand once.  The memo lives in a
+  ``ContextVar`` (threads never share it), nested checks share the outermost
+  one, and it is emptied when that check returns or raises.  Remembered
+  arrays are read-only, an eigenvalues-only result never serves a full
+  decomposition nor the reverse, and a LAPACK failure is not remembered.
+  Outside a check every call reaches LAPACK.
 * ``rank_mask`` is the one rank cut; ``psd_split``, ``pinv`` and
   ``numerical_rank`` and every caller that truncates a spectrum use it.
 * ``compress`` is the one compression ``basis* X basis`` onto orthonormal
   columns, and ``checked_subspace`` the one check of such columns.
+* ``as_integer`` and ``as_real`` check the integer and real-number fields read
+  from JSON.
 
 Conventions:
 
@@ -30,7 +41,10 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +113,21 @@ def as_integer(value, what: str) -> int:
     return integral
 
 
+def as_real(value, what: str) -> float:
+    """``value`` as a finite float: integers and floats pass.
+
+    Every real-number field read from JSON goes through here.  A bool, None,
+    a string, a list, an infinity or NaN raises ValueError; an integer beyond
+    the float range raises the OverflowError of ``float``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    real = float(value)
+    if not math.isfinite(real):
+        raise ValueError(f"{what} must be a finite real number, got {value!r}")
+    return real
+
+
 def adjoint(m) -> np.ndarray:
     """Conjugate transpose."""
     return as_operator(m).conj().T
@@ -137,6 +166,42 @@ def checked_subspace(p, n: int) -> np.ndarray | None:
     return p
 
 
+# Spectra of the running check, keyed by the exact operand handed to LAPACK;
+# None outside a check.
+_SPECTRA: ContextVar[dict | None] = ContextVar("framekit_spectra", default=None)
+
+
+def spectral_scope(check):
+    """Decorate a check so each operand it decomposes reaches LAPACK once.
+
+    While the outermost decorated call runs, ``hermitian_eigh`` remembers its
+    results; nested decorated calls share that memo, and it is emptied when
+    the outermost call returns or raises.
+    """
+
+    @functools.wraps(check)
+    def scoped(*args, **kwargs):
+        if _SPECTRA.get() is not None:
+            return check(*args, **kwargs)
+        memo: dict = {}
+        token = _SPECTRA.set(memo)
+        try:
+            return check(*args, **kwargs)
+        finally:
+            _SPECTRA.reset(token)
+            memo.clear()
+
+    return scoped
+
+
+def _lapack_eigh(h: np.ndarray, vectors: bool):
+    try:
+        # Looked up on np.linalg at each call, so a wrapper installed there sees it.
+        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+
+
 def hermitian_eigh(h, vectors: bool = True, basis=None):
     """Eigenvalues (ascending) and eigenvectors of the Hermitian part of ``h``.
 
@@ -145,15 +210,24 @@ def hermitian_eigh(h, vectors: bool = True, basis=None):
     ``vectors`` False only the eigenvalues are computed and returned.
     Raises NoConvergence for an operand with a non-finite entry and when the
     LAPACK iteration fails.
+
+    Inside a :func:`spectral_scope` the result is remembered under the
+    operand's shape, ``vectors`` and the sha256 of its bytes, and returned
+    read-only; a repeated operand is then not decomposed again.
     """
     h = hermitize(h) if basis is None else compress(h, basis)
     if not np.isfinite(h).all():
         raise NoConvergence("eigenvalue problem has a non-finite entry")
-    try:
-        # Looked up on np.linalg at each call, so a wrapper installed there sees it.
-        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    memo = _SPECTRA.get()
+    if memo is None:
+        return _lapack_eigh(h, vectors)
+    key = (h.shape, vectors, hashlib.sha256(np.ascontiguousarray(h)).digest())
+    if key not in memo:
+        result = _lapack_eigh(h, vectors)
+        for array in result if vectors else (result,):
+            array.setflags(write=False)
+        memo[key] = result
+    return memo[key]
 
 
 def herm_eig(h, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ from .errors import (
     OffGridFrequency,
     OffGridShift,
 )
-from .numerics import as_integer, complex_from_json
+from .numerics import as_integer, as_real, complex_from_json
 
 _ALIGN_ATOL = 1e-12
 
@@ -91,7 +91,7 @@ class Signal:
 
 
 def _aligned_int(value: float, scale: int, err, what: str) -> int:
-    scaled = value * scale
+    scaled = as_real(value, what) * scale
     nearest = round(scaled)
     if abs(scaled - nearest) > _ALIGN_ATOL:
         raise err(f"{what} {value!r} is off-grid: {what}*{scale} = {scaled!r} is not an integer")
@@ -225,6 +225,8 @@ def signal_from_json(obj: dict) -> Signal:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"signal JSON missing grid field: {exc}") from exc
     if "indicator" in obj:
-        s, t = obj["indicator"]
-        return indicator(grid, float(s), float(t))
+        ends = obj["indicator"]
+        if not isinstance(ends, (list, tuple)) or len(ends) != 2:
+            raise ValueError(f"signal JSON indicator must be a list [s, t], got {ends!r}")
+        return indicator(grid, *(as_real(end, "indicator endpoint") for end in ends))
     return Signal(grid, complex_from_json(obj, (grid.n,), "signal JSON samples"))

@@ -45,6 +45,7 @@ from .numerics import (
     pinv,
     psd_split,
     rank_mask,
+    spectral_scope,
     svd,
 )
 from .operator_theory import (
@@ -86,6 +87,7 @@ class ThetaFrameReport:
         return self.lower_ok and self.upper_ok
 
 
+@spectral_scope
 def check_theta_frame(
     system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL, subspace=None
 ) -> ThetaFrameReport:
@@ -124,6 +126,7 @@ class KFrameReport:
     upper_witness: np.ndarray | None
 
 
+@spectral_scope
 def check_k_frame(
     system: FrameSystem, k, tol: Tolerance = DEFAULT_TOL, subspace=None
 ) -> KFrameReport:
@@ -140,7 +143,7 @@ def check_k_frame(
         lower_ok=bool(lower.degenerate or lower.value > tol.psd_floor),
         degenerate=lower.degenerate,
         lower_witness=lower.witness,
-        upper_witness=vecs[:, -1] if vals.size else None,
+        upper_witness=vecs[:, -1].copy() if vals.size else None,
     )
 
 
@@ -173,6 +176,7 @@ class ThetaTightReport:
     degenerate: bool = False
 
 
+@spectral_scope
 def theta_tight_check(
     system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL
 ) -> ThetaTightReport:
@@ -225,6 +229,7 @@ class ConstructionReport:
     tight: ThetaTightReport
 
 
+@spectral_scope
 def tight_frame_from_hyponormal(
     parseval: FrameSystem,
     theta,
@@ -296,6 +301,7 @@ class TransformReport:
     lower_b_ok: bool
 
 
+@spectral_scope
 def transform_frame_check(
     system: FrameSystem, theta, u, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[FrameSystem, TransformReport]:

@@ -39,10 +39,12 @@ from .numerics import (
     adjoint,
     as_integer,
     as_operator,
+    as_real,
     checked_subspace,
     compress,
     op_norm,
     range_inclusion,
+    spectral_scope,
 )
 from .operator_theory import hyponormality, pencil_inf, relative_hyponormality
 from .signal_space import Grid, Signal, _aligned_int, _dilation_index
@@ -72,10 +74,15 @@ class WavePacketParams:
     dedupe: bool = True
 
     def __post_init__(self):
-        a_list = tuple(as_integer(a, "dilation factor") for a in self.a_list)
+        try:
+            a_list = tuple(as_integer(a, "dilation factor") for a in self.a_list)
+            c_list = tuple(as_real(c, "modulation frequency") for c in self.c_list)
+            lo, hi = (as_integer(k, "translation multiplier") for k in self.k_range)
+        except TypeError as exc:
+            raise ValueError(f"a_list, k_range and c_list must be lists: {exc}") from exc
         object.__setattr__(self, "a_list", a_list)
-        object.__setattr__(self, "c_list", tuple(float(c) for c in self.c_list))
-        lo, hi = (as_integer(k, "translation multiplier") for k in self.k_range)
+        object.__setattr__(self, "b", as_real(self.b, "translation step"))
+        object.__setattr__(self, "c_list", c_list)
         object.__setattr__(self, "k_range", (lo, hi))
         if self.psi.grid != self.grid:
             raise DimensionMismatch("window signal lives on a different grid")
@@ -85,7 +92,7 @@ class WavePacketParams:
             raise ValueError("need at least one modulation frequency")
         if self.k_range[0] > self.k_range[1]:
             raise ValueError(f"empty translation range {self.k_range}")
-        if not (float(self.b) >= 0.0):
+        if self.b < 0.0:
             raise ValueError(f"translation step must be >= 0, got {self.b}")
 
     def k_values(self) -> tuple[int, ...]:
@@ -213,6 +220,7 @@ class SynthesisCriterion:
     counterexample: str | None
 
 
+@spectral_scope
 def synthesis_criterion_check(
     system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL
 ) -> SynthesisCriterion:
@@ -250,7 +258,10 @@ class PartitionCombination:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        cells = tuple(tuple(as_integer(i, "cell index") for i in cell) for cell in self.cells)
+        try:
+            cells = tuple(tuple(as_integer(i, "cell index") for i in cell) for cell in self.cells)
+        except TypeError as exc:
+            raise ValueError(f"partition cells must be lists of indices: {exc}") from exc
         object.__setattr__(self, "cells", cells)
         coeffs = np.asarray(self.coefficients, dtype=np.complex128).reshape(-1)
         coeffs.setflags(write=False)
@@ -316,6 +327,7 @@ class PartitionDominationReport:
     counterexample: str | None
 
 
+@spectral_scope
 def partition_domination_check(
     phi: FrameSystem,
     base: FrameSystem,
@@ -443,6 +455,7 @@ class FiniteSumReport:
     counterexample: str | None
 
 
+@spectral_scope
 def finite_sum_criterion_check(
     spec: FiniteSumSpec,
     params: WavePacketParams,
@@ -453,9 +466,8 @@ def finite_sum_criterion_check(
     theta = as_operator(theta)
     basis = checked_subspace(subspace, params.grid.n)
     labels = tuple(_labels(params))
-    atoms = [_atoms(params, psi) for psi in spec.psis]
-    singles = [FrameSystem(a, labels=labels) for a in atoms]
-    summed = _summed_system(spec, params, atoms)
+    singles = [FrameSystem(_atoms(params, psi), labels=labels) for psi in spec.psis]
+    summed = _summed_system(spec, params, [f.vectors for f in singles])
     s_sum = compress(frame_operator(summed), basis)
     mu_opts = tuple(
         pencil_inf(s_sum, compress(frame_operator(f), basis), tol).value for f in singles

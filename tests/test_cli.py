@@ -1,13 +1,17 @@
 """CLI surface: one JSON report on stdout, exit codes 0/1/2, env seeding."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framekit.cli import _digest, main, to_jsonable
@@ -413,6 +417,142 @@ def test_named_dilation_accepts_an_integral_float(tmp_path, capsys):
     code, second = _run(capsys, ["check-hypo", as_float])
     assert code == 0
     assert second["verdicts"] == first["verdicts"]
+
+
+_PSI = PARAMS_DOC["psi"]
+
+
+@pytest.mark.parametrize(
+    "verb, doc",
+    [
+        ("gen", {**PARAMS_DOC, "b": None}),
+        ("gen", {**PARAMS_DOC, "b": "1"}),
+        ("gen", {**PARAMS_DOC, "c_list": [None]}),
+        ("gen", {**PARAMS_DOC, "c_list": [True]}),
+        ("gen", {**PARAMS_DOC, "psi": {**_PSI, "indicator": [None, 1]}}),
+        ("gen", {**PARAMS_DOC, "psi": {**_PSI, "indicator": ["0", 1]}}),
+        ("check-hypo", {**THETA_DOC, "value": None}),
+        ("check-hypo", {**THETA_DOC, "value": [1]}),
+        ("check-hypo", {**THETA_DOC, "kind": "translate", "value": float("inf")}),
+    ],
+    ids=["b-null", "b-text", "c-null", "c-bool", "ends-null", "ends-text", "value-null",
+         "value-list", "value-inf"],
+)
+def test_non_real_json_numbers_exit_two(tmp_path, capsys, verb, doc):
+    code, report = _run(capsys, [verb, _write(tmp_path, "doc.json", doc)])
+    assert code == 2
+    assert "real number" in report["verdicts"]["error"]
+
+
+def _paths(doc, prefix=()):
+    """Every path of keys and indices below ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+_SMALL_WINDOW = {**THETA_DOC, "grid": {"q": 1, "P": 2}}
+# The documents each verb reads, in argv order; unchanged, every verb exits 0.
+_FUZZ_DOCS = {
+    "gen": [PARAMS_DOC],
+    "check-frame": [{**_BASIS, "labels": [[0, 0, 0], [0, 1, 0]]}],
+    "check-hypo": [THETA_DOC],
+    "check-theta": [_BASIS, _IDENTITY],
+    "check-k": [_BASIS, _SMALL_WINDOW],
+    "douglas": [_IDENTITY, _SMALL_WINDOW],
+    "pinv": [_BASIS, _IDENTITY],
+    "check-comb": [
+        {
+            "params": PARAMS_DOC,
+            "theta": THETA_DOC,
+            "cells": [[i, i + 1] for i in range(0, 16, 2)],
+            "coefficients": {"re": [1.0] * 16},
+        }
+    ],
+}
+_FUZZ_PATHS = {verb: list(_paths(docs)) for verb, docs in _FUZZ_DOCS.items()}
+_DELETE = object()
+# Numbers stay small: grid sizes and label ranges multiply into array sizes.
+_FUZZ_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 6)
+    | st.floats(-8.0, 8.0)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+    | st.text(max_size=3)
+)
+_FUZZ_KEYS = st.sampled_from(
+    sorted({p[-1] for ps in _FUZZ_PATHS.values() for p in ps if isinstance(p[-1], str)})
+)
+_FUZZ_VALUES = st.recursive(
+    _FUZZ_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_FUZZ_KEYS, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _mutated(docs, mutations):
+    docs = json.loads(json.dumps(docs))
+    for path, value in mutations:
+        parent = docs
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed this path
+        if not isinstance(parent, (dict, list)):
+            continue  # ... or put a string where it went
+        if value is not _DELETE:
+            parent[path[-1]] = value
+        elif parent is docs:
+            docs[path[0]] = {}  # the verb still gets a file for every argument
+        else:
+            del parent[path[-1]]
+    return docs
+
+
+@st.composite
+def _fuzz_cases(draw):
+    verb = draw(st.sampled_from(sorted(_FUZZ_DOCS)))
+    mutation = st.tuples(st.sampled_from(_FUZZ_PATHS[verb]), _FUZZ_VALUES | st.just(_DELETE))
+    return verb, draw(st.lists(mutation, min_size=1, max_size=3))
+
+
+def _run_documents(verb, docs):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for index, doc in enumerate(docs):
+            paths.append(os.path.join(tmp, f"doc{index}.json"))
+            with open(paths[-1], "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([verb, *paths])
+    return code, json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("verb", sorted(_FUZZ_DOCS))
+def test_fuzz_documents_pass_unchanged(verb):
+    assert _run_documents(verb, _FUZZ_DOCS[verb])[0] == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_cases())
+@example(("gen", [((0, "b"), None)]))
+@example(("gen", [((0, "c_list", 0), None)]))
+@example(("gen", [((0, "psi", "indicator", 0), None)]))
+@example(("check-hypo", [((0, "value"), None)]))
+@example(("check-hypo", [((0, "value"), [1])]))
+@example(("check-frame", [((0, "n"), 0), ((0, "vectors", 0, "re"), []), ((0, "vectors", 1, "re"), [])]))
+@example(("check-comb", [((0, "params"), None)]))
+@example(("check-comb", [((0, "cells"), None)]))
+def test_malformed_documents_keep_the_exit_code_contract(case):
+    verb, mutations = case
+    code, report = _run_documents(verb, _mutated(_FUZZ_DOCS[verb], mutations))
+    assert code in (0, 1, 2)
+    assert report["command"] == verb
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

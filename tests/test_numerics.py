@@ -4,7 +4,9 @@ Frozen oracle values were computed by hand (2x2 closed forms) or by an
 independent least-squares check, then pinned here.
 """
 
+import hashlib
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import framekit
+from framekit import numerics
 from framekit.errors import NoConvergence, NotHermitian
-from framekit.frame_core import FrameSystem, canonical_basis
+from framekit.frame_core import FrameSystem, canonical_basis, frame_operator
 from framekit.numerics import (
     DEFAULT_TOL,
     Tolerance,
     adjoint,
+    as_real,
     herm_eig,
+    hermitian_eigh,
     hermitize,
     is_psd,
     numerical_rank,
@@ -29,10 +34,24 @@ from framekit.numerics import (
     pinv,
     psd_split,
     range_inclusion,
+    spectral_scope,
     svd,
 )
 from framekit.operator_theory import hyponormality, pencil_inf, pencil_sup
-from framekit.theta_frame import check_k_frame, pseudoinverse_bound_chain, theta_tight_check
+from framekit.signal_space import Grid, indicator, operator_of
+from framekit.theta_frame import (
+    check_k_frame,
+    check_theta_frame,
+    pseudoinverse_bound_chain,
+    theta_tight_check,
+)
+from framekit.wavepacket import (
+    PartitionCombination,
+    WavePacketParams,
+    generate_system,
+    partition_combination,
+    partition_domination_check,
+)
 
 
 def test_tolerance_defaults_and_validation():
@@ -250,3 +269,193 @@ def test_linalg_eigensolvers_are_called_only_in_numerics():
         if re.search(r"linalg\.eig", path.read_text(encoding="utf-8"))
     )
     assert callers == ["numerics.py"]
+
+
+@pytest.mark.parametrize("value, expected", [(3, 3.0), (-0.25, -0.25), (np.float64(2.5), 2.5)])
+def test_as_real_accepts_finite_numbers(value, expected):
+    assert as_real(value, "x") == expected
+    assert type(as_real(value, "x")) is float
+
+
+@pytest.mark.parametrize("value", [True, None, "1.0", [1.0], float("nan"), float("inf")])
+def test_as_real_rejects_everything_else(value):
+    with pytest.raises(ValueError, match="x must be a"):
+        as_real(value, "x")
+
+
+def test_as_real_overflows_like_float():
+    with pytest.raises(OverflowError):
+        as_real(10**400, "x")
+
+
+# ---------------------------------------------------------------------------
+# the spectral memo of a check
+
+
+def _lapack_log(monkeypatch):
+    """Record (solver, sha256 of the operand) for every call that reaches LAPACK."""
+    log = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            log.append((_name, hashlib.sha256(np.ascontiguousarray(a)).hexdigest()))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return log
+
+
+def _hermitian(n=5, seed=3):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return g + g.conj().T
+
+
+def test_scope_decomposes_a_repeated_operand_once(monkeypatch):
+    log = _lapack_log(monkeypatch)
+    h = _hermitian()
+
+    @spectral_scope
+    def twice():
+        return hermitian_eigh(h), hermitian_eigh(h.copy())
+
+    first, second = twice()
+    assert [solver for solver, _ in log] == ["eigh"]
+    assert second is first
+    log.clear()
+    outside = [hermitian_eigh(h), hermitian_eigh(h)]
+    assert [solver for solver, _ in log] == ["eigh", "eigh"]
+    for vals, vecs in outside:
+        assert np.array_equal(vals, first[0]) and np.array_equal(vecs, first[1])
+        assert vals.flags.writeable and vecs.flags.writeable
+
+
+def test_values_only_and_full_decompositions_never_serve_each_other(monkeypatch):
+    log = _lapack_log(monkeypatch)
+    h = _hermitian()
+
+    @spectral_scope
+    def mixed():
+        return (
+            hermitian_eigh(h, vectors=False),
+            hermitian_eigh(h),
+            hermitian_eigh(h, vectors=False),
+            hermitian_eigh(h),
+        )
+
+    values, full, values_again, full_again = mixed()
+    assert [solver for solver, _ in log] == ["eigvalsh", "eigh"]
+    assert values_again is values and full_again is full
+    assert np.array_equal(values, np.linalg.eigvalsh(hermitize(h)))
+    assert np.array_equal(full[1], np.linalg.eigh(hermitize(h))[1])
+
+
+def test_nested_scopes_share_the_outermost_memo_and_it_is_emptied(monkeypatch):
+    log = _lapack_log(monkeypatch)
+    h = _hermitian()
+    memos = []
+
+    @spectral_scope
+    def inner():
+        memos.append(numerics._SPECTRA.get())
+        return hermitian_eigh(h)
+
+    @spectral_scope
+    def outer(fail=False):
+        memos.append(numerics._SPECTRA.get())
+        inner()
+        inner()
+        if fail:
+            hermitian_eigh(np.diag([np.nan, 1.0]))
+
+    outer()
+    assert len(memos) == 3 and memos[1] is memos[0] and memos[2] is memos[0]
+    assert [solver for solver, _ in log] == ["eigh"]
+    assert memos[0] == {} and numerics._SPECTRA.get() is None
+    with pytest.raises(NoConvergence):
+        outer(fail=True)
+    assert memos[-1] == {} and numerics._SPECTRA.get() is None
+
+
+def test_threads_never_share_a_memo():
+    seen = []
+
+    @spectral_scope
+    def check():
+        worker = threading.Thread(target=lambda: seen.append(numerics._SPECTRA.get()))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        return numerics._SPECTRA.get()
+
+    assert check() is not None
+    assert seen == [None]
+
+
+def test_a_lapack_failure_is_not_remembered(monkeypatch):
+    h = _hermitian()
+    real = np.linalg.eigh
+    outcomes = iter([_raise_linalg_error, real])
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: next(outcomes)(a))
+
+    @spectral_scope
+    def retry():
+        with pytest.raises(NoConvergence):
+            hermitian_eigh(h)
+        return hermitian_eigh(h)
+
+    vals, _ = retry()
+    assert np.array_equal(vals, real(hermitize(h))[0])
+
+
+def test_remembered_spectra_are_read_only():
+    h = _hermitian()
+    vals, vecs = spectral_scope(hermitian_eigh)(h)
+    spectrum = spectral_scope(hermitian_eigh)(h, vectors=False)
+    for array in (vals, vecs, spectrum):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        vecs[0, 0] = 0.0
+
+
+def _partition_case():
+    grid = Grid(4, 4)
+    params = WavePacketParams(
+        grid, indicator(grid, 0, 1), (1, 3), 0.5, (0, 7), (0.0, 1.0, 2.0, 3.0)
+    )
+    base = generate_system(params)
+    cells = [tuple(range(i, min(i + 3, len(base)))) for i in range(0, len(base), 3)]
+    pc = PartitionCombination(cells=cells, coefficients=np.ones(len(base)))
+    return partition_combination(base, pc), base, operator_of(grid, "modulate", 1.0), pc
+
+
+def test_partition_domination_check_decomposes_each_operand_once(monkeypatch):
+    phi, base, theta, pc = _partition_case()
+    log = _lapack_log(monkeypatch)
+    partition_domination_check(phi, base, theta, combination=pc)
+    # 13 LAPACK calls without the memo: S_base, S_phi and the window
+    # products Theta Theta* = Theta* Theta = I each repeat.
+    assert len(log) == len(set(log)) == 7
+
+
+@pytest.mark.parametrize("window", ["named", "singular"])
+def test_check_theta_frame_matches_unscoped_pencils(window):
+    _, base, theta, _ = _partition_case()
+    if window == "singular":
+        theta = theta @ np.diag([1.0] * 15 + [0.0])
+    report = check_theta_frame(base, theta)
+    s = frame_operator(base)
+    lower = pencil_inf(s, theta @ theta.conj().T)
+    upper = pencil_sup(s, theta.conj().T @ theta)
+    assert (report.alpha_opt, report.beta_opt) == (lower.value, upper.value)
+    for mine, direct in [
+        (report.lower_witness, lower.witness),
+        (report.upper_witness, upper.witness),
+        (report.kernel_obstruction, upper.obstruction),
+    ]:
+        assert (mine is None and direct is None) or np.array_equal(mine, direct)
+
+
+def test_k_frame_upper_witness_is_its_own_array():
+    _, base, theta, _ = _partition_case()
+    report = check_k_frame(base, theta)
+    assert report.upper_witness.base is None and report.upper_witness.flags.writeable
