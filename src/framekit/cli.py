@@ -21,7 +21,9 @@ import numpy as np
 
 from .errors import FramekitError
 from .frame_core import optimal_bounds, system_from_json, system_to_json
-from .numerics import Tolerance, complex_from_json, operator_from_json, operator_to_json
+from .numerics import (
+    Tolerance, complex_from_json, complex_to_json, operator_from_json, operator_to_json
+)
 from .operator_theory import douglas_check, hyponormality
 from .registry import run_case
 from .signal_space import (
@@ -62,7 +64,7 @@ def to_jsonable(obj):
             return "inf" if obj > 0 else "-inf"
         return obj
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return complex_to_json(np.complex128(obj))
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):
@@ -72,8 +74,7 @@ def to_jsonable(obj):
     if isinstance(obj, np.ndarray):
         if obj.ndim == 2:
             return operator_to_json(obj)
-        arr = obj.astype(np.complex128).reshape(-1)
-        return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
+        return complex_to_json(obj.astype(np.complex128).reshape(-1))
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
@@ -143,7 +144,7 @@ def _params_from_json(doc) -> WavePacketParams:
         b=doc["b"],
         k_range=doc["k_range"],
         c_list=doc.get("c_list", [0.0]),
-        dedupe=bool(doc.get("dedupe", True)),
+        dedupe=doc.get("dedupe", True),
     )
 
 

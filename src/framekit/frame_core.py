@@ -20,6 +20,7 @@ from .numerics import (
     as_integer,
     as_vector,
     complex_from_json,
+    complex_to_json,
     herm_eig,
     hermitize,
 )
@@ -155,10 +156,7 @@ def reconstruct(
 def system_to_json(system: FrameSystem) -> dict:
     obj = {
         "n": system.n,
-        "vectors": [
-            {"re": re, "im": im}
-            for re, im in zip(system.vectors.real.tolist(), system.vectors.imag.tolist())
-        ],
+        "vectors": [complex_to_json(v) for v in system.vectors],
     }
     if system.labels is not None:
         obj["labels"] = [list(lab) for lab in system.labels]

@@ -27,6 +27,8 @@ The spectral step every criterion shares lives here, once:
   columns, and ``checked_subspace`` the one check of such columns.
 * ``as_integer`` and ``as_real`` check the integer and real-number fields read
   from JSON.
+* ``complex_to_json`` is the one writer of the ``{"re": [...], "im": [...]}``
+  form, and ``complex_from_json`` its one reader.
 
 Conventions:
 
@@ -336,10 +338,11 @@ def range_inclusion(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def complex_from_json(obj, shape: tuple[int, ...] | None, what: str) -> np.ndarray:
-    """``re + 1j * im`` from a ``{"re": [...], "im": [...]}`` object; ``im`` defaults to zeros.
+    """Complex array of a ``{"re": [...], "im": [...]}`` object; ``im`` defaults to zeros.
 
     Both parts must be real arrays of ``shape`` (of any 1-D length when
     ``shape`` is None) with finite entries; anything else raises ValueError.
+    Parts are copied exactly, signed zeros too, so this inverts ``complex_to_json``.
     """
     try:
         re = np.asarray(obj["re"], dtype=np.float64)
@@ -351,18 +354,19 @@ def complex_from_json(obj, shape: tuple[int, ...] | None, what: str) -> np.ndarr
         raise ValueError(f"{what} need shape {expected}, got re {re.shape} and im {im.shape}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError(f"{what} must be finite")
-    return re + 1j * im
+    out = np.empty(expected, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+def complex_to_json(a) -> dict:
+    """``{"re": [...], "im": [...]}`` of an array's parts; the inverse of ``complex_from_json``."""
+    return {"re": a.real.tolist(), "im": a.imag.tolist()}
 
 
 def operator_to_json(m) -> dict:
     m = as_operator(m)
-    flat = m.reshape(-1)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "re": [float(x) for x in flat.real],
-        "im": [float(x) for x in flat.imag],
-    }
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), **complex_to_json(m.reshape(-1))}
 
 
 def operator_from_json(obj: dict) -> np.ndarray:

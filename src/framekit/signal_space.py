@@ -32,7 +32,7 @@ from .errors import (
     OffGridFrequency,
     OffGridShift,
 )
-from .numerics import as_integer, as_real, complex_from_json
+from .numerics import as_integer, as_real, complex_from_json, complex_to_json
 
 _ALIGN_ATOL = 1e-12
 
@@ -98,32 +98,51 @@ def _aligned_int(value: float, scale: int, err, what: str) -> int:
     return int(nearest)
 
 
+def _index_phase(grid: Grid, kind: str, value) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gather index and phase of a named grid operation: ``g[i] = phase[i] * f[index[i]]``.
+
+    The phase is None for the permutations 'translate' and 'dilate', which must
+    multiply nothing: ``(1+0j) * z`` turns a -0.0 real part of ``z`` into 0.0.
+    """
+    n = grid.n
+    if kind == "translate":
+        steps = _aligned_int(value, grid.q, OffGridShift, "shift")
+        return (np.arange(n) - steps % n) % n, None
+    if kind == "modulate":
+        _aligned_int(value, grid.P, OffGridFrequency, "frequency")
+        return np.arange(n), np.exp(2j * np.pi * value * grid.times)
+    if kind == "dilate":
+        c = as_integer(value, "dilation factor")
+        if math.gcd(c, n) != 1:
+            raise NonCoprimeDilation(
+                f"dilation factor {c} shares divisor {math.gcd(c, n)} with grid size {n}"
+            )
+        return (c % n * np.arange(n)) % n, None
+    raise ValueError(f"unknown operator kind {kind!r}")
+
+
+def _dense(index: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
+    """Matrix ``m`` with ``(m @ x)[i] = phase[i] * x[index[i]]`` (phase 1 when None)."""
+    n = index.shape[0]
+    m = np.zeros((n, n), dtype=np.complex128)
+    m[np.arange(n), index] = 1.0 if phase is None else phase
+    return m
+
+
 def translate(f: Signal, a: float) -> Signal:
     """Cyclic time shift by ``a`` units; ``a*q`` must be an integer."""
-    steps = _aligned_int(a, f.grid.q, OffGridShift, "shift")
-    return Signal(f.grid, np.roll(f.values, steps))
+    return Signal(f.grid, f.values[_index_phase(f.grid, "translate", a)[0]])
 
 
 def modulate(f: Signal, b: float) -> Signal:
     """Multiply by ``exp(2*pi*i*b*t)``; ``b*P`` must be an integer for periodicity."""
-    _aligned_int(b, f.grid.P, OffGridFrequency, "frequency")
-    phase = np.exp(2j * np.pi * b * f.grid.times)
-    return Signal(f.grid, phase * f.values)
+    index, phase = _index_phase(f.grid, "modulate", b)
+    return Signal(f.grid, phase * f.values[index])
 
 
 def dilate(f: Signal, c: int) -> Signal:
     """Index dilation ``g[i] = f[(c*i) mod n]``; requires ``gcd(c, n) = 1``."""
-    return Signal(f.grid, f.values[_dilation_index(c, f.grid.n)])
-
-
-def _dilation_index(c, n: int) -> np.ndarray:
-    """Index map ``i -> (c*i) mod n`` of dilation by ``c``; requires ``gcd(c, n) = 1``."""
-    c = as_integer(c, "dilation factor")
-    if math.gcd(c, n) != 1:
-        raise NonCoprimeDilation(
-            f"dilation factor {c} shares divisor {math.gcd(c, n)} with grid size {n}"
-        )
-    return (c * np.arange(n)) % n
+    return Signal(f.grid, f.values[_index_phase(f.grid, "dilate", c)[0]])
 
 
 def indicator(grid: Grid, s: float, t: float) -> Signal:
@@ -143,7 +162,7 @@ def indicator(grid: Grid, s: float, t: float) -> Signal:
 
 def mult_operator(g: Signal) -> np.ndarray:
     """Matrix of pointwise multiplication by ``g``."""
-    return np.diag(g.values).astype(np.complex128)
+    return _dense(np.arange(g.grid.n), g.values)
 
 
 def operator_of(grid: Grid, kind: str, value) -> np.ndarray:
@@ -152,16 +171,7 @@ def operator_of(grid: Grid, kind: str, value) -> np.ndarray:
     The matrices act on sample values and (identically) on coordinates, and
     each is exactly unitary.
     """
-    n = grid.n
-    if kind == "translate":
-        steps = _aligned_int(value, grid.q, OffGridShift, "shift")
-        return np.roll(np.eye(n, dtype=np.complex128), steps, axis=0)
-    if kind == "modulate":
-        _aligned_int(value, grid.P, OffGridFrequency, "frequency")
-        return np.diag(np.exp(2j * np.pi * value * grid.times))
-    if kind == "dilate":
-        return np.eye(n, dtype=np.complex128)[_dilation_index(value, n)]
-    raise ValueError(f"unknown operator kind {kind!r}")
+    return _dense(*_index_phase(grid, kind, value))
 
 
 @dataclass(frozen=True)
@@ -211,12 +221,7 @@ def summing_operator(space: TruncatedSequenceSpace) -> np.ndarray:
 
 
 def signal_to_json(f: Signal) -> dict:
-    return {
-        "q": f.grid.q,
-        "P": f.grid.P,
-        "re": f.values.real.tolist(),
-        "im": f.values.imag.tolist(),
-    }
+    return {"q": f.grid.q, "P": f.grid.P, **complex_to_json(f.values)}
 
 
 def signal_from_json(obj: dict) -> Signal:

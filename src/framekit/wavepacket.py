@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    OffGridFrequency,
-    OffGridShift,
-    PartitionNotDisjoint,
-    PartitionNotExhaustive,
-)
+from .errors import DimensionMismatch, PartitionNotDisjoint, PartitionNotExhaustive
 from .frame_core import FrameSystem, analysis_matrix, frame_operator
 from .numerics import (
     DEFAULT_TOL,
@@ -47,7 +41,7 @@ from .numerics import (
     spectral_scope,
 )
 from .operator_theory import hyponormality, pencil_inf, relative_hyponormality
-from .signal_space import Grid, Signal, _aligned_int, _dilation_index
+from .signal_space import Grid, Signal, _index_phase
 from .theta_frame import ThetaFrameReport, check_theta_frame
 
 _DEDUPE_ATOL = 1e-12
@@ -84,6 +78,8 @@ class WavePacketParams:
         object.__setattr__(self, "b", as_real(self.b, "translation step"))
         object.__setattr__(self, "c_list", c_list)
         object.__setattr__(self, "k_range", (lo, hi))
+        if not isinstance(self.dedupe, bool):
+            raise ValueError(f"dedupe must be true or false, got {self.dedupe!r}")
         if self.psi.grid != self.grid:
             raise DimensionMismatch("window signal lives on a different grid")
         if not self.a_list:
@@ -113,25 +109,21 @@ def _labels(params: WavePacketParams) -> list[tuple[int, int, int]]:
 def _atoms(params: WavePacketParams, psi: Signal) -> np.ndarray:
     """Every atom ``dilate_a(translate_{bk}(modulate_c(psi)))``, one row per label.
 
-    Rows follow ``_labels`` order.  Row (j, k, m) gathers the modulated window
-    ``exp(2 pi i c_m t) psi`` at ``(a_j i - b k q) mod n``.  Each parameter
-    passes the check that ``modulate``, ``translate`` or ``dilate`` makes, and
-    the arithmetic is theirs in their order (phase, product, then the
-    coordinate scaling), so every row equals the composed grid operations bit
-    for bit.
+    Rows follow ``_labels`` order.  Indices and phases come from
+    ``_index_phase``, which checks every parameter, and the arithmetic is that
+    of the grid operations in their order (phase, product, then the coordinate
+    scaling), so every row equals the composed grid operations bit for bit.
     """
     grid = params.grid
-    for c in params.c_list:
-        _aligned_int(c, grid.P, OffGridFrequency, "frequency")
-    steps = np.array(
-        [_aligned_int(params.b * k, grid.q, OffGridShift, "shift") for k in params.k_values()]
+    phases = np.array([_index_phase(grid, "modulate", c)[1] for c in params.c_list])
+    shifts = np.array(
+        [_index_phase(grid, "translate", params.b * k)[0] for k in params.k_values()]
     )
-    dilations = np.array([_dilation_index(a, grid.n) for a in params.a_list])
-    phases = np.exp(np.array([2j * np.pi * c for c in params.c_list])[:, None] * grid.times)
+    dilations = np.array([_index_phase(grid, "dilate", a)[0] for a in params.a_list])
     windows = phases * psi.values / math.sqrt(grid.q)
-    index = (dilations[:, None, None, :] - steps[None, :, None, None]) % grid.n
-    rows = np.arange(len(params.c_list))[None, None, :, None]
-    return windows[rows, index].reshape(-1, grid.n)
+    index = shifts[np.arange(len(shifts))[:, None], dilations[:, None, :]]  # [j, k, i]
+    rows = np.arange(len(params.c_list))[:, None]
+    return windows[rows, index[:, :, None, :]].reshape(-1, grid.n)
 
 
 def _dedupe_mask(vectors: np.ndarray) -> np.ndarray:

@@ -444,6 +444,14 @@ def test_non_real_json_numbers_exit_two(tmp_path, capsys, verb, doc):
     assert "real number" in report["verdicts"]["error"]
 
 
+@pytest.mark.parametrize("dedupe", ["false", 0, None], ids=["text", "zero", "null"])
+def test_non_bool_dedupe_exits_two(tmp_path, capsys, dedupe):
+    doc = {**PARAMS_DOC, "dedupe": dedupe}
+    code, report = _run(capsys, ["gen", _write(tmp_path, "doc.json", doc)])
+    assert code == 2
+    assert "dedupe must be true or false" in report["verdicts"]["error"]
+
+
 def _paths(doc, prefix=()):
     """Every path of keys and indices below ``doc``."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()

@@ -5,6 +5,7 @@ independent least-squares check, then pinned here.
 """
 
 import hashlib
+import json
 import re
 import threading
 from pathlib import Path
@@ -16,8 +17,9 @@ from hypothesis import strategies as st
 
 import framekit
 from framekit import numerics
+from framekit.cli import to_jsonable
 from framekit.errors import NoConvergence, NotHermitian
-from framekit.frame_core import FrameSystem, canonical_basis, frame_operator
+from framekit.frame_core import FrameSystem, canonical_basis, frame_operator, system_to_json
 from framekit.numerics import (
     DEFAULT_TOL,
     Tolerance,
@@ -38,7 +40,7 @@ from framekit.numerics import (
     svd,
 )
 from framekit.operator_theory import hyponormality, pencil_inf, pencil_sup
-from framekit.signal_space import Grid, indicator, operator_of
+from framekit.signal_space import Grid, Signal, indicator, operator_of, signal_to_json
 from framekit.theta_frame import (
     check_k_frame,
     check_theta_frame,
@@ -189,6 +191,56 @@ def test_operator_json_round_trip():
     doc = operator_to_json(m)
     assert doc["rows"] == 2 and doc["cols"] == 2
     assert np.allclose(operator_from_json(doc), m)
+
+
+# Entries whose text a re/im encoder could get wrong: signed zeros, the
+# smallest subnormal, a huge value and integral floats.
+_AWKWARD = np.array(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0, 0.1, 2.0**53], dtype=np.float64
+)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_re_im_encoder_keeps_the_old_bytes(seed):
+    """Each encoder's text equals that of the encoder it replaced, entry for entry."""
+
+    def dumps(doc):
+        return json.dumps(doc, sort_keys=True)
+
+    rng = np.random.default_rng(seed)
+    m = np.empty((3, 4), dtype=np.complex128)
+    m.real = rng.choice(_AWKWARD, size=m.shape)
+    m.imag = rng.choice(_AWKWARD, size=m.shape)
+    flat = m.reshape(-1)
+    old_operator = {
+        "rows": 3,
+        "cols": 4,
+        "re": [float(x) for x in flat.real],
+        "im": [float(x) for x in flat.imag],
+    }
+    assert dumps(operator_to_json(m)) == dumps(old_operator)
+    old_vector = {"re": flat.real.tolist(), "im": flat.imag.tolist()}
+    assert dumps(to_jsonable(flat)) == dumps(old_vector)
+    assert dumps(to_jsonable(flat.real)) == dumps(
+        {"re": flat.real.tolist(), "im": [0.0] * flat.size}
+    )
+    for z in map(complex, flat):
+        assert dumps(to_jsonable(z)) == dumps({"re": z.real, "im": z.imag})
+    old_system = {
+        "n": 4,
+        "vectors": [
+            {"re": re, "im": im} for re, im in zip(m.real.tolist(), m.imag.tolist())
+        ],
+        "labels": [[0, k, 0] for k in range(3)],
+    }
+    system = FrameSystem(m, labels=[(0, k, 0) for k in range(3)])
+    assert dumps(system_to_json(system)) == dumps(old_system)
+    signal = Signal(Grid(4, 3), flat)
+    old_signal = {"q": 4, "P": 3, "re": flat.real.tolist(), "im": flat.imag.tolist()}
+    assert dumps(signal_to_json(signal)) == dumps(old_signal)
+    for a in (m, flat, m[:, 0]):
+        back = numerics.complex_from_json(numerics.complex_to_json(a), a.shape, "entries")
+        assert back.dtype == a.dtype and back.tobytes() == a.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

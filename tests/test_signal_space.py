@@ -105,22 +105,48 @@ def test_dilate_permutation_and_coprimality():
         dilate(f, 1.5)
     # inverse dilation undoes: 3 * 11 = 33 = 1 mod 16
     assert np.allclose(dilate(d, 11).values, f.values)
+    # only c mod n matters, however large c is
+    assert np.array_equal(dilate(f, 3 + 16 * 2**64).values, d.values)
+
+
+def _same_bytes(a, b):
+    """Equal dtype, shape and bytes: unlike ``array_equal``, a signed zero counts."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_operator_of_matches_function_action():
+    """Grid operations and their matrices keep the bytes of the old constructions."""
     rng = np.random.default_rng(2311)
-    g = Grid(4, 4)
-    f = _random_signal(rng, g)
-    cases = [
-        ("translate", 1.0, translate(f, 1.0)),
-        ("modulate", 1.0, modulate(f, 1.0)),
-        ("dilate", 3, dilate(f, 3)),
-    ]
-    for kind, value, expected in cases:
-        op = operator_of(g, kind, value)
-        assert np.allclose(op @ f.coordinates, expected.coordinates, atol=1e-12)
-        # each symmetry operator is unitary
-        assert np.allclose(op.conj().T @ op, np.eye(g.n), atol=1e-12)
+    for q, P in [(1, 5), (4, 1), (4, 4), (3, 5)]:
+        g = Grid(q, P)
+        n = g.n
+        values = rng.normal(size=n) + 1j * rng.normal(size=n)
+        values.real[::3] = -0.0  # a permutation that multiplies by (1+0j) makes these 0.0
+        values.imag[1::3] = -0.0
+        f = Signal(g, values)
+        eye = np.eye(n, dtype=np.complex128)
+        for a in (0.0, 1.0, -1.0 / q, P + 2.0 / q, -3.0 * P - 1.0):
+            steps = round(a * q)
+            assert _same_bytes(translate(f, a).values, np.roll(f.values, steps))
+            assert _same_bytes(operator_of(g, "translate", a), np.roll(eye, steps, axis=0))
+        for b in (0.0, 1.0 / P, -2.0 / P, 3.0):
+            phase = np.exp(2j * np.pi * b * g.times)
+            assert _same_bytes(modulate(f, b).values, phase * f.values)
+            assert _same_bytes(operator_of(g, "modulate", b), np.diag(phase))
+        for c in [c for c in range(-n - 1, n + 2) if np.gcd(c, n) == 1]:
+            index = (c * np.arange(n)) % n
+            assert _same_bytes(dilate(f, c).values, f.values[index])
+            assert _same_bytes(operator_of(g, "dilate", c), eye[index])
+        assert _same_bytes(mult_operator(f), np.diag(f.values).astype(np.complex128))
+        for kind, value, expected in [
+            ("translate", 1.0, translate(f, 1.0)),
+            ("modulate", 1.0, modulate(f, 1.0)),
+            ("dilate", -1, dilate(f, -1)),
+        ]:
+            op = operator_of(g, kind, value)
+            assert np.allclose(op @ f.coordinates, expected.coordinates, atol=1e-12)
+            # each symmetry operator is unitary
+            assert np.allclose(op.conj().T @ op, np.eye(g.n), atol=1e-12)
 
 
 def test_operator_of_rejects_bad_input():

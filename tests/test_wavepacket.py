@@ -233,7 +233,7 @@ def _greedy_keep(vectors):
         (6, 5, (7, 11), (0.2, 3.4, -1.0)),
     ],
 )
-@pytest.mark.parametrize("b", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("b", [0.0, 0.5, 1.0, 1e300])
 def test_atoms_are_the_composed_grid_operations(q, P, a_list, c_list, b):
     grid = Grid(q, P)
     rng = np.random.default_rng(q * P)
