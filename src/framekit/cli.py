@@ -2,8 +2,9 @@
 
 Every verb reads JSON, writes exactly one JSON report to stdout, and keeps
 diagnostics on stderr.  Exit codes: 0 all checks passed, 1 an assertion-style
-verification failed, 2 malformed or invalid input.  Randomized verbs take
-their default seed from the FRAMEKIT_SEED environment variable.
+verification failed, 2 malformed or invalid input, or a stdout closed before
+the report was written.  Randomized verbs take their default seed from the
+FRAMEKIT_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import FramekitError
 from .frame_core import optimal_bounds, system_from_json, system_to_json
 from .numerics import (
-    Tolerance, complex_from_json, complex_to_json, operator_from_json, operator_to_json
+    DEFAULT_TOL, Tolerance, complex_from_json, complex_to_json, operator_from_json, operator_to_json
 )
 from .operator_theory import douglas_check, hyponormality
 from .registry import run_case
@@ -319,10 +320,14 @@ def _cmd_prop_run(args, tol):
 
 def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-psd", type=float, default=1e-9, help="positivity floor")
-    common.add_argument("--tol-rank", type=float, default=1e-10, help="relative rank cutoff")
     common.add_argument(
-        "--tol-verdict", type=float, default=1e-8, help="relative verdict slack"
+        "--tol-psd", type=float, default=DEFAULT_TOL.psd_floor, help="positivity floor"
+    )
+    common.add_argument(
+        "--tol-rank", type=float, default=DEFAULT_TOL.rank_rel, help="relative rank cutoff"
+    )
+    common.add_argument(
+        "--tol-verdict", type=float, default=DEFAULT_TOL.verdict_rel, help="relative verdict slack"
     )
     common.add_argument(
         "--seed",
@@ -330,7 +335,6 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
         default=default_seed,
         help="seed for randomized work (default: FRAMEKIT_SEED or 0)",
     )
-    common.add_argument("--out", default=None, help="write the primary payload here")
 
     parser = argparse.ArgumentParser(
         prog="framekit",
@@ -340,6 +344,7 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", parents=[common], help="generate a wave-packet system")
     p.add_argument("params", help="WavePacketParams JSON file")
+    p.add_argument("--out", default=None, help="write the system here")
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("check-frame", parents=[common], help="classical optimal bounds")
@@ -402,10 +407,7 @@ def main(argv=None) -> int:
         tol = _tolerance(args)
         verdicts, inputs, code = args.handler(args, tol)
         digest = _digest(inputs)
-    except FramekitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        verdicts, digest, code = {"error": str(exc)}, "", 2
-    except (ValueError, KeyError, OverflowError, OSError, json.JSONDecodeError) as exc:
+    except (FramekitError, ValueError, KeyError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         verdicts, digest, code = {"error": str(exc)}, "", 2
     report = {
@@ -415,8 +417,29 @@ def main(argv=None) -> int:
         "seed": getattr(args, "seed", default_seed),
         "duration_ms": int((time.perf_counter() - started) * 1000),
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    try:
+        print(json.dumps(report, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        _stdout_to_devnull()
+        return 2
     return code
+
+
+def _stdout_to_devnull() -> None:
+    """Point a closed stdout's descriptor at the null device.
+
+    The interpreter flushes stdout once more at exit; writing to the null
+    device lets that flush succeed quietly.  A stdout with no descriptor
+    (an in-memory stream) is left alone.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 __all__ = ["main", "to_jsonable"]

@@ -21,7 +21,7 @@ from .numerics import (
     as_vector,
     complex_from_json,
     complex_to_json,
-    herm_eig,
+    hermitian_eigh,
     hermitize,
 )
 
@@ -108,9 +108,10 @@ def frame_operator(system: FrameSystem) -> np.ndarray:
 def optimal_bounds(system: FrameSystem, tol: Tolerance = DEFAULT_TOL) -> FrameBounds:
     """Extreme eigenvalues of the frame operator, with eigenvector witnesses.
 
-    ``tight`` means the two coincide within ``verdict_rel`` relatively.
+    ``tight`` means the two coincide within ``verdict_rel`` relatively.  S is
+    exactly Hermitian by construction, so no Hermiticity verdict runs.
     """
-    vals, vecs = herm_eig(frame_operator(system), tol)
+    vals, vecs = hermitian_eigh(frame_operator(system))
     lower = float(vals[0])
     upper = float(vals[-1])
     tight = (upper - lower) <= tol.verdict_rel * upper

@@ -11,7 +11,12 @@ The spectral step every criterion shares lives here, once:
 * ``hermitian_eigh`` is the one eigensolver: the only caller of
   ``np.linalg.eigh`` / ``eigvalsh`` in the package.  It hermitizes its operand
   once, refuses non-finite entries and maps LAPACK failures to
-  ``NoConvergence``.  ``herm_eig`` adds a Hermiticity verdict in front of it.
+  ``NoConvergence``.  ``herm_eig`` adds a Hermiticity verdict in front of it,
+  for operands that are not Hermitian by construction.
+* ``svd`` is the one singular-value decomposition: the only caller of
+  ``np.linalg.svd``, mapping LAPACK failures to ``NoConvergence``.
+  ``op_norm`` reads its top singular value (``vectors=False``), so the
+  spectral norm takes no other route to LAPACK.
 * ``spectral_scope`` decorates the public checks.  While the outermost one
   runs, ``hermitian_eigh`` remembers each result under the shape, the
   ``vectors`` flag and the sha256 of the bytes of the operand it hands to
@@ -136,11 +141,11 @@ def adjoint(m) -> np.ndarray:
 
 
 def op_norm(m) -> float:
-    """Spectral (operator 2-) norm; zero for empty matrices."""
-    m = np.asarray(m, dtype=np.complex128)
+    """Spectral (operator 2-) norm, the top singular value; zero for empty matrices."""
+    m = as_operator(m)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(svd(m, vectors=False)[0])
 
 
 def hermitize(m) -> np.ndarray:
@@ -271,15 +276,19 @@ def psd_split(y, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, 
     return vecs[:, keep], vals[keep], vecs[:, ~keep]
 
 
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def svd(m, vectors: bool = True):
     """Thin SVD ``(left, singulars, right)`` with ``M = left @ diag(s) @ adjoint(right)``.
 
-    Singular values are nonnegative and descending.
+    Singular values are nonnegative and descending.  With ``vectors`` False
+    only they are computed and returned.  Raises NoConvergence when the LAPACK
+    iteration fails.
     """
     m = as_operator(m)
     try:
+        if not vectors:
+            return np.linalg.svd(m, compute_uv=False)
         u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
+    except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return u, s, vh.conj().T
 

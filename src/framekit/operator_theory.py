@@ -78,10 +78,9 @@ def pencil_sup(x, y, tol: Tolerance = DEFAULT_TOL) -> PencilBound:
     if x.shape != y.shape or x.shape[0] != x.shape[1]:
         raise DimensionMismatch(f"pencil operands must be square and equal: {x.shape} vs {y.shape}")
     basis_r, vals_r, basis_k = psd_split(y, tol)
-    floor = tol.psd_floor * max(1.0, _herm_norm(x))
     if basis_k.shape[1] > 0:
         kvals, kvecs = hermitian_eigh(x, basis=basis_k)
-        if float(kvals[-1]) > floor:
+        if float(kvals[-1]) > tol.psd_floor * max(1.0, _herm_norm(x)):
             obstruction = _normalize(basis_k @ kvecs[:, -1])
             return PencilBound(value=math.inf, obstruction=obstruction)
     if basis_r.shape[1] == 0:

@@ -312,15 +312,16 @@ def transform_frame_check(
         raise SingularU("transform operator is numerically singular")
     u_norm = float(singulars[0])
     u_inv_norm = 1.0 / float(singulars[-1])
+    theta_norm = op_norm(theta)
     commutator_norm = op_norm(u @ theta.conj().T - theta.conj().T @ u)
-    commutes = commutator_norm <= tol.verdict_rel * max(1.0, u_norm * op_norm(theta))
+    commutes = commutator_norm <= tol.verdict_rel * max(1.0, u_norm * theta_norm)
     image = FrameSystem(system.vectors @ u.T, labels=system.labels)
     base = check_theta_frame(system, theta, tol)
     transformed = check_theta_frame(image, theta, tol)
     rel = relative_hyponormality(theta, u.conj().T, tol)
     a1, a2 = base.alpha_opt, transformed.alpha_opt
     b1, b2 = base.beta_opt, transformed.beta_opt
-    theta_norm_sq = op_norm(theta) ** 2
+    theta_norm_sq = theta_norm**2
     if not math.isfinite(rel.lambda_opt) or math.isinf(b2):
         # Either the relative-hyponormality premise fails or the right-hand
         # side is infinite; in both cases the chain places no constraint.

@@ -36,7 +36,6 @@ from .numerics import (
     as_real,
     checked_subspace,
     compress,
-    op_norm,
     range_inclusion,
     spectral_scope,
 )
@@ -303,7 +302,9 @@ class PartitionDominationReport:
     constant is compared against the combined system's own frame verdict
     (``agrees``).  ``proof_lambda`` is the constructive choice alpha'/beta
     available whenever the window adjoint is hyponormal, and
-    ``aggregation_norm`` feeds the upper estimate beta' <= ||T||^2 beta.
+    ``aggregation_norm`` feeds the upper estimate beta' <= ||T||^2 beta.  The
+    rows of the aggregation matrix T have disjoint supports, so ||T|| is read
+    from the cells as the largest Euclidean norm of one cell's coefficients.
     """
 
     lambda_opt: float
@@ -329,6 +330,8 @@ def partition_domination_check(
     combination: PartitionCombination | None = None,
 ) -> PartitionDominationReport:
     theta = as_operator(theta)
+    if combination is not None:
+        combination.validate(len(base))
     basis = checked_subspace(subspace, base.n)
     s_phi = compress(frame_operator(phi), basis)
     pencil = pencil_inf(s_phi, compress(frame_operator(base), basis), tol)
@@ -353,7 +356,10 @@ def partition_domination_check(
     agg_norm = None
     upper_ok = None
     if combination is not None:
-        agg_norm = op_norm(combination.aggregation_matrix(len(base)))
+        # The cells are disjoint, so T T* is diagonal: ||T|| is the largest
+        # norm of one cell's coefficients (hypot scales, so it cannot overflow).
+        coeffs = combination.coefficients
+        agg_norm = max(math.hypot(*np.abs(coeffs[list(cell)])) for cell in combination.cells)
         if math.isfinite(base_report.beta_opt):
             upper_ok = phi_report.beta_opt <= agg_norm**2 * base_report.beta_opt * (
                 1.0 + tol.verdict_rel

@@ -376,11 +376,13 @@ def _reject_constant(token):
     raise ValueError(f"{token} is not strict JSON")
 
 
-@pytest.mark.parametrize("verb", ["check-theta", "check-k"])
+@pytest.mark.parametrize("verb", ["check-frame", "check-theta", "check-k"])
 def test_overflowing_frame_operator_exits_two_with_strict_json(tmp_path, capsys, verb):
     # Finite entries whose frame operator overflows: a refusal, not a NaN verdict.
-    system = _write(tmp_path, "system.json", _HUGE_BASIS)
-    code = main([verb, system, _write(tmp_path, "window.json", _IDENTITY)])
+    argv = [verb, _write(tmp_path, "system.json", _HUGE_BASIS)]
+    if verb != "check-frame":
+        argv.append(_write(tmp_path, "window.json", _IDENTITY))
+    code = main(argv)
     report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert code == 2
     assert "non-finite" in report["verdicts"]["error"]
@@ -594,3 +596,45 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)  # stdout is exactly one JSON document
     assert report["verdicts"]["passed"] is True
+
+
+def test_closed_stdout_exits_two_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "framekit", "verify-example", "3.2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr.strip().count("\n") == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-frame", "s.json"],
+        ["check-theta", "s.json", "t.json"],
+        ["check-k", "s.json", "k.json"],
+        ["check-hypo", "o.json"],
+        ["douglas", "a.json", "b.json"],
+        ["pinv", "s.json", "t.json"],
+        ["check-comb", "spec.json"],
+        ["verify-example", "3.2"],
+        ["prop-run", "gram-psd"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_is_refused_by_every_verb_but_gen(tmp_path, capsys, argv):
+    out_path = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--out", str(out_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not out_path.exists()

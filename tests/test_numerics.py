@@ -323,6 +323,31 @@ def test_linalg_eigensolvers_are_called_only_in_numerics():
     assert callers == ["numerics.py"]
 
 
+def test_linalg_svd_is_called_only_in_numerics_and_no_norm_hides_one():
+    package = Path(framekit.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    assert sorted(name for name, text in sources.items() if "linalg.svd" in text) == ["numerics.py"]
+    # The matrix 2-norm is a full SVD; op_norm is the one route to it.
+    hidden = re.compile(r"\bnorm\([^\n]*,\s*(ord\s*=\s*)?2\s*\)")
+    assert [name for name, text in sources.items() if hidden.search(text)] == []
+
+
+def test_op_norm_maps_lapack_failure_to_no_convergence(monkeypatch):
+    monkeypatch.setattr(np.linalg, "svd", _raise_linalg_error)
+    with pytest.raises(NoConvergence):
+        op_norm(np.eye(3))
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (4, 9), (9, 4), (0, 0), (0, 3), (3, 0)])
+def test_op_norm_is_bit_identical_to_the_matrix_two_norm(shape):
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(5):
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert op_norm(m) == float(np.linalg.norm(m, 2))
+        if m.size:  # the values-only LAPACK routine may differ in the last bits
+            assert np.allclose(svd(m, vectors=False), svd(m)[1], rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("value, expected", [(3, 3.0), (-0.25, -0.25), (np.float64(2.5), 2.5)])
 def test_as_real_accepts_finite_numbers(value, expected):
     assert as_real(value, "x") == expected
@@ -484,9 +509,18 @@ def test_partition_domination_check_decomposes_each_operand_once(monkeypatch):
     phi, base, theta, pc = _partition_case()
     log = _lapack_log(monkeypatch)
     partition_domination_check(phi, base, theta, combination=pc)
-    # 13 LAPACK calls without the memo: S_base, S_phi and the window
-    # products Theta Theta* = Theta* Theta = I each repeat.
-    assert len(log) == len(set(log)) == 7
+    # 11 LAPACK calls without the memo: S_base, S_phi and the window
+    # products Theta Theta* = Theta* Theta = I each repeat.  Both upper
+    # pencils have a full-rank Theta* Theta, so neither decomposes S_base
+    # or S_phi for a positivity floor it would never compare against.
+    assert len(log) == len(set(log)) == 5
+
+
+def test_check_theta_frame_with_a_unitary_window_makes_no_values_only_decomposition(monkeypatch):
+    _, base, theta, _ = _partition_case()
+    log = _lapack_log(monkeypatch)
+    check_theta_frame(base, theta)
+    assert log and {solver for solver, _ in log} == {"eigh"}
 
 
 @pytest.mark.parametrize("window", ["named", "singular"])

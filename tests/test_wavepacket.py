@@ -484,6 +484,51 @@ def test_two_cell_support_split():
     assert rep.upper_estimate_ok
 
 
+def _random_cells(rng, size):
+    order = rng.permutation(size)
+    cuts = np.sort(rng.choice(np.arange(1, size), size=rng.integers(1, size // 2), replace=False))
+    return tuple(tuple(int(i) for i in cell) for cell in np.split(order, cuts))
+
+
+@pytest.mark.parametrize("case", ["random", "singletons", "zero-coefficients"])
+def test_aggregation_norm_is_the_spectral_norm_of_the_aggregation_matrix(case):
+    rng = np.random.default_rng(7)
+    base = generate_system(_full_gabor_params())
+    theta = operator_of(GRID, "modulate", 1.0)
+    for _ in range(4):
+        coeffs = rng.normal(size=16) + 1j * rng.normal(size=16)
+        if case == "singletons":
+            cells = tuple((i,) for i in rng.permutation(16).tolist())
+        else:
+            cells = _random_cells(rng, 16)
+        if case == "zero-coefficients":
+            coeffs[list(cells[0])] = 0.0
+            coeffs[rng.random(16) < 0.3] = 0.0
+        pc = PartitionCombination(cells=cells, coefficients=coeffs)
+        rep = partition_domination_check(
+            partition_combination(base, pc), base, theta, combination=pc
+        )
+        expected = op_norm(pc.aggregation_matrix(16))
+        assert abs(rep.aggregation_norm - expected) <= 1e-15 * expected
+
+
+def test_overlapping_cells_are_refused_before_any_decomposition(monkeypatch):
+    base = generate_system(_full_gabor_params())
+    singletons = PartitionCombination(cells=tuple((i,) for i in range(16)), coefficients=np.ones(16))
+    phi = partition_combination(base, singletons)
+    overlapping = PartitionCombination(
+        cells=((0, 1), (1, 2), *((i,) for i in range(3, 16))), coefficients=np.ones(16)
+    )
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("a decomposition ran before the partition was checked")
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
+    with pytest.raises(PartitionNotDisjoint):
+        partition_domination_check(phi, base, np.eye(16), combination=overlapping)
+
+
 # ---------------------------------------------------------------------------
 # finite sums of wave packets
 
