@@ -27,12 +27,7 @@ from .numerics import (
 )
 from .operator_theory import douglas_check, hyponormality
 from .registry import run_case
-from .signal_space import (
-    Grid,
-    TruncatedSequenceSpace,
-    operator_of,
-    signal_from_json,
-)
+from .signal_space import Grid, operator_of, signal_from_json
 from .suites import run_suite
 from .theta_frame import (
     check_k_frame,
@@ -149,12 +144,6 @@ def _params_from_json(doc) -> WavePacketParams:
     )
 
 
-def _margin_basis(arg: int | None, n: int):
-    if arg is None:
-        return None
-    return TruncatedSequenceSpace(n, arg).margin_basis()
-
-
 def _tolerance(args) -> Tolerance:
     return Tolerance(
         psd_floor=args.tol_psd, rank_rel=args.tol_rank, verdict_rel=args.tol_verdict
@@ -205,8 +194,7 @@ def _cmd_check_theta(args, tol):
     theta_doc = _load_json(args.theta)
     system = system_from_json(sys_doc)
     theta = _operator_from_any(theta_doc)
-    basis = _margin_basis(args.margin, system.n)
-    rep = check_theta_frame(system, theta, tol, subspace=basis)
+    rep = check_theta_frame(system, theta, tol, margin=args.margin)
     verdicts = {
         "alpha_opt": to_jsonable(rep.alpha_opt),
         "beta_opt": to_jsonable(rep.beta_opt),
@@ -227,16 +215,14 @@ def _cmd_check_k(args, tol):
     k_doc = _load_json(args.k)
     system = system_from_json(sys_doc)
     k = _operator_from_any(k_doc)
-    basis = _margin_basis(args.margin, system.n)
-    rep = check_k_frame(system, k, tol, subspace=basis)
+    rep = check_k_frame(system, k, tol, margin=args.margin)
     return to_jsonable(rep), {"system": sys_doc, "k": k_doc, "margin": args.margin}, 0
 
 
 def _cmd_check_hypo(args, tol):
     doc = _load_json(args.operator)
     op = _operator_from_any(doc)
-    basis = _margin_basis(args.margin, op.shape[0])
-    rep = hyponormality(op, tol, test_subspace=basis)
+    rep = hyponormality(op, tol, margin=args.margin)
     return to_jsonable(rep), {"operator": doc, "margin": args.margin}, 0
 
 
@@ -354,18 +340,18 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     p = sub.add_parser("check-theta", parents=[common], help="two-sided window bounds")
     p.add_argument("system")
     p.add_argument("theta", help="window operator JSON file")
-    p.add_argument("--margin", type=int, default=None, help="margin width to compress onto")
+    p.add_argument("--margin", type=int, metavar="M", help="drop the last M coordinates")
     p.set_defaults(handler=_cmd_check_theta)
 
     p = sub.add_parser("check-k", parents=[common], help="windowed lower bound only")
     p.add_argument("system")
     p.add_argument("k", help="lower-window operator JSON file")
-    p.add_argument("--margin", type=int, default=None)
+    p.add_argument("--margin", type=int, metavar="M", help="drop the last M coordinates")
     p.set_defaults(handler=_cmd_check_k)
 
     p = sub.add_parser("check-hypo", parents=[common], help="self-commutator positivity")
     p.add_argument("operator")
-    p.add_argument("--margin", type=int, default=None)
+    p.add_argument("--margin", type=int, metavar="M", help="drop the last M coordinates")
     p.set_defaults(handler=_cmd_check_hypo)
 
     p = sub.add_parser("douglas", parents=[common], help="range inclusion three ways")

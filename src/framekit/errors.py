@@ -57,7 +57,7 @@ class NotParseval(FramekitError):
 
 
 class NotHyponormal(FramekitError):
-    """The operator fails the adjoint-contraction test on the verdict subspace."""
+    """The operator fails the adjoint-contraction test, globally and on the margin."""
 
 
 class SingularU(FramekitError):

@@ -29,7 +29,9 @@ The spectral step every criterion shares lives here, once:
 * ``rank_mask`` is the one rank cut; ``psd_split``, ``pinv`` and
   ``numerical_rank`` and every caller that truncates a spectrum use it.
 * ``compress`` is the one compression ``basis* X basis`` onto orthonormal
-  columns, and ``checked_subspace`` the one check of such columns.
+  columns (whitened ranges and kernels), and ``restrict`` the one margin
+  restriction: a window check with ``margin=m`` scores its operators on the
+  first ``n - m`` coordinates, their leading ``(n - m)`` square block.
 * ``as_integer`` and ``as_real`` check the integer and real-number fields read
   from JSON.
 * ``complex_to_json`` is the one writer of the ``{"re": [...], "im": [...]}``
@@ -155,22 +157,23 @@ def hermitize(m) -> np.ndarray:
 
 
 def compress(x, basis) -> np.ndarray:
-    """Hermitian part of ``basis* x basis``; ``x`` itself when ``basis`` is None."""
-    if basis is None:
-        return x
+    """Hermitian part of ``basis* x basis``."""
     return hermitize(basis.conj().T @ x @ basis)
 
 
-def checked_subspace(p, n: int) -> np.ndarray | None:
-    """``p`` as a matrix of orthonormal columns in C^n; None passes through."""
-    if p is None:
-        return None
-    p = as_operator(p)
-    if p.shape[0] != n:
-        raise DimensionMismatch(f"subspace basis has {p.shape[0]} rows, expected {n}")
-    if op_norm(p.conj().T @ p - np.eye(p.shape[1])) > 1e-10:
-        raise ValueError("subspace basis columns must be orthonormal")
-    return p
+def restrict(x: np.ndarray, margin: int | None) -> np.ndarray:
+    """Leading ``(n - margin)`` square block of the n x n ``x``; ``x`` itself for None.
+
+    This drops the last ``margin`` coordinates, where a truncated one-sided
+    shift breaks the identities of the full sequence space.  Raises
+    ValueError unless ``margin`` is an int with ``0 <= margin < n``.
+    """
+    if margin is None:
+        return x
+    n = x.shape[0]
+    if not (isinstance(margin, int) and 0 <= margin < n):
+        raise ValueError(f"margin must satisfy 0 <= margin < dimension, got {margin!r}")
+    return x[: n - margin, : n - margin]
 
 
 # Spectra of the running check, keyed by the exact operand handed to LAPACK;
@@ -295,8 +298,7 @@ def svd(m, vectors: bool = True):
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values kept by the rank cut."""
-    _, s, _ = svd(m)
-    return int(np.count_nonzero(rank_mask(s, tol)))
+    return int(np.count_nonzero(rank_mask(svd(m, vectors=False), tol)))
 
 
 def pinv(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -32,7 +32,6 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     as_operator,
-    checked_subspace,
     compress,
     hermitian_eigh,
     hermitize,
@@ -41,6 +40,7 @@ from .numerics import (
     pinv,
     psd_split,
     range_inclusion,
+    restrict,
 )
 
 
@@ -95,8 +95,9 @@ def pencil_inf(x, y, tol: Tolerance = DEFAULT_TOL) -> PencilBound:
     """Greatest ``alpha >= 0`` with ``alpha * y <= x`` for all vectors (PSD operands).
 
     Equals the least eigenvalue of the whitened pencil on range(y) after the
-    kernel coupling of x has been eliminated by a Schur complement.  For a
-    rank-zero y the constraint is vacuous and the value is ``inf``.
+    kernel coupling of x has been eliminated by a Schur complement, with a
+    negative round-off value reported as 0.0.  For a rank-zero y the
+    constraint is vacuous and the value is ``inf``.
     """
     x = as_operator(x)
     y = as_operator(y)
@@ -108,14 +109,15 @@ def pencil_inf(x, y, tol: Tolerance = DEFAULT_TOL) -> PencilBound:
     whitener = basis_r / np.sqrt(vals_r)
     if basis_k.shape[1] == 0:
         cvals, cvecs = hermitian_eigh(x, basis=whitener)
-        return PencilBound(value=float(cvals[0]), witness=_normalize(whitener @ cvecs[:, 0]))
-    cross = whitener.conj().T @ x @ basis_k
-    kernel_pinv = pinv(compress(x, basis_k), tol)
-    kernel_lift = -basis_k @ kernel_pinv @ cross.conj().T
-    cvals, cvecs = hermitian_eigh(compress(x, whitener) - cross @ kernel_pinv @ cross.conj().T)
-    w = cvecs[:, 0]
-    witness = whitener @ w + kernel_lift @ w
-    return PencilBound(value=float(cvals[0]), witness=_normalize(witness))
+        witness = whitener @ cvecs[:, 0]
+    else:
+        cross = whitener.conj().T @ x @ basis_k
+        kernel_pinv = pinv(compress(x, basis_k), tol)
+        kernel_lift = -basis_k @ kernel_pinv @ cross.conj().T
+        cvals, cvecs = hermitian_eigh(compress(x, whitener) - cross @ kernel_pinv @ cross.conj().T)
+        witness = whitener @ cvecs[:, 0] + kernel_lift @ cvecs[:, 0]
+    value = float(cvals[0])
+    return PencilBound(value=value if value > 0.0 else 0.0, witness=_normalize(witness))
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +130,10 @@ class HyponormalityReport:
 
     ``commutator_min_eig`` is the least eigenvalue of T*T - TT*;
     ``global_verdict`` compares it against the positivity floor scaled by
-    max(1, ||T||^2).  When a test subspace is supplied, ``margin_verdict``
-    reports positivity of the compressed commutator (and ``margin_min_eig``
-    its least eigenvalue); both are None otherwise.
+    max(1, ||T||^2).  When a ``margin`` m is given, ``margin_verdict``
+    reports positivity of the commutator restricted to the first n - m
+    coordinates (and ``margin_min_eig`` its least eigenvalue); both are None
+    when the margin is None.
     """
 
     commutator_min_eig: float
@@ -141,13 +144,13 @@ class HyponormalityReport:
 
 
 def hyponormality(
-    t, tol: Tolerance = DEFAULT_TOL, test_subspace=None
+    t, tol: Tolerance = DEFAULT_TOL, margin: int | None = None
 ) -> HyponormalityReport:
     """Is ``||T* f|| <= ||T f||`` for all f (equivalently T*T - TT* >= 0)?
 
     On C^n the self-commutator has zero trace, so the global verdict can only
     pass for (numerically) normal operators; genuinely one-sided behavior is
-    captured by compressing the commutator to a margin subspace.
+    captured by dropping the last ``margin`` coordinates of the commutator.
     """
     t = as_operator(t)
     if t.shape[0] != t.shape[1]:
@@ -159,10 +162,8 @@ def hyponormality(
     floor = tol.psd_floor * max(1.0, norm**2)
     margin_verdict = None
     margin_min = None
-    if test_subspace is not None:
-        p = checked_subspace(test_subspace, t.shape[0])
-        mvals = hermitian_eigh(commutator, vectors=False, basis=p)
-        margin_min = float(mvals[0]) if mvals.size else 0.0
+    if margin is not None:
+        margin_min = float(hermitian_eigh(restrict(commutator, margin), vectors=False)[0])
         margin_verdict = margin_min >= -floor
     return HyponormalityReport(
         commutator_min_eig=min_eig,

@@ -85,8 +85,7 @@ def _case_shift_basis() -> ExampleOutcome:
     n = 32
     system = canonical_basis(n)
     back, _ = shift_operators(TruncatedSequenceSpace(n, 1))
-    margin = TruncatedSequenceSpace(n, 1).margin_basis()
-    k_rep = check_k_frame(system, back, subspace=margin)
+    k_rep = check_k_frame(system, back, margin=1)
     theta_rep = check_theta_frame(system, back)
     records = [
         AssertionRecord(
@@ -143,8 +142,7 @@ def _case_pairwise_sum() -> ExampleOutcome:
     vectors = np.array([eye[:, k] + eye[:, k + 1] for k in range(n - 1)])
     system = FrameSystem(vectors)
     theta = summing_operator(space)
-    margin = space.margin_basis()
-    rep = check_theta_frame(system, theta, subspace=margin)
+    rep = check_theta_frame(system, theta, margin=space.margin)
     alpha_m = rep.alpha_opt
     gamma = min(alpha_m * (1.0 - 1e-6), 1.0 - 1e-6) if math.isfinite(alpha_m) else 1.0 - 1e-6
     classical = optimal_bounds(system)

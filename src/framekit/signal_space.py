@@ -194,10 +194,6 @@ class TruncatedSequenceSpace:
                 f"margin must satisfy 0 <= margin < dimension, got {self.margin!r}"
             )
 
-    def margin_basis(self) -> np.ndarray:
-        """Orthonormal columns spanning the margin-safe coordinates."""
-        return np.eye(self.dimension, self.dimension - self.margin, dtype=np.complex128)
-
 
 def shift_operators(space: TruncatedSequenceSpace) -> tuple[np.ndarray, np.ndarray]:
     """(backward, forward) shift matrices; forward is the adjoint of backward.

@@ -13,9 +13,9 @@ and the report then carries an obstruction vector f with Theta f ~ 0 but
 sum |<f, f_k>|^2 > 0.
 
 The K-frame variant keeps the windowed lower inequality but uses the plain
-Euclidean upper bound.  Margin subspaces (orthonormal columns) compress every
-operator before the pencils run, which is how boundary-defect models of
-one-sided shifts are scored.
+Euclidean upper bound.  A ``margin`` m drops the last m coordinates, where a
+truncated one-sided shift breaks the full-space identities, from every
+operator before the pencils run.
 """
 
 from __future__ import annotations
@@ -37,14 +37,13 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     as_operator,
-    checked_subspace,
-    compress,
     hermitian_eigh,
     hermitize,
     op_norm,
     pinv,
     psd_split,
     rank_mask,
+    restrict,
     spectral_scope,
     svd,
 )
@@ -89,18 +88,17 @@ class ThetaFrameReport:
 
 @spectral_scope
 def check_theta_frame(
-    system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL, subspace=None
+    system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL, margin: int | None = None
 ) -> ThetaFrameReport:
     """Optimal two-sided window-frame constants for the system.
 
-    With an orthonormal ``subspace`` basis, all operators are compressed to
-    that subspace first and the inequalities are scored there.
+    With a ``margin`` m, all operators are restricted to the first n - m
+    coordinates first and the inequalities are scored there.
     """
     theta = _checked_window(theta, system.n)
-    basis = checked_subspace(subspace, system.n)
-    s = compress(frame_operator(system), basis)
-    lower = pencil_inf(s, compress(theta @ theta.conj().T, basis), tol)
-    upper = pencil_sup(s, compress(theta.conj().T @ theta, basis), tol)
+    s = restrict(frame_operator(system), margin)
+    lower = pencil_inf(s, restrict(theta @ theta.conj().T, margin), tol)
+    upper = pencil_sup(s, restrict(theta.conj().T @ theta, margin), tol)
     lower_ok = lower.degenerate or lower.value > tol.psd_floor
     return ThetaFrameReport(
         alpha_opt=lower.value,
@@ -128,13 +126,15 @@ class KFrameReport:
 
 @spectral_scope
 def check_k_frame(
-    system: FrameSystem, k, tol: Tolerance = DEFAULT_TOL, subspace=None
+    system: FrameSystem, k, tol: Tolerance = DEFAULT_TOL, margin: int | None = None
 ) -> KFrameReport:
-    """Greatest A with ``A ||K* f||^2 <= sum |<f, f_k>|^2``, and the plain upper bound."""
+    """Greatest A with ``A ||K* f||^2 <= sum |<f, f_k>|^2``, and the plain upper bound.
+
+    A ``margin`` restricts both operators as in :func:`check_theta_frame`.
+    """
     k = _checked_window(k, system.n)
-    basis = checked_subspace(subspace, system.n)
-    s = compress(frame_operator(system), basis)
-    lower = pencil_inf(s, compress(k @ k.conj().T, basis), tol)
+    s = restrict(frame_operator(system), margin)
+    lower = pencil_inf(s, restrict(k @ k.conj().T, margin), tol)
     vals, vecs = hermitian_eigh(s)
     b_opt = float(vals[-1]) if vals.size else 0.0
     return KFrameReport(
@@ -234,14 +234,15 @@ def tight_frame_from_hyponormal(
     parseval: FrameSystem,
     theta,
     tol: Tolerance = DEFAULT_TOL,
-    margin_subspace=None,
+    margin: int | None = None,
 ) -> tuple[FrameSystem, ConstructionReport]:
     """Apply a hyponormal window to a Parseval frame; the image is tight with constant 1.
 
     For a Parseval system the image's frame operator collapses to
     Theta Theta*, giving the lower equality outright; hyponormality supplies
     ``||Theta* f|| <= ||Theta f||``, which is exactly the upper inequality
-    with the same constant.
+    with the same constant.  A ``margin`` lets the window pass as hyponormal
+    on the first n - margin coordinates (see :func:`hyponormality`).
     """
     theta = _checked_window(theta, parseval.n)
     bounds = optimal_bounds(parseval, tol)
@@ -250,7 +251,7 @@ def tight_frame_from_hyponormal(
         raise NotParseval(
             f"optimal bounds ({bounds.lower:.3e}, {bounds.upper:.3e}) are not both 1"
         )
-    hypo = hyponormality(theta, tol, test_subspace=margin_subspace)
+    hypo = hyponormality(theta, tol, margin=margin)
     if not (hypo.global_verdict or bool(hypo.margin_verdict)):
         raise NotHyponormal(
             f"window self-commutator has negative eigenvalue {hypo.commutator_min_eig:.3e}"

@@ -34,9 +34,8 @@ from .numerics import (
     as_integer,
     as_operator,
     as_real,
-    checked_subspace,
-    compress,
     range_inclusion,
+    restrict,
     spectral_scope,
 )
 from .operator_theory import hyponormality, pencil_inf, relative_hyponormality
@@ -326,18 +325,17 @@ def partition_domination_check(
     base: FrameSystem,
     theta,
     tol: Tolerance = DEFAULT_TOL,
-    subspace=None,
+    margin: int | None = None,
     combination: PartitionCombination | None = None,
 ) -> PartitionDominationReport:
     theta = as_operator(theta)
     if combination is not None:
         combination.validate(len(base))
-    basis = checked_subspace(subspace, base.n)
-    s_phi = compress(frame_operator(phi), basis)
-    pencil = pencil_inf(s_phi, compress(frame_operator(base), basis), tol)
+    s_phi = restrict(frame_operator(phi), margin)
+    pencil = pencil_inf(s_phi, restrict(frame_operator(base), margin), tol)
     dominates = pencil.degenerate or pencil.value > tol.psd_floor
-    phi_report = check_theta_frame(phi, theta, tol, subspace=subspace)
-    base_report = check_theta_frame(base, theta, tol, subspace=subspace)
+    phi_report = check_theta_frame(phi, theta, tol, margin=margin)
+    base_report = check_theta_frame(base, theta, tol, margin=margin)
     adjoint_hypo = hyponormality(adjoint(theta), tol).global_verdict
     agrees = dominates == phi_report.passes()
 
@@ -459,16 +457,15 @@ def finite_sum_criterion_check(
     params: WavePacketParams,
     theta,
     tol: Tolerance = DEFAULT_TOL,
-    subspace=None,
+    margin: int | None = None,
 ) -> FiniteSumReport:
     theta = as_operator(theta)
-    basis = checked_subspace(subspace, params.grid.n)
     labels = tuple(_labels(params))
     singles = [FrameSystem(_atoms(params, psi), labels=labels) for psi in spec.psis]
     summed = _summed_system(spec, params, [f.vectors for f in singles])
-    s_sum = compress(frame_operator(summed), basis)
+    s_sum = restrict(frame_operator(summed), margin)
     mu_opts = tuple(
-        pencil_inf(s_sum, compress(frame_operator(f), basis), tol).value for f in singles
+        pencil_inf(s_sum, restrict(frame_operator(f), margin), tol).value for f in singles
     )
     exists = any(math.isinf(mu) or mu > tol.psd_floor for mu in mu_opts)
     if all(math.isinf(m) for m in mu_opts):
@@ -478,9 +475,9 @@ def finite_sum_criterion_check(
         # only win when nothing real is on offer.
         best_xi = int(np.argmax([(-math.inf if math.isinf(m) else m) for m in mu_opts]))
 
-    sum_report = check_theta_frame(summed, theta, tol, subspace=subspace)
+    sum_report = check_theta_frame(summed, theta, tol, margin=margin)
     single_reports = tuple(
-        check_theta_frame(f, theta, tol, subspace=subspace) for f in singles
+        check_theta_frame(f, theta, tol, margin=margin) for f in singles
     )
     adjoint_hypo = hyponormality(adjoint(theta), tol).global_verdict
     agrees = exists == sum_report.passes()

@@ -63,9 +63,8 @@ def test_acceptance_01_shift_basis_margin_bounds():
         space = TruncatedSequenceSpace(n, 1)
         back, _ = shift_operators(space)
         system = canonical_basis(n)
-        margin = space.margin_basis()
 
-        krep = check_k_frame(system, back, subspace=margin)
+        krep = check_k_frame(system, back, margin=space.margin)
         assert krep.a_opt == pytest.approx(1.0, abs=1e-9)
         assert krep.b_opt == pytest.approx(1.0, abs=1e-9)
         assert krep.lower_ok
@@ -110,7 +109,7 @@ def test_acceptance_03_pairwise_sums_margin_lower_bound():
         vectors = np.array([eye[:, k] + eye[:, k + 1] for k in range(n - 1)])
         system = FrameSystem(vectors)
         theta = summing_operator(space)
-        rep = check_theta_frame(system, theta, subspace=space.margin_basis())
+        rep = check_theta_frame(system, theta, margin=space.margin)
         assert rep.lower_ok
         gamma = min(rep.alpha_opt * (1.0 - 1e-6), 1.0 - 1e-6)
         assert 0.0 < gamma < 1.0

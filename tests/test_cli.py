@@ -15,8 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framekit.cli import _digest, main, to_jsonable
-from framekit.numerics import operator_from_json
+from framekit.frame_core import FrameSystem
+from framekit.numerics import operator_from_json, operator_to_json
+from framekit.operator_theory import hyponormality
 from framekit.registry import ExampleOutcome
+from framekit.theta_frame import check_k_frame, check_theta_frame
 
 
 PARAMS_DOC = {
@@ -638,3 +641,76 @@ def test_out_is_refused_by_every_verb_but_gen(tmp_path, capsys, argv):
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --out" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+# ---------------------------------------------------------------------------
+# --margin on check-theta, check-k and check-hypo
+
+_MARGIN_N = 6
+
+
+def _margin_files(tmp_path):
+    """The pairwise-sum system on C^6 and the two shifts, as CLI input files."""
+    eye = np.eye(_MARGIN_N)
+    vectors = np.array([eye[:, k] + eye[:, k + 1] for k in range(_MARGIN_N - 1)])
+    back = np.eye(_MARGIN_N, k=1)
+    system_doc = {"n": _MARGIN_N, "vectors": [{"re": v.tolist()} for v in vectors]}
+    paths = [_write(tmp_path, "system.json", system_doc)]
+    for name, shift in (("back", back), ("fwd", back.T)):
+        paths.append(_write(tmp_path, f"{name}.json", operator_to_json(shift)))
+    return FrameSystem(vectors), back, paths
+
+
+@pytest.mark.parametrize("margin", [None, 0, 1, 2, _MARGIN_N - 1])
+def test_margin_flag_gives_the_library_verdicts(tmp_path, capsys, margin):
+    system, back, (system_path, back_path, fwd_path) = _margin_files(tmp_path)
+    flag = [] if margin is None else ["--margin", str(margin)]
+
+    code, report = _run(capsys, ["check-theta", system_path, back_path, *flag])
+    rep = check_theta_frame(system, back, margin=margin)
+    assert code == 0
+    v = report["verdicts"]
+    assert [v["alpha_opt"], v["beta_opt"]] == to_jsonable([rep.alpha_opt, rep.beta_opt])
+    assert (v["lower_ok"], v["upper_ok"]) == (rep.lower_ok, rep.upper_ok)
+    assert v["witnesses"] == to_jsonable(
+        {"lower": rep.lower_witness, "upper": rep.upper_witness, "kernel": rep.kernel_obstruction}
+    )
+
+    code, report = _run(capsys, ["check-k", system_path, back_path, *flag])
+    assert code == 0
+    assert report["verdicts"] == to_jsonable(check_k_frame(system, back, margin=margin))
+
+    code, report = _run(capsys, ["check-hypo", fwd_path, *flag])
+    hypo = hyponormality(back.T, margin=margin)
+    assert code == 0
+    assert report["verdicts"] == to_jsonable(hypo)
+    # null margin fields exactly when no margin is given; margin 0 still fills them
+    assert (report["verdicts"]["margin_min_eig"] is None) == (margin is None)
+    assert report["verdicts"]["margin_verdict"] is (None if margin is None else margin > 0)
+
+
+@pytest.mark.parametrize("margin", [-1, _MARGIN_N])
+@pytest.mark.parametrize("verb", ["check-theta", "check-k", "check-hypo"])
+def test_margin_outside_the_dimension_exits_two(tmp_path, capsys, verb, margin):
+    _, _, (system_path, back_path, _) = _margin_files(tmp_path)
+    files = [back_path] if verb == "check-hypo" else [system_path, back_path]
+    code = main([verb, *files, "--margin", str(margin)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["verdicts"] == {
+        "error": f"margin must satisfy 0 <= margin < dimension, got {margin}"
+    }
+    assert captured.err == f"error: margin must satisfy 0 <= margin < dimension, got {margin}\n"
+
+
+def test_margin_error_in_a_fresh_process_has_no_traceback(tmp_path):
+    _, _, (system_path, back_path, _) = _margin_files(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "framekit", "check-theta", system_path, back_path, "--margin", "-1"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: margin must satisfy 0 <= margin < dimension, got -1\n"
+    assert json.loads(proc.stdout)["verdicts"]["error"].startswith("margin must satisfy")

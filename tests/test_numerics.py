@@ -128,6 +128,25 @@ def test_numerical_rank():
     assert numerical_rank(m) == 1
 
 
+def test_rank_tests_decompose_for_singular_values_only(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    rng = np.random.default_rng(5)
+    for rank in range(5):
+        b = rng.normal(size=(5, rank)) @ rng.normal(size=(rank, 7))
+        a = b @ rng.normal(size=(7, 3))
+        assert numerical_rank(b) == rank
+        assert range_inclusion(a, b)
+    assert numerical_rank(np.zeros((5, 0))) == 0
+    assert calls and not any(calls)
+
+
 def test_pinv_rank_one_oracle():
     # J = all-ones 2x2: J = u s v* with s = 2, so pinv(J) = J / 4
     j = np.ones((2, 2))

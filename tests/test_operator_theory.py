@@ -147,7 +147,7 @@ def test_pencil_shape_validation():
 def test_truncated_forward_shift_margin_hyponormality():
     space = TruncatedSequenceSpace(8, 1)
     _, fwd = shift_operators(space)
-    report = hyponormality(fwd, DEFAULT_TOL, test_subspace=space.margin_basis())
+    report = hyponormality(fwd, DEFAULT_TOL, margin=space.margin)
     # truncation injects a -1 eigenvalue at the boundary slot
     assert not report.global_verdict
     assert report.commutator_min_eig == pytest.approx(-1.0)
@@ -183,9 +183,11 @@ def test_self_commutator_is_traceless():
 def test_hyponormality_validation():
     with pytest.raises(NotSquare):
         hyponormality(np.ones((2, 3)))
-    bad_basis = np.ones((4, 2))
-    with pytest.raises(ValueError):
-        hyponormality(np.eye(4), test_subspace=bad_basis)
+    for margin in (-1, 4):
+        with pytest.raises(ValueError, match="0 <= margin < dimension"):
+            hyponormality(np.eye(4), margin=margin)
+    assert hyponormality(np.eye(4)).margin_verdict is None
+    assert hyponormality(np.eye(4), margin=0).margin_verdict
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from framekit.errors import (
     OffGridFrequency,
     OffGridShift,
 )
+from framekit.numerics import restrict
 from framekit.signal_space import (
     Grid,
     Signal,
@@ -179,18 +180,21 @@ def test_truncated_space_shifts():
     # fwd o back loses the first slot exactly as in the untruncated space
     assert np.allclose(back @ fwd, np.diag([1, 1, 1, 1, 1, 0]))
     assert np.allclose(fwd @ back, np.diag([0, 1, 1, 1, 1, 1]))
-    # compressed onto the margin-safe coordinates, back o fwd is the identity
-    basis = space.margin_basis()
-    assert np.allclose(basis.conj().T @ (back @ fwd) @ basis, np.eye(5))
+    # restricted to the margin-safe coordinates, back o fwd is the identity
+    assert np.array_equal(restrict(back @ fwd, space.margin), np.eye(5))
 
 
-def test_margin_basis_shape_and_orthonormality():
-    space = TruncatedSequenceSpace(6, 2)
-    basis = space.margin_basis()
-    assert basis.shape == (6, 4)
-    assert np.allclose(basis.conj().T @ basis, np.eye(4))
-    with pytest.raises(ValueError):
-        TruncatedSequenceSpace(4, 4)
+def test_restrict_accepts_the_margins_of_a_truncated_space():
+    m = np.arange(36.0).reshape(6, 6)
+    assert np.array_equal(restrict(m, TruncatedSequenceSpace(6, 2).margin), m[:4, :4])
+    assert restrict(m, None) is m
+    for margin in (-1, 6, 7, 1.0, None):
+        with pytest.raises(ValueError) as space_error:
+            TruncatedSequenceSpace(6, margin)
+        if margin is not None:
+            with pytest.raises(ValueError) as restrict_error:
+                restrict(m, margin)
+            assert str(restrict_error.value) == str(space_error.value)
     with pytest.raises(ValueError):
         TruncatedSequenceSpace(0, 0)
 

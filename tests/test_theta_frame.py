@@ -17,7 +17,14 @@ from framekit.errors import (
 )
 from framekit.frame_core import FrameSystem, canonical_basis, frame_operator, optimal_bounds
 from framekit.numerics import DEFAULT_TOL, adjoint, op_norm
-from framekit.signal_space import Grid, TruncatedSequenceSpace, indicator, mult_operator, shift_operators
+from framekit.signal_space import (
+    Grid,
+    TruncatedSequenceSpace,
+    indicator,
+    mult_operator,
+    operator_of,
+    shift_operators,
+)
 from framekit.theta_frame import (
     check_k_frame,
     check_theta_frame,
@@ -27,6 +34,7 @@ from framekit.theta_frame import (
     tight_frame_from_hyponormal,
     transform_frame_check,
 )
+from framekit.wavepacket import WavePacketParams, generate_system
 
 
 def _random_system(rng, m, n):
@@ -114,7 +122,7 @@ def test_subspace_compression_changes_the_verdict():
     full = check_theta_frame(system, fwd)
     assert not full.upper_ok
     assert np.isinf(full.beta_opt)
-    margin = check_theta_frame(system, fwd, subspace=space.margin_basis())
+    margin = check_theta_frame(system, fwd, margin=space.margin)
     assert margin.upper_ok
     assert margin.beta_opt == pytest.approx(1.0, abs=1e-10)
     assert margin.alpha_opt == pytest.approx(1.0, abs=1e-10)
@@ -254,9 +262,7 @@ def test_construction_accepts_margin_hyponormality():
     space = TruncatedSequenceSpace(8, 1)
     _, fwd = shift_operators(space)
     parseval = _random_parseval(rng, 10, 8)
-    image, report = tight_frame_from_hyponormal(
-        parseval, fwd, margin_subspace=space.margin_basis()
-    )
+    image, report = tight_frame_from_hyponormal(parseval, fwd, margin=space.margin)
     assert not report.hyponormal_globally
     assert report.hyponormal_on_margin
     assert report.operator_residual <= 1e-9
@@ -358,3 +364,27 @@ def test_pinv_chain_zero_window_is_vacuous():
     rep = pseudoinverse_bound_chain(system, np.zeros((3, 3)))
     assert rep.degenerate
     assert rep.chain_ok
+
+
+# ---------------------------------------------------------------------------
+# lower constants are never negative
+
+
+def test_round_off_below_zero_reads_as_a_zero_lower_constant():
+    # In both cases round-off puts the least pencil eigenvalue just below zero.
+    grid = Grid(4, 64)
+    params = WavePacketParams(grid, indicator(grid, 0.0, 1.5), (1, 3), 1.0, (0, 63), (0.0, 1.0, 2.0, 3.0))
+    rep = check_theta_frame(generate_system(params), operator_of(grid, "modulate", 1.0))
+    assert str(rep.alpha_opt) == "0.0"
+    assert not rep.lower_ok and rep.upper_ok
+
+    back, _ = shift_operators(TruncatedSequenceSpace(6, 1))
+    system = FrameSystem(np.eye(6)[:-1] + np.eye(6)[1:])
+    theta_rep = check_theta_frame(system, back)
+    k_rep = check_k_frame(system, back)
+    assert str(theta_rep.alpha_opt) == str(k_rep.a_opt) == "0.0"
+    assert not theta_rep.lower_ok and not k_rep.lower_ok
+    # the witness still attains the (zero) optimum
+    w = k_rep.lower_witness
+    s = frame_operator(system)
+    assert abs(np.vdot(w, s @ w).real) <= 1e-12 * np.vdot(w, back @ back.conj().T @ w).real
