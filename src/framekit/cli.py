@@ -5,6 +5,11 @@ diagnostics on stderr.  Exit codes: 0 all checks passed, 1 an assertion-style
 verification failed, 2 malformed or invalid input, or a stdout closed before
 the report was written.  Randomized verbs take their default seed from the
 FRAMEKIT_SEED environment variable.
+
+The report on stdout and the ``gen --out`` file are the text of
+``json.dump(obj, indent=2, sort_keys=True)``, byte for byte, written as a
+stream of chunks by ``_json_chunks``; a list of finite floats becomes one
+chunk formatted by ``float.__repr__`` at C speed.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -82,6 +88,44 @@ def to_jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _all_floats(items) -> bool:
+    """Whether the list or tuple ``items`` is non-empty and every item is exactly a float."""
+    return set(map(type, items)) == {float}
+
+
+def _json_chunks(obj, pad: str = "\n"):
+    """Yield the text of ``json.dumps(obj, indent=2, sort_keys=True)`` in chunks.
+
+    ``pad`` is the newline and indent of the enclosing level.  Dict keys must
+    be strings.  A non-empty list of exact floats, all finite, is one chunk;
+    every other scalar is ``json.dumps`` of itself, so NaN, infinities, ints,
+    bools, None and strings keep json's form.
+    """
+    if isinstance(obj, dict) and obj:
+        inner = pad + "  "
+        opener = "{" + inner
+        for key in sorted(obj):
+            yield opener + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(obj[key], inner)
+            opener = "," + inner
+        yield pad + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = pad + "  "
+        if _all_floats(obj):
+            text = ("," + inner).join(map(float.__repr__, obj))
+            if "n" not in text:  # finite reprs have no "n"; "inf" and "nan" do
+                yield "[" + inner + text + pad + "]"
+                return
+        opener = "[" + inner
+        for item in obj:
+            yield opener
+            yield from _json_chunks(item, inner)
+            opener = "," + inner
+        yield pad + "]"
+    else:
+        yield json.dumps(obj)
+
+
 def _digest_skeleton(obj):
     """JSON input with every non-empty all-float list replaced by a tag.
 
@@ -94,7 +138,7 @@ def _digest_skeleton(obj):
             "\0" + k if k.startswith("\0") else k: _digest_skeleton(v) for k, v in obj.items()
         }
     if isinstance(obj, (list, tuple)):
-        if obj and all(type(x) is float for x in obj):
+        if _all_floats(obj):
             return {"\0f8": hashlib.sha256(np.array(obj, dtype="<f8").tobytes()).hexdigest()}
         return [_digest_skeleton(v) for v in obj]
     return obj
@@ -168,7 +212,7 @@ def _cmd_gen(args, tol):
     payload = system_to_json(system)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.writelines(_json_chunks(payload))
         verdicts = {"written": args.out, "vectors": len(system), "dimension": system.n}
     else:
         verdicts = {"vectors": len(system), "dimension": system.n, "system": payload}
@@ -404,7 +448,9 @@ def main(argv=None) -> int:
         "duration_ms": int((time.perf_counter() - started) * 1000),
     }
     try:
-        print(json.dumps(report, indent=2, sort_keys=True), flush=True)
+        sys.stdout.writelines(_json_chunks(report))
+        sys.stdout.write("\n")
+        sys.stdout.flush()
     except BrokenPipeError:
         print("error: stdout was closed before the report was written", file=sys.stderr)
         _stdout_to_devnull()

@@ -17,6 +17,8 @@ from .errors import DimensionMismatch, NotAFrame
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
+    _pow2_restored,
+    _pow2_scaled,
     as_integer,
     as_vector,
     complex_from_json,
@@ -105,15 +107,26 @@ def frame_operator(system: FrameSystem) -> np.ndarray:
     return hermitize(w.conj().T @ w)
 
 
+def _scaled_frame_operator(system: FrameSystem) -> tuple[np.ndarray, int]:
+    """``(S * 4**-e, e)``: the frame operator of the vectors scaled by ``_pow2_scaled``."""
+    vectors, exponent = _pow2_scaled(system.vectors)
+    if exponent:
+        system = FrameSystem(vectors, system.labels)
+    return frame_operator(system), exponent
+
+
 def optimal_bounds(system: FrameSystem, tol: Tolerance = DEFAULT_TOL) -> FrameBounds:
     """Extreme eigenvalues of the frame operator, with eigenvector witnesses.
 
     ``tight`` means the two coincide within ``verdict_rel`` relatively.  S is
     exactly Hermitian by construction, so no Hermiticity verdict runs.
+    Vectors with huge entries are scaled by a power of two first, and a bound
+    beyond the float range raises OverflowError.
     """
-    vals, vecs = hermitian_eigh(frame_operator(system))
-    lower = float(vals[0])
-    upper = float(vals[-1])
+    s, exponent = _scaled_frame_operator(system)
+    vals, vecs = hermitian_eigh(s)
+    lower = _pow2_restored(float(vals[0]), 2 * exponent)
+    upper = _pow2_restored(float(vals[-1]), 2 * exponent)
     tight = (upper - lower) <= tol.verdict_rel * upper
     return FrameBounds(
         lower=lower,

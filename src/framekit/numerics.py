@@ -32,6 +32,11 @@ The spectral step every criterion shares lives here, once:
   columns (whitened ranges and kernels), and ``restrict`` the one margin
   restriction: a window check with ``margin=m`` scores its operators on the
   first ``n - m`` coordinates, their leading ``(n - m)`` square block.
+* ``_pow2_scaled`` scales an operand with entries beyond 2**200 by a power
+  of two before a check forms its frame operator or window products, and
+  ``_pow2_restored`` undoes it exactly on the constants, using
+  ``pencil(a X, b Y) = (a / b) pencil(X, Y)``; a constant beyond the float
+  range raises OverflowError.  Ordinary operands take exponent 0.
 * ``as_integer`` and ``as_real`` check the integer and real-number fields read
   from JSON.
 * ``complex_to_json`` is the one writer of the ``{"re": [...], "im": [...]}``
@@ -174,6 +179,36 @@ def restrict(x: np.ndarray, margin: int | None) -> np.ndarray:
     if not (isinstance(margin, int) and 0 <= margin < n):
         raise ValueError(f"margin must satisfy 0 <= margin < dimension, got {margin!r}")
     return x[: n - margin, : n - margin]
+
+
+# Operands with a real or imaginary part beyond this magnitude are scaled by a
+# power of two before a check multiplies them, so that the squares it sums
+# stay far inside the float range; every other operand keeps its exact bits.
+_SCALE_ABOVE = 2.0**200
+
+
+def _pow2_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(m * 2**-e, e)`` with ``e = 0`` unless a part of an entry exceeds ``_SCALE_ABOVE``.
+
+    A scaled operand's largest real or imaginary part lands in [1, 2).  Only
+    exponents change, so the scaling is exact and signed zeros stay.
+    """
+    parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
+    top = float(np.max(np.abs(parts), initial=0.0))
+    if top <= _SCALE_ABOVE:
+        return m, 0
+    exponent = math.frexp(top)[1] - 1
+    return np.ldexp(parts, -exponent).view(np.complex128), exponent
+
+
+def _pow2_restored(value: float, exponent: int) -> float:
+    """``value * 2**exponent`` exactly; OverflowError when that leaves the float range."""
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        raise OverflowError(
+            f"optimal constant {value!r} * 2**{exponent} is non-finite in float64"
+        ) from None
 
 
 # Spectra of the running check, keyed by the exact operand handed to LAPACK;

@@ -16,6 +16,11 @@ The K-frame variant keeps the windowed lower inequality but uses the plain
 Euclidean upper bound.  A ``margin`` m drops the last m coordinates, where a
 truncated one-sided shift breaks the full-space identities, from every
 operator before the pencils run.
+
+Vectors or windows with entries beyond 2**200 are scaled by powers of two
+before S, Theta Theta* and Theta* Theta are formed, and the constants are
+scaled back exactly (``pencil(a X, b Y) = (a / b) pencil(X, Y)``); a constant
+beyond the float range raises OverflowError.
 """
 
 from __future__ import annotations
@@ -32,10 +37,12 @@ from .errors import (
     NotThetaFrame,
     SingularU,
 )
-from .frame_core import FrameSystem, frame_operator, optimal_bounds
+from .frame_core import FrameSystem, _scaled_frame_operator, frame_operator, optimal_bounds
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
+    _pow2_restored,
+    _pow2_scaled,
     as_operator,
     hermitian_eigh,
     hermitize,
@@ -95,16 +102,19 @@ def check_theta_frame(
     With a ``margin`` m, all operators are restricted to the first n - m
     coordinates first and the inequalities are scored there.
     """
-    theta = _checked_window(theta, system.n)
-    s = restrict(frame_operator(system), margin)
+    theta, theta_exp = _pow2_scaled(_checked_window(theta, system.n))
+    s, s_exp = _scaled_frame_operator(system)
+    s = restrict(s, margin)
     lower = pencil_inf(s, restrict(theta @ theta.conj().T, margin), tol)
     upper = pencil_sup(s, restrict(theta.conj().T @ theta, margin), tol)
-    lower_ok = lower.degenerate or lower.value > tol.psd_floor
+    alpha = _pow2_restored(lower.value, 2 * (s_exp - theta_exp))
+    beta = _pow2_restored(upper.value, 2 * (s_exp - theta_exp))
+    lower_ok = lower.degenerate or alpha > tol.psd_floor
     return ThetaFrameReport(
-        alpha_opt=lower.value,
-        beta_opt=upper.value,
+        alpha_opt=alpha,
+        beta_opt=beta,
         lower_ok=bool(lower_ok),
-        upper_ok=bool(math.isfinite(upper.value)),
+        upper_ok=bool(math.isfinite(beta)),
         lower_witness=lower.witness,
         upper_witness=upper.witness,
         kernel_obstruction=upper.obstruction,
@@ -132,15 +142,17 @@ def check_k_frame(
 
     A ``margin`` restricts both operators as in :func:`check_theta_frame`.
     """
-    k = _checked_window(k, system.n)
-    s = restrict(frame_operator(system), margin)
+    k, k_exp = _pow2_scaled(_checked_window(k, system.n))
+    s, s_exp = _scaled_frame_operator(system)
+    s = restrict(s, margin)
     lower = pencil_inf(s, restrict(k @ k.conj().T, margin), tol)
+    a_opt = _pow2_restored(lower.value, 2 * (s_exp - k_exp))
     vals, vecs = hermitian_eigh(s)
-    b_opt = float(vals[-1]) if vals.size else 0.0
+    b_opt = _pow2_restored(float(vals[-1]), 2 * s_exp) if vals.size else 0.0
     return KFrameReport(
-        a_opt=lower.value,
+        a_opt=a_opt,
         b_opt=b_opt,
-        lower_ok=bool(lower.degenerate or lower.value > tol.psd_floor),
+        lower_ok=bool(lower.degenerate or a_opt > tol.psd_floor),
         degenerate=lower.degenerate,
         lower_witness=lower.witness,
         upper_witness=vecs[:, -1].copy() if vals.size else None,

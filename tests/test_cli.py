@@ -8,14 +8,17 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framekit.cli import _digest, main, to_jsonable
-from framekit.frame_core import FrameSystem
+from framekit import cli
+from framekit.cli import _digest, _json_chunks, main, to_jsonable
+from framekit.frame_core import FrameSystem, system_to_json
 from framekit.numerics import operator_from_json, operator_to_json
 from framekit.operator_theory import hyponormality
 from framekit.registry import ExampleOutcome
@@ -153,6 +156,130 @@ def _reversed_keys(doc):
 def test_digest_equality_is_canonical_json_equality(first, second):
     assert (_digest(first) == _digest(second)) == (_old_canonical(first) == _old_canonical(second))
     assert _digest(_reversed_keys(first)) == _digest(first)
+
+
+def test_digest_values_are_pinned():
+    # Float lists, a signed zero, a tiny float, ints, null and a
+    # key that spells the float tag.
+    inputs = {
+        "system": {
+            "n": 2,
+            "vectors": [{"re": [1.0, -0.0], "im": [0.5, 2.0]}, {"re": [3.0, 1e-300]}],
+            "labels": [[0, 1, 2], [1, 0, 0]],
+        },
+        "theta": {"grid": {"q": 2, "P": 1}, "kind": "modulate", "value": 1.0},
+        "margin": None,
+        "\0f8": ["tag", 1, 1.0, True],
+    }
+    assert _digest(inputs) == "effc2e583f33b3d3c5631a545b3cdc3be46db360d8e880554769f89d2f1a5c1d"
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+_WRITER_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e300, 3.0, float("nan"), float("inf"), float("-inf")]
+)
+_WRITER_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.text()
+    | _WRITER_FLOATS
+    | _WRITER_FLOATS.map(np.float64)
+)
+_WRITER_DOCUMENTS = st.recursive(
+    _WRITER_SCALARS | st.lists(_WRITER_FLOATS, min_size=1),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WRITER_DOCUMENTS)
+@example([1, 1.0, True])
+@example({"\u00e9\"\x01\u2603": [[], {}, (), [0.5, float("nan")], [np.float64(0.5), 0.5]]})
+def test_writer_chunks_are_the_text_of_json_dumps(doc):
+    assert "".join(_json_chunks(doc)) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _gen_params(seed, q, P, periods=1):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(q * P) + 1j * rng.standard_normal(q * P)
+    return {
+        "grid": {"q": q, "P": P},
+        "psi": {"q": q, "P": P, "re": psi.real.tolist(), "im": psi.imag.tolist()},
+        "a_list": [1],
+        "b": 1.0,
+        "k_range": [0, P - 1],
+        "c_list": [float(c) for c in range(periods * q)],
+        "dedupe": True,
+    }
+
+
+@pytest.mark.parametrize("seed, q, P", [(0, 4, 4), (1, 8, 6)])
+def test_gen_out_file_is_the_text_of_json_dump(tmp_path, capsys, seed, q, P):
+    doc = _gen_params(seed, q, P)
+    out_path = tmp_path / "system.json"
+    code = main(["gen", _write(tmp_path, "params.json", doc), "--out", str(out_path)])
+    report_text = capsys.readouterr().out
+    assert code == 0
+    expected = io.StringIO()
+    system = cli.generate_system(cli._params_from_json(doc))
+    json.dump(system_to_json(system), expected, indent=2, sort_keys=True)
+    assert out_path.read_bytes() == expected.getvalue().encode("utf-8")
+    # The report is the same text that print(json.dumps(...)) wrote.
+    assert report_text == json.dumps(json.loads(report_text), indent=2, sort_keys=True) + "\n"
+
+
+def test_gen_writes_its_file_as_a_stream(tmp_path, capsys, monkeypatch):
+    # n = 192: the system alone is about 2 MB of JSON text.
+    params = _write(tmp_path, "params.json", _gen_params(2, 16, 12))
+    out_path = tmp_path / "system.json"
+    held = {}
+
+    def to_json_then_mark(system):
+        payload = system_to_json(system)
+        tracemalloc.reset_peak()
+        held["before_writing"] = tracemalloc.get_traced_memory()[0]
+        return payload
+
+    monkeypatch.setattr(cli, "system_to_json", to_json_then_mark)
+    tracemalloc.start()
+    try:
+        code = main(["gen", params, "--out", str(out_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    size = out_path.stat().st_size
+    assert size > 2_000_000
+    assert peak - held["before_writing"] < size / 10
+
+
+def test_reader_closing_mid_report_exits_two_without_a_traceback(tmp_path):
+    # `framekit gen params.json | head -1` on an n = 128 system: the report
+    # embeds the system, far more than a pipe buffer holds.
+    params = _write(tmp_path, "params.json", _gen_params(3, 16, 8, periods=2))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "framekit", "gen", params],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        first_line = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first_line == b"{\n"
+    assert proc.returncode == 2
+    assert stderr == "error: stdout was closed before the report was written\n"
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +508,58 @@ def _reject_constant(token):
 
 @pytest.mark.parametrize("verb", ["check-frame", "check-theta", "check-k"])
 def test_overflowing_frame_operator_exits_two_with_strict_json(tmp_path, capsys, verb):
-    # Finite entries whose frame operator overflows: a refusal, not a NaN verdict.
+    # Finite entries whose optimal constants (1e400) lie beyond the float
+    # range: a refusal naming the overflow, not a NaN verdict or a warning.
     argv = [verb, _write(tmp_path, "system.json", _HUGE_BASIS)]
     if verb != "check-frame":
         argv.append(_write(tmp_path, "window.json", _IDENTITY))
-    code = main(argv)
-    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out, parse_constant=_reject_constant)
     assert code == 2
     assert "non-finite" in report["verdicts"]["error"]
+    assert captured.err == f"error: {report['verdicts']['error']}\n"
+    assert caught == []
+
+
+def _scaled_basis(exponent):
+    return {"n": 2, "vectors": [{"re": [2.0**exponent, 0.0]}, {"re": [0.0, 2.0**exponent]}]}
+
+
+def _scaled_identity(exponent):
+    return {"rows": 2, "cols": 2, "re": [2.0**exponent, 0.0, 0.0, 2.0**exponent]}
+
+
+@pytest.mark.parametrize(
+    "verb, system, window, expected",
+    [
+        # 1e200 entries on both sides: S and the window products overflowed.
+        ("check-theta", _HUGE_BASIS, {**_IDENTITY, "re": [1e200, 0.0, 0.0, 1e200]},
+         {"alpha_opt": 1.0, "beta_opt": 1.0, "lower_ok": True, "upper_ok": True}),
+        ("check-k", _scaled_basis(510), _scaled_identity(520),
+         {"a_opt": 2.0**-20, "b_opt": 2.0**1020, "lower_ok": True}),
+        ("check-theta", _scaled_basis(510), _scaled_identity(520),
+         {"alpha_opt": 2.0**-20, "beta_opt": 2.0**-20, "lower_ok": True, "upper_ok": True}),
+        ("check-frame", _scaled_basis(510), None,
+         {"lower": 2.0**1020, "upper": 2.0**1020, "is_frame": True, "tight": True}),
+    ],
+)
+def test_huge_entries_with_representable_constants_get_a_verdict(
+    tmp_path, capsys, verb, system, window, expected
+):
+    argv = [verb, _write(tmp_path, "system.json", system)]
+    if window is not None:
+        argv.append(_write(tmp_path, "window.json", window))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    captured = capsys.readouterr()
+    verdicts = json.loads(captured.out, parse_constant=_reject_constant)["verdicts"]
+    assert code == 0
+    assert captured.err == "" and caught == []
+    assert {key: verdicts[key] for key in expected} == expected
 
 
 _UNIT_VECTORS = [{"re": [1.0, 0.0]}, {"re": [0.0, 1.0]}]

@@ -564,3 +564,18 @@ def test_k_frame_upper_witness_is_its_own_array():
     _, base, theta, _ = _partition_case()
     report = check_k_frame(base, theta)
     assert report.upper_witness.base is None and report.upper_witness.flags.writeable
+
+
+def test_only_operands_beyond_two_to_the_200_are_scaled():
+    ordinary = np.array([[2.0**200, -(2.0**200)], [1j * 2.0**200, 0.5]])
+    scaled, exponent = numerics._pow2_scaled(ordinary)
+    assert scaled is ordinary and exponent == 0
+    huge = ordinary.copy()
+    huge[1, 1] = -0.0 - 1j * np.nextafter(2.0**200, np.inf)
+    scaled, exponent = numerics._pow2_scaled(huge)
+    assert exponent == 200
+    assert np.array_equal(scaled.view(np.float64), np.ldexp(huge.view(np.float64), -200))
+    assert np.signbit(scaled[1, 1].real)
+    assert numerics._pow2_restored(3.0, -2) == 0.75
+    with pytest.raises(OverflowError, match="non-finite in float64"):
+        numerics._pow2_restored(1.5, 1024)

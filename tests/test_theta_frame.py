@@ -388,3 +388,43 @@ def test_round_off_below_zero_reads_as_a_zero_lower_constant():
     w = k_rep.lower_witness
     s = frame_operator(system)
     assert abs(np.vdot(w, s @ w).real) <= 1e-12 * np.vdot(w, back @ back.conj().T @ w).real
+
+
+def _unit_top(rng, *shape):
+    """Complex Gaussian entries scaled so the largest real or imaginary part is in [1, 2)."""
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    top = np.max(np.abs(m.view(np.float64)))
+    return np.ldexp(m.view(np.float64), -(np.frexp(top)[1] - 1)).view(np.complex128)
+
+
+def _times_pow2(m, exponent):
+    return np.ldexp(m.view(np.float64), exponent).view(np.complex128)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("s_exp, w_exp", [(300, 260), (500, 700), (0, 400), (400, 0)])
+def test_power_of_two_scaled_inputs_give_exactly_scaled_constants(seed, s_exp, w_exp):
+    # Entries beyond 2**200 are scaled back to a top part in [1, 2) before any
+    # product forms, so these inputs reach LAPACK as the unscaled ones do.
+    rng = np.random.default_rng(seed)
+    vectors, window = _unit_top(rng, 7, 5), _unit_top(rng, 5, 5)
+    small = FrameSystem(vectors)
+    big = FrameSystem(_times_pow2(vectors, s_exp))
+    big_window = _times_pow2(window, w_exp)
+    shift = 2 * (s_exp - w_exp)
+
+    theta, theta_big = check_theta_frame(small, window), check_theta_frame(big, big_window)
+    assert theta_big.alpha_opt == np.ldexp(theta.alpha_opt, shift)
+    assert theta_big.beta_opt == np.ldexp(theta.beta_opt, shift)
+    assert np.array_equal(theta_big.lower_witness, theta.lower_witness)
+    assert np.array_equal(theta_big.upper_witness, theta.upper_witness)
+
+    k, k_big = check_k_frame(small, window), check_k_frame(big, big_window)
+    assert k_big.a_opt == np.ldexp(k.a_opt, shift)
+    assert k_big.b_opt == np.ldexp(k.b_opt, 2 * s_exp)
+    assert np.array_equal(k_big.upper_witness, k.upper_witness)
+
+    bounds, bounds_big = optimal_bounds(small), optimal_bounds(big)
+    assert bounds_big.lower == np.ldexp(bounds.lower, 2 * s_exp)
+    assert bounds_big.upper == np.ldexp(bounds.upper, 2 * s_exp)
+    assert np.array_equal(bounds_big.lower_witness, bounds.lower_witness)
