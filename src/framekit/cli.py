@@ -46,7 +46,6 @@ from .wavepacket import (
     WavePacketParams,
     finite_sum_criterion_check,
     generate_system,
-    partition_combination,
     partition_domination_check,
 )
 
@@ -302,9 +301,7 @@ def _cmd_check_comb(args, tol):
         else:
             coeffs = np.ones(len(base), dtype=np.complex128)
         pc = PartitionCombination(cells=doc["cells"], coefficients=coeffs)
-        phi = partition_combination(base, pc)
-        rep = partition_domination_check(phi, base, theta, tol, combination=pc)
-        agrees = rep.agrees
+        rep = partition_domination_check(base, pc, theta, tol)
     elif kind == "finite-sum":
         alphas = tuple(complex_from_json(doc["alphas"], None, "alphas re/im lists"))
         if "psis" in doc:
@@ -313,10 +310,9 @@ def _cmd_check_comb(args, tol):
             psis = tuple(params.psi for _ in alphas)
         spec = FiniteSumSpec(alphas=alphas, psis=psis)
         rep = finite_sum_criterion_check(spec, params, theta, tol)
-        agrees = rep.agrees
     else:
         raise ValueError(f"unknown combination kind {kind!r}")
-    code = 0 if agrees else 1
+    code = 0 if rep.agrees else 1
     if code:
         print("combination criterion disagreed with the frame verdict", file=sys.stderr)
     return to_jsonable(rep), {"spec": doc}, code

@@ -41,7 +41,6 @@ from .wavepacket import (
     WavePacketParams,
     finite_sum_criterion_check,
     generate_system,
-    partition_combination,
     partition_domination_check,
     synthesis_criterion_check,
 )
@@ -347,14 +346,12 @@ def _trial_combination(rng: np.random.Generator, tol: Tolerance) -> None:
         )
     coeffs = rng.uniform(0.5, 1.5, size) * np.exp(2j * np.pi * rng.uniform(0, 1, size))
     pc = PartitionCombination(cells=cells, coefficients=coeffs)
-    phi = partition_combination(base, pc)
-    rep = partition_domination_check(phi, base, theta, tol, combination=pc)
+    rep = partition_domination_check(base, pc, theta, tol)
     assert rep.agrees, rep.counterexample or "domination constant disagrees with frame verdict"
-    if rep.upper_estimate_ok is not None:
-        assert rep.upper_estimate_ok, (
-            f"combined upper constant {rep.phi_report.beta_opt:.6e} exceeds "
-            f"||T||^2 * beta = {(rep.aggregation_norm or 0.0) ** 2 * rep.base_report.beta_opt:.6e}"
-        )
+    assert rep.upper_estimate_ok, (
+        f"combined upper constant {rep.phi_report.beta_opt:.6e} exceeds "
+        f"||T||^2 * beta = {rep.aggregation_norm ** 2 * rep.base_report.beta_opt:.6e}"
+    )
     if rep.proof_bound_ok is not None:
         assert rep.proof_bound_ok, (
             f"optimal constant {rep.lambda_opt:.6e} fell below the constructive "

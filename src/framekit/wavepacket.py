@@ -15,13 +15,16 @@ Two ways of merging such a system into a smaller one are covered:
 
 For each, the module scores whether the merged system inherits the
 window-frame property, and quantifies the domination constant that controls
-it (a spectral pencil of the two frame operators).
+it (a spectral pencil of the two frame operators).  Both checks build what
+they score as ``generate_system`` does: ``partition_domination_check(base,
+combination, theta)`` combines ``base`` itself, and a finite sum gives each
+window the box ``replace(params, psi=psi_s)``, with the labels and ``dedupe``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,7 +107,7 @@ def _labels(params: WavePacketParams) -> list[tuple[int, int, int]]:
     ]
 
 
-def _atoms(params: WavePacketParams, psi: Signal) -> np.ndarray:
+def _atoms(params: WavePacketParams) -> np.ndarray:
     """Every atom ``dilate_a(translate_{bk}(modulate_c(psi)))``, one row per label.
 
     Rows follow ``_labels`` order.  Indices and phases come from
@@ -118,7 +121,7 @@ def _atoms(params: WavePacketParams, psi: Signal) -> np.ndarray:
         [_index_phase(grid, "translate", params.b * k)[0] for k in params.k_values()]
     )
     dilations = np.array([_index_phase(grid, "dilate", a)[0] for a in params.a_list])
-    windows = phases * psi.values / math.sqrt(grid.q)
+    windows = phases * params.psi.values / math.sqrt(grid.q)
     index = shifts[np.arange(len(shifts))[:, None], dilations[:, None, :]]  # [j, k, i]
     rows = np.arange(len(params.c_list))[:, None]
     return windows[rows, index[:, :, None, :]].reshape(-1, grid.n)
@@ -175,7 +178,7 @@ def _system(params: WavePacketParams, vectors: np.ndarray) -> FrameSystem:
 
 def generate_system(params: WavePacketParams) -> FrameSystem:
     """All wave-packet vectors of the given parameter box, labels retained."""
-    return _system(params, _atoms(params, params.psi))
+    return _system(params, _atoms(params))
 
 
 def system_from_signals(signals, labels=None) -> FrameSystem:
@@ -292,6 +295,20 @@ def partition_combination(system: FrameSystem, pc: PartitionCombination) -> Fram
     return FrameSystem(t @ system.vectors)
 
 
+def _domination(combined: FrameSystem, bases, theta, tol: Tolerance, margin: int | None):
+    """``pencil_inf`` of ``combined`` over each base, the frame reports of ``combined``
+    and of each base, and whether theta* is hyponormal, all on one ``margin``."""
+    theta = as_operator(theta)
+    s_combined = restrict(frame_operator(combined), margin)
+    constants = tuple(
+        pencil_inf(s_combined, restrict(frame_operator(b), margin), tol).value for b in bases
+    )
+    combined_report = check_theta_frame(combined, theta, tol, margin=margin)
+    base_reports = tuple(check_theta_frame(b, theta, tol, margin=margin) for b in bases)
+    adjoint_hypo = hyponormality(adjoint(theta), tol).global_verdict
+    return constants, combined_report, base_reports, adjoint_hypo
+
+
 @dataclass(frozen=True)
 class PartitionDominationReport:
     """Does the combined system inherit the window-frame property?
@@ -314,29 +331,25 @@ class PartitionDominationReport:
     agrees: bool
     proof_lambda: float | None
     proof_bound_ok: bool | None
-    aggregation_norm: float | None
-    upper_estimate_ok: bool | None
+    aggregation_norm: float
+    upper_estimate_ok: bool
     counterexample: str | None
 
 
 @spectral_scope
 def partition_domination_check(
-    phi: FrameSystem,
     base: FrameSystem,
+    combination: PartitionCombination,
     theta,
     tol: Tolerance = DEFAULT_TOL,
     margin: int | None = None,
-    combination: PartitionCombination | None = None,
 ) -> PartitionDominationReport:
-    theta = as_operator(theta)
-    if combination is not None:
-        combination.validate(len(base))
-    s_phi = restrict(frame_operator(phi), margin)
-    pencil = pencil_inf(s_phi, restrict(frame_operator(base), margin), tol)
-    dominates = pencil.degenerate or pencil.value > tol.psd_floor
-    phi_report = check_theta_frame(phi, theta, tol, margin=margin)
-    base_report = check_theta_frame(base, theta, tol, margin=margin)
-    adjoint_hypo = hyponormality(adjoint(theta), tol).global_verdict
+    """Score ``partition_combination(base, combination)`` against ``base``."""
+    phi = partition_combination(base, combination)
+    (lambda_opt,), phi_report, (base_report,), adjoint_hypo = _domination(
+        phi, [base], theta, tol, margin
+    )
+    dominates = lambda_opt > tol.psd_floor
     agrees = dominates == phi_report.passes()
 
     proof_lambda = None
@@ -349,31 +362,25 @@ def partition_domination_check(
         and base_report.beta_opt > 0
     ):
         proof_lambda = phi_report.alpha_opt / base_report.beta_opt
-        proof_ok = pencil.value >= proof_lambda * (1.0 - tol.verdict_rel)
+        proof_ok = lambda_opt >= proof_lambda * (1.0 - tol.verdict_rel)
 
-    agg_norm = None
-    upper_ok = None
-    if combination is not None:
-        # The cells are disjoint, so T T* is diagonal: ||T|| is the largest
-        # norm of one cell's coefficients (hypot scales, so it cannot overflow).
-        coeffs = combination.coefficients
-        agg_norm = max(math.hypot(*np.abs(coeffs[list(cell)])) for cell in combination.cells)
-        if math.isfinite(base_report.beta_opt):
-            upper_ok = phi_report.beta_opt <= agg_norm**2 * base_report.beta_opt * (
-                1.0 + tol.verdict_rel
-            )
-        else:
-            upper_ok = True
+    # The cells are disjoint, so T T* is diagonal: ||T|| is the largest
+    # norm of one cell's coefficients (hypot scales, so it cannot overflow).
+    coeffs = combination.coefficients
+    agg_norm = max(math.hypot(*np.abs(coeffs[list(cell)])) for cell in combination.cells)
+    upper_ok = not math.isfinite(base_report.beta_opt) or (
+        phi_report.beta_opt <= agg_norm**2 * base_report.beta_opt * (1.0 + tol.verdict_rel)
+    )
 
     counterexample = None
     if not agrees:
         counterexample = (
-            f"domination constant {pencil.value:.6e} (dominates={dominates}) vs "
+            f"domination constant {lambda_opt:.6e} (dominates={dominates}) vs "
             f"combined frame verdict lower_ok={phi_report.lower_ok}, "
             f"upper_ok={phi_report.upper_ok}"
         )
     return PartitionDominationReport(
-        lambda_opt=pencil.value,
+        lambda_opt=lambda_opt,
         dominates=bool(dominates),
         phi_report=phi_report,
         base_report=base_report,
@@ -424,8 +431,11 @@ def _summed_system(
 
 
 def finite_sum_system(spec: FiniteSumSpec, params: WavePacketParams) -> FrameSystem:
-    """Per-label sums sum_s alpha_s * atom(psi_s); labels from params' ranges."""
-    return _summed_system(spec, params, [_atoms(params, psi) for psi in spec.psis])
+    """Per-label sums sum_s alpha_s * atom(psi_s); labels from params' ranges.
+
+    A window on another grid than ``params`` raises DimensionMismatch.
+    """
+    return _summed_system(spec, params, [_atoms(replace(params, psi=psi)) for psi in spec.psis])
 
 
 @dataclass(frozen=True)
@@ -433,10 +443,11 @@ class FiniteSumReport:
     """Window-frame inheritance for a weighted sum of wave-packet systems.
 
     ``mu_opts[s]`` is the best constant dominating the s-th single-window
-    system; the sum inherits the frame property exactly when some candidate
-    constant is positive (``exists``), matched against the sum's own verdict.
-    The crude upper estimate ``p * max|alpha|^2 * sum_s beta_s`` is recorded
-    alongside its verdict.
+    system, as ``generate_system`` makes it for ``psi_s``; the sum inherits
+    the frame property exactly when some candidate constant is positive
+    (``exists``), matched against the sum's own verdict.  The crude upper
+    estimate ``p * max|alpha|^2 * sum_s beta_s`` is recorded alongside its
+    verdict; it is a bound unless dedupe drops a single's atom the sum keeps.
     """
 
     mu_opts: tuple[float, ...]
@@ -459,27 +470,17 @@ def finite_sum_criterion_check(
     tol: Tolerance = DEFAULT_TOL,
     margin: int | None = None,
 ) -> FiniteSumReport:
-    theta = as_operator(theta)
-    labels = tuple(_labels(params))
-    singles = [FrameSystem(_atoms(params, psi), labels=labels) for psi in spec.psis]
-    summed = _summed_system(spec, params, [f.vectors for f in singles])
-    s_sum = restrict(frame_operator(summed), margin)
-    mu_opts = tuple(
-        pencil_inf(s_sum, restrict(frame_operator(f), margin), tol).value for f in singles
+    """Score ``finite_sum_system(spec, params)`` against each single-window system."""
+    boxes = [replace(params, psi=psi) for psi in spec.psis]
+    atoms = [_atoms(box) for box in boxes]
+    singles = [_system(box, a) for box, a in zip(boxes, atoms)]
+    mu_opts, sum_report, single_reports, adjoint_hypo = _domination(
+        _summed_system(spec, params, atoms), singles, theta, tol, margin
     )
-    exists = any(math.isinf(mu) or mu > tol.psd_floor for mu in mu_opts)
-    if all(math.isinf(m) for m in mu_opts):
-        best_xi = 0
-    else:
-        # Prefer the largest finite constant; vacuous (infinite) candidates
-        # only win when nothing real is on offer.
-        best_xi = int(np.argmax([(-math.inf if math.isinf(m) else m) for m in mu_opts]))
-
-    sum_report = check_theta_frame(summed, theta, tol, margin=margin)
-    single_reports = tuple(
-        check_theta_frame(f, theta, tol, margin=margin) for f in singles
-    )
-    adjoint_hypo = hyponormality(adjoint(theta), tol).global_verdict
+    exists = any(mu > tol.psd_floor for mu in mu_opts)
+    # Prefer the largest finite constant; vacuous (infinite) candidates only
+    # win, the first of them, when nothing real is on offer.
+    best_xi = int(np.argmax([(-math.inf if math.isinf(m) else m) for m in mu_opts]))
     agrees = exists == sum_report.passes()
 
     betas = [r.beta_opt for r in single_reports]

@@ -366,6 +366,25 @@ def test_check_comb_finite_sum(tmp_path, capsys):
     assert v["mu_opts"][0] == pytest.approx(4.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("grid", [{"q": 2, "P": 8}, {"q": 4, "P": 2}])
+def test_check_comb_refuses_windows_on_another_grid(tmp_path, capsys, grid):
+    psi = {**grid, "indicator": [0, 1]}
+    spec = _write(
+        tmp_path,
+        "comb.json",
+        {
+            "kind": "finite-sum",
+            "params": PARAMS_DOC,
+            "theta": THETA_DOC,
+            "alphas": {"re": [1, 2], "im": [0, 0]},
+            "psis": [psi, psi],
+        },
+    )
+    code, report = _run(capsys, ["check-comb", spec])
+    assert code == 2
+    assert report["verdicts"]["error"] == "window signal lives on a different grid"
+
+
 def test_pinv_verb(tmp_path, capsys):
     params = _write(tmp_path, "params.json", PARAMS_DOC)
     out_path = str(tmp_path / "system.json")

@@ -126,7 +126,7 @@ def test_partition_domination_margin_is_the_compression(seed):
     cells = [tuple(range(i, min(i + 2, len(base)))) for i in range(0, len(base), 2)]
     pc = PartitionCombination(cells=cells, coefficients=_gaussian(rng, len(base)))
     phi = partition_combination(base, pc)
-    report = partition_domination_check(phi, base, theta, margin=margin, combination=pc)
+    report = partition_domination_check(base, pc, theta, margin=margin)
     reference = pencil_inf(
         _compressed(frame_operator(phi), margin), _compressed(frame_operator(base), margin)
     )

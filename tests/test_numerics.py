@@ -51,7 +51,6 @@ from framekit.wavepacket import (
     PartitionCombination,
     WavePacketParams,
     generate_system,
-    partition_combination,
     partition_domination_check,
 )
 
@@ -521,13 +520,13 @@ def _partition_case():
     base = generate_system(params)
     cells = [tuple(range(i, min(i + 3, len(base)))) for i in range(0, len(base), 3)]
     pc = PartitionCombination(cells=cells, coefficients=np.ones(len(base)))
-    return partition_combination(base, pc), base, operator_of(grid, "modulate", 1.0), pc
+    return base, operator_of(grid, "modulate", 1.0), pc
 
 
 def test_partition_domination_check_decomposes_each_operand_once(monkeypatch):
-    phi, base, theta, pc = _partition_case()
+    base, theta, pc = _partition_case()
     log = _lapack_log(monkeypatch)
-    partition_domination_check(phi, base, theta, combination=pc)
+    partition_domination_check(base, pc, theta)
     # 11 LAPACK calls without the memo: S_base, S_phi and the window
     # products Theta Theta* = Theta* Theta = I each repeat.  Both upper
     # pencils have a full-rank Theta* Theta, so neither decomposes S_base
@@ -536,7 +535,7 @@ def test_partition_domination_check_decomposes_each_operand_once(monkeypatch):
 
 
 def test_check_theta_frame_with_a_unitary_window_makes_no_values_only_decomposition(monkeypatch):
-    _, base, theta, _ = _partition_case()
+    base, theta, _ = _partition_case()
     log = _lapack_log(monkeypatch)
     check_theta_frame(base, theta)
     assert log and {solver for solver, _ in log} == {"eigh"}
@@ -544,7 +543,7 @@ def test_check_theta_frame_with_a_unitary_window_makes_no_values_only_decomposit
 
 @pytest.mark.parametrize("window", ["named", "singular"])
 def test_check_theta_frame_matches_unscoped_pencils(window):
-    _, base, theta, _ = _partition_case()
+    base, theta, _ = _partition_case()
     if window == "singular":
         theta = theta @ np.diag([1.0] * 15 + [0.0])
     report = check_theta_frame(base, theta)
@@ -561,7 +560,7 @@ def test_check_theta_frame_matches_unscoped_pencils(window):
 
 
 def test_k_frame_upper_witness_is_its_own_array():
-    _, base, theta, _ = _partition_case()
+    base, theta, _ = _partition_case()
     report = check_k_frame(base, theta)
     assert report.upper_witness.base is None and report.upper_witness.flags.writeable
 

@@ -6,6 +6,8 @@ to modulations only, the frame operator collapses to the coordinate projection
 onto the window's support.  Both facts are used as exact oracles below.
 """
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ from framekit.signal_space import (
     operator_of,
     translate,
 )
+from framekit.theta_frame import ThetaFrameReport, check_theta_frame
 from framekit.wavepacket import (
     FiniteSumSpec,
     PartitionCombination,
@@ -423,7 +426,7 @@ def test_singleton_unimodular_partition_preserves_the_frame_operator():
     phi = partition_combination(system, pc)
     assert np.allclose(frame_operator(phi), frame_operator(system), atol=1e-12)
     theta = operator_of(GRID, "modulate", 1.0)
-    rep = partition_domination_check(phi, system, theta, combination=pc)
+    rep = partition_domination_check(system, pc, theta)
     assert rep.lambda_opt == pytest.approx(1.0, rel=1e-10)
     assert rep.dominates
     assert rep.agrees
@@ -435,9 +438,8 @@ def test_doubled_coefficients_scale_lambda_by_four():
     pc = PartitionCombination(
         cells=tuple((i,) for i in range(16)), coefficients=2.0 * np.ones(16)
     )
-    phi = partition_combination(system, pc)
     theta = operator_of(GRID, "modulate", 1.0)
-    rep = partition_domination_check(phi, system, theta, combination=pc)
+    rep = partition_domination_check(system, pc, theta)
     assert rep.lambda_opt == pytest.approx(4.0, rel=1e-10)
     assert rep.dominates
     assert rep.proof_bound_ok
@@ -447,8 +449,7 @@ def test_collapsing_cell_kills_domination():
     # summing an orthonormal pair into one vector leaves a rank-1 operator
     system = canonical_basis(2)
     pc = PartitionCombination(cells=((0, 1),), coefficients=np.ones(2))
-    phi = partition_combination(system, pc)
-    rep = partition_domination_check(phi, system, np.eye(2), combination=pc)
+    rep = partition_domination_check(system, pc, np.eye(2))
     assert rep.lambda_opt == pytest.approx(0.0, abs=1e-12)
     assert not rep.dominates
     assert not rep.phi_report.passes()
@@ -479,7 +480,7 @@ def test_two_cell_support_split():
     # against the support window, both base and combination are one-sided
     # frames on their common support with computable constants
     theta = mult_operator(indicator(GRID, 0.0, 4.0))
-    rep = partition_domination_check(phi, base, theta, combination=pc)
+    rep = partition_domination_check(base, pc, theta)
     assert rep.agrees
     assert rep.upper_estimate_ok
 
@@ -505,17 +506,14 @@ def test_aggregation_norm_is_the_spectral_norm_of_the_aggregation_matrix(case):
             coeffs[list(cells[0])] = 0.0
             coeffs[rng.random(16) < 0.3] = 0.0
         pc = PartitionCombination(cells=cells, coefficients=coeffs)
-        rep = partition_domination_check(
-            partition_combination(base, pc), base, theta, combination=pc
-        )
+        rep = partition_domination_check(base, pc, theta)
         expected = op_norm(pc.aggregation_matrix(16))
         assert abs(rep.aggregation_norm - expected) <= 1e-15 * expected
+        assert type(rep.aggregation_norm) is float and type(rep.upper_estimate_ok) is bool
 
 
 def test_overlapping_cells_are_refused_before_any_decomposition(monkeypatch):
     base = generate_system(_full_gabor_params())
-    singletons = PartitionCombination(cells=tuple((i,) for i in range(16)), coefficients=np.ones(16))
-    phi = partition_combination(base, singletons)
     overlapping = PartitionCombination(
         cells=((0, 1), (1, 2), *((i,) for i in range(3, 16))), coefficients=np.ones(16)
     )
@@ -526,7 +524,7 @@ def test_overlapping_cells_are_refused_before_any_decomposition(monkeypatch):
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, no_lapack)
     with pytest.raises(PartitionNotDisjoint):
-        partition_domination_check(phi, base, np.eye(16), combination=overlapping)
+        partition_domination_check(base, overlapping, np.eye(16))
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +595,9 @@ def test_criterion_check_builds_each_window_once(monkeypatch):
     expected = finite_sum_system(spec, params)
     built, checked = [], []
 
-    def counting_atoms(params, psi):
-        built.append(psi)
-        return atoms(params, psi)
+    def counting_atoms(params):
+        built.append(params.psi)
+        return atoms(params)
 
     def capturing_check(system, *args, **kwargs):
         checked.append(system)
@@ -612,6 +610,44 @@ def test_criterion_check_builds_each_window_once(monkeypatch):
     assert [id(psi) for psi in built] == [id(psi) for psi in psis]
     assert np.array_equal(checked[0].vectors, expected.vectors)
     assert checked[0].labels == expected.labels
+
+
+def _two_period_case(dedupe):
+    # two modulation periods: every atom repeats once, for any window
+    grid = Grid(4, 3)
+    rng = np.random.default_rng(31)
+    psis = tuple(Signal(grid, rng.normal(size=12) + 1j * rng.normal(size=12)) for _ in range(2))
+    params = WavePacketParams(grid, psis[0], (1,), 1.0, (0, 2), tuple(range(8)), dedupe=dedupe)
+    return FiniteSumSpec(alphas=(1.0, 0.5j), psis=psis), params, operator_of(grid, "modulate", 1.0)
+
+
+@pytest.mark.parametrize("dedupe", [True, False])
+def test_single_window_systems_are_the_generated_ones(dedupe):
+    spec, params, theta = _two_period_case(dedupe)
+    rep = finite_sum_criterion_check(spec, params, theta)
+    assert len(finite_sum_system(spec, params)) == (12 if dedupe else 24)
+    for psi, single in zip(spec.psis, rep.single_reports, strict=True):
+        expected = check_theta_frame(generate_system(replace(params, psi=psi)), theta)
+        for field in fields(ThetaFrameReport):
+            assert np.array_equal(getattr(single, field.name), getattr(expected, field.name))
+
+
+def test_duplicate_atoms_do_not_move_the_domination_constants():
+    # a duplicated label doubles the summed and the single frame operators alike
+    deduped = finite_sum_criterion_check(*_two_period_case(True))
+    full = finite_sum_criterion_check(*_two_period_case(False))
+    np.testing.assert_allclose(deduped.mu_opts, full.mu_opts, rtol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (4, 2)])
+def test_windows_on_another_grid_are_refused(shape):
+    params = _full_gabor_params()
+    other = indicator(Grid(*shape), 0.0, 1.0)
+    spec = FiniteSumSpec(alphas=(1.0, 2.0), psis=(other, other))
+    with pytest.raises(DimensionMismatch, match="different grid"):
+        finite_sum_system(spec, params)
+    with pytest.raises(DimensionMismatch, match="different grid"):
+        finite_sum_criterion_check(spec, params, operator_of(GRID, "modulate", 1.0))
 
 
 def test_mixed_windows_sum_system_is_the_atomwise_sum():
