@@ -260,10 +260,9 @@ def hermitian_eigh(h, vectors: bool = True, basis=None):
     operand's shape, ``vectors`` and the sha256 of its bytes, and returned
     read-only; a repeated operand is then not decomposed again.
     """
-    # Refused before the products (0 * inf warns) and after them (overflow).
-    if not np.isfinite(h).all():
-        raise NoConvergence("eigenvalue problem has a non-finite entry")
-    h = hermitize(h) if basis is None else compress(h, basis)
+    # Non-finite entries and overflowed products are refused below, silently.
+    with np.errstate(invalid="ignore", over="ignore"):
+        h = hermitize(h) if basis is None else compress(h, basis)
     if not np.isfinite(h).all():
         raise NoConvergence("eigenvalue problem has a non-finite entry")
     memo = _SPECTRA.get()

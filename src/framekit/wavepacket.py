@@ -127,11 +127,12 @@ def _atoms(params: WavePacketParams) -> np.ndarray:
     return windows[rows, index[:, :, None, :]].reshape(-1, grid.n)
 
 
-def _dedupe_mask(vectors: np.ndarray) -> np.ndarray:
-    """Keep-mask of the greedy dedupe over the rows of ``vectors``.
+def _dedupe_counts(vectors: np.ndarray) -> np.ndarray:
+    """How many rows of ``vectors`` the greedy dedupe folds into each row.
 
-    Row x is dropped iff some earlier kept row v has
-    ``||x - v|| <= _DEDUPE_ATOL * max(1, ||v||)``.  That norm test only runs
+    Row x is dropped (count 0) iff some earlier kept row v has
+    ``||x - v|| <= _DEDUPE_ATOL * max(1, ||v||)``, and the first such v
+    counts it; a kept row counts itself too.  That norm test only runs
     on candidate pairs: rows are projected onto one fixed real unit vector w
     of C^n = R^2n (any w keeps the result exact; it only sets how many pairs
     are tested), and since ``|<x - v, w>| <= ||x - v||``, every pair the
@@ -154,31 +155,31 @@ def _dedupe_mask(vectors: np.ndarray) -> np.ndarray:
     order = np.argsort(proj)
     lo = np.searchsorted(proj[order], proj - window, side="left")
     hi = np.searchsorted(proj[order], proj + window, side="right")
-    keep = np.ones(count, dtype=bool)
+    counts = np.ones(count, dtype=int)
     for i in np.flatnonzero(hi - lo > 1):
         candidates = order[lo[i] : hi[i]]
         vec = vectors[i]
-        for j in np.sort(candidates[(candidates < i) & keep[candidates]]):
+        for j in np.sort(candidates[(candidates < i) & (counts[candidates] > 0)]):
             v = vectors[j]
             if np.linalg.norm(vec - v) <= _DEDUPE_ATOL * max(1.0, np.linalg.norm(v)):
-                keep[i] = False
+                counts[i] = 0
+                counts[j] += 1
                 break
-    return keep
+    return counts
 
 
-def _system(params: WavePacketParams, vectors: np.ndarray) -> FrameSystem:
-    """Labelled system of the atoms in ``_labels`` order, deduplicated if asked."""
-    labels = _labels(params)
-    if params.dedupe:
-        keep = _dedupe_mask(vectors)
-        vectors = vectors[keep]
-        labels = [lab for lab, kept in zip(labels, keep) if kept]
-    return FrameSystem(vectors, labels=tuple(labels))
+def _system(params: WavePacketParams, vectors: np.ndarray) -> tuple[FrameSystem, int]:
+    """Labelled system of the atoms in ``_labels`` order, deduplicated if asked,
+    and the most atoms dedupe folded into one of its vectors (1 if none)."""
+    counts = _dedupe_counts(vectors) if params.dedupe else np.ones(len(vectors), dtype=int)
+    keep = counts > 0
+    labels = tuple(lab for lab, kept in zip(_labels(params), keep) if kept)
+    return FrameSystem(vectors[keep], labels=labels), int(counts.max())
 
 
 def generate_system(params: WavePacketParams) -> FrameSystem:
     """All wave-packet vectors of the given parameter box, labels retained."""
-    return _system(params, _atoms(params))
+    return _system(params, _atoms(params))[0]
 
 
 def system_from_signals(signals, labels=None) -> FrameSystem:
@@ -427,7 +428,7 @@ def _summed_system(
     spec: FiniteSumSpec, params: WavePacketParams, atoms: list[np.ndarray]
 ) -> FrameSystem:
     """The finite-sum system from each window's atoms, ``atoms[s]`` for ``psi_s``."""
-    return _system(params, sum(alpha * a for alpha, a in zip(spec.alphas, atoms)))
+    return _system(params, sum(alpha * a for alpha, a in zip(spec.alphas, atoms)))[0]
 
 
 def finite_sum_system(spec: FiniteSumSpec, params: WavePacketParams) -> FrameSystem:
@@ -446,8 +447,9 @@ class FiniteSumReport:
     system, as ``generate_system`` makes it for ``psi_s``; the sum inherits
     the frame property exactly when some candidate constant is positive
     (``exists``), matched against the sum's own verdict.  The crude upper
-    estimate ``p * max|alpha|^2 * sum_s beta_s`` is recorded alongside its
-    verdict; it is a bound unless dedupe drops a single's atom the sum keeps.
+    estimate ``p * max|alpha|^2 * sum_s m_s * beta_s`` is recorded alongside
+    its verdict; ``m_s``, the most atoms dedupe folded into one vector of the
+    s-th single, keeps it a bound where the sum keeps labels a single drops.
     """
 
     mu_opts: tuple[float, ...]
@@ -473,7 +475,7 @@ def finite_sum_criterion_check(
     """Score ``finite_sum_system(spec, params)`` against each single-window system."""
     boxes = [replace(params, psi=psi) for psi in spec.psis]
     atoms = [_atoms(box) for box in boxes]
-    singles = [_system(box, a) for box, a in zip(boxes, atoms)]
+    singles, folds = zip(*(_system(box, a) for box, a in zip(boxes, atoms)))
     mu_opts, sum_report, single_reports, adjoint_hypo = _domination(
         _summed_system(spec, params, atoms), singles, theta, tol, margin
     )
@@ -483,19 +485,11 @@ def finite_sum_criterion_check(
     best_xi = int(np.argmax([(-math.inf if math.isinf(m) else m) for m in mu_opts]))
     agrees = exists == sum_report.passes()
 
-    betas = [r.beta_opt for r in single_reports]
-    max_alpha_sq = max(abs(a) ** 2 for a in spec.alphas)
-    upper_estimate = (
-        math.inf
-        if any(math.isinf(b) for b in betas)
-        else spec.p * max_alpha_sq * sum(betas)
+    betas = [m * r.beta_opt for m, r in zip(folds, single_reports)]
+    upper_estimate = spec.p * max(abs(a) ** 2 for a in spec.alphas) * sum(betas)
+    upper_ok = math.isinf(upper_estimate) or (
+        sum_report.beta_opt <= upper_estimate * (1.0 + tol.verdict_rel)
     )
-    if math.isinf(upper_estimate):
-        upper_ok = True
-    elif math.isinf(sum_report.beta_opt):
-        upper_ok = False
-    else:
-        upper_ok = sum_report.beta_opt <= upper_estimate * (1.0 + tol.verdict_rel)
 
     counterexample = None
     if not agrees:

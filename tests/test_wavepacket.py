@@ -43,7 +43,7 @@ from framekit.wavepacket import (
     PartitionCombination,
     WavePacketParams,
     _DEDUPE_ATOL,
-    _dedupe_mask,
+    _dedupe_counts,
     finite_sum_criterion_check,
     finite_sum_system,
     generate_system,
@@ -213,19 +213,26 @@ def test_analysis_coefficients_are_inner_products():
         assert coeffs[i] == pytest.approx(np.vdot(system.vector(i), f), rel=1e-12)
 
 
-def _greedy_keep(vectors):
-    """The greedy dedupe as a plain loop: the reference ``_dedupe_mask`` must match."""
-    kept = []
-    keep = []
+def _greedy_counts(vectors):
+    """The greedy dedupe as a plain loop: the reference ``_dedupe_counts`` must match.
+
+    A dropped row counts 0 and adds one to the first kept row it is near.
+    """
+    counts = []
     for vec in vectors:
-        duplicate = any(
-            np.linalg.norm(vec - v) <= _DEDUPE_ATOL * max(1.0, np.linalg.norm(v))
-            for v in kept
-        )
-        keep.append(not duplicate)
-        if not duplicate:
-            kept.append(vec)
-    return np.array(keep)
+        near = [
+            i
+            for i, v in enumerate(vectors[: len(counts)])
+            if counts[i] and np.linalg.norm(vec - v) <= _DEDUPE_ATOL * max(1.0, np.linalg.norm(v))
+        ]
+        if near:
+            counts[near[0]] += 1
+        counts.append(0 if near else 1)
+    return np.array(counts)
+
+
+def _greedy_keep(vectors):
+    return _greedy_counts(vectors) > 0
 
 
 @pytest.mark.parametrize(
@@ -271,7 +278,7 @@ def test_dedupe_matches_the_greedy_loop(scale):
     expected = [True, True, False, False, True, False, True]
     vectors = np.array(rows)
     assert list(_greedy_keep(vectors)) == expected
-    assert np.array_equal(_dedupe_mask(vectors), _greedy_keep(vectors))
+    assert np.array_equal(_dedupe_counts(vectors), _greedy_counts(vectors))
 
 
 def test_dedupe_chain_follows_the_greedy_order():
@@ -289,7 +296,7 @@ def test_dedupe_chain_follows_the_greedy_order():
     ]:
         vectors = np.array(rows)
         assert list(_greedy_keep(vectors)) == expected
-        assert np.array_equal(_dedupe_mask(vectors), _greedy_keep(vectors))
+        assert np.array_equal(_dedupe_counts(vectors), _greedy_counts(vectors))
 
 
 def test_dedupe_matches_the_greedy_loop_on_random_families():
@@ -305,7 +312,7 @@ def test_dedupe_matches_the_greedy_loop_on_random_families():
                 src = rows[rng.integers(len(rows))]
                 rows.append(_near(rng, src, rng.choice([0.0, 0.5, 0.99, 1.01, 2.0])))
         vectors = np.array(rows)
-        assert np.array_equal(_dedupe_mask(vectors), _greedy_keep(vectors))
+        assert np.array_equal(_dedupe_counts(vectors), _greedy_counts(vectors))
 
 
 def test_generated_keep_set_and_labels_match_the_greedy_loop():
@@ -637,6 +644,29 @@ def test_duplicate_atoms_do_not_move_the_domination_constants():
     deduped = finite_sum_criterion_check(*_two_period_case(True))
     full = finite_sum_criterion_check(*_two_period_case(False))
     np.testing.assert_allclose(deduped.mu_opts, full.mu_opts, rtol=1e-12)
+
+
+def test_upper_estimate_counts_the_atoms_dedupe_folds():
+    # each single folds two atoms into one vector, so its beta halves; the
+    # estimate bounds the full atom set and must not move
+    deduped = finite_sum_criterion_check(*_two_period_case(True))
+    full = finite_sum_criterion_check(*_two_period_case(False))
+    np.testing.assert_allclose(deduped.upper_estimate, full.upper_estimate, rtol=1e-12)
+
+
+def test_upper_estimate_holds_when_a_single_drops_labels_the_sum_keeps():
+    # the delta's four modulations coincide, so its single keeps 4 of 16
+    # atoms while the sum, perturbed by the second window, keeps all 16
+    rng = np.random.default_rng(7)
+    delta = Signal(GRID, np.eye(16)[0])
+    other = Signal(GRID, 1e-3 * (rng.normal(size=16) + 1j * rng.normal(size=16)))
+    params = WavePacketParams(GRID, delta, (1,), 1.0, (0, 3), (0, 1, 2, 3), dedupe=True)
+    spec = FiniteSumSpec(alphas=(1.0, 1.0), psis=(delta, other))
+    rep = finite_sum_criterion_check(spec, params, np.eye(16))
+    assert len(generate_system(params)) == 4
+    assert len(finite_sum_system(spec, params)) == 16
+    assert rep.sum_report.beta_opt > 2 * rep.single_reports[0].beta_opt
+    assert rep.upper_estimate_ok, (rep.sum_report.beta_opt, rep.upper_estimate)
 
 
 @pytest.mark.parametrize("shape", [(2, 8), (4, 2)])
