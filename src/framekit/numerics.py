@@ -8,6 +8,24 @@ operator inequalities need once they meet floating point.
 
 The spectral step every criterion shares lives here, once:
 
+* ``_monomial`` is the one structure test.  It returns the index-and-phase
+  form ``(index, phase)`` of a monomial operand, at most one nonzero in each
+  row and column, with ``m[i, index[i]] = phase[i]``, and None for any other
+  operand.  It is exact, with no tolerance, and one ``count_nonzero``
+  refuses an unstructured operand before any index array is made.  The grid
+  operations that generate wave-packet systems are all monomial.  Four
+  kernels use it:
+
+  - ``hermitian_eigh`` reads an exactly diagonal operand's spectrum off the
+    diagonal (stable ascending order, coordinate vectors as eigenvectors),
+    with no LAPACK call and no memo entry;
+  - ``compress`` onto a basis with one nonzero per column is a gather;
+  - ``_window_products`` forms ``T T*`` and ``T* T`` of a monomial T as
+    diagonals of ``|phase|^2`` in O(n); the window checks and
+    ``hyponormality`` (commutator ``T* T - T T*``) take their products
+    from it;
+  - ``op_norm`` of a monomial operand is its largest ``|phase|``.
+
 * ``hermitian_eigh`` is the one eigensolver: the only caller of
   ``np.linalg.eigh`` / ``eigvalsh`` in the package.  It hermitizes its operand
   once, refuses non-finite entries and maps LAPACK failures to
@@ -15,8 +33,8 @@ The spectral step every criterion shares lives here, once:
   for operands that are not Hermitian by construction.
 * ``svd`` is the one singular-value decomposition: the only caller of
   ``np.linalg.svd``, mapping LAPACK failures to ``NoConvergence``.
-  ``op_norm`` reads its top singular value (``vectors=False``), so the
-  spectral norm takes no other route to LAPACK.
+  ``op_norm`` of any non-monomial operand reads its top singular value
+  (``vectors=False``), so the spectral norm takes no other route to LAPACK.
 * ``spectral_scope`` decorates the public checks.  While the outermost one
   runs, ``hermitian_eigh`` remembers each result under the shape, the
   ``vectors`` flag and the sha256 of the bytes of the operand it hands to
@@ -33,7 +51,8 @@ The spectral step every criterion shares lives here, once:
   restriction: a window check with ``margin=m`` scores its operators on the
   first ``n - m`` coordinates, their leading ``(n - m)`` square block.
 * ``_pow2_scaled`` scales an operand with entries beyond 2**200 by a power
-  of two before a check forms its frame operator or window products, and
+  of two before a check forms its frame operator or window products (or
+  ``hyponormality`` its commutator), and
   ``_pow2_restored`` undoes it exactly on the constants, using
   ``pencil(a X, b Y) = (a / b) pencil(X, Y)``; a constant beyond the float
   range raises OverflowError.  Ordinary operands take exponent 0.
@@ -147,23 +166,102 @@ def adjoint(m) -> np.ndarray:
     return as_operator(m).conj().T
 
 
+def _monomial(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Index-and-phase form ``(index, phase)`` of a monomial ``m``; None for any other ``m``.
+
+    ``m`` is monomial here when it has no more rows than columns and each row
+    and each column holds at most one nonzero.  Then ``m[i, index[i]] =
+    phase[i]`` and every other entry is zero, so ``(m @ x)[i] = phase[i] *
+    x[index[i]]``; ``index`` takes distinct columns, a zero row having phase 0
+    and the least column no other row takes.  An exactly diagonal ``m`` has
+    ``index = arange(rows)``.  The test is exact, with no tolerance, and one
+    ``count_nonzero`` refuses an operand with more nonzeros than rows before
+    any index array is made.
+    """
+    rows, cols = m.shape
+    count = np.count_nonzero(m)
+    if rows > cols or count > rows:
+        return None
+    diagonal = m.diagonal()
+    if np.count_nonzero(diagonal) == count:
+        return np.arange(rows), diagonal.astype(np.complex128)
+    r, c = np.nonzero(m)  # row-major, so r ascends
+    taken = np.zeros(cols, dtype=bool)
+    taken[c] = True
+    if np.count_nonzero(np.diff(r)) < count - 1 or np.count_nonzero(taken) < count:
+        return None  # a row or a column holds two nonzeros
+    phase = np.zeros(rows, dtype=np.complex128)
+    phase[r] = m[r, c]
+    if count == rows:
+        return c, phase
+    index = np.empty(rows, dtype=np.intp)
+    zero_rows = phase == 0
+    index[zero_rows] = np.flatnonzero(~taken)[: rows - count]
+    index[r] = c
+    return index, phase
+
+
 def op_norm(m) -> float:
-    """Spectral (operator 2-) norm, the top singular value; zero for empty matrices."""
+    """Spectral (operator 2-) norm; zero for empty matrices.
+
+    A monomial operand's norm is its largest ``|phase|``, read off without
+    LAPACK; any other operand's is its top singular value.
+    """
     m = as_operator(m)
     if m.size == 0:
         return 0.0
+    form = _monomial(m)
+    if form is not None:
+        norm = float(np.max(np.abs(form[1])))
+        if math.isfinite(norm):  # else the SVD refuses the operand
+            return norm
     return float(svd(m, vectors=False)[0])
 
 
 def hermitize(m) -> np.ndarray:
-    """Nearest Hermitian part (H + H*)/2 for round-off cleanup."""
-    m = as_operator(m)
-    return (m + m.conj().T) / 2
+    """Nearest Hermitian part (H + H*)/2 for round-off cleanup.
+
+    Formed as ``H/2 + (H/2)*``, which cannot overflow for finite entries and
+    has the bits of ``(H + H*)/2`` wherever halving is exact (all but
+    subnormals).
+    """
+    half = as_operator(m) * 0.5
+    return half + half.conj().T
 
 
 def compress(x, basis) -> np.ndarray:
-    """Hermitian part of ``basis* x basis``."""
-    return hermitize(basis.conj().T @ x @ basis)
+    """Hermitian part of ``basis* x basis``.
+
+    When ``basis`` has at most one nonzero ``b_j`` per column, in distinct
+    rows ``r_j`` (a whitener of a diagonal operand), this gathers
+    ``conj(b_i) x[r_i, r_j] b_j`` in O(r^2) in place of two products.
+    """
+    form = _monomial(basis.T)
+    if form is None:
+        return hermitize(basis.conj().T @ x @ basis)
+    rows, phase = form
+    return hermitize(phase.conj()[:, None] * x[rows[:, None], rows] * phase)
+
+
+def _window_products(t: np.ndarray, upper: bool = True):
+    """``(t t*, t* t)`` of a square ``t``; with ``upper`` False, ``(t t*, None)``.
+
+    For a monomial ``t`` both are diagonal: ``t t*`` carries ``|phase[i]|^2``
+    at ``(i, i)`` and ``t* t`` at ``(index[i], index[i])``, placed in O(n)
+    without a product.
+    """
+    form = _monomial(t)
+    if form is None:
+        return t @ t.conj().T, (t.conj().T @ t if upper else None)
+    index, phase = form
+    power = phase.real**2 + phase.imag**2
+    c = np.zeros(t.shape, dtype=np.complex128)
+    np.fill_diagonal(c, power)
+    if not upper:
+        return c, None
+    d = np.zeros(t.shape, dtype=np.complex128)
+    d[index, index] = power
+    return c, d
 
 
 def restrict(x: np.ndarray, margin: int | None) -> np.ndarray:
@@ -254,7 +352,9 @@ def hermitian_eigh(h, vectors: bool = True, basis=None):
     way it is hermitized exactly once, so callers pass raw products.  With
     ``vectors`` False only the eigenvalues are computed and returned.
     Raises NoConvergence for an operand with a non-finite entry and when the
-    LAPACK iteration fails.
+    LAPACK iteration fails.  An exactly diagonal operand is read off its
+    diagonal: eigenvalues in stable ascending order, coordinate vectors as
+    eigenvectors, and no LAPACK call.
 
     Inside a :func:`spectral_scope` the result is remembered under the
     operand's shape, ``vectors`` and the sha256 of its bytes, and returned
@@ -265,6 +365,18 @@ def hermitian_eigh(h, vectors: bool = True, basis=None):
         h = hermitize(h) if basis is None else compress(h, basis)
     if not np.isfinite(h).all():
         raise NoConvergence("eigenvalue problem has a non-finite entry")
+    form = _monomial(h)
+    n = h.shape[0]
+    if form is not None and (form[0] == np.arange(n)).all():
+        # Exactly diagonal: the spectrum is the diagonal, the eigenvectors
+        # are the coordinate vectors in the same (stable, ascending) order.
+        order = np.argsort(form[1].real, kind="stable")
+        values = form[1].real[order]
+        if not vectors:
+            return values
+        coordinates = np.zeros((n, n), dtype=np.complex128)
+        coordinates[order, np.arange(n)] = 1.0
+        return values, coordinates
     memo = _SPECTRA.get()
     if memo is None:
         return _lapack_eigh(h, vectors)

@@ -31,6 +31,9 @@ from .errors import DimensionMismatch, NotSquare
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
+    _pow2_restored,
+    _pow2_scaled,
+    _window_products,
     as_operator,
     compress,
     hermitian_eigh,
@@ -151,26 +154,35 @@ def hyponormality(
     On C^n the self-commutator has zero trace, so the global verdict can only
     pass for (numerically) normal operators; genuinely one-sided behavior is
     captured by dropping the last ``margin`` coordinates of the commutator.
+    A monomial T (every grid operation) has a diagonal commutator and needs
+    no decomposition.  Entries beyond 2**200 are scaled by a power of two
+    first and the reported values scaled back exactly; an eigenvalue beyond
+    the float range raises OverflowError.
     """
     t = as_operator(t)
     if t.shape[0] != t.shape[1]:
         raise NotSquare(f"hyponormality needs a square operator, got {t.shape}")
-    commutator = t.conj().T @ t - t @ t.conj().T
+    # T is scaled by 2**-e (e = 0 for ordinary entries) so the products stay
+    # finite; eigenvalues scale back by 4**e, the norm by 2**e.
+    t, exponent = _pow2_scaled(t)
+    c, d = _window_products(t)
+    commutator = d - c
     vals = hermitian_eigh(commutator, vectors=False)
     min_eig = float(vals[0]) if vals.size else 0.0
     norm = op_norm(t)
-    floor = tol.psd_floor * max(1.0, norm**2)
+    floor = tol.psd_floor * max(math.ldexp(1.0, -2 * exponent), norm**2)
     margin_verdict = None
     margin_min = None
     if margin is not None:
         margin_min = float(hermitian_eigh(restrict(commutator, margin), vectors=False)[0])
         margin_verdict = margin_min >= -floor
+        margin_min = _pow2_restored(margin_min, 2 * exponent)
     return HyponormalityReport(
-        commutator_min_eig=min_eig,
+        commutator_min_eig=_pow2_restored(min_eig, 2 * exponent),
         global_verdict=bool(min_eig >= -floor),
         margin_verdict=margin_verdict,
         margin_min_eig=margin_min,
-        operator_norm=norm,
+        operator_norm=_pow2_restored(norm, exponent),
     )
 
 

@@ -21,6 +21,10 @@ Vectors or windows with entries beyond 2**200 are scaled by powers of two
 before S, Theta Theta* and Theta* Theta are formed, and the constants are
 scaled back exactly (``pencil(a X, b Y) = (a / b) pencil(X, Y)``); a constant
 beyond the float range raises OverflowError.
+
+A monomial window, such as any grid operation, has diagonal products Theta
+Theta* and Theta* Theta.  They are placed in O(n), and each pencil whitens S
+by a gather, so the only decomposition left is that of the whitened S.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .numerics import (
     Tolerance,
     _pow2_restored,
     _pow2_scaled,
+    _window_products,
     as_operator,
     hermitian_eigh,
     hermitize,
@@ -102,11 +107,22 @@ def check_theta_frame(
     With a ``margin`` m, all operators are restricted to the first n - m
     coordinates first and the inequalities are scored there.
     """
-    theta, theta_exp = _pow2_scaled(_checked_window(theta, system.n))
-    s, s_exp = _scaled_frame_operator(system)
+    window = _scaled_window_products(_checked_window(theta, system.n))
+    return _theta_frame_report(_scaled_frame_operator(system), window, tol, margin)
+
+
+def _scaled_window_products(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(C, D, e)``: the window products of ``theta`` scaled by ``_pow2_scaled``."""
+    theta, exponent = _pow2_scaled(theta)
+    return (*_window_products(theta), exponent)
+
+
+def _theta_frame_report(frame, window, tol: Tolerance, margin: int | None) -> ThetaFrameReport:
+    """:func:`check_theta_frame` given ``_scaled_frame_operator`` and ``_scaled_window_products``."""
+    (s, s_exp), (c, d, theta_exp) = frame, window
     s = restrict(s, margin)
-    lower = pencil_inf(s, restrict(theta @ theta.conj().T, margin), tol)
-    upper = pencil_sup(s, restrict(theta.conj().T @ theta, margin), tol)
+    lower = pencil_inf(s, restrict(c, margin), tol)
+    upper = pencil_sup(s, restrict(d, margin), tol)
     alpha = _pow2_restored(lower.value, 2 * (s_exp - theta_exp))
     beta = _pow2_restored(upper.value, 2 * (s_exp - theta_exp))
     lower_ok = lower.degenerate or alpha > tol.psd_floor
@@ -145,7 +161,7 @@ def check_k_frame(
     k, k_exp = _pow2_scaled(_checked_window(k, system.n))
     s, s_exp = _scaled_frame_operator(system)
     s = restrict(s, margin)
-    lower = pencil_inf(s, restrict(k @ k.conj().T, margin), tol)
+    lower = pencil_inf(s, restrict(_window_products(k, upper=False)[0], margin), tol)
     a_opt = _pow2_restored(lower.value, 2 * (s_exp - k_exp))
     vals, vecs = hermitian_eigh(s)
     b_opt = _pow2_restored(float(vals[-1]), 2 * s_exp) if vals.size else 0.0
@@ -194,11 +210,11 @@ def theta_tight_check(
 ) -> ThetaTightReport:
     theta = _checked_window(theta, system.n)
     s = frame_operator(system)
-    d = theta.conj().T @ theta
+    c, d = _window_products(theta)
     n = system.n
     theta_is_identity = op_norm(theta - np.eye(n)) <= tol.verdict_rel * max(1.0, op_norm(theta))
 
-    basis_r, vals_r, _ = psd_split(theta @ theta.conj().T, tol)
+    basis_r, vals_r, _ = psd_split(c, tol)
     if basis_r.shape[1] == 0:
         return ThetaTightReport(
             is_tight=False,

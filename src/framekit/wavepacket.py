@@ -29,10 +29,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, PartitionNotDisjoint, PartitionNotExhaustive
-from .frame_core import FrameSystem, analysis_matrix, frame_operator
+from .frame_core import FrameSystem, _scaled_frame_operator, analysis_matrix
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
+    _pow2_restored,
     adjoint,
     as_integer,
     as_operator,
@@ -43,7 +44,13 @@ from .numerics import (
 )
 from .operator_theory import hyponormality, pencil_inf, relative_hyponormality
 from .signal_space import Grid, Signal, _index_phase
-from .theta_frame import ThetaFrameReport, check_theta_frame
+from .theta_frame import (
+    ThetaFrameReport,
+    _checked_window,
+    _scaled_window_products,
+    _theta_frame_report,
+    check_theta_frame,
+)
 
 _DEDUPE_ATOL = 1e-12
 
@@ -298,14 +305,23 @@ def partition_combination(system: FrameSystem, pc: PartitionCombination) -> Fram
 
 def _domination(combined: FrameSystem, bases, theta, tol: Tolerance, margin: int | None):
     """``pencil_inf`` of ``combined`` over each base, the frame reports of ``combined``
-    and of each base, and whether theta* is hyponormal, all on one ``margin``."""
-    theta = as_operator(theta)
-    s_combined = restrict(frame_operator(combined), margin)
+    and of each base, and whether theta* is hyponormal, all on one ``margin``.
+
+    Each frame operator and the window products are formed once, and the
+    reports are those of ``check_theta_frame``.
+    """
+    theta = _checked_window(theta, combined.n)
+    window = _scaled_window_products(theta)
+    frame, *base_frames = [_scaled_frame_operator(system) for system in (combined, *bases)]
+    s, s_exp = frame
     constants = tuple(
-        pencil_inf(s_combined, restrict(frame_operator(b), margin), tol).value for b in bases
+        _pow2_restored(
+            pencil_inf(restrict(s, margin), restrict(b, margin), tol).value, 2 * (s_exp - b_exp)
+        )
+        for b, b_exp in base_frames
     )
-    combined_report = check_theta_frame(combined, theta, tol, margin=margin)
-    base_reports = tuple(check_theta_frame(b, theta, tol, margin=margin) for b in bases)
+    combined_report = _theta_frame_report(frame, window, tol, margin)
+    base_reports = tuple(_theta_frame_report(f, window, tol, margin) for f in base_frames)
     adjoint_hypo = hyponormality(adjoint(theta), tol).global_verdict
     return constants, combined_report, base_reports, adjoint_hypo
 

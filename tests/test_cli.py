@@ -581,6 +581,26 @@ def test_huge_entries_with_representable_constants_get_a_verdict(
     assert {key: verdicts[key] for key in expected} == expected
 
 
+@pytest.mark.parametrize(
+    "window, norm",
+    [
+        ({"rows": 2, "cols": 2, "re": [1e200, 0.0, 0.0, 1e200]}, 1e200),
+        # not monomial: the scaled commutator goes through the dense products
+        ({"rows": 2, "cols": 2, "re": [1e200, 1e200, 1e200, 1e200]}, 2e200),
+    ],
+)
+def test_check_hypo_on_huge_entries_gets_a_verdict(tmp_path, capsys, window, norm):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["check-hypo", _write(tmp_path, "window.json", window)])
+    captured = capsys.readouterr()
+    verdicts = json.loads(captured.out, parse_constant=_reject_constant)["verdicts"]
+    assert code == 0
+    assert captured.err == "" and caught == []
+    assert verdicts["global_verdict"] is True
+    assert verdicts["operator_norm"] == pytest.approx(norm, rel=1e-15)
+
+
 _UNIT_VECTORS = [{"re": [1.0, 0.0]}, {"re": [0.0, 1.0]}]
 
 

@@ -285,14 +285,19 @@ def _raise_linalg_error(*args, **kwargs):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
+# Diagonal operands and monomial windows never reach LAPACK, so the failure
+# tests use operands without that structure.
+_UNSTRUCTURED = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [1.0, 1.0, 1.0]])
+
+
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: pencil_sup(np.eye(3), np.diag([1.0, 1.0, 0.0])),
-        lambda: pencil_inf(np.eye(3), np.diag([1.0, 1.0, 0.0])),
-        lambda: hyponormality(np.eye(3)),
-        lambda: theta_tight_check(canonical_basis(3), np.eye(3)),
-        lambda: check_k_frame(canonical_basis(3), np.eye(3)),
+        lambda: pencil_sup(np.eye(3), np.ones((3, 3))),
+        lambda: pencil_inf(np.eye(3), np.ones((3, 3))),
+        lambda: hyponormality(_UNSTRUCTURED),
+        lambda: theta_tight_check(canonical_basis(3), _UNSTRUCTURED),
+        lambda: check_k_frame(canonical_basis(3), _UNSTRUCTURED),
     ],
     ids=["pencil_sup", "pencil_inf", "hyponormality", "theta_tight_check", "check_k_frame"],
 )
@@ -353,7 +358,7 @@ def test_linalg_svd_is_called_only_in_numerics_and_no_norm_hides_one():
 def test_op_norm_maps_lapack_failure_to_no_convergence(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", _raise_linalg_error)
     with pytest.raises(NoConvergence):
-        op_norm(np.eye(3))
+        op_norm(_UNSTRUCTURED)
 
 
 @pytest.mark.parametrize("shape", [(6, 6), (4, 9), (9, 4), (0, 0), (0, 3), (3, 0)])
@@ -527,11 +532,13 @@ def test_partition_domination_check_decomposes_each_operand_once(monkeypatch):
     base, theta, pc = _partition_case()
     log = _lapack_log(monkeypatch)
     partition_domination_check(base, pc, theta)
-    # 11 LAPACK calls without the memo: S_base, S_phi and the window
-    # products Theta Theta* = Theta* Theta = I each repeat.  Both upper
-    # pencils have a full-rank Theta* Theta, so neither decomposes S_base
-    # or S_phi for a positivity floor it would never compare against.
-    assert len(log) == len(set(log)) == 5
+    # S_base, S_phi whitened by S_base, and S_phi.  The window products of
+    # the modulation are read off as diagonals, with no LAPACK call, and are
+    # both I here, so each windowed pencil whitens S_phi or S_base by I, and
+    # S_base is already known.  Both upper pencils have a full-rank
+    # Theta* Theta, so neither decomposes S_base or S_phi for a positivity
+    # floor it would never compare against.
+    assert len(log) == len(set(log)) == 3
 
 
 def test_check_theta_frame_with_a_unitary_window_makes_no_values_only_decomposition(monkeypatch):

@@ -606,13 +606,13 @@ def test_criterion_check_builds_each_window_once(monkeypatch):
         built.append(params.psi)
         return atoms(params)
 
-    def capturing_check(system, *args, **kwargs):
+    def capturing_frame_operator(system):
         checked.append(system)
-        return check(system, *args, **kwargs)
+        return frame_operator(system)
 
-    atoms, check = wp._atoms, wp.check_theta_frame
+    atoms, frame_operator = wp._atoms, wp._scaled_frame_operator
     monkeypatch.setattr(wp, "_atoms", counting_atoms)
-    monkeypatch.setattr(wp, "check_theta_frame", capturing_check)
+    monkeypatch.setattr(wp, "_scaled_frame_operator", capturing_frame_operator)
     finite_sum_criterion_check(spec, params, operator_of(GRID, "modulate", 1.0))
     assert [id(psi) for psi in built] == [id(psi) for psi in psis]
     assert np.array_equal(checked[0].vectors, expected.vectors)
