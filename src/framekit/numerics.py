@@ -16,14 +16,18 @@ The spectral step every criterion shares lives here, once:
   operations that generate wave-packet systems are all monomial.  Four
   kernels use it:
 
-  - ``hermitian_eigh`` reads an exactly diagonal operand's spectrum off the
+  - ``_reference_eigh`` reads an exactly diagonal operand's spectrum off the
     diagonal (stable ascending order, coordinate vectors as eigenvectors),
-    with no LAPACK call and no memo entry;
+    with no LAPACK call and no memo entry.  It serves the operands that are
+    diagonal by construction for a monomial window: the reference operator
+    ``psd_split`` splits and the hyponormality commutator.  Any other
+    operand, a whitened pencil or a frame operator among them, goes to
+    ``hermitian_eigh`` and pays no structure test;
   - ``compress`` onto a basis with one nonzero per column is a gather;
-  - ``_window_products`` forms ``T T*`` and ``T* T`` of a monomial T as
-    diagonals of ``|phase|^2`` in O(n); the window checks and
-    ``hyponormality`` (commutator ``T* T - T T*``) take their products
-    from it;
+  - ``_gram`` forms ``T T*`` of a monomial T as the diagonal of
+    ``|phase|^2`` in O(n); the window checks and ``hyponormality``
+    (commutator ``T* T - T T*``) take ``T T*`` and ``T* T`` from it, the
+    latter as ``_gram(T*)``;
   - ``op_norm`` of a monomial operand is its largest ``|phase|``.
 
 * ``hermitian_eigh`` is the one eigensolver: the only caller of
@@ -243,25 +247,19 @@ def compress(x, basis) -> np.ndarray:
     return hermitize(phase.conj()[:, None] * x[rows[:, None], rows] * phase)
 
 
-def _window_products(t: np.ndarray, upper: bool = True):
-    """``(t t*, t* t)`` of a square ``t``; with ``upper`` False, ``(t t*, None)``.
+def _gram(t: np.ndarray) -> np.ndarray:
+    """``t t*`` of a square ``t``; ``t* t`` is ``_gram(t*)``.
 
-    For a monomial ``t`` both are diagonal: ``t t*`` carries ``|phase[i]|^2``
-    at ``(i, i)`` and ``t* t`` at ``(index[i], index[i])``, placed in O(n)
+    For a monomial ``t`` it is the diagonal of ``|phase|^2``, placed in O(n)
     without a product.
     """
     form = _monomial(t)
     if form is None:
-        return t @ t.conj().T, (t.conj().T @ t if upper else None)
-    index, phase = form
-    power = phase.real**2 + phase.imag**2
-    c = np.zeros(t.shape, dtype=np.complex128)
-    np.fill_diagonal(c, power)
-    if not upper:
-        return c, None
-    d = np.zeros(t.shape, dtype=np.complex128)
-    d[index, index] = power
-    return c, d
+        return t @ t.conj().T
+    phase = form[1]
+    gram = np.zeros(t.shape, dtype=np.complex128)
+    np.fill_diagonal(gram, phase.real**2 + phase.imag**2)
+    return gram
 
 
 def restrict(x: np.ndarray, margin: int | None) -> np.ndarray:
@@ -299,14 +297,12 @@ def _pow2_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(parts, -exponent).view(np.complex128), exponent
 
 
-def _pow2_restored(value: float, exponent: int) -> float:
-    """``value * 2**exponent`` exactly; OverflowError when that leaves the float range."""
+def _pow2_restored(value: float, exponent: int, what: str = "optimal constant") -> float:
+    """``value * 2**exponent`` exactly; OverflowError, naming ``what``, when that leaves the float range."""
     try:
         return math.ldexp(value, exponent)
     except OverflowError:
-        raise OverflowError(
-            f"optimal constant {value!r} * 2**{exponent} is non-finite in float64"
-        ) from None
+        raise OverflowError(f"{what} {value!r} * 2**{exponent} is non-finite in float64") from None
 
 
 # Spectra of the running check, keyed by the exact operand handed to LAPACK;
@@ -352,9 +348,7 @@ def hermitian_eigh(h, vectors: bool = True, basis=None):
     way it is hermitized exactly once, so callers pass raw products.  With
     ``vectors`` False only the eigenvalues are computed and returned.
     Raises NoConvergence for an operand with a non-finite entry and when the
-    LAPACK iteration fails.  An exactly diagonal operand is read off its
-    diagonal: eigenvalues in stable ascending order, coordinate vectors as
-    eigenvectors, and no LAPACK call.
+    LAPACK iteration fails.
 
     Inside a :func:`spectral_scope` the result is remembered under the
     operand's shape, ``vectors`` and the sha256 of its bytes, and returned
@@ -365,18 +359,6 @@ def hermitian_eigh(h, vectors: bool = True, basis=None):
         h = hermitize(h) if basis is None else compress(h, basis)
     if not np.isfinite(h).all():
         raise NoConvergence("eigenvalue problem has a non-finite entry")
-    form = _monomial(h)
-    n = h.shape[0]
-    if form is not None and (form[0] == np.arange(n)).all():
-        # Exactly diagonal: the spectrum is the diagonal, the eigenvectors
-        # are the coordinate vectors in the same (stable, ascending) order.
-        order = np.argsort(form[1].real, kind="stable")
-        values = form[1].real[order]
-        if not vectors:
-            return values
-        coordinates = np.zeros((n, n), dtype=np.complex128)
-        coordinates[order, np.arange(n)] = 1.0
-        return values, coordinates
     memo = _SPECTRA.get()
     if memo is None:
         return _lapack_eigh(h, vectors)
@@ -387,6 +369,31 @@ def hermitian_eigh(h, vectors: bool = True, basis=None):
             array.setflags(write=False)
         memo[key] = result
     return memo[key]
+
+
+def _reference_eigh(h, vectors: bool = True):
+    """:func:`hermitian_eigh`, read off the diagonal when ``h`` is exactly diagonal.
+
+    For operands diagonal by construction when the window is monomial: a
+    pencil's reference operator and the hyponormality commutator.  The
+    eigenvalues are the diagonal's real parts, the Hermitian part's diagonal,
+    in stable ascending order, and the eigenvectors the coordinate vectors in
+    the same order; no LAPACK call and no memo entry.  A non-finite or
+    non-diagonal operand goes to :func:`hermitian_eigh`, which refuses or
+    decomposes it.
+    """
+    h = as_operator(h)
+    n = h.shape[0]
+    form = _monomial(h) if h.shape == (n, n) else None
+    if form is None or not (form[0] == np.arange(n)).all() or not np.isfinite(form[1]).all():
+        return hermitian_eigh(h, vectors)
+    order = np.argsort(form[1].real, kind="stable")
+    values = form[1].real[order]
+    if not vectors:
+        return values
+    coordinates = np.zeros((n, n), dtype=np.complex128)
+    coordinates[order, np.arange(n)] = 1.0
+    return values, coordinates
 
 
 def herm_eig(h, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -421,9 +428,10 @@ def psd_split(y, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, 
     """Split a PSD matrix at the rank cut.
 
     Returns the kept eigenvectors, their eigenvalues (ascending) and the
-    eigenvectors of the discarded kernel.
+    eigenvectors of the discarded kernel.  An exactly diagonal ``y``, such
+    as a window product of a monomial window, is split without LAPACK.
     """
-    vals, vecs = hermitian_eigh(y)
+    vals, vecs = _reference_eigh(y)
     keep = rank_mask(vals, tol)
     return vecs[:, keep], vals[keep], vecs[:, ~keep]
 

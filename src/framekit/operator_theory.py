@@ -31,9 +31,10 @@ from .errors import DimensionMismatch, NotSquare
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
+    _gram,
     _pow2_restored,
     _pow2_scaled,
-    _window_products,
+    _reference_eigh,
     as_operator,
     compress,
     hermitian_eigh,
@@ -165,24 +166,23 @@ def hyponormality(
     # T is scaled by 2**-e (e = 0 for ordinary entries) so the products stay
     # finite; eigenvalues scale back by 4**e, the norm by 2**e.
     t, exponent = _pow2_scaled(t)
-    c, d = _window_products(t)
-    commutator = d - c
-    vals = hermitian_eigh(commutator, vectors=False)
+    commutator = _gram(t.conj().T) - _gram(t)
+    vals = _reference_eigh(commutator, vectors=False)
     min_eig = float(vals[0]) if vals.size else 0.0
     norm = op_norm(t)
     floor = tol.psd_floor * max(math.ldexp(1.0, -2 * exponent), norm**2)
     margin_verdict = None
     margin_min = None
     if margin is not None:
-        margin_min = float(hermitian_eigh(restrict(commutator, margin), vectors=False)[0])
+        margin_min = float(_reference_eigh(restrict(commutator, margin), vectors=False)[0])
         margin_verdict = margin_min >= -floor
-        margin_min = _pow2_restored(margin_min, 2 * exponent)
+        margin_min = _pow2_restored(margin_min, 2 * exponent, "commutator eigenvalue")
     return HyponormalityReport(
-        commutator_min_eig=_pow2_restored(min_eig, 2 * exponent),
+        commutator_min_eig=_pow2_restored(min_eig, 2 * exponent, "commutator eigenvalue"),
         global_verdict=bool(min_eig >= -floor),
         margin_verdict=margin_verdict,
         margin_min_eig=margin_min,
-        operator_norm=_pow2_restored(norm, exponent),
+        operator_norm=_pow2_restored(norm, exponent, "operator norm"),
     )
 
 

@@ -45,9 +45,9 @@ from .frame_core import FrameSystem, _scaled_frame_operator, frame_operator, opt
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
+    _gram,
     _pow2_restored,
     _pow2_scaled,
-    _window_products,
     as_operator,
     hermitian_eigh,
     hermitize,
@@ -114,7 +114,7 @@ def check_theta_frame(
 def _scaled_window_products(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """``(C, D, e)``: the window products of ``theta`` scaled by ``_pow2_scaled``."""
     theta, exponent = _pow2_scaled(theta)
-    return (*_window_products(theta), exponent)
+    return _gram(theta), _gram(theta.conj().T), exponent
 
 
 def _theta_frame_report(frame, window, tol: Tolerance, margin: int | None) -> ThetaFrameReport:
@@ -161,7 +161,7 @@ def check_k_frame(
     k, k_exp = _pow2_scaled(_checked_window(k, system.n))
     s, s_exp = _scaled_frame_operator(system)
     s = restrict(s, margin)
-    lower = pencil_inf(s, restrict(_window_products(k, upper=False)[0], margin), tol)
+    lower = pencil_inf(s, restrict(_gram(k), margin), tol)
     a_opt = _pow2_restored(lower.value, 2 * (s_exp - k_exp))
     vals, vecs = hermitian_eigh(s)
     b_opt = _pow2_restored(float(vals[-1]), 2 * s_exp) if vals.size else 0.0
@@ -210,7 +210,7 @@ def theta_tight_check(
 ) -> ThetaTightReport:
     theta = _checked_window(theta, system.n)
     s = frame_operator(system)
-    c, d = _window_products(theta)
+    c, d = _gram(theta), _gram(theta.conj().T)
     n = system.n
     theta_is_identity = op_norm(theta - np.eye(n)) <= tol.verdict_rel * max(1.0, op_norm(theta))
 

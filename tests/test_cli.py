@@ -543,6 +543,18 @@ def test_overflowing_frame_operator_exits_two_with_strict_json(tmp_path, capsys,
     assert caught == []
 
 
+def test_check_hypo_names_the_commutator_eigenvalue_that_overflows(tmp_path, capsys):
+    # A weighted shift with weight 1e308: its norm is representable, the
+    # commutator eigenvalues +-1e616 are not.
+    window = {"rows": 2, "cols": 2, "re": [0.0, 0.0, 1e308, 0.0]}
+    code = main(["check-hypo", _write(tmp_path, "window.json", window)])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out, parse_constant=_reject_constant)
+    assert code == 2
+    assert report["verdicts"]["error"].startswith("commutator eigenvalue ")
+    assert "non-finite" in captured.err
+
+
 def _scaled_basis(exponent):
     return {"n": 2, "vectors": [{"re": [2.0**exponent, 0.0]}, {"re": [0.0, 2.0**exponent]}]}
 

@@ -13,8 +13,8 @@ import pytest
 from framekit import numerics
 from framekit.errors import NoConvergence
 from framekit.frame_core import FrameSystem
-from framekit.numerics import DEFAULT_TOL, compress, hermitian_eigh, op_norm
-from framekit.operator_theory import hyponormality, pencil_sup
+from framekit.numerics import DEFAULT_TOL, compress, op_norm, psd_split
+from framekit.operator_theory import hyponormality, pencil_inf, pencil_sup
 from framekit.signal_space import Grid, operator_of
 from framekit.theta_frame import check_k_frame, check_theta_frame
 
@@ -154,15 +154,31 @@ def test_the_structure_test_reads_index_and_phase_or_refuses():
         op_norm(np.diag([np.nan, 1.0]))
 
 
-def test_a_diagonal_operand_is_read_off_in_ascending_order(monkeypatch):
+def test_a_diagonal_reference_is_read_off_in_ascending_order(monkeypatch):
     d = np.array([3.0, -1.0, 0.0, 3.0, -2.5, 0.0])
     expected = np.linalg.eigvalsh(np.diag(d))
     _refuse_lapack(monkeypatch)
-    vals, vecs = hermitian_eigh(np.diag(d))
-    assert np.array_equal(vals, expected) and np.array_equal(hermitian_eigh(np.diag(d), False), vals)
+    vals, vecs = numerics._reference_eigh(np.diag(d))
+    assert np.array_equal(vals, expected)
+    assert np.array_equal(numerics._reference_eigh(np.diag(d), False), vals)
     # Stable order: ties keep their coordinate order, and vecs permutes the identity.
     assert np.argmax(np.abs(vecs), axis=0).tolist() == [4, 1, 2, 5, 0, 3]
     assert np.array_equal(vecs @ np.diag(vals) @ vecs.T, np.diag(d))
+    basis_r, vals_r, basis_k = psd_split(np.diag(d))
+    assert np.array_equal(vals_r, [3.0, 3.0]) and basis_k.shape == (6, 4)
+    # A non-finite diagonal is refused, as hermitian_eigh refuses it.
+    with pytest.raises(NoConvergence):
+        numerics._reference_eigh(np.diag([np.inf, 1.0]))
+
+
+def test_a_whitened_pencil_is_decomposed_even_when_diagonal(monkeypatch):
+    # Only the reference is read off: psd_split(I) and the gather whitening
+    # make no LAPACK call, the whitened operand diag(2, 5) is decomposed.
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    assert pencil_inf(np.diag([2.0, 5.0]), np.eye(2)).value == 2.0
+    assert calls == [(2, 2)]
 
 
 def test_compressing_onto_scaled_coordinate_columns_is_a_gather():

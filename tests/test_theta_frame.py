@@ -372,8 +372,10 @@ def test_pinv_chain_zero_window_is_vacuous():
 
 
 def test_round_off_below_zero_reads_as_a_zero_lower_constant():
-    # An exactly diagonal pencil is read off its diagonal without BLAS, so
-    # its least eigenvalue is this negative round-off for any thread count.
+    # An exactly diagonal pencil: the reference I is split without LAPACK and
+    # whitening by it is a gather, so no product reorders a sum and the
+    # decomposed diag(-2**-60, 1) has this negative least eigenvalue for any
+    # thread count.
     bound = pencil_inf(np.diag([-(2.0**-60), 1.0]), np.eye(2))
     assert str(bound.value) == "0.0"
     assert np.array_equal(bound.witness, [1.0, 0.0])
