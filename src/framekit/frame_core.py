@@ -9,7 +9,8 @@ classical frame bounds are its extreme eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,10 +35,13 @@ class FrameSystem:
 
     ``labels`` optionally carries one integer triple per vector (lexicographic
     for generated wave-packet systems) and is preserved through serialization.
+    ``_lattice`` is the q of a lattice-closed system as ``wavepacket`` stamps
+    it, and None for every other system.
     """
 
     vectors: np.ndarray
     labels: tuple[tuple[int, int, int], ...] | None = None
+    _lattice: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         v = np.array(self.vectors, dtype=np.complex128)
@@ -74,6 +78,11 @@ class FrameSystem:
             return self.labels.index(key)
         except ValueError:
             raise KeyError(f"no vector labeled {key}") from None
+
+
+def _stamp_lattice(system: FrameSystem, q: int) -> None:
+    """Stamp ``system`` as lattice-closed with period q; only ``wavepacket`` calls this."""
+    object.__setattr__(system, "_lattice", q)
 
 
 def canonical_basis(n: int) -> FrameSystem:
@@ -115,25 +124,82 @@ def _scaled_frame_operator(system: FrameSystem) -> tuple[np.ndarray, int]:
     return frame_operator(system), exponent
 
 
+@dataclass(frozen=True, eq=False)
+class _LatticeSpectrum:
+    """Spectrum of a stamped system's frame operator, scaled by ``4**-exponent``.
+
+    ``values[m, r]`` is the eigenvalue of the Fourier mode ``m`` on residue
+    class ``r``, the unit vector with entries ``exp(2 pi i m s / P) / sqrt(P)``
+    at ``r + q*s``.  ``order`` sorts the flattened ``values`` (index
+    ``m*q + r``) by (value, r, m).
+    """
+
+    values: np.ndarray
+    order: np.ndarray
+    exponent: int
+
+    def extreme(self, position: int) -> tuple[float, np.ndarray]:
+        """The ``position``-th eigenvalue in ``order`` (0 or -1), and its unit eigenvector."""
+        periods, q = self.values.shape
+        m, r = divmod(int(self.order[position]), q)
+        vector = np.zeros(periods * q, dtype=np.complex128)
+        vector[r::q] = np.exp(2j * np.pi * (m * np.arange(periods) % periods) / periods)
+        return float(self.values[m, r]), vector / math.sqrt(periods)
+
+    def in_modes(self, x: np.ndarray) -> np.ndarray:
+        """``F* x F`` for the unitary F whose column ``m*q + r`` is mode (r, m)."""
+        periods, q = self.values.shape
+        blocks = x.reshape(periods, q, periods, q)
+        return np.fft.fft(np.fft.ifft(blocks, axis=2), axis=0).reshape(x.shape)
+
+
+def _lattice_spectrum(system: FrameSystem) -> _LatticeSpectrum | None:
+    """The spectrum of a stamped system's frame operator, None for any other system.
+
+    The first column of residue block r is ``S[r + q*s, r] = sum_k f_k[r + q*s] *
+    conj(f_k[r])``, and a circulant's eigenvalues are the FFT of its first
+    column; their real parts are those of the block's Hermitian part.  The
+    vectors are scaled by ``_pow2_scaled`` first.
+    """
+    q = system._lattice
+    if q is None:
+        return None
+    vectors, exponent = _pow2_scaled(system.vectors)
+    blocks = vectors.reshape(len(vectors), -1, q)  # [k, s, r]: entry r + q*s
+    columns = np.einsum("ksr,kr->sr", blocks, blocks[:, 0, :].conj())
+    values = np.fft.fft(columns, axis=0).real
+    m, r = np.divmod(np.arange(values.size), q)
+    return _LatticeSpectrum(values, np.lexsort((m, r, values.reshape(-1))), exponent)
+
+
 def optimal_bounds(system: FrameSystem, tol: Tolerance = DEFAULT_TOL) -> FrameBounds:
     """Extreme eigenvalues of the frame operator, with eigenvector witnesses.
 
     ``tight`` means the two coincide within ``verdict_rel`` relatively.  S is
-    exactly Hermitian by construction, so no Hermiticity verdict runs.
+    exactly Hermitian by construction, so no Hermiticity verdict runs.  A
+    stamped system's spectrum comes from ``_lattice_spectrum``, without S.
     Vectors with huge entries are scaled by a power of two first, and a bound
     beyond the float range raises OverflowError.
     """
-    s, exponent = _scaled_frame_operator(system)
-    vals, vecs = hermitian_eigh(s)
-    lower = _pow2_restored(float(vals[0]), 2 * exponent)
-    upper = _pow2_restored(float(vals[-1]), 2 * exponent)
+    spectrum = _lattice_spectrum(system)
+    if spectrum is None:
+        s, exponent = _scaled_frame_operator(system)
+        vals, vecs = hermitian_eigh(s)
+        (low, lower_witness), (high, upper_witness) = (
+            (float(vals[i]), vecs[:, i].copy()) for i in (0, -1)
+        )
+    else:
+        exponent = spectrum.exponent
+        (low, lower_witness), (high, upper_witness) = (spectrum.extreme(i) for i in (0, -1))
+    lower = _pow2_restored(low, 2 * exponent)
+    upper = _pow2_restored(high, 2 * exponent)
     tight = (upper - lower) <= tol.verdict_rel * upper
     return FrameBounds(
         lower=lower,
         upper=upper,
         tight=bool(tight),
-        lower_witness=vecs[:, 0].copy(),
-        upper_witness=vecs[:, -1].copy(),
+        lower_witness=lower_witness,
+        upper_witness=upper_witness,
     )
 
 

@@ -24,10 +24,10 @@ The spectral step every criterion shares lives here, once:
     operand, a whitened pencil or a frame operator among them, goes to
     ``hermitian_eigh`` and pays no structure test;
   - ``compress`` onto a basis with one nonzero per column is a gather;
-  - ``_gram`` forms ``T T*`` of a monomial T as the diagonal of
-    ``|phase|^2`` in O(n); the window checks and ``hyponormality``
-    (commutator ``T* T - T T*``) take ``T T*`` and ``T* T`` from it, the
-    latter as ``_gram(T*)``;
+  - ``_window_products`` places ``T T*`` and ``T* T`` of a monomial T as
+    diagonals of ``|phase|^2`` in O(n), from one structure test of T, and
+    returns those weights; the window checks and ``hyponormality``
+    (commutator ``T* T - T T*``) take their products from it;
   - ``op_norm`` of a monomial operand is its largest ``|phase|``.
 
 * ``hermitian_eigh`` is the one eigensolver: the only caller of
@@ -247,19 +247,24 @@ def compress(x, basis) -> np.ndarray:
     return hermitize(phase.conj()[:, None] * x[rows[:, None], rows] * phase)
 
 
-def _gram(t: np.ndarray) -> np.ndarray:
-    """``t t*`` of a square ``t``; ``t* t`` is ``_gram(t*)``.
+def _window_products(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(t t*, t* t, weight)`` of a square ``t``, from one structure test.
 
-    For a monomial ``t`` it is the diagonal of ``|phase|^2``, placed in O(n)
-    without a product.
+    For a monomial ``t`` both products are diagonal and placed in O(n)
+    without a product: ``weight = |phase|^2`` is the diagonal of ``t t*``,
+    and ``t* t`` holds ``weight[i]`` at ``(index[i], index[i])``.  For any
+    other ``t`` the weight is None.
     """
     form = _monomial(t)
     if form is None:
-        return t @ t.conj().T
-    phase = form[1]
-    gram = np.zeros(t.shape, dtype=np.complex128)
-    np.fill_diagonal(gram, phase.real**2 + phase.imag**2)
-    return gram
+        return t @ t.conj().T, t.conj().T @ t, None
+    index, phase = form
+    weight = phase.real**2 + phase.imag**2
+    left = np.zeros(t.shape, dtype=np.complex128)
+    right = np.zeros(t.shape, dtype=np.complex128)
+    np.fill_diagonal(left, weight)
+    right[index, index] = weight
+    return left, right, weight
 
 
 def restrict(x: np.ndarray, margin: int | None) -> np.ndarray:

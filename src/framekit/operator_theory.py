@@ -31,10 +31,10 @@ from .errors import DimensionMismatch, NotSquare
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
-    _gram,
     _pow2_restored,
     _pow2_scaled,
     _reference_eigh,
+    _window_products,
     as_operator,
     compress,
     hermitian_eigh,
@@ -166,7 +166,8 @@ def hyponormality(
     # T is scaled by 2**-e (e = 0 for ordinary entries) so the products stay
     # finite; eigenvalues scale back by 4**e, the norm by 2**e.
     t, exponent = _pow2_scaled(t)
-    commutator = _gram(t.conj().T) - _gram(t)
+    tt_adjoint, t_adjoint_t, _ = _window_products(t)
+    commutator = t_adjoint_t - tt_adjoint
     vals = _reference_eigh(commutator, vectors=False)
     min_eig = float(vals[0]) if vals.size else 0.0
     norm = op_norm(t)
@@ -248,13 +249,21 @@ class DouglasReport:
 
 
 def douglas_check(t1, t2, tol: Tolerance = DEFAULT_TOL) -> DouglasReport:
-    """Test R(T1) subset R(T2) three equivalent ways and cross-check the verdicts."""
+    """Test R(T1) subset R(T2) three equivalent ways and cross-check the verdicts.
+
+    Entries beyond 2**200 scale T1 and T2 by one common power of two first.
+    The range test, ``lambda_min`` and the factor do not change under a
+    common scale; the residual is scaled back exactly.
+    """
     t1 = as_operator(t1)
     t2 = as_operator(t2)
     if t1.shape[0] != t2.shape[0]:
         raise DimensionMismatch(
             f"operators must share a codomain: {t1.shape[0]} vs {t2.shape[0]} rows"
         )
+    both, exponent = _pow2_scaled(np.concatenate([t1, t2], axis=1))
+    if exponent:
+        t1, t2 = np.split(both, [t1.shape[1]], axis=1)
     included = range_inclusion(t1, t2, tol)
     majorize = pencil_sup(hermitize(t1 @ t1.conj().T), t2 @ t2.conj().T, tol)
     lambda_min = math.sqrt(majorize.value) if math.isfinite(majorize.value) else math.inf
@@ -266,7 +275,7 @@ def douglas_check(t1, t2, tol: Tolerance = DEFAULT_TOL) -> DouglasReport:
         range_included=bool(included),
         lambda_min=float(lambda_min),
         factor=candidate if factor_ok else None,
-        factor_residual=float(residual),
+        factor_residual=_pow2_restored(float(residual), exponent, "factor residual"),
         consistent=bool(consistent),
     )
 

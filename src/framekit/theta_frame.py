@@ -24,7 +24,11 @@ beyond the float range raises OverflowError.
 
 A monomial window, such as any grid operation, has diagonal products Theta
 Theta* and Theta* Theta.  They are placed in O(n), and each pencil whitens S
-by a gather, so the only decomposition left is that of the whitened S.
+by a gather, so the only decomposition left is that of the whitened S.  When
+the window's phases also have unit modulus, C = D = I up to the rounding of
+``|phase|^2``, and with no margin the constants of a stamped lattice-closed
+system are the extreme eigenvalues of its ``_lattice_spectrum``: S is never
+formed.
 """
 
 from __future__ import annotations
@@ -41,13 +45,20 @@ from .errors import (
     NotThetaFrame,
     SingularU,
 )
-from .frame_core import FrameSystem, _scaled_frame_operator, frame_operator, optimal_bounds
+from .frame_core import (
+    FrameSystem,
+    _lattice_spectrum,
+    _LatticeSpectrum,
+    _scaled_frame_operator,
+    frame_operator,
+    optimal_bounds,
+)
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
-    _gram,
     _pow2_restored,
     _pow2_scaled,
+    _window_products,
     as_operator,
     hermitian_eigh,
     hermitize,
@@ -60,6 +71,7 @@ from .numerics import (
     svd,
 )
 from .operator_theory import (
+    PencilBound,
     hyponormality,
     pencil_inf,
     pencil_sup,
@@ -108,21 +120,47 @@ def check_theta_frame(
     coordinates first and the inequalities are scored there.
     """
     window = _scaled_window_products(_checked_window(theta, system.n))
-    return _theta_frame_report(_scaled_frame_operator(system), window, tol, margin)
+    spectrum = _lattice_frame(system, window, margin)
+    frame = _scaled_frame_operator(system) if spectrum is None else spectrum
+    return _theta_frame_report(frame, window, tol, margin)
 
 
-def _scaled_window_products(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(C, D, e)``: the window products of ``theta`` scaled by ``_pow2_scaled``."""
+# Squared phases within this much of 1 make a monomial window unit-modulus:
+# |phase|^2 = re^2 + im^2 of a computed exp(i t) errs by a few units in the
+# last place, and C = D = I then holds up to that rounding.
+_UNIT_SLACK = 4 * np.finfo(float).eps
+
+
+def _scaled_window_products(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """``(C, D, e, unit)``: the window products of ``theta`` scaled by ``_pow2_scaled``,
+    and whether ``theta`` is a unit-modulus monomial, judged from their one structure test."""
     theta, exponent = _pow2_scaled(theta)
-    return _gram(theta), _gram(theta.conj().T), exponent
+    c, d, weight = _window_products(theta)
+    unit = weight is not None and bool(np.all(np.abs(weight - 1.0) <= _UNIT_SLACK))
+    return c, d, exponent, unit
+
+
+def _lattice_frame(system: FrameSystem, window, margin: int | None) -> _LatticeSpectrum | None:
+    """The ``_lattice_spectrum`` of ``system`` when its report may read it: the system
+    is stamped, there is no margin and the window is a unit-modulus monomial; else None."""
+    return _lattice_spectrum(system) if margin is None and window[3] else None
 
 
 def _theta_frame_report(frame, window, tol: Tolerance, margin: int | None) -> ThetaFrameReport:
-    """:func:`check_theta_frame` given ``_scaled_frame_operator`` and ``_scaled_window_products``."""
-    (s, s_exp), (c, d, theta_exp) = frame, window
-    s = restrict(s, margin)
-    lower = pencil_inf(s, restrict(c, margin), tol)
-    upper = pencil_sup(s, restrict(d, margin), tol)
+    """:func:`check_theta_frame` given ``_scaled_window_products`` and either
+    ``_scaled_frame_operator`` or the spectrum ``_lattice_frame`` allows."""
+    c, d, theta_exp, _ = window
+    if isinstance(frame, _LatticeSpectrum):
+        # C = D = I: the pencils are the extreme eigenvalues of S.
+        s_exp = frame.exponent
+        (low, low_witness), (high, high_witness) = (frame.extreme(i) for i in (0, -1))
+        lower = PencilBound(value=low if low > 0.0 else 0.0, witness=low_witness)
+        upper = PencilBound(value=high, witness=high_witness)
+    else:
+        s, s_exp = frame
+        s = restrict(s, margin)
+        lower = pencil_inf(s, restrict(c, margin), tol)
+        upper = pencil_sup(s, restrict(d, margin), tol)
     alpha = _pow2_restored(lower.value, 2 * (s_exp - theta_exp))
     beta = _pow2_restored(upper.value, 2 * (s_exp - theta_exp))
     lower_ok = lower.degenerate or alpha > tol.psd_floor
@@ -161,7 +199,7 @@ def check_k_frame(
     k, k_exp = _pow2_scaled(_checked_window(k, system.n))
     s, s_exp = _scaled_frame_operator(system)
     s = restrict(s, margin)
-    lower = pencil_inf(s, restrict(_gram(k), margin), tol)
+    lower = pencil_inf(s, restrict(_window_products(k)[0], margin), tol)
     a_opt = _pow2_restored(lower.value, 2 * (s_exp - k_exp))
     vals, vecs = hermitian_eigh(s)
     b_opt = _pow2_restored(float(vals[-1]), 2 * s_exp) if vals.size else 0.0
@@ -210,7 +248,7 @@ def theta_tight_check(
 ) -> ThetaTightReport:
     theta = _checked_window(theta, system.n)
     s = frame_operator(system)
-    c, d = _gram(theta), _gram(theta.conj().T)
+    c, d, _ = _window_products(theta)
     n = system.n
     theta_is_identity = op_norm(theta - np.eye(n)) <= tol.verdict_rel * max(1.0, op_norm(theta))
 

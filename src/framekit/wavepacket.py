@@ -19,6 +19,12 @@ it (a spectral pencil of the two frame operators).  Both checks build what
 they score as ``generate_system`` does: ``partition_domination_check(base,
 combination, theta)`` combines ``base`` itself, and a finite sum gives each
 window the box ``replace(params, psi=psi_s)``, with the labels and ``dedupe``.
+
+``generate_system`` stamps a system as lattice-closed (see ``frame_core``)
+when its parameters say so: the translation steps ``round(b k q) mod n`` are
+invariant under +q and the frequencies ``c P mod n`` under +P, each counted
+with multiplicity, and dedupe dropped no atom.  The checks then read a
+stamped system's spectrum instead of decomposing its frame operator.
 """
 
 from __future__ import annotations
@@ -29,7 +35,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, PartitionNotDisjoint, PartitionNotExhaustive
-from .frame_core import FrameSystem, _scaled_frame_operator, analysis_matrix
+from .frame_core import (
+    FrameSystem,
+    _scaled_frame_operator,
+    _stamp_lattice,
+    analysis_matrix,
+)
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
@@ -39,6 +50,7 @@ from .numerics import (
     as_operator,
     as_real,
     range_inclusion,
+    rank_mask,
     restrict,
     spectral_scope,
 )
@@ -47,12 +59,19 @@ from .signal_space import Grid, Signal, _index_phase
 from .theta_frame import (
     ThetaFrameReport,
     _checked_window,
+    _lattice_frame,
     _scaled_window_products,
     _theta_frame_report,
     check_theta_frame,
 )
 
 _DEDUPE_ATOL = 1e-12
+
+# The most complex entries, atoms times grid size, a label box may generate:
+# a larger box is refused before anything is allocated.  It is 2**24 (256 MiB
+# of atoms), over 200 times the largest box the benchmark generates (384
+# atoms on 192 points).
+MAX_ATOM_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -64,7 +83,8 @@ class WavePacketParams:
     the inclusive multiplier interval, ``c_list`` the modulation frequencies.
     ``dedupe`` removes duplicate vectors after generation and collapses the
     translation multipliers to {0} when b = 0 (every k then yields the same
-    vector).
+    vector).  A box of more than ``MAX_ATOM_ENTRIES`` atom entries raises
+    ValueError.
     """
 
     grid: Grid
@@ -98,11 +118,18 @@ class WavePacketParams:
             raise ValueError(f"empty translation range {self.k_range}")
         if self.b < 0.0:
             raise ValueError(f"translation step must be >= 0, got {self.b}")
+        atoms = len(self.a_list) * self._k_count() * len(self.c_list)
+        if atoms * self.grid.n > MAX_ATOM_ENTRIES:
+            raise ValueError(
+                f"label box of {atoms} atoms on {self.grid.n} points exceeds "
+                f"{MAX_ATOM_ENTRIES} atom entries"
+            )
+
+    def _k_count(self) -> int:
+        return 1 if self.b == 0.0 and self.dedupe else self.k_range[1] - self.k_range[0] + 1
 
     def k_values(self) -> tuple[int, ...]:
-        if self.b == 0.0 and self.dedupe:
-            return (0,)
-        return tuple(range(self.k_range[0], self.k_range[1] + 1))
+        return tuple(range(self.k_range[0], self.k_range[0] + self._k_count()))
 
 
 def _labels(params: WavePacketParams) -> list[tuple[int, int, int]]:
@@ -175,13 +202,29 @@ def _dedupe_counts(vectors: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _lattice_closed(params: WavePacketParams) -> bool:
+    """Whether the steps ``round(b k q) mod n`` repeat under +q and the frequencies
+    ``round(c P) mod n`` under +P, each counted with multiplicity."""
+    q, P, n = params.grid.q, params.grid.P, params.grid.n
+    steps = np.bincount([round(params.b * k * q) % n for k in params.k_values()], minlength=n)
+    freqs = np.bincount([round(c * P) % n for c in params.c_list], minlength=n)
+    return np.array_equal(steps, np.roll(steps, q)) and np.array_equal(freqs, np.roll(freqs, P))
+
+
 def _system(params: WavePacketParams, vectors: np.ndarray) -> tuple[FrameSystem, int]:
     """Labelled system of the atoms in ``_labels`` order, deduplicated if asked,
-    and the most atoms dedupe folded into one of its vectors (1 if none)."""
+    and the most atoms dedupe folded into one of its vectors (1 if none).
+
+    The system is stamped lattice-closed when dedupe kept every atom and
+    ``_lattice_closed(params)``.
+    """
     counts = _dedupe_counts(vectors) if params.dedupe else np.ones(len(vectors), dtype=int)
     keep = counts > 0
     labels = tuple(lab for lab, kept in zip(_labels(params), keep) if kept)
-    return FrameSystem(vectors[keep], labels=labels), int(counts.max())
+    system = FrameSystem(vectors[keep], labels=labels)
+    if keep.all() and _lattice_closed(params):
+        _stamp_lattice(system, params.grid.q)
+    return system, int(counts.max())
 
 
 def generate_system(params: WavePacketParams) -> FrameSystem:
@@ -307,23 +350,60 @@ def _domination(combined: FrameSystem, bases, theta, tol: Tolerance, margin: int
     """``pencil_inf`` of ``combined`` over each base, the frame reports of ``combined``
     and of each base, and whether theta* is hyponormal, all on one ``margin``.
 
-    Each frame operator and the window products are formed once, and the
-    reports are those of ``check_theta_frame``.
+    The reports are those of ``check_theta_frame``.  Each frame operator and
+    the window products are formed once, and a frame operator only when a
+    dense pencil reads it: a report reads the spectrum of a stamped system
+    where ``_lattice_frame`` allows, and a constant over such a base is
+    scored in its Fourier modes, where it is diagonal.
     """
     theta = _checked_window(theta, combined.n)
     window = _scaled_window_products(theta)
-    frame, *base_frames = [_scaled_frame_operator(system) for system in (combined, *bases)]
-    s, s_exp = frame
+    systems = (combined, *bases)
+    spectra = [_lattice_frame(system, window, margin) for system in systems]
+    dense = [spectrum is None for spectrum in spectra]
+    dense[0] = any(dense)  # a constant over a dense base reads S of combined
+    operators = [
+        _scaled_frame_operator(system) if needed else None
+        for system, needed in zip(systems, dense)
+    ]
+    spectrum, *base_spectra = spectra
     constants = tuple(
-        _pow2_restored(
-            pencil_inf(restrict(s, margin), restrict(b, margin), tol).value, 2 * (s_exp - b_exp)
-        )
-        for b, b_exp in base_frames
+        _least_ratio(operators[0], spectrum, base, base_spectrum, tol, margin)
+        for base, base_spectrum in zip(operators[1:], base_spectra)
     )
-    combined_report = _theta_frame_report(frame, window, tol, margin)
-    base_reports = tuple(_theta_frame_report(f, window, tol, margin) for f in base_frames)
+    combined_report, *base_reports = (
+        _theta_frame_report(s if s is not None else op, window, tol, margin)
+        for s, op in zip(spectra, operators)
+    )
     adjoint_hypo = hyponormality(adjoint(theta), tol).global_verdict
-    return constants, combined_report, base_reports, adjoint_hypo
+    return constants, combined_report, tuple(base_reports), adjoint_hypo
+
+
+def _least_ratio(frame, spectrum, base, base_spectrum, tol: Tolerance, margin: int | None):
+    """Greatest lambda with ``lambda S_base <= S``, from the scaled frame operators
+    ``frame`` and ``base`` or, where given, the lattice spectra of either system.
+
+    Over a stamped base the pencil is diagonal in the base's Fourier modes:
+    against a stamped system too it is the least ratio of their eigenvalues
+    on the modes the base keeps, and otherwise the ``pencil_inf`` of S in
+    those modes against the diagonal of the base's eigenvalues.
+    """
+    if base_spectrum is None:
+        (s, s_exp), (b, b_exp) = frame, base
+        value = pencil_inf(restrict(s, margin), restrict(b, margin), tol).value
+    elif spectrum is None:
+        (s, s_exp), b_exp = frame, base_spectrum.exponent
+        weights = base_spectrum.values.reshape(-1)
+        value = pencil_inf(base_spectrum.in_modes(s), np.diag(weights), tol).value
+    else:
+        s_exp, b_exp = spectrum.exponent, base_spectrum.exponent
+        keep = rank_mask(base_spectrum.values, tol)
+        if not keep.any():
+            value = math.inf
+        else:
+            least = float(np.min(spectrum.values[keep] / base_spectrum.values[keep]))
+            value = least if least > 0.0 else 0.0
+    return _pow2_restored(value, 2 * (s_exp - b_exp))
 
 
 @dataclass(frozen=True)

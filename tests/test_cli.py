@@ -507,6 +507,35 @@ def test_gen_rejects_non_integral_labels(tmp_path, capsys, change):
     assert "must be an integer" in report["verdicts"]["error"]
 
 
+@pytest.mark.parametrize("verb", ["gen", "check-comb"])
+def test_an_oversized_label_box_exits_two_before_allocating(tmp_path, capsys, verb):
+    params = {**PARAMS_DOC, "k_range": [0, 10**12]}
+    doc = params if verb == "gen" else {"params": params, "theta": THETA_DOC, "cells": [[0]]}
+    path = _write(tmp_path, "doc.json", doc)
+    tracemalloc.start()
+    try:
+        code = main([verb, path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and peak < 10_000_000
+    assert captured.err.count("\n") == 1 and "exceeds" in captured.err
+    assert "exceeds" in json.loads(captured.out)["verdicts"]["error"]
+
+
+def test_douglas_on_huge_entries_gets_a_verdict(tmp_path, capsys):
+    big = _write(tmp_path, "big.json", {"rows": 2, "cols": 2, "re": [1e200, 0, 0, 1e200]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["douglas", big, big])
+    captured = capsys.readouterr()
+    verdicts = json.loads(captured.out, parse_constant=_reject_constant)["verdicts"]
+    assert code == 0 and captured.err == "" and caught == []
+    assert verdicts["lambda_min"] == 1.0 and verdicts["consistent"] is True
+    assert verdicts["range_included"] is True and verdicts["factor_residual"] == 0.0
+
+
 def test_gen_accepts_integral_floats(tmp_path, capsys):
     exact = {**PARAMS_DOC, "a_list": [3], "k_range": [0, 7]}
     floats = {**PARAMS_DOC, "a_list": [3.0], "k_range": [0, 7.0]}

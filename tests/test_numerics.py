@@ -528,10 +528,15 @@ def _partition_case():
     return base, operator_of(grid, "modulate", 1.0), pc
 
 
+def _unstamped(system):
+    """The same vectors and labels without the lattice stamp: the dense path."""
+    return FrameSystem(system.vectors, system.labels)
+
+
 def test_partition_domination_check_decomposes_each_operand_once(monkeypatch):
     base, theta, pc = _partition_case()
     log = _lapack_log(monkeypatch)
-    partition_domination_check(base, pc, theta)
+    partition_domination_check(_unstamped(base), pc, theta)
     # S_base, S_phi whitened by S_base, and S_phi.  The window products of
     # the modulation are read off as diagonals, with no LAPACK call, and are
     # both I here, so each windowed pencil whitens S_phi or S_base by I, and
@@ -541,16 +546,38 @@ def test_partition_domination_check_decomposes_each_operand_once(monkeypatch):
     assert len(log) == len(set(log)) == 3
 
 
+def test_partition_domination_check_on_a_stamped_base_decomposes_two_operands(monkeypatch):
+    base, theta, pc = _partition_case()
+    assert base._lattice == 4 and len(base) == 64
+    log = _lapack_log(monkeypatch)
+    partition_domination_check(base, pc, theta)
+    # S_phi whitened by S_base, and S_phi.  S_base is split by its lattice
+    # spectrum, which also gives the base report under the unit window.
+    assert len(log) == len(set(log)) == 2
+
+
 def test_check_theta_frame_with_a_unitary_window_makes_no_values_only_decomposition(monkeypatch):
     base, theta, _ = _partition_case()
     log = _lapack_log(monkeypatch)
-    check_theta_frame(base, theta)
+    check_theta_frame(_unstamped(base), theta)
     assert log and {solver for solver, _ in log} == {"eigh"}
+
+
+@pytest.mark.parametrize("kind, value", [("modulate", 1.0), ("translate", 0.5), ("dilate", 3)])
+def test_check_theta_frame_on_a_stamped_system_with_a_unit_window_decomposes_nothing(
+    monkeypatch, kind, value
+):
+    base, _, _ = _partition_case()
+    log = _lapack_log(monkeypatch)
+    report = check_theta_frame(base, operator_of(Grid(4, 4), kind, value))
+    assert log == []
+    assert report.passes() and report.kernel_obstruction is None
 
 
 @pytest.mark.parametrize("window", ["named", "singular"])
 def test_check_theta_frame_matches_unscoped_pencils(window):
     base, theta, _ = _partition_case()
+    base = _unstamped(base)
     if window == "singular":
         theta = theta @ np.diag([1.0] * 15 + [0.0])
     report = check_theta_frame(base, theta)

@@ -41,6 +41,7 @@ from framekit.theta_frame import ThetaFrameReport, check_theta_frame
 from framekit.wavepacket import (
     FiniteSumSpec,
     PartitionCombination,
+    MAX_ATOM_ENTRIES,
     WavePacketParams,
     _DEDUPE_ATOL,
     _dedupe_counts,
@@ -173,6 +174,18 @@ def test_params_validation():
             k_range=(3, 0),
             c_list=(0.0,),
         )
+
+
+def test_params_refuse_a_label_box_beyond_the_atom_limit():
+    box = dict(grid=GRID, psi=indicator(GRID, 0.0, 1.0), a_list=(1, 3), c_list=(0.0, 1.0))
+    with pytest.raises(ValueError, match="exceeds"):
+        WavePacketParams(**box, b=1.0, k_range=(0, 10**12))
+    limit = MAX_ATOM_ENTRIES // (2 * 2 * GRID.n)
+    assert WavePacketParams(**box, b=1.0, k_range=(1, limit)).k_values()[-1] == limit
+    with pytest.raises(ValueError, match="exceeds"):
+        WavePacketParams(**box, b=1.0, k_range=(0, limit))
+    # b = 0 with dedupe collapses the multipliers to k = 0 before counting
+    assert WavePacketParams(**box, b=0.0, k_range=(0, 10**12)).k_values() == (0,)
 
 
 @pytest.mark.parametrize(
