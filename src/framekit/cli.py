@@ -3,8 +3,9 @@
 Every verb reads JSON, writes exactly one JSON report to stdout, and keeps
 diagnostics on stderr.  Exit codes: 0 all checks passed, 1 an assertion-style
 verification failed, 2 malformed or invalid input, or a stdout closed before
-the report was written.  Randomized verbs take their default seed from the
-FRAMEKIT_SEED environment variable.
+the report was written.  Only ``prop-run`` is seeded: ``--seed`` belongs to
+it alone and defaults to the FRAMEKIT_SEED environment variable, which also
+fills the ``seed`` key of every report.
 
 The report on stdout and the ``gen --out`` file are the text of
 ``json.dump(obj, indent=2, sort_keys=True)``, byte for byte, written as a
@@ -281,8 +282,7 @@ def _cmd_pinv(args, tol):
     theta_doc = _load_json(args.theta)
     system = system_from_json(sys_doc)
     theta = _operator_from_any(theta_doc)
-    rng = np.random.default_rng(args.seed)
-    rep = pseudoinverse_bound_chain(system, theta, tol, rng=rng)
+    rep = pseudoinverse_bound_chain(system, theta, tol)
     code = 0 if rep.chain_ok else 1
     if code:
         print("bound chain failed; see report for margins", file=sys.stderr)
@@ -355,12 +355,6 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     common.add_argument(
         "--tol-verdict", type=float, default=DEFAULT_TOL.verdict_rel, help="relative verdict slack"
     )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=default_seed,
-        help="seed for randomized work (default: FRAMEKIT_SEED or 0)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="framekit",
@@ -415,6 +409,12 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     p = sub.add_parser("prop-run", parents=[common], help="randomized invariant suite")
     p.add_argument("suite")
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=default_seed,
+        help="seed for randomized work (default: FRAMEKIT_SEED or 0)",
+    )
     p.set_defaults(handler=_cmd_prop_run)
 
     return parser

@@ -63,7 +63,6 @@ from .numerics import (
     hermitian_eigh,
     hermitize,
     op_norm,
-    pinv,
     psd_split,
     rank_mask,
     restrict,
@@ -238,7 +237,6 @@ class ThetaTightReport:
     alpha0: float
     lower_spread: float
     upper_opt: float
-    theta_is_identity: bool
     degenerate: bool = False
 
 
@@ -249,8 +247,6 @@ def theta_tight_check(
     theta = _checked_window(theta, system.n)
     s = frame_operator(system)
     c, d, _ = _window_products(theta)
-    n = system.n
-    theta_is_identity = op_norm(theta - np.eye(n)) <= tol.verdict_rel * max(1.0, op_norm(theta))
 
     basis_r, vals_r, _ = psd_split(c, tol)
     if basis_r.shape[1] == 0:
@@ -259,7 +255,6 @@ def theta_tight_check(
             alpha0=0.0,
             lower_spread=math.inf,
             upper_opt=pencil_sup(s, d, tol).value,
-            theta_is_identity=bool(theta_is_identity),
             degenerate=True,
         )
     spectrum = hermitian_eigh(s, vectors=False, basis=basis_r / np.sqrt(vals_r))
@@ -275,7 +270,6 @@ def theta_tight_check(
         alpha0=float(alpha0),
         lower_spread=float(spread),
         upper_opt=upper.value,
-        theta_is_identity=bool(theta_is_identity),
     )
 
 
@@ -374,7 +368,7 @@ def transform_frame_check(
 ) -> tuple[FrameSystem, TransformReport]:
     theta = _checked_window(theta, system.n)
     u = _checked_window(u, system.n)
-    _, singulars, _ = svd(u)
+    singulars = svd(u, vectors=False)
     if singulars.size == 0 or not rank_mask(singulars, tol).all():
         raise SingularU("transform operator is numerically singular")
     u_norm = float(singulars[0])
@@ -417,9 +411,13 @@ class PinvChainReport:
 
     For a verified window frame and f in range(Theta):
     ``<Sf, f> >= alpha_opt ||pinv(Theta)||^-2 ||f||^2`` (the projector
-    Theta pinv(Theta) fixes such f), and S compressed to that range is
-    invertible.  ``lower_margin_min`` is the worst sampled slack of the
-    lower inequality, nonnegative up to tolerance.
+    Theta pinv(Theta) fixes such f), ``<Sf, f> <= beta_opt ||Theta f||^2``,
+    and S compressed to that range is invertible.  ``lower_margin_min`` and
+    ``upper_margin_min`` are the exact least slacks of the two inequalities
+    over unit f in range(Theta), read as least eigenvalues of compressions
+    onto that range (Courant-Fischer); both are nonnegative up to tolerance.
+    ``projector_residual`` is ``||Theta pinv(Theta) B - B||`` for an
+    orthonormal basis B of the range.
     """
 
     projector_residual: float
@@ -427,73 +425,59 @@ class PinvChainReport:
     upper_margin_min: float
     restricted_min_eig: float
     restricted_invertible: bool
-    samples: int
     chain_ok: bool
     degenerate: bool = False
 
 
 def pseudoinverse_bound_chain(
-    system: FrameSystem,
-    theta,
-    tol: Tolerance = DEFAULT_TOL,
-    samples: int = 100,
-    rng: np.random.Generator | None = None,
+    system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL
 ) -> PinvChainReport:
     theta = _checked_window(theta, system.n)
     report = check_theta_frame(system, theta, tol)
     if not report.passes():
         raise NotThetaFrame("bound chain requires a verified window frame")
-    left, singulars, _ = svd(theta)
-    basis = left[:, rank_mask(singulars, tol)]
-    rank = basis.shape[1]
-    if rank == 0:
+    left, singulars, right = svd(theta)
+    keep = rank_mask(singulars, tol)
+    basis = left[:, keep]
+    if basis.shape[1] == 0:
         return PinvChainReport(
             projector_residual=0.0,
             lower_margin_min=0.0,
             upper_margin_min=0.0,
             restricted_min_eig=math.inf,
             restricted_invertible=True,
-            samples=0,
             chain_ok=True,
             degenerate=True,
         )
-    dagger = pinv(theta, tol)
-    dagger_norm = op_norm(dagger)
-    projector_residual = op_norm(theta @ dagger @ basis - basis)
+    # pinv(Theta) = V_k diag(1/s_k) U_k*, so Theta pinv(Theta) B = Theta V_k / s_k
+    # and ||pinv(Theta)||^-2 is the least kept singular value squared.
+    kept = singulars[keep]
+    projector_residual = op_norm(theta @ (right[:, keep] / kept) - basis)
     s = frame_operator(system)
     rvals = hermitian_eigh(s, vectors=False, basis=basis)
-    restricted_min = float(rvals[0])
-    restricted_ok = restricted_min > tol.psd_floor * max(1.0, float(rvals[-1]))
+    restricted_min, top = float(rvals[0]), max(1.0, float(rvals[-1]))
+    restricted_ok = restricted_min > tol.psd_floor * top
 
-    if rng is None:
-        rng = np.random.default_rng(0)
-    alpha = report.alpha_opt
-    floor_const = (0.0 if math.isinf(alpha) else alpha) / dagger_norm**2
-    lower_min = math.inf
-    upper_min = math.inf
-    d = hermitize(theta.conj().T @ theta)
-    beta = report.beta_opt
-    for _ in range(samples):
-        coeffs = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
-        f = basis @ coeffs
-        nf2 = float(np.vdot(f, f).real)
-        quad = float(np.vdot(f, s @ f).real)
-        lower_min = min(lower_min, quad - floor_const * nf2)
-        upper_min = min(upper_min, beta * float(np.vdot(f, d @ f).real) - quad)
-    slack = tol.verdict_rel * max(1.0, op_norm(s))
+    alpha, beta = report.alpha_opt, report.beta_opt
+    lower_min = restricted_min - (0.0 if math.isinf(alpha) else alpha) * float(kept[-1]) ** 2
+    d = _window_products(theta)[1]
+    upper_min = float(hermitian_eigh(beta * d - s, vectors=False, basis=basis)[0])
+    # Each slack scales with the operand its minimum is read from: B* S B for
+    # the lower one, beta B* D B (norm beta s_1^2) for the upper one, whose
+    # exact minimum is 0 since beta is optimal.
+    upper_top = max(1.0, beta * float(kept[0]) ** 2)
     chain_ok = bool(
         projector_residual <= tol.verdict_rel
-        and lower_min >= -slack
-        and upper_min >= -slack
+        and lower_min >= -tol.verdict_rel * top
+        and upper_min >= -tol.verdict_rel * upper_top
         and restricted_ok
     )
     return PinvChainReport(
-        projector_residual=float(projector_residual),
-        lower_margin_min=float(lower_min),
-        upper_margin_min=float(upper_min),
+        projector_residual=projector_residual,
+        lower_margin_min=lower_min,
+        upper_margin_min=upper_min,
         restricted_min_eig=restricted_min,
         restricted_invertible=bool(restricted_ok),
-        samples=samples,
         chain_ok=chain_ok,
     )
 

@@ -385,15 +385,20 @@ def test_check_comb_refuses_windows_on_another_grid(tmp_path, capsys, grid):
     assert report["verdicts"]["error"] == "window signal lives on a different grid"
 
 
-def test_pinv_verb(tmp_path, capsys):
+def test_pinv_verb(tmp_path, capsys, monkeypatch):
     params = _write(tmp_path, "params.json", PARAMS_DOC)
     out_path = str(tmp_path / "system.json")
     _run(capsys, ["gen", params, "--out", out_path])
     theta = _write(tmp_path, "theta.json", THETA_DOC)
-    code, report = _run(capsys, ["pinv", out_path, theta, "--seed", "5"])
-    assert code == 0
-    assert report["verdicts"]["chain_ok"] is True
-    assert report["seed"] == 5
+    verdicts = []
+    for seed in ("0", "7"):
+        monkeypatch.setenv("FRAMEKIT_SEED", seed)
+        code, report = _run(capsys, ["pinv", out_path, theta])
+        assert code == 0
+        assert report["verdicts"]["chain_ok"] is True
+        verdicts.append(report["verdicts"])
+    # The margins are exact minima over range(Theta), not sampled ones.
+    assert verdicts[0] == verdicts[1]
 
 
 # ---------------------------------------------------------------------------
@@ -870,20 +875,22 @@ def test_closed_stdout_exits_two_without_a_traceback():
     assert proc.stderr.strip().count("\n") == 0
 
 
+_VERB_ARGV = [
+    ["gen", "p.json"],
+    ["check-frame", "s.json"],
+    ["check-theta", "s.json", "t.json"],
+    ["check-k", "s.json", "k.json"],
+    ["check-hypo", "o.json"],
+    ["douglas", "a.json", "b.json"],
+    ["pinv", "s.json", "t.json"],
+    ["check-comb", "spec.json"],
+    ["verify-example", "3.2"],
+    ["prop-run", "gram-psd"],
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["check-frame", "s.json"],
-        ["check-theta", "s.json", "t.json"],
-        ["check-k", "s.json", "k.json"],
-        ["check-hypo", "o.json"],
-        ["douglas", "a.json", "b.json"],
-        ["pinv", "s.json", "t.json"],
-        ["check-comb", "spec.json"],
-        ["verify-example", "3.2"],
-        ["prop-run", "gram-psd"],
-    ],
-    ids=lambda argv: argv[0],
+    "argv", [argv for argv in _VERB_ARGV if argv[0] != "gen"], ids=lambda argv: argv[0]
 )
 def test_out_is_refused_by_every_verb_but_gen(tmp_path, capsys, argv):
     out_path = tmp_path / "out.json"
@@ -892,6 +899,16 @@ def test_out_is_refused_by_every_verb_but_gen(tmp_path, capsys, argv):
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --out" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv in _VERB_ARGV if argv[0] != "prop-run"], ids=lambda argv: argv[0]
+)
+def test_seed_is_refused_by_every_verb_but_prop_run(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--seed", "5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

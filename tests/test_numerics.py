@@ -331,7 +331,7 @@ def test_rank_cut_is_shared_across_splits_pinv_and_the_bound_chain():
     # A system spanning the top two directions leaves the restricted frame
     # operator singular iff the chain keeps the third direction, and the
     # projector residual stays small only if it drops the fourth as pinv does.
-    report = pseudoinverse_bound_chain(FrameSystem(u[:, :2].T), y, samples=4)
+    report = pseudoinverse_bound_chain(FrameSystem(u[:, :2].T), y)
     assert report.projector_residual <= 1e-3
     assert abs(report.restricted_min_eig) <= 1e-8
 

@@ -192,7 +192,6 @@ def test_tightness_with_identity_window_on_parseval():
     rep = theta_tight_check(system, np.eye(4))
     assert rep.is_tight
     assert rep.alpha0 == pytest.approx(1.0, abs=1e-10)
-    assert rep.theta_is_identity
 
 
 def test_tightness_scaled_identity_window():
@@ -202,7 +201,6 @@ def test_tightness_scaled_identity_window():
     rep = theta_tight_check(system, 2.0 * np.eye(5))
     assert rep.is_tight
     assert rep.alpha0 == pytest.approx(0.25, abs=1e-12)
-    assert not rep.theta_is_identity
     assert rep.lower_spread <= 1e-10
 
 
@@ -334,11 +332,10 @@ def test_transform_detects_noncommuting_pair():
 def test_pinv_chain_identity_window():
     rng = np.random.default_rng(3131)
     system = _random_system(rng, 10, 5)
-    rep = pseudoinverse_bound_chain(system, np.eye(5), rng=np.random.default_rng(1))
+    rep = pseudoinverse_bound_chain(system, np.eye(5))
     assert rep.chain_ok
     assert rep.projector_residual <= 1e-12
     assert rep.restricted_invertible
-    assert rep.samples == 100
 
 
 def test_pinv_chain_projection_window():
@@ -348,7 +345,7 @@ def test_pinv_chain_projection_window():
     )
     system = FrameSystem(vectors)
     theta = np.diag([1.0, 1.0, 0.0])
-    rep = pseudoinverse_bound_chain(system, theta, rng=np.random.default_rng(2))
+    rep = pseudoinverse_bound_chain(system, theta)
     assert rep.chain_ok
     assert rep.restricted_invertible
     assert not rep.degenerate
@@ -365,6 +362,88 @@ def test_pinv_chain_zero_window_is_vacuous():
     rep = pseudoinverse_bound_chain(system, np.zeros((3, 3)))
     assert rep.degenerate
     assert rep.chain_ok
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+def _chain_case(seed, rank):
+    """A window ``B M B*`` of the given rank, with B orthonormal and M invertible, and a
+    system on its range: ker(Theta) = ker(Theta*), so both constants are finite and positive."""
+    rng = np.random.default_rng(seed)
+    n = 6
+    basis = _unitary(rng, n)[:, :rank]
+    inner = rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank))
+    theta = basis @ inner @ basis.conj().T
+    g = rng.normal(size=(2 * n, n)) + 1j * rng.normal(size=(2 * n, n))
+    return FrameSystem(g @ theta.conj()), theta
+
+
+@pytest.mark.parametrize("seed, rank", [(1, 6), (2, 6), (3, 4), (4, 2)])
+def test_pinv_chain_margins_are_the_least_eigenvalues_of_the_compressions(seed, rank):
+    system, theta = _chain_case(seed, rank)
+    frame = check_theta_frame(system, theta)
+    rep = pseudoinverse_bound_chain(system, theta)
+    assert rep.chain_ok and not rep.degenerate
+    u, sing, _ = np.linalg.svd(theta)
+    keep = sing > DEFAULT_TOL.rank_rel * sing[0]
+    assert np.count_nonzero(keep) == rank
+    basis, s_k = u[:, keep], sing[keep][-1]
+    s = frame_operator(system)
+    d = theta.conj().T @ theta
+    lower_op = basis.conj().T @ s @ basis
+    upper_op = basis.conj().T @ (frame.beta_opt * d - s) @ basis
+    lower = np.linalg.eigvalsh(lower_op)[0] - frame.alpha_opt * s_k**2
+    upper = np.linalg.eigvalsh(upper_op)[0]
+    lower_scale = max(1.0, np.linalg.norm(lower_op, 2))
+    upper_scale = max(1.0, np.linalg.norm(upper_op, 2))
+    assert abs(rep.lower_margin_min - lower) <= 1e-10 * lower_scale
+    assert abs(rep.upper_margin_min - upper) <= 1e-10 * upper_scale
+    # No unit vector of range(Theta) reads below either minimum.
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(rank, 200)) + 1j * rng.normal(size=(rank, 200))
+    f = basis @ (coeffs / np.linalg.norm(coeffs, axis=0))
+    quad = np.einsum("ij,ij->j", f.conj(), s @ f).real
+    lower_forms = quad - frame.alpha_opt * s_k**2
+    upper_forms = frame.beta_opt * np.einsum("ij,ij->j", f.conj(), d @ f).real - quad
+    assert lower_forms.min() >= rep.lower_margin_min - 1e-10 * lower_scale
+    assert upper_forms.min() >= rep.upper_margin_min - 1e-10 * upper_scale
+
+
+def test_pinv_chain_passes_an_ill_conditioned_verified_frame():
+    # Singular values down to 10**-4.5: the upper minimum is 0 up to round-off
+    # of order eps * beta * ||D||, about 4e-7 below zero here, beyond a slack
+    # taken relative to ||S|| (7e-8) but inside one relative to beta s_1^2.
+    rng = np.random.default_rng([8, 45, 14])
+    n = 8
+    theta = _unitary(rng, n) @ np.diag(np.logspace(0, -4.5, n)) @ _unitary(rng, n).conj().T
+    vectors = (rng.normal(size=(2 * n, n)) + 1j * rng.normal(size=(2 * n, n))) / np.sqrt(n)
+    system = FrameSystem(vectors)
+    assert check_theta_frame(system, theta).passes()
+    rep = pseudoinverse_bound_chain(system, theta)
+    assert rep.chain_ok
+    assert rep.upper_margin_min < -DEFAULT_TOL.verdict_rel * op_norm(frame_operator(system))
+
+
+def test_bound_chain_makes_two_svds_and_tightness_none(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(16)
+    theta = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    system = _random_system(rng, 32, 16)
+    assert pseudoinverse_bound_chain(system, theta).chain_ok
+    assert len(calls) == 2
+    calls.clear()
+    theta_tight_check(system, theta)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
