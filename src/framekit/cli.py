@@ -169,7 +169,11 @@ def _grid(doc) -> Grid:
 def _operator_from_any(doc) -> np.ndarray:
     """Accept a raw matrix document or a named grid operator description."""
     if isinstance(doc, dict) and "kind" in doc:
-        return operator_of(_grid(doc), doc["kind"], doc["value"])
+        try:
+            grid, value = _grid(doc), doc["value"]
+        except KeyError as exc:
+            raise ValueError(f"named operator JSON missing field: {exc}") from None
+        return operator_of(grid, doc["kind"], value)
     return operator_from_json(doc)
 
 
@@ -206,7 +210,7 @@ def _cmd_gen(args, tol):
             "warning: translation step 0 collapses the multiplier range to k = 0",
             file=sys.stderr,
         )
-    if float(np.linalg.norm(params.psi.values)) <= 1e-14:
+    if not np.any(params.psi.values):
         print("warning: degenerate window (zero signal)", file=sys.stderr)
     system = generate_system(params)
     payload = system_to_json(system)

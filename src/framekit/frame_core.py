@@ -20,12 +20,13 @@ from .numerics import (
     Tolerance,
     _pow2_restored,
     _pow2_scaled,
+    _reference_eigh,
     as_integer,
     as_vector,
     complex_from_json,
     complex_to_json,
-    hermitian_eigh,
     hermitize,
+    restrict,
 )
 
 
@@ -34,7 +35,8 @@ class FrameSystem:
     """Ordered vector family; ``vectors[k]`` is the k-th frame vector.
 
     ``labels`` optionally carries one integer triple per vector (lexicographic
-    for generated wave-packet systems) and is preserved through serialization.
+    for generated wave-packet systems) and is preserved through serialization;
+    a label of any other length raises DimensionMismatch.
     ``_lattice`` is the q of a lattice-closed system as ``wavepacket`` stamps
     it, and None for every other system.
     """
@@ -53,6 +55,8 @@ class FrameSystem:
         object.__setattr__(self, "vectors", v)
         if self.labels is not None:
             labels = tuple(tuple(as_integer(x, "label") for x in lab) for lab in self.labels)
+            if any(len(lab) != 3 for lab in labels):
+                raise DimensionMismatch("every label must be an integer triple")
             if len(labels) != v.shape[0]:
                 raise DimensionMismatch(
                     f"{len(labels)} labels for {v.shape[0]} vectors"
@@ -125,6 +129,25 @@ def _scaled_frame_operator(system: FrameSystem) -> tuple[np.ndarray, int]:
 
 
 @dataclass(frozen=True, eq=False)
+class _DenseSpectrum:
+    """Spectrum of a formed frame operator scaled by ``4**-exponent``, from one
+    ``_reference_eigh``: ``values`` ascending, ``vectors`` their eigenvectors."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    exponent: int
+
+    @classmethod
+    def of(cls, frame: tuple[np.ndarray, int], margin: int | None) -> _DenseSpectrum:
+        """The spectrum of ``frame``, a ``_scaled_frame_operator``, restricted by ``margin``."""
+        return cls(*_reference_eigh(restrict(frame[0], margin)), frame[1])
+
+    def extreme(self, position: int) -> tuple[float, np.ndarray]:
+        """The ``position``-th eigenvalue (0 or -1), and a copy of its eigenvector."""
+        return float(self.values[position]), self.vectors[:, position].copy()
+
+
+@dataclass(frozen=True, eq=False)
 class _LatticeSpectrum:
     """Spectrum of a stamped system's frame operator, scaled by ``4**-exponent``.
 
@@ -172,6 +195,13 @@ def _lattice_spectrum(system: FrameSystem) -> _LatticeSpectrum | None:
     return _LatticeSpectrum(values, np.lexsort((m, r, values.reshape(-1))), exponent)
 
 
+def _frame_spectrum(system: FrameSystem, margin: int | None = None):
+    """The ``_lattice_spectrum`` of a stamped system with no margin, else the
+    ``_DenseSpectrum`` of its frame operator restricted by ``margin``."""
+    spectrum = _lattice_spectrum(system) if margin is None else None
+    return spectrum or _DenseSpectrum.of(_scaled_frame_operator(system), margin)
+
+
 def optimal_bounds(system: FrameSystem, tol: Tolerance = DEFAULT_TOL) -> FrameBounds:
     """Extreme eigenvalues of the frame operator, with eigenvector witnesses.
 
@@ -181,18 +211,10 @@ def optimal_bounds(system: FrameSystem, tol: Tolerance = DEFAULT_TOL) -> FrameBo
     Vectors with huge entries are scaled by a power of two first, and a bound
     beyond the float range raises OverflowError.
     """
-    spectrum = _lattice_spectrum(system)
-    if spectrum is None:
-        s, exponent = _scaled_frame_operator(system)
-        vals, vecs = hermitian_eigh(s)
-        (low, lower_witness), (high, upper_witness) = (
-            (float(vals[i]), vecs[:, i].copy()) for i in (0, -1)
-        )
-    else:
-        exponent = spectrum.exponent
-        (low, lower_witness), (high, upper_witness) = (spectrum.extreme(i) for i in (0, -1))
-    lower = _pow2_restored(low, 2 * exponent)
-    upper = _pow2_restored(high, 2 * exponent)
+    spectrum = _frame_spectrum(system)
+    (low, lower_witness), (high, upper_witness) = (spectrum.extreme(i) for i in (0, -1))
+    lower = _pow2_restored(low, 2 * spectrum.exponent)
+    upper = _pow2_restored(high, 2 * spectrum.exponent)
     tight = (upper - lower) <= tol.verdict_rel * upper
     return FrameBounds(
         lower=lower,

@@ -18,11 +18,11 @@ The spectral step every criterion shares lives here, once:
 
   - ``_reference_eigh`` reads an exactly diagonal operand's spectrum off the
     diagonal (stable ascending order, coordinate vectors as eigenvectors),
-    with no LAPACK call and no memo entry.  It serves the operands that are
-    diagonal by construction for a monomial window: the reference operator
-    ``psd_split`` splits and the hyponormality commutator.  Any other
-    operand, a whitened pencil or a frame operator among them, goes to
-    ``hermitian_eigh`` and pays no structure test;
+    with no LAPACK call.  It serves the operands that are diagonal by
+    construction for a monomial window, the reference operator ``psd_split``
+    splits and the hyponormality commutator, and the frame operator a check
+    decomposes once (it pays one ``count_nonzero``).  A whitened pencil goes
+    to ``hermitian_eigh`` and pays no structure test;
   - ``compress`` onto a basis with one nonzero per column is a gather;
   - ``_window_products`` places ``T T*`` and ``T* T`` of a monomial T as
     diagonals of ``|phase|^2`` in O(n), from one structure test of T, and
@@ -33,23 +33,16 @@ The spectral step every criterion shares lives here, once:
 * ``hermitian_eigh`` is the one eigensolver: the only caller of
   ``np.linalg.eigh`` / ``eigvalsh`` in the package.  It hermitizes its operand
   once, refuses non-finite entries and maps LAPACK failures to
-  ``NoConvergence``.  ``herm_eig`` adds a Hermiticity verdict in front of it,
-  for operands that are not Hermitian by construction.
+  ``NoConvergence``, and keeps no state between calls.  ``herm_eig`` adds a
+  Hermiticity verdict in front of it, for operands that are not Hermitian by
+  construction.
 * ``svd`` is the one singular-value decomposition: the only caller of
   ``np.linalg.svd``, mapping LAPACK failures to ``NoConvergence``.
   ``op_norm`` of any non-monomial operand reads its top singular value
   (``vectors=False``), so the spectral norm takes no other route to LAPACK.
-* ``spectral_scope`` decorates the public checks.  While the outermost one
-  runs, ``hermitian_eigh`` remembers each result under the shape, the
-  ``vectors`` flag and the sha256 of the bytes of the operand it hands to
-  LAPACK, so a check decomposes each operand once.  The memo lives in a
-  ``ContextVar`` (threads never share it), nested checks share the outermost
-  one, and it is emptied when that check returns or raises.  Remembered
-  arrays are read-only, an eigenvalues-only result never serves a full
-  decomposition nor the reverse, and a LAPACK failure is not remembered.
-  Outside a check every call reaches LAPACK.
 * ``rank_mask`` is the one rank cut; ``psd_split``, ``pinv`` and
-  ``numerical_rank`` and every caller that truncates a spectrum use it.
+  ``numerical_rank`` and every caller that truncates a spectrum use it, and
+  ``_split`` splits a spectrum already at hand as ``psd_split`` would.
 * ``compress`` is the one compression ``basis* X basis`` onto orthonormal
   columns (whitened ranges and kernels), and ``restrict`` the one margin
   restriction: a window check with ``margin=m`` scores its operators on the
@@ -78,10 +71,7 @@ Conventions:
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,42 +300,6 @@ def _pow2_restored(value: float, exponent: int, what: str = "optimal constant") 
         raise OverflowError(f"{what} {value!r} * 2**{exponent} is non-finite in float64") from None
 
 
-# Spectra of the running check, keyed by the exact operand handed to LAPACK;
-# None outside a check.
-_SPECTRA: ContextVar[dict | None] = ContextVar("framekit_spectra", default=None)
-
-
-def spectral_scope(check):
-    """Decorate a check so each operand it decomposes reaches LAPACK once.
-
-    While the outermost decorated call runs, ``hermitian_eigh`` remembers its
-    results; nested decorated calls share that memo, and it is emptied when
-    the outermost call returns or raises.
-    """
-
-    @functools.wraps(check)
-    def scoped(*args, **kwargs):
-        if _SPECTRA.get() is not None:
-            return check(*args, **kwargs)
-        memo: dict = {}
-        token = _SPECTRA.set(memo)
-        try:
-            return check(*args, **kwargs)
-        finally:
-            _SPECTRA.reset(token)
-            memo.clear()
-
-    return scoped
-
-
-def _lapack_eigh(h: np.ndarray, vectors: bool):
-    try:
-        # Looked up on np.linalg at each call, so a wrapper installed there sees it.
-        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-
-
 def hermitian_eigh(h, vectors: bool = True, basis=None):
     """Eigenvalues (ascending) and eigenvectors of the Hermitian part of ``h``.
 
@@ -354,36 +308,28 @@ def hermitian_eigh(h, vectors: bool = True, basis=None):
     ``vectors`` False only the eigenvalues are computed and returned.
     Raises NoConvergence for an operand with a non-finite entry and when the
     LAPACK iteration fails.
-
-    Inside a :func:`spectral_scope` the result is remembered under the
-    operand's shape, ``vectors`` and the sha256 of its bytes, and returned
-    read-only; a repeated operand is then not decomposed again.
     """
     # Non-finite entries and overflowed products are refused below, silently.
     with np.errstate(invalid="ignore", over="ignore"):
         h = hermitize(h) if basis is None else compress(h, basis)
     if not np.isfinite(h).all():
         raise NoConvergence("eigenvalue problem has a non-finite entry")
-    memo = _SPECTRA.get()
-    if memo is None:
-        return _lapack_eigh(h, vectors)
-    key = (h.shape, vectors, hashlib.sha256(np.ascontiguousarray(h)).digest())
-    if key not in memo:
-        result = _lapack_eigh(h, vectors)
-        for array in result if vectors else (result,):
-            array.setflags(write=False)
-        memo[key] = result
-    return memo[key]
+    try:
+        # Looked up on np.linalg at each call, so a wrapper installed there sees it.
+        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
 
 
 def _reference_eigh(h, vectors: bool = True):
     """:func:`hermitian_eigh`, read off the diagonal when ``h`` is exactly diagonal.
 
-    For operands diagonal by construction when the window is monomial: a
-    pencil's reference operator and the hyponormality commutator.  The
+    For a pencil's reference operator and the hyponormality commutator,
+    diagonal by construction when the window is monomial, and for a frame
+    operator a check decomposes once to read several things from.  The
     eigenvalues are the diagonal's real parts, the Hermitian part's diagonal,
     in stable ascending order, and the eigenvectors the coordinate vectors in
-    the same order; no LAPACK call and no memo entry.  A non-finite or
+    the same order; no LAPACK call.  A non-finite or
     non-diagonal operand goes to :func:`hermitian_eigh`, which refuses or
     decomposes it.
     """
@@ -436,7 +382,11 @@ def psd_split(y, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, 
     eigenvectors of the discarded kernel.  An exactly diagonal ``y``, such
     as a window product of a monomial window, is split without LAPACK.
     """
-    vals, vecs = _reference_eigh(y)
+    return _split(*_reference_eigh(y), tol)
+
+
+def _split(vals: np.ndarray, vecs: np.ndarray, tol: Tolerance):
+    """:func:`psd_split` of the operand whose ascending eigenpairs are ``vals, vecs``."""
     keep = rank_mask(vals, tol)
     return vecs[:, keep], vals[keep], vecs[:, ~keep]
 
@@ -548,4 +498,7 @@ def operator_from_json(obj: dict) -> np.ndarray:
         cols = as_integer(obj["cols"], "operator cols")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed operator JSON: {exc}") from exc
+    for what, size in (("rows", rows), ("cols", cols)):
+        if size < 0:
+            raise ValueError(f"operator {what} must be nonnegative, got {size}")
     return complex_from_json(obj, (rows * cols,), "operator JSON entries").reshape(rows, cols)

@@ -81,7 +81,12 @@ def pencil_sup(x, y, tol: Tolerance = DEFAULT_TOL) -> PencilBound:
     y = as_operator(y)
     if x.shape != y.shape or x.shape[0] != x.shape[1]:
         raise DimensionMismatch(f"pencil operands must be square and equal: {x.shape} vs {y.shape}")
-    basis_r, vals_r, basis_k = psd_split(y, tol)
+    return _pencil_sup(x, psd_split(y, tol), tol)
+
+
+def _pencil_sup(x: np.ndarray, split, tol: Tolerance) -> PencilBound:
+    """:func:`pencil_sup` given ``psd_split(y)``."""
+    basis_r, vals_r, basis_k = split
     if basis_k.shape[1] > 0:
         kvals, kvecs = hermitian_eigh(x, basis=basis_k)
         if float(kvals[-1]) > tol.psd_floor * max(1.0, _herm_norm(x)):
@@ -107,7 +112,12 @@ def pencil_inf(x, y, tol: Tolerance = DEFAULT_TOL) -> PencilBound:
     y = as_operator(y)
     if x.shape != y.shape or x.shape[0] != x.shape[1]:
         raise DimensionMismatch(f"pencil operands must be square and equal: {x.shape} vs {y.shape}")
-    basis_r, vals_r, basis_k = psd_split(y, tol)
+    return _pencil_inf(x, psd_split(y, tol), tol)
+
+
+def _pencil_inf(x: np.ndarray, split, tol: Tolerance) -> PencilBound:
+    """:func:`pencil_inf` given ``psd_split(y)``."""
+    basis_r, vals_r, basis_k = split
     if basis_r.shape[1] == 0:
         return PencilBound(value=math.inf, degenerate=True)
     whitener = basis_r / np.sqrt(vals_r)

@@ -23,12 +23,12 @@ scaled back exactly (``pencil(a X, b Y) = (a / b) pencil(X, Y)``); a constant
 beyond the float range raises OverflowError.
 
 A monomial window, such as any grid operation, has diagonal products Theta
-Theta* and Theta* Theta.  They are placed in O(n), and each pencil whitens S
-by a gather, so the only decomposition left is that of the whitened S.  When
-the window's phases also have unit modulus, C = D = I up to the rounding of
-``|phase|^2``, and with no margin the constants of a stamped lattice-closed
-system are the extreme eigenvalues of its ``_lattice_spectrum``: S is never
-formed.
+Theta* and Theta* Theta, placed in O(n).  When its phases also have unit
+modulus, C = D = I up to the rounding of ``|phase|^2``, and the constants
+are the extreme eigenvalues of S, read from one ``_frame_spectrum``: the
+``_lattice_spectrum`` of a stamped system with no margin (S is never
+formed), else one decomposition of S.  Any other window's C and D are split
+once per check, and each pencil decomposes S whitened by them.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .errors import (
 )
 from .frame_core import (
     FrameSystem,
-    _lattice_spectrum,
-    _LatticeSpectrum,
+    _DenseSpectrum,
+    _frame_spectrum,
     _scaled_frame_operator,
     frame_operator,
     optimal_bounds,
@@ -66,11 +66,13 @@ from .numerics import (
     psd_split,
     rank_mask,
     restrict,
-    spectral_scope,
     svd,
 )
 from .operator_theory import (
     PencilBound,
+    _normalize,
+    _pencil_inf,
+    _pencil_sup,
     hyponormality,
     pencil_inf,
     pencil_sup,
@@ -109,7 +111,6 @@ class ThetaFrameReport:
         return self.lower_ok and self.upper_ok
 
 
-@spectral_scope
 def check_theta_frame(
     system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL, margin: int | None = None
 ) -> ThetaFrameReport:
@@ -118,9 +119,8 @@ def check_theta_frame(
     With a ``margin`` m, all operators are restricted to the first n - m
     coordinates first and the inequalities are scored there.
     """
-    window = _scaled_window_products(_checked_window(theta, system.n))
-    spectrum = _lattice_frame(system, window, margin)
-    frame = _scaled_frame_operator(system) if spectrum is None else spectrum
+    window = _window_splits(_checked_window(theta, system.n), tol, margin)
+    frame = _frame_spectrum(system, margin) if window[1] is None else _scaled_frame_operator(system)
     return _theta_frame_report(frame, window, tol, margin)
 
 
@@ -130,36 +130,43 @@ def check_theta_frame(
 _UNIT_SLACK = 4 * np.finfo(float).eps
 
 
-def _scaled_window_products(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """``(C, D, e, unit)``: the window products of ``theta`` scaled by ``_pow2_scaled``,
-    and whether ``theta`` is a unit-modulus monomial, judged from their one structure test."""
+def _scaled_window(theta: np.ndarray, margin: int | None):
+    """``(e, (C, D))``: ``theta`` scaled by ``_pow2_scaled`` and its products restricted
+    by ``margin``, with None for the products of a unit-modulus monomial ``theta``."""
     theta, exponent = _pow2_scaled(theta)
     c, d, weight = _window_products(theta)
-    unit = weight is not None and bool(np.all(np.abs(weight - 1.0) <= _UNIT_SLACK))
-    return c, d, exponent, unit
+    if weight is not None and np.all(np.abs(weight - 1.0) <= _UNIT_SLACK):
+        return exponent, None
+    return exponent, (restrict(c, margin), restrict(d, margin))
 
 
-def _lattice_frame(system: FrameSystem, window, margin: int | None) -> _LatticeSpectrum | None:
-    """The ``_lattice_spectrum`` of ``system`` when its report may read it: the system
-    is stamped, there is no margin and the window is a unit-modulus monomial; else None."""
-    return _lattice_spectrum(system) if margin is None and window[3] else None
+def _window_splits(theta: np.ndarray, tol: Tolerance, margin: int | None):
+    """:func:`_scaled_window` with the ``psd_split`` of C and of D in place of the
+    products: every report of one check shares them."""
+    exponent, products = _scaled_window(theta, margin)
+    return exponent, None if products is None else tuple(psd_split(x, tol) for x in products)
+
+
+def _unit_pencils(spectrum) -> tuple[PencilBound, PencilBound]:
+    """The pencils of S against C = D = I, the extreme eigenpairs of ``spectrum``: the lower
+    value clamped at 0 and a dense spectrum's witnesses normalized, as the pencils do."""
+    (low, low_witness), (high, high_witness) = (spectrum.extreme(i) for i in (0, -1))
+    if isinstance(spectrum, _DenseSpectrum):
+        low_witness, high_witness = _normalize(low_witness), _normalize(high_witness)
+    return PencilBound(low if low > 0.0 else 0.0, low_witness), PencilBound(high, high_witness)
 
 
 def _theta_frame_report(frame, window, tol: Tolerance, margin: int | None) -> ThetaFrameReport:
-    """:func:`check_theta_frame` given ``_scaled_window_products`` and either
-    ``_scaled_frame_operator`` or the spectrum ``_lattice_frame`` allows."""
-    c, d, theta_exp, _ = window
-    if isinstance(frame, _LatticeSpectrum):
-        # C = D = I: the pencils are the extreme eigenvalues of S.
+    """:func:`check_theta_frame` given ``_window_splits`` and, under a unit window,
+    the ``_frame_spectrum``, else the ``_scaled_frame_operator``."""
+    theta_exp, splits = window
+    if splits is None:
         s_exp = frame.exponent
-        (low, low_witness), (high, high_witness) = (frame.extreme(i) for i in (0, -1))
-        lower = PencilBound(value=low if low > 0.0 else 0.0, witness=low_witness)
-        upper = PencilBound(value=high, witness=high_witness)
+        lower, upper = _unit_pencils(frame)
     else:
         s, s_exp = frame
         s = restrict(s, margin)
-        lower = pencil_inf(s, restrict(c, margin), tol)
-        upper = pencil_sup(s, restrict(d, margin), tol)
+        lower, upper = _pencil_inf(s, splits[0], tol), _pencil_sup(s, splits[1], tol)
     alpha = _pow2_restored(lower.value, 2 * (s_exp - theta_exp))
     beta = _pow2_restored(upper.value, 2 * (s_exp - theta_exp))
     lower_ok = lower.degenerate or alpha > tol.psd_floor
@@ -187,28 +194,31 @@ class KFrameReport:
     upper_witness: np.ndarray | None
 
 
-@spectral_scope
 def check_k_frame(
     system: FrameSystem, k, tol: Tolerance = DEFAULT_TOL, margin: int | None = None
 ) -> KFrameReport:
     """Greatest A with ``A ||K* f||^2 <= sum |<f, f_k>|^2``, and the plain upper bound.
 
     A ``margin`` restricts both operators as in :func:`check_theta_frame`.
+    Both constants of a unit-modulus monomial K read one ``_frame_spectrum``.
     """
-    k, k_exp = _pow2_scaled(_checked_window(k, system.n))
-    s, s_exp = _scaled_frame_operator(system)
-    s = restrict(s, margin)
-    lower = pencil_inf(s, restrict(_window_products(k)[0], margin), tol)
-    a_opt = _pow2_restored(lower.value, 2 * (s_exp - k_exp))
-    vals, vecs = hermitian_eigh(s)
-    b_opt = _pow2_restored(float(vals[-1]), 2 * s_exp) if vals.size else 0.0
+    k_exp, products = _scaled_window(_checked_window(k, system.n), margin)
+    if products is None:
+        spectrum = _frame_spectrum(system, margin)
+        lower = _unit_pencils(spectrum)[0]
+    else:
+        frame = _scaled_frame_operator(system)
+        lower = pencil_inf(restrict(frame[0], margin), products[0], tol)
+        spectrum = _DenseSpectrum.of(frame, margin)
+    high, upper_witness = spectrum.extreme(-1)
+    a_opt = _pow2_restored(lower.value, 2 * (spectrum.exponent - k_exp))
     return KFrameReport(
         a_opt=a_opt,
-        b_opt=b_opt,
+        b_opt=_pow2_restored(high, 2 * spectrum.exponent),
         lower_ok=bool(lower.degenerate or a_opt > tol.psd_floor),
         degenerate=lower.degenerate,
         lower_witness=lower.witness,
-        upper_witness=vecs[:, -1].copy() if vals.size else None,
+        upper_witness=upper_witness,
     )
 
 
@@ -240,7 +250,6 @@ class ThetaTightReport:
     degenerate: bool = False
 
 
-@spectral_scope
 def theta_tight_check(
     system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL
 ) -> ThetaTightReport:
@@ -289,7 +298,6 @@ class ConstructionReport:
     tight: ThetaTightReport
 
 
-@spectral_scope
 def tight_frame_from_hyponormal(
     parseval: FrameSystem,
     theta,
@@ -362,7 +370,6 @@ class TransformReport:
     lower_b_ok: bool
 
 
-@spectral_scope
 def transform_frame_check(
     system: FrameSystem, theta, u, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[FrameSystem, TransformReport]:

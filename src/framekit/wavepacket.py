@@ -37,6 +37,8 @@ import numpy as np
 from .errors import DimensionMismatch, PartitionNotDisjoint, PartitionNotExhaustive
 from .frame_core import (
     FrameSystem,
+    _DenseSpectrum,
+    _lattice_spectrum,
     _scaled_frame_operator,
     _stamp_lattice,
     analysis_matrix,
@@ -45,6 +47,7 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     _pow2_restored,
+    _split,
     adjoint,
     as_integer,
     as_operator,
@@ -52,16 +55,14 @@ from .numerics import (
     range_inclusion,
     rank_mask,
     restrict,
-    spectral_scope,
 )
-from .operator_theory import hyponormality, pencil_inf, relative_hyponormality
+from .operator_theory import _pencil_inf, hyponormality, pencil_inf, relative_hyponormality
 from .signal_space import Grid, Signal, _index_phase
 from .theta_frame import (
     ThetaFrameReport,
     _checked_window,
-    _lattice_frame,
-    _scaled_window_products,
     _theta_frame_report,
+    _window_splits,
     check_theta_frame,
 )
 
@@ -165,25 +166,31 @@ def _dedupe_counts(vectors: np.ndarray) -> np.ndarray:
     """How many rows of ``vectors`` the greedy dedupe folds into each row.
 
     Row x is dropped (count 0) iff some earlier kept row v has
-    ``||x - v|| <= _DEDUPE_ATOL * max(1, ||v||)``, and the first such v
-    counts it; a kept row counts itself too.  That norm test only runs
-    on candidate pairs: rows are projected onto one fixed real unit vector w
-    of C^n = R^2n (any w keeps the result exact; it only sets how many pairs
-    are tested), and since ``|<x - v, w>| <= ||x - v||``, every pair the
-    test can accept has projections within ``_DEDUPE_ATOL * max(1, s)`` of
-    each other, where s is the largest row norm.  In floating point the
-    projections err by at most ``(n + 1) * eps/2 * s`` each and the norms by a
-    relative ``n * eps``, so the window below, twice the first term plus
-    ``8 n eps s``, holds every such pair with room to spare.  Rows whose norm
-    could overflow (or is not finite) make every earlier row a candidate.
+    ``||x - v|| <= _DEDUPE_ATOL * ||v||``, and the first such v counts it; a
+    kept row counts itself too.  The test is relative (exactly zero rows fold
+    into each other), and the rows are scaled first by the power of two that
+    brings the largest entry into [1/2, 1), so no scale changes the result.
+    The norm test only runs on candidate pairs: rows are projected onto one
+    fixed real unit vector w of C^n = R^2n (any w keeps the result exact; it
+    only sets how many pairs are tested), and since ``|<x - v, w>| <= ||x -
+    v||``, every pair the test can accept has projections within
+    ``_DEDUPE_ATOL * s`` of each other, where s is the largest row norm.  In
+    floating point the projections err by at most ``(n + 1) * eps/2 * s``
+    each and the norms by a relative ``n * eps``, so the window below, twice
+    the first term plus ``8 n eps s``, holds every such pair with room to
+    spare.  Non-finite rows make every earlier row a candidate.
     """
     count, n = vectors.shape
+    top = float(np.max(np.abs(vectors)))
+    if 0.0 < top < math.inf:
+        parts = np.ascontiguousarray(vectors, dtype=np.complex128).view(np.float64)
+        vectors = np.ldexp(parts, -math.frexp(top)[1]).view(np.complex128)
     w = np.sin(np.arange(1.0, 2 * n + 1) ** 2).reshape(2, n)  # a chirp: no grid period
     w /= np.linalg.norm(w)
     proj = vectors.real @ w[0] + vectors.imag @ w[1]
     scale = float(np.max(np.linalg.norm(vectors, axis=1)))
-    if scale < 1e150:
-        window = 2.0 * _DEDUPE_ATOL * max(1.0, scale) + 8.0 * n * np.finfo(float).eps * scale
+    if math.isfinite(scale):
+        window = (2.0 * _DEDUPE_ATOL + 8.0 * n * np.finfo(float).eps) * scale
     else:
         window, proj = math.inf, np.zeros(count)
     order = np.argsort(proj)
@@ -195,7 +202,7 @@ def _dedupe_counts(vectors: np.ndarray) -> np.ndarray:
         vec = vectors[i]
         for j in np.sort(candidates[(candidates < i) & (counts[candidates] > 0)]):
             v = vectors[j]
-            if np.linalg.norm(vec - v) <= _DEDUPE_ATOL * max(1.0, np.linalg.norm(v)):
+            if np.linalg.norm(vec - v) <= _DEDUPE_ATOL * np.linalg.norm(v):
                 counts[i] = 0
                 counts[j] += 1
                 break
@@ -264,7 +271,6 @@ class SynthesisCriterion:
     counterexample: str | None
 
 
-@spectral_scope
 def synthesis_criterion_check(
     system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL
 ) -> SynthesisCriterion:
@@ -350,60 +356,56 @@ def _domination(combined: FrameSystem, bases, theta, tol: Tolerance, margin: int
     """``pencil_inf`` of ``combined`` over each base, the frame reports of ``combined``
     and of each base, and whether theta* is hyponormal, all on one ``margin``.
 
-    The reports are those of ``check_theta_frame``.  Each frame operator and
-    the window products are formed once, and a frame operator only when a
-    dense pencil reads it: a report reads the spectrum of a stamped system
-    where ``_lattice_frame`` allows, and a constant over such a base is
-    scored in its Fourier modes, where it is diagonal.
+    The reports are those of ``check_theta_frame`` and share one split of
+    each window product.  A frame operator is formed only when a dense step
+    reads it, and a base's is decomposed once, for its report (under a unit
+    window) and the split of the constant over it.  Under a unit window with
+    no margin a stamped system's report reads its lattice spectrum, and a
+    constant over a stamped base is diagonal in the base's Fourier modes.
     """
     theta = _checked_window(theta, combined.n)
-    window = _scaled_window_products(theta)
-    systems = (combined, *bases)
-    spectra = [_lattice_frame(system, window, margin) for system in systems]
-    dense = [spectrum is None for spectrum in spectra]
-    dense[0] = any(dense)  # a constant over a dense base reads S of combined
-    operators = [
-        _scaled_frame_operator(system) if needed else None
-        for system, needed in zip(systems, dense)
-    ]
-    spectrum, *base_spectra = spectra
-    constants = tuple(
-        _least_ratio(operators[0], spectrum, base, base_spectrum, tol, margin)
-        for base, base_spectrum in zip(operators[1:], base_spectra)
+    window = _window_splits(theta, tol, margin)
+    unit = window[1] is None
+    spectrum, *lattices = (
+        _lattice_spectrum(system) if unit and margin is None else None
+        for system in (combined, *bases)
     )
-    combined_report, *base_reports = (
-        _theta_frame_report(s if s is not None else op, window, tol, margin)
-        for s, op in zip(spectra, operators)
-    )
+    frame = None if spectrum and all(lattices) else _scaled_frame_operator(combined)
+    operators = [None if x else _scaled_frame_operator(base) for base, x in zip(bases, lattices)]
+    base_spectra = [x or _DenseSpectrum.of(s, margin) for x, s in zip(lattices, operators)]
+    constants = tuple(_least_ratio(frame, spectrum, base, tol, margin) for base in base_spectra)
+    if unit:  # the reports read spectra, else the pencils read the frame operators
+        frames = [spectrum or _DenseSpectrum.of(frame, margin), *base_spectra]
+    else:
+        frames = [frame, *operators]
+    combined_report, *base_reports = (_theta_frame_report(f, window, tol, margin) for f in frames)
     adjoint_hypo = hyponormality(adjoint(theta), tol).global_verdict
     return constants, combined_report, tuple(base_reports), adjoint_hypo
 
 
-def _least_ratio(frame, spectrum, base, base_spectrum, tol: Tolerance, margin: int | None):
-    """Greatest lambda with ``lambda S_base <= S``, from the scaled frame operators
-    ``frame`` and ``base`` or, where given, the lattice spectra of either system.
+def _least_ratio(frame, spectrum, base, tol: Tolerance, margin: int | None):
+    """Greatest lambda with ``lambda S_base <= S``, from the scaled frame operator
+    ``frame`` of the combined system or, where given, its lattice ``spectrum``,
+    over the spectrum ``base`` of the base system.
 
+    Over a dense base the pencil reads the base's eigenpairs as its split.
     Over a stamped base the pencil is diagonal in the base's Fourier modes:
     against a stamped system too it is the least ratio of their eigenvalues
     on the modes the base keeps, and otherwise the ``pencil_inf`` of S in
     those modes against the diagonal of the base's eigenvalues.
     """
-    if base_spectrum is None:
-        (s, s_exp), (b, b_exp) = frame, base
-        value = pencil_inf(restrict(s, margin), restrict(b, margin), tol).value
+    if isinstance(base, _DenseSpectrum):
+        s, s_exp = frame
+        value = _pencil_inf(restrict(s, margin), _split(base.values, base.vectors, tol), tol).value
     elif spectrum is None:
-        (s, s_exp), b_exp = frame, base_spectrum.exponent
-        weights = base_spectrum.values.reshape(-1)
-        value = pencil_inf(base_spectrum.in_modes(s), np.diag(weights), tol).value
+        s, s_exp = frame
+        value = pencil_inf(base.in_modes(s), np.diag(base.values.reshape(-1)), tol).value
     else:
-        s_exp, b_exp = spectrum.exponent, base_spectrum.exponent
-        keep = rank_mask(base_spectrum.values, tol)
-        if not keep.any():
-            value = math.inf
-        else:
-            least = float(np.min(spectrum.values[keep] / base_spectrum.values[keep]))
-            value = least if least > 0.0 else 0.0
-    return _pow2_restored(value, 2 * (s_exp - b_exp))
+        s_exp = spectrum.exponent
+        keep = rank_mask(base.values, tol)
+        least = float(np.min(spectrum.values[keep] / base.values[keep], initial=math.inf))
+        value = least if least > 0.0 else 0.0
+    return _pow2_restored(value, 2 * (s_exp - base.exponent))
 
 
 @dataclass(frozen=True)
@@ -433,7 +435,6 @@ class PartitionDominationReport:
     counterexample: str | None
 
 
-@spectral_scope
 def partition_domination_check(
     base: FrameSystem,
     combination: PartitionCombination,
@@ -560,7 +561,6 @@ class FiniteSumReport:
     counterexample: str | None
 
 
-@spectral_scope
 def finite_sum_criterion_check(
     spec: FiniteSumSpec,
     params: WavePacketParams,

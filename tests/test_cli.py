@@ -713,6 +713,47 @@ def test_non_bool_dedupe_exits_two(tmp_path, capsys, dedupe):
     assert "dedupe must be true or false" in report["verdicts"]["error"]
 
 
+@pytest.mark.parametrize(
+    "verb, doc, named",
+    [
+        ("check-hypo", {"rows": -2, "cols": -2, "re": [1, 0, 0, 1]}, "operator rows must be nonnegative"),
+        ("check-hypo", {"rows": 2, "cols": -2, "re": [1, 0, 0, 1]}, "operator cols must be nonnegative"),
+        ("check-hypo", {"grid": {"q": 4, "P": 4}, "kind": "modulate"}, "missing field: 'value'"),
+        ("check-frame", {"n": 2, "vectors": _UNIT_VECTORS[:1], "labels": [[0, 0]]}, "integer triple"),
+        ("check-frame", {"n": 2, "vectors": _UNIT_VECTORS, "labels": [[0, 0, 0], [0, 1, 0, 0]]}, "integer triple"),
+    ],
+    ids=["rows-negative", "cols-negative", "value-missing", "label-pair", "label-quadruple"],
+)
+def test_malformed_documents_exit_two_naming_what_is_wrong(tmp_path, capsys, verb, doc, named):
+    code, report = _run(capsys, [verb, _write(tmp_path, "doc.json", doc)])
+    assert code == 2
+    assert named in report["verdicts"]["error"]
+
+
+def _scaled_window_params(scale):
+    values = scale * ([1.0, 1j] @ np.random.default_rng(5).normal(size=(2, 16)))
+    return {**PARAMS_DOC, "psi": {"q": 4, "P": 4, "re": values.real.tolist(), "im": values.imag.tolist()}}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-14, 1e-200, 1e200])
+def test_gen_keeps_the_same_atoms_at_every_scale(tmp_path, capsys, scale):
+    code, report = _run(capsys, ["gen", _write(tmp_path, "params.json", _scaled_window_params(scale))])
+    assert code == 0
+    assert report["verdicts"]["vectors"] == 16
+
+
+@pytest.mark.parametrize("scale, degenerate", [(0.0, True), (1e-16, False)])
+def test_only_an_all_zero_window_is_called_degenerate(tmp_path, capsys, scale, degenerate):
+    samples = (scale * (1 + np.arange(16) % 3)).tolist()
+    doc = {**PARAMS_DOC, "psi": {"q": 4, "P": 4, "re": samples}}
+    code = main(["gen", _write(tmp_path, "params.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert ("degenerate window" in captured.err) is degenerate
+    # Exactly zero atoms all fold into the first; the tiny window keeps all 16.
+    assert json.loads(captured.out)["verdicts"]["vectors"] == (1 if degenerate else 16)
+
+
 def _paths(doc, prefix=()):
     """Every path of keys and indices below ``doc``."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()

@@ -106,6 +106,12 @@ def test_labels_and_accessors():
         FrameSystem(vectors, labels=((0, 0, 0),))
 
 
+@pytest.mark.parametrize("labels", [((0, 0), (0, 1)), ((0, 0, 0), (0, 1, 0, 0)), ((), ())])
+def test_labels_are_integer_triples(labels):
+    with pytest.raises(DimensionMismatch, match="integer triple"):
+        FrameSystem(np.eye(2), labels=labels)
+
+
 def test_vectors_are_read_only():
     system = canonical_basis(2)
     with pytest.raises(ValueError):

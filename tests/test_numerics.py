@@ -7,7 +7,6 @@ independent least-squares check, then pinned here.
 import hashlib
 import json
 import re
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,6 @@ from framekit.numerics import (
     pinv,
     psd_split,
     range_inclusion,
-    spectral_scope,
     svd,
 )
 from framekit.operator_theory import hyponormality, pencil_inf, pencil_sup
@@ -48,8 +46,10 @@ from framekit.theta_frame import (
     theta_tight_check,
 )
 from framekit.wavepacket import (
+    FiniteSumSpec,
     PartitionCombination,
     WavePacketParams,
+    finite_sum_criterion_check,
     generate_system,
     partition_domination_check,
 )
@@ -389,132 +389,17 @@ def test_as_real_overflows_like_float():
 
 
 # ---------------------------------------------------------------------------
-# the spectral memo of a check
+# decompositions a check makes
 
 
-def _lapack_log(monkeypatch):
-    """Record (solver, sha256 of the operand) for every call that reaches LAPACK."""
-    log = []
-    for name in ("eigh", "eigvalsh"):
-        def counted(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-            log.append((_name, hashlib.sha256(np.ascontiguousarray(a)).hexdigest()))
-            return _real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return log
-
-
-def _hermitian(n=5, seed=3):
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return g + g.conj().T
-
-
-def test_scope_decomposes_a_repeated_operand_once(monkeypatch):
-    log = _lapack_log(monkeypatch)
-    h = _hermitian()
-
-    @spectral_scope
-    def twice():
-        return hermitian_eigh(h), hermitian_eigh(h.copy())
-
-    first, second = twice()
-    assert [solver for solver, _ in log] == ["eigh"]
-    assert second is first
-    log.clear()
-    outside = [hermitian_eigh(h), hermitian_eigh(h)]
-    assert [solver for solver, _ in log] == ["eigh", "eigh"]
-    for vals, vecs in outside:
-        assert np.array_equal(vals, first[0]) and np.array_equal(vecs, first[1])
-        assert vals.flags.writeable and vecs.flags.writeable
-
-
-def test_values_only_and_full_decompositions_never_serve_each_other(monkeypatch):
-    log = _lapack_log(monkeypatch)
-    h = _hermitian()
-
-    @spectral_scope
-    def mixed():
-        return (
-            hermitian_eigh(h, vectors=False),
-            hermitian_eigh(h),
-            hermitian_eigh(h, vectors=False),
-            hermitian_eigh(h),
-        )
-
-    values, full, values_again, full_again = mixed()
-    assert [solver for solver, _ in log] == ["eigvalsh", "eigh"]
-    assert values_again is values and full_again is full
-    assert np.array_equal(values, np.linalg.eigvalsh(hermitize(h)))
-    assert np.array_equal(full[1], np.linalg.eigh(hermitize(h))[1])
-
-
-def test_nested_scopes_share_the_outermost_memo_and_it_is_emptied(monkeypatch):
-    log = _lapack_log(monkeypatch)
-    h = _hermitian()
-    memos = []
-
-    @spectral_scope
-    def inner():
-        memos.append(numerics._SPECTRA.get())
-        return hermitian_eigh(h)
-
-    @spectral_scope
-    def outer(fail=False):
-        memos.append(numerics._SPECTRA.get())
-        inner()
-        inner()
-        if fail:
-            hermitian_eigh(np.diag([np.nan, 1.0]))
-
-    outer()
-    assert len(memos) == 3 and memos[1] is memos[0] and memos[2] is memos[0]
-    assert [solver for solver, _ in log] == ["eigh"]
-    assert memos[0] == {} and numerics._SPECTRA.get() is None
-    with pytest.raises(NoConvergence):
-        outer(fail=True)
-    assert memos[-1] == {} and numerics._SPECTRA.get() is None
-
-
-def test_threads_never_share_a_memo():
-    seen = []
-
-    @spectral_scope
-    def check():
-        worker = threading.Thread(target=lambda: seen.append(numerics._SPECTRA.get()))
-        worker.start()
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-        return numerics._SPECTRA.get()
-
-    assert check() is not None
-    assert seen == [None]
-
-
-def test_a_lapack_failure_is_not_remembered(monkeypatch):
-    h = _hermitian()
-    real = np.linalg.eigh
-    outcomes = iter([_raise_linalg_error, real])
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: next(outcomes)(a))
-
-    @spectral_scope
-    def retry():
-        with pytest.raises(NoConvergence):
-            hermitian_eigh(h)
-        return hermitian_eigh(h)
-
-    vals, _ = retry()
-    assert np.array_equal(vals, real(hermitize(h))[0])
-
-
-def test_remembered_spectra_are_read_only():
-    h = _hermitian()
-    vals, vecs = spectral_scope(hermitian_eigh)(h)
-    spectrum = spectral_scope(hermitian_eigh)(h, vectors=False)
-    for array in (vals, vecs, spectrum):
-        assert not array.flags.writeable
-    with pytest.raises(ValueError):
-        vecs[0, 0] = 0.0
+def test_hermitian_eigh_keeps_no_state(lapack_log):
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    first, second = hermitian_eigh(g), hermitian_eigh(g.copy())
+    assert [solver for solver, _ in lapack_log] == ["eigh", "eigh"]
+    for mine, again in zip(first, second):
+        assert np.array_equal(mine, again) and mine is not again
+        assert mine.flags.writeable and again.flags.writeable
 
 
 def _partition_case():
@@ -533,9 +418,9 @@ def _unstamped(system):
     return FrameSystem(system.vectors, system.labels)
 
 
-def test_partition_domination_check_decomposes_each_operand_once(monkeypatch):
+def test_partition_domination_check_decomposes_each_operand_once(lapack_log):
     base, theta, pc = _partition_case()
-    log = _lapack_log(monkeypatch)
+    log = lapack_log
     partition_domination_check(_unstamped(base), pc, theta)
     # S_base, S_phi whitened by S_base, and S_phi.  The window products of
     # the modulation are read off as diagonals, with no LAPACK call, and are
@@ -546,29 +431,29 @@ def test_partition_domination_check_decomposes_each_operand_once(monkeypatch):
     assert len(log) == len(set(log)) == 3
 
 
-def test_partition_domination_check_on_a_stamped_base_decomposes_two_operands(monkeypatch):
+def test_partition_domination_check_on_a_stamped_base_decomposes_two_operands(lapack_log):
     base, theta, pc = _partition_case()
     assert base._lattice == 4 and len(base) == 64
-    log = _lapack_log(monkeypatch)
+    log = lapack_log
     partition_domination_check(base, pc, theta)
     # S_phi whitened by S_base, and S_phi.  S_base is split by its lattice
     # spectrum, which also gives the base report under the unit window.
     assert len(log) == len(set(log)) == 2
 
 
-def test_check_theta_frame_with_a_unitary_window_makes_no_values_only_decomposition(monkeypatch):
+def test_check_theta_frame_with_a_unitary_window_makes_no_values_only_decomposition(lapack_log):
     base, theta, _ = _partition_case()
-    log = _lapack_log(monkeypatch)
+    log = lapack_log
     check_theta_frame(_unstamped(base), theta)
     assert log and {solver for solver, _ in log} == {"eigh"}
 
 
 @pytest.mark.parametrize("kind, value", [("modulate", 1.0), ("translate", 0.5), ("dilate", 3)])
 def test_check_theta_frame_on_a_stamped_system_with_a_unit_window_decomposes_nothing(
-    monkeypatch, kind, value
+    lapack_log, kind, value
 ):
     base, _, _ = _partition_case()
-    log = _lapack_log(monkeypatch)
+    log = lapack_log
     report = check_theta_frame(base, operator_of(Grid(4, 4), kind, value))
     assert log == []
     assert report.passes() and report.kernel_obstruction is None
@@ -597,6 +482,53 @@ def test_k_frame_upper_witness_is_its_own_array():
     base, theta, _ = _partition_case()
     report = check_k_frame(base, theta)
     assert report.upper_witness.base is None and report.upper_witness.flags.writeable
+
+
+_NAMED = [("modulate", 1.0), ("translate", 0.5), ("dilate", 3)]
+
+
+@pytest.mark.parametrize("kind, value", _NAMED)
+def test_check_k_frame_with_a_named_window_reads_one_spectrum(lapack_log, kind, value):
+    base, _, _ = _partition_case()
+    k = operator_of(Grid(4, 4), kind, value)
+    stamped = check_k_frame(base, k)
+    assert lapack_log == []
+    dense = check_k_frame(_unstamped(base), k)
+    assert len(lapack_log) == 1
+    assert stamped.lower_ok and dense.lower_ok
+    assert abs(stamped.a_opt - dense.a_opt) <= 1e-12 * dense.b_opt
+    assert abs(stamped.b_opt - dense.b_opt) <= 1e-12 * dense.b_opt
+
+
+@pytest.mark.parametrize("margin", [None, 3])
+@pytest.mark.parametrize("kind, value", _NAMED)
+def test_a_unit_window_report_is_the_extreme_eigenpairs_of_s(kind, value, margin):
+    base, _, _ = _partition_case()
+    base = _unstamped(base)
+    report = check_theta_frame(base, operator_of(Grid(4, 4), kind, value), margin=margin)
+    vals, vecs = hermitian_eigh(numerics.restrict(frame_operator(base), margin))
+    assert report.alpha_opt == max(float(vals[0]), 0.0) and report.beta_opt == float(vals[-1])
+    for witness, column in [(report.lower_witness, vecs[:, 0]), (report.upper_witness, vecs[:, -1])]:
+        assert np.array_equal(witness, column / np.linalg.norm(column))
+    assert report.kernel_obstruction is None and not report.lower_degenerate
+
+
+def test_a_finite_sum_check_splits_each_window_product_once(lapack_log):
+    rng = np.random.default_rng(9)
+    grid = Grid(4, 4)
+    psis = tuple(Signal(grid, rng.normal(size=16) + 1j * rng.normal(size=16)) for _ in range(2))
+    params = WavePacketParams(grid, psis[0], (1,), 1.0, (0, 3), (0.0, 1.0, 2.0, 3.0), dedupe=False)
+    theta, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+    report = finite_sum_criterion_check(FiniteSumSpec((1.0, 0.5j), psis), params, theta)
+    assert report.sum_report.passes() and all(r.passes() for r in report.single_reports)
+    products = [hermitize(theta @ theta.conj().T), hermitize(theta.conj().T @ theta)]
+    for product in products:
+        key = ("eigh", hashlib.sha256(np.ascontiguousarray(product)).hexdigest())
+        assert lapack_log.count(key) == 1
+    # C and D once each, then per single its frame operator and the summed
+    # system whitened by it, two pencils for each of the 1 + 2 reports, and
+    # the self-commutator of theta*.
+    assert len(lapack_log) == len(set(lapack_log)) == 2 + 2 * 2 + 3 * 2 + 1
 
 
 def test_only_operands_beyond_two_to_the_200_are_scaled():

@@ -236,7 +236,7 @@ def _greedy_counts(vectors):
         near = [
             i
             for i, v in enumerate(vectors[: len(counts)])
-            if counts[i] and np.linalg.norm(vec - v) <= _DEDUPE_ATOL * max(1.0, np.linalg.norm(v))
+            if counts[i] and np.linalg.norm(vec - v) <= _DEDUPE_ATOL * np.linalg.norm(v)
         ]
         if near:
             counts[near[0]] += 1
@@ -280,7 +280,7 @@ def test_atoms_are_the_composed_grid_operations(q, P, a_list, c_list, b):
 
 def _near(rng, v, factor):
     d = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
-    return v + factor * _DEDUPE_ATOL * max(1.0, np.linalg.norm(v)) * d / np.linalg.norm(d)
+    return v + factor * _DEDUPE_ATOL * np.linalg.norm(v) * d / np.linalg.norm(d)
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
@@ -294,13 +294,28 @@ def test_dedupe_matches_the_greedy_loop(scale):
     assert np.array_equal(_dedupe_counts(vectors), _greedy_counts(vectors))
 
 
+@pytest.mark.parametrize("scale", [1e-14, 3.0**-400, 1e-300, 7e250])
+def test_dedupe_is_scale_invariant(scale):
+    rng = np.random.default_rng(31)
+    u, v = rng.normal(size=(2, 12)) + 1j * rng.normal(size=(2, 12))
+    rows = np.array([u, v, u.copy(), _near(rng, u, 0.5), _near(rng, v, 2.0), v.copy(), _near(rng, u, 2.0)])
+    assert np.array_equal(_dedupe_counts(scale * rows), _dedupe_counts(rows))
+    assert _dedupe_counts(rows).tolist() == [3, 2, 0, 0, 1, 0, 1]
+
+
+def test_exactly_zero_rows_fold_into_each_other_and_nothing_else():
+    tiny = np.full(3, 1e-300 + 0j)
+    zero = np.zeros(3, dtype=complex)
+    assert _dedupe_counts(np.array([zero, tiny, zero, 2 * tiny, zero])).tolist() == [3, 1, 0, 1, 0]
+
+
 def test_dedupe_chain_follows_the_greedy_order():
     # x ~ y and y ~ z within the tolerance, x and z apart: which of the three
     # survive depends only on the order they arrive in
     rng = np.random.default_rng(8)
     x = rng.normal(size=10) + 1j * rng.normal(size=10)
     d = rng.normal(size=10) + 1j * rng.normal(size=10)
-    step = 0.8 * _DEDUPE_ATOL * max(1.0, np.linalg.norm(x)) * d / np.linalg.norm(d)
+    step = 0.8 * _DEDUPE_ATOL * np.linalg.norm(x) * d / np.linalg.norm(d)
     x, y, z = x, x + step, x + 2.0 * step
     for rows, expected in [
         ((x, y, z), [True, False, True]),
