@@ -11,6 +11,9 @@ The report on stdout and the ``gen --out`` file are the text of
 ``json.dump(obj, indent=2, sort_keys=True)``, byte for byte, written as a
 stream of chunks by ``_json_chunks``; a list of finite floats becomes one
 chunk formatted by ``float.__repr__`` at C speed.
+
+Importing this module loads only ``errors`` and ``numerics``; each verb
+imports the rest of what it runs when it runs.
 """
 
 from __future__ import annotations
@@ -24,31 +27,18 @@ import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import FramekitError
-from .frame_core import optimal_bounds, system_from_json, system_to_json
 from .numerics import (
     DEFAULT_TOL, Tolerance, complex_from_json, complex_to_json, operator_from_json, operator_to_json
 )
-from .operator_theory import douglas_check, hyponormality
-from .registry import run_case
-from .signal_space import Grid, operator_of, signal_from_json
-from .suites import run_suite
-from .theta_frame import (
-    check_k_frame,
-    check_theta_frame,
-    pseudoinverse_bound_chain,
-)
-from .wavepacket import (
-    FiniteSumSpec,
-    PartitionCombination,
-    WavePacketParams,
-    finite_sum_criterion_check,
-    generate_system,
-    partition_domination_check,
-)
+
+if TYPE_CHECKING:
+    from .signal_space import Grid
+    from .wavepacket import WavePacketParams
 
 
 def to_jsonable(obj):
@@ -162,6 +152,8 @@ def _object(doc, what: str) -> dict:
 
 
 def _grid(doc) -> Grid:
+    from .signal_space import Grid
+
     grid = _object(doc["grid"], "grid")
     return Grid(grid["q"], grid["P"])
 
@@ -173,20 +165,27 @@ def _operator_from_any(doc) -> np.ndarray:
             grid, value = _grid(doc), doc["value"]
         except KeyError as exc:
             raise ValueError(f"named operator JSON missing field: {exc}") from None
+        from .signal_space import operator_of
+
         return operator_of(grid, doc["kind"], value)
     return operator_from_json(doc)
 
 
 def _params_from_json(doc) -> WavePacketParams:
+    from .signal_space import signal_from_json
+    from .wavepacket import WavePacketParams
+
     doc = _object(doc, "wave-packet params")
-    grid = _grid(doc)
-    psi = signal_from_json(doc["psi"])
+    try:
+        grid, psi, b, k_range = _grid(doc), doc["psi"], doc["b"], doc["k_range"]
+    except KeyError as exc:
+        raise ValueError(f"wave-packet params JSON missing field: {exc}") from None
     return WavePacketParams(
         grid=grid,
-        psi=psi,
+        psi=signal_from_json(psi),
         a_list=doc.get("a_list", [1]),
-        b=doc["b"],
-        k_range=doc["k_range"],
+        b=b,
+        k_range=k_range,
         c_list=doc.get("c_list", [0.0]),
         dedupe=doc.get("dedupe", True),
     )
@@ -199,10 +198,14 @@ def _tolerance(args) -> Tolerance:
 
 
 # ---------------------------------------------------------------------------
-# Verb handlers: each returns (verdicts, inputs_for_digest, exit_code).
+# Verb handlers: each returns (verdicts, inputs_for_digest, exit_code), and
+# imports what it runs when it runs, so a verb loads only its own modules.
 
 
 def _cmd_gen(args, tol):
+    from .frame_core import system_to_json
+    from .wavepacket import generate_system
+
     doc = _load_json(args.params)
     params = _params_from_json(doc)
     if params.b == 0.0 and params.dedupe:
@@ -224,6 +227,8 @@ def _cmd_gen(args, tol):
 
 
 def _cmd_check_frame(args, tol):
+    from .frame_core import optimal_bounds, system_from_json
+
     doc = _load_json(args.system)
     system = system_from_json(doc)
     bounds = optimal_bounds(system, tol)
@@ -238,6 +243,9 @@ def _cmd_check_frame(args, tol):
 
 
 def _cmd_check_theta(args, tol):
+    from .frame_core import system_from_json
+    from .theta_frame import check_theta_frame
+
     sys_doc = _load_json(args.system)
     theta_doc = _load_json(args.theta)
     system = system_from_json(sys_doc)
@@ -259,6 +267,9 @@ def _cmd_check_theta(args, tol):
 
 
 def _cmd_check_k(args, tol):
+    from .frame_core import system_from_json
+    from .theta_frame import check_k_frame
+
     sys_doc = _load_json(args.system)
     k_doc = _load_json(args.k)
     system = system_from_json(sys_doc)
@@ -268,6 +279,8 @@ def _cmd_check_k(args, tol):
 
 
 def _cmd_check_hypo(args, tol):
+    from .operator_theory import hyponormality
+
     doc = _load_json(args.operator)
     op = _operator_from_any(doc)
     rep = hyponormality(op, tol, margin=args.margin)
@@ -275,6 +288,8 @@ def _cmd_check_hypo(args, tol):
 
 
 def _cmd_douglas(args, tol):
+    from .operator_theory import douglas_check
+
     doc1 = _load_json(args.t1)
     doc2 = _load_json(args.t2)
     rep = douglas_check(_operator_from_any(doc1), _operator_from_any(doc2), tol)
@@ -282,6 +297,9 @@ def _cmd_douglas(args, tol):
 
 
 def _cmd_pinv(args, tol):
+    from .frame_core import system_from_json
+    from .theta_frame import pseudoinverse_bound_chain
+
     sys_doc = _load_json(args.system)
     theta_doc = _load_json(args.theta)
     system = system_from_json(sys_doc)
@@ -294,6 +312,15 @@ def _cmd_pinv(args, tol):
 
 
 def _cmd_check_comb(args, tol):
+    from .signal_space import signal_from_json
+    from .wavepacket import (
+        FiniteSumSpec,
+        PartitionCombination,
+        finite_sum_criterion_check,
+        generate_system,
+        partition_domination_check,
+    )
+
     doc = _object(_load_json(args.spec), "combination spec")
     params = _params_from_json(doc["params"])
     theta = _operator_from_any(doc["theta"])
@@ -323,6 +350,8 @@ def _cmd_check_comb(args, tol):
 
 
 def _cmd_verify_example(args, tol):
+    from .registry import run_case
+
     outcome = run_case(args.case)
     code = 0 if outcome.passed else 1
     if code:
@@ -337,6 +366,8 @@ def _cmd_verify_example(args, tol):
 
 
 def _cmd_prop_run(args, tol):
+    from .suites import run_suite
+
     result = run_suite(args.suite, args.trials, args.seed, tol)
     code = 0 if result.passed else 1
     for failure in result.failures:

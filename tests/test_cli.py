@@ -16,13 +16,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framekit import cli
+from framekit import cli, frame_core, registry
 from framekit.cli import _digest, _json_chunks, main, to_jsonable
 from framekit.frame_core import FrameSystem, system_to_json
 from framekit.numerics import operator_from_json, operator_to_json
 from framekit.operator_theory import hyponormality
 from framekit.registry import ExampleOutcome
 from framekit.theta_frame import check_k_frame, check_theta_frame
+from framekit.wavepacket import generate_system
 
 
 PARAMS_DOC = {
@@ -227,7 +228,7 @@ def test_gen_out_file_is_the_text_of_json_dump(tmp_path, capsys, seed, q, P):
     report_text = capsys.readouterr().out
     assert code == 0
     expected = io.StringIO()
-    system = cli.generate_system(cli._params_from_json(doc))
+    system = generate_system(cli._params_from_json(doc))
     json.dump(system_to_json(system), expected, indent=2, sort_keys=True)
     assert out_path.read_bytes() == expected.getvalue().encode("utf-8")
     # The report is the same text that print(json.dumps(...)) wrote.
@@ -246,7 +247,7 @@ def test_gen_writes_its_file_as_a_stream(tmp_path, capsys, monkeypatch):
         held["before_writing"] = tracemalloc.get_traced_memory()[0]
         return payload
 
-    monkeypatch.setattr(cli, "system_to_json", to_json_then_mark)
+    monkeypatch.setattr(frame_core, "system_to_json", to_json_then_mark)
     tracemalloc.start()
     try:
         code = main(["gen", params, "--out", str(out_path)])
@@ -413,10 +414,8 @@ def test_verify_example_passes(capsys):
 
 
 def test_verify_example_failure_exits_one(capsys, monkeypatch):
-    import framekit.cli as cli_mod
-
     failing = ExampleOutcome(case_id="x", title="t", passed=False, assertions=())
-    monkeypatch.setattr(cli_mod, "run_case", lambda case_id: failing)
+    monkeypatch.setattr(registry, "run_case", lambda case_id: failing)
     code, report = _run(capsys, ["verify-example", "x"])
     assert code == 1
     assert report["verdicts"]["passed"] is False
@@ -527,6 +526,18 @@ def test_an_oversized_label_box_exits_two_before_allocating(tmp_path, capsys, ve
     assert code == 2 and peak < 10_000_000
     assert captured.err.count("\n") == 1 and "exceeds" in captured.err
     assert "exceeds" in json.loads(captured.out)["verdicts"]["error"]
+
+
+@pytest.mark.parametrize("verb", ["gen", "check-comb"])
+@pytest.mark.parametrize("field", ["b", "psi", "k_range", "grid", "q", "P"])
+def test_params_missing_a_field_exit_two_naming_it(tmp_path, capsys, verb, field):
+    params = {k: v for k, v in PARAMS_DOC.items() if k != field}
+    if field in ("q", "P"):
+        params["grid"] = {k: v for k, v in PARAMS_DOC["grid"].items() if k != field}
+    doc = params if verb == "gen" else {"params": params, "theta": THETA_DOC, "cells": [[0]]}
+    code, report = _run(capsys, [verb, _write(tmp_path, "doc.json", doc)])
+    assert code == 2
+    assert report["verdicts"]["error"] == f"wave-packet params JSON missing field: {field!r}"
 
 
 def test_douglas_on_huge_entries_gets_a_verdict(tmp_path, capsys):
