@@ -34,6 +34,7 @@ _EXPORTS = {
         "PartitionNotDisjoint",
         "PartitionNotExhaustive",
         "SingularU",
+        "Unresolved",
     ),
     "frame_core": (
         "FrameBounds",

@@ -322,9 +322,14 @@ def _cmd_check_comb(args, tol):
     )
 
     doc = _object(_load_json(args.spec), "combination spec")
+    kind = doc.get("kind", "partition")
+    if kind not in ("partition", "finite-sum"):
+        raise ValueError(f"unknown combination kind {kind!r}")
+    for key in ("params", "theta", "cells" if kind == "partition" else "alphas"):
+        if key not in doc:
+            raise ValueError(f"combination spec JSON missing field: {key!r}")
     params = _params_from_json(doc["params"])
     theta = _operator_from_any(doc["theta"])
-    kind = doc.get("kind", "partition")
     if kind == "partition":
         base = generate_system(params)
         if "coefficients" in doc:
@@ -333,7 +338,7 @@ def _cmd_check_comb(args, tol):
             coeffs = np.ones(len(base), dtype=np.complex128)
         pc = PartitionCombination(cells=doc["cells"], coefficients=coeffs)
         rep = partition_domination_check(base, pc, theta, tol)
-    elif kind == "finite-sum":
+    else:
         alphas = tuple(complex_from_json(doc["alphas"], None, "alphas re/im lists"))
         if "psis" in doc:
             psis = tuple(signal_from_json(d) for d in doc["psis"])
@@ -341,8 +346,6 @@ def _cmd_check_comb(args, tol):
             psis = tuple(params.psi for _ in alphas)
         spec = FiniteSumSpec(alphas=alphas, psis=psis)
         rep = finite_sum_criterion_check(spec, params, theta, tol)
-    else:
-        raise ValueError(f"unknown combination kind {kind!r}")
     code = 0 if rep.agrees else 1
     if code:
         print("combination criterion disagreed with the frame verdict", file=sys.stderr)

@@ -64,6 +64,10 @@ class SingularU(FramekitError):
     """The transform operator is numerically singular."""
 
 
+class Unresolved(FramekitError):
+    """A computed constant lies within its round-off bound of the threshold it is judged by."""
+
+
 class PartitionNotDisjoint(FramekitError):
     """Partition cells overlap."""
 

@@ -8,48 +8,34 @@ operator inequalities need once they meet floating point.
 
 The spectral step every criterion shares lives here, once:
 
-* ``_monomial`` is the one structure test.  It returns the index-and-phase
-  form ``(index, phase)`` of a monomial operand, at most one nonzero in each
-  row and column, with ``m[i, index[i]] = phase[i]``, and None for any other
-  operand.  It is exact, with no tolerance, and one ``count_nonzero``
-  refuses an unstructured operand before any index array is made.  The grid
-  operations that generate wave-packet systems are all monomial.  Four
-  kernels use it:
-
-  - ``_reference_eigh`` reads an exactly diagonal operand's spectrum off the
-    diagonal (stable ascending order, coordinate vectors as eigenvectors),
-    with no LAPACK call.  It serves the operands that are diagonal by
-    construction for a monomial window, the reference operator ``psd_split``
-    splits and the hyponormality commutator, and the frame operator a check
-    decomposes once (it pays one ``count_nonzero``).  A whitened pencil goes
-    to ``hermitian_eigh`` and pays no structure test;
-  - ``compress`` onto a basis with one nonzero per column is a gather;
-  - ``_window_products`` places ``T T*`` and ``T* T`` of a monomial T as
-    diagonals of ``|phase|^2`` in O(n), from one structure test of T, and
-    returns those weights; the window checks and ``hyponormality``
-    (commutator ``T* T - T T*``) take their products from it;
-  - ``op_norm`` of a monomial operand is its largest ``|phase|``.
-
+* ``_monomial`` is the one structure test: the exact index-and-phase form
+  ``(index, phase)``, ``m[i, index[i]] = phase[i]``, of an operand with at
+  most one nonzero in each row and column, as every grid operation is, or
+  None.  ``_reference_eigh`` reads an exactly diagonal operand off its
+  diagonal without LAPACK, ``compress`` onto a basis with one nonzero per
+  column is a gather, and ``op_norm`` of a monomial is its largest ``|phase|``.
 * ``hermitian_eigh`` is the one eigensolver: the only caller of
   ``np.linalg.eigh`` / ``eigvalsh`` in the package.  It hermitizes its operand
   once, refuses non-finite entries and maps LAPACK failures to
   ``NoConvergence``, and keeps no state between calls.  ``herm_eig`` adds a
-  Hermiticity verdict in front of it, for operands that are not Hermitian by
-  construction.
+  Hermiticity verdict in front of it.  A whitened pencil goes straight to it.
 * ``svd`` is the one singular-value decomposition: the only caller of
   ``np.linalg.svd``, mapping LAPACK failures to ``NoConvergence``.
-  ``op_norm`` of any non-monomial operand reads its top singular value
-  (``vectors=False``), so the spectral norm takes no other route to LAPACK.
-* ``rank_mask`` is the one rank cut; ``psd_split``, ``pinv`` and
-  ``numerical_rank`` and every caller that truncates a spectrum use it, and
-  ``_split`` splits a spectrum already at hand as ``psd_split`` would.
+  ``op_norm`` of any non-monomial operand reads its top singular value.
+* ``rank_mask`` is the one rank cut, and ``_split`` the one split of a
+  spectrum at it.  ``psd_split`` splits a PSD operand at its eigenvalues.
+  ``_gram_splits`` splits ``T T*`` and ``T* T`` of a factor T at hand (a
+  window, an operator of a relative inequality) from one SVD of T
+  (``_svd_splits``) or its index-and-phase form (``_monomial_splits``),
+  never forming them, and cuts on the singular values of T as ``pinv`` and
+  ``numerical_rank`` do, not on their squares.
 * ``compress`` is the one compression ``basis* X basis`` onto orthonormal
   columns (whitened ranges and kernels), and ``restrict`` the one margin
   restriction: a window check with ``margin=m`` scores its operators on the
   first ``n - m`` coordinates, their leading ``(n - m)`` square block.
 * ``_pow2_scaled`` scales an operand with entries beyond 2**200 by a power
-  of two before a check forms its frame operator or window products (or
-  ``hyponormality`` its commutator), and
+  of two before a check forms its frame operator or splits its window (or
+  ``hyponormality`` forms its commutator), and
   ``_pow2_restored`` undoes it exactly on the constants, using
   ``pencil(a X, b Y) = (a / b) pencil(X, Y)``; a constant beyond the float
   range raises OverflowError.  Ordinary operands take exponent 0.
@@ -62,8 +48,8 @@ Conventions:
 
 * ``herm_eig`` returns eigenvalues ascending, ``svd`` singular values
   descending.
-* Rank cutoffs are relative to the operand's own largest eigenvalue or
-  singular value.
+* Rank cutoffs are relative to the largest singular value of a factor, or
+  the largest eigenvalue of a reference given as a PSD operand.
 * Positivity verdicts compare the smallest eigenvalue against
   ``-psd_floor * max(1, ||H||)`` so the zero operator and tiny operators are
   both handled sensibly.
@@ -87,8 +73,8 @@ class Tolerance:
         Eigenvalue slack for "is this operator >= 0", applied against
         ``max(1, norm)``.
     rank_rel
-        Relative singular-value cutoff for numerical rank and pseudoinverse
-        truncation.
+        Relative singular-value cutoff: the one rank cut, for numerical rank,
+        pseudoinverse truncation and the splits of windows and other factors.
     verdict_rel
         Relative tolerance for equality/inequality verdicts.
     """
@@ -237,26 +223,6 @@ def compress(x, basis) -> np.ndarray:
     return hermitize(phase.conj()[:, None] * x[rows[:, None], rows] * phase)
 
 
-def _window_products(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """``(t t*, t* t, weight)`` of a square ``t``, from one structure test.
-
-    For a monomial ``t`` both products are diagonal and placed in O(n)
-    without a product: ``weight = |phase|^2`` is the diagonal of ``t t*``,
-    and ``t* t`` holds ``weight[i]`` at ``(index[i], index[i])``.  For any
-    other ``t`` the weight is None.
-    """
-    form = _monomial(t)
-    if form is None:
-        return t @ t.conj().T, t.conj().T @ t, None
-    index, phase = form
-    weight = phase.real**2 + phase.imag**2
-    left = np.zeros(t.shape, dtype=np.complex128)
-    right = np.zeros(t.shape, dtype=np.complex128)
-    np.fill_diagonal(left, weight)
-    right[index, index] = weight
-    return left, right, weight
-
-
 def restrict(x: np.ndarray, margin: int | None) -> np.ndarray:
     """Leading ``(n - margin)`` square block of the n x n ``x``; ``x`` itself for None.
 
@@ -324,8 +290,8 @@ def hermitian_eigh(h, vectors: bool = True, basis=None):
 def _reference_eigh(h, vectors: bool = True):
     """:func:`hermitian_eigh`, read off the diagonal when ``h`` is exactly diagonal.
 
-    For a pencil's reference operator and the hyponormality commutator,
-    diagonal by construction when the window is monomial, and for a frame
+    For the Gram products and the hyponormality commutator of a monomial
+    factor, diagonal by construction, a diagonal pencil reference, and a frame
     operator a check decomposes once to read several things from.  The
     eigenvalues are the diagonal's real parts, the Hermitian part's diagonal,
     in stable ascending order, and the eigenvectors the coordinate vectors in
@@ -379,30 +345,72 @@ def psd_split(y, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, 
     """Split a PSD matrix at the rank cut.
 
     Returns the kept eigenvectors, their eigenvalues (ascending) and the
-    eigenvectors of the discarded kernel.  An exactly diagonal ``y``, such
-    as a window product of a monomial window, is split without LAPACK.
+    eigenvectors of the discarded kernel.  The cut falls on the eigenvalues
+    of ``y``; an exactly diagonal ``y`` is split without LAPACK.
     """
     return _split(*_reference_eigh(y), tol)
 
 
-def _split(vals: np.ndarray, vecs: np.ndarray, tol: Tolerance):
-    """:func:`psd_split` of the operand whose ascending eigenpairs are ``vals, vecs``."""
-    keep = rank_mask(vals, tol)
+def _split(vals: np.ndarray, vecs: np.ndarray, tol: Tolerance, cut: np.ndarray | None = None):
+    """:func:`psd_split` given ascending eigenpairs, cut on ``cut`` (a factor's singular
+    values, in the same order) when given, else on ``vals``."""
+    keep = rank_mask(vals if cut is None else cut, tol)
     return vecs[:, keep], vals[keep], vecs[:, ~keep]
 
 
-def svd(m, vectors: bool = True):
-    """Thin SVD ``(left, singulars, right)`` with ``M = left @ diag(s) @ adjoint(right)``.
+def _gram_splits(t: np.ndarray, tol: Tolerance = DEFAULT_TOL, left: bool = True, right: bool = True):
+    """``(psd_split(t t*), psd_split(t* t))`` from the factor ``t``, cut on its singular
+    values, forming neither product; None for a side not asked for.  A tall ``t`` is
+    monomial when ``t.T`` is, whose products are the conjugates of ``t``'s, swapped."""
+    rows, cols = t.shape
+    form = _monomial(t.T if rows > cols else t)
+    if form is None:
+        return _svd_splits(t, tol, left, right)
+    if rows > cols:
+        return _monomial_splits(form, rows, tol, right, left)[::-1]
+    return _monomial_splits(form, cols, tol, left, right)
 
-    Singular values are nonnegative and descending.  With ``vectors`` False
-    only they are computed and returned.  Raises NoConvergence when the LAPACK
-    iteration fails.
+
+def _monomial_splits(form, cols: int, tol: Tolerance, left: bool = True, right: bool = True, size=None):
+    """:func:`_gram_splits` of a wide monomial with index-and-phase ``form`` and ``cols``
+    columns, in O(n): ``t t*`` holds ``|phase|^2`` on its diagonal and ``t* t`` holds
+    ``|phase[i]|^2`` at ``index[i]``, cut on ``|phase|``.  With ``size``, both products are
+    restricted to their leading ``size`` coordinates."""
+    index, phase = form
+    near = np.stack([phase.real**2 + phase.imag**2, np.abs(phase)])
+    far = np.zeros((2, cols))
+    far[:, index] = near
+    return tuple(  # read off by _reference_eigh, in the stable ascending order of |phase|^2
+        _split(*_reference_eigh(np.diag(w)), tol, s[np.argsort(w, kind="stable")]) if wanted else None
+        for (w, s), wanted in ((near[:, :size], left), (far[:, :size], right))
+    )
+
+
+def _svd_splits(t: np.ndarray, tol: Tolerance, left: bool = True, right: bool = True):
+    """:func:`_gram_splits` from one SVD of ``t``, full on a side where ``t`` is thin."""
+    rows, cols = t.shape
+    u, s, v = svd(t, full=(left and rows > cols) or (right and cols > rows))
+    return tuple(_svd_split(x, s, tol) if wanted else None for x, wanted in ((u, left), (v, right)))
+
+
+def _svd_split(vectors: np.ndarray, s: np.ndarray, tol: Tolerance):
+    """Split of ``t t*`` (``t* t``) from the left (right) singular ``vectors`` of ``t`` and ``s``."""
+    singular = np.zeros(vectors.shape[1])
+    singular[: s.size] = s
+    return _split(singular[::-1] ** 2, vectors[:, ::-1], tol, singular[::-1])
+
+
+def svd(m, vectors: bool = True, full: bool = False):
+    """SVD ``(left, singulars, right)`` with ``M = left[:, :k] @ diag(s) @ adjoint(right[:, :k])``.
+
+    Singular values are nonnegative and descending, the vectors thin unless ``full``; with
+    ``vectors`` False only the values are computed.  LAPACK failure raises NoConvergence.
     """
     m = as_operator(m)
     try:
         if not vectors:
             return np.linalg.svd(m, compute_uv=False)
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        u, s, vh = np.linalg.svd(m, full_matrices=full)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return u, s, vh.conj().T
@@ -419,12 +427,13 @@ def pinv(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Singular values the rank cut discards are dropped, so the zero matrix
     maps to the (transposed) zero matrix.
     """
-    m = as_operator(m)
-    u, s, v = svd(m)
-    keep = rank_mask(s, tol)
-    if not np.any(keep):
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    return (v[:, keep] / s[keep]) @ u[:, keep].conj().T
+    return _svd_pinv(*svd(m), tol)
+
+
+def _svd_pinv(u: np.ndarray, s: np.ndarray, v: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """:func:`pinv` from an SVD at hand, thin or full."""
+    k, keep = s.size, rank_mask(s, tol)
+    return (v[:, :k][:, keep] / s[keep]) @ u[:, :k][:, keep].conj().T
 
 
 def is_psd(h, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:

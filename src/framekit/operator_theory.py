@@ -33,8 +33,11 @@ from .numerics import (
     Tolerance,
     _pow2_restored,
     _pow2_scaled,
+    _gram_splits,
+    _monomial,
     _reference_eigh,
-    _window_products,
+    _svd_pinv,
+    _svd_split,
     as_operator,
     compress,
     hermitian_eigh,
@@ -45,6 +48,7 @@ from .numerics import (
     psd_split,
     range_inclusion,
     restrict,
+    svd,
 )
 
 
@@ -69,12 +73,6 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     return v if norm == 0 else v / norm
 
 
-def _herm_norm(x: np.ndarray) -> float:
-    if x.size == 0:
-        return 0.0
-    return float(np.max(np.abs(hermitian_eigh(x, vectors=False))))
-
-
 def pencil_sup(x, y, tol: Tolerance = DEFAULT_TOL) -> PencilBound:
     """Least ``lam >= 0`` with ``x <= lam * y`` (PSD operands, quadratic-form order)."""
     x = as_operator(x)
@@ -89,7 +87,8 @@ def _pencil_sup(x: np.ndarray, split, tol: Tolerance) -> PencilBound:
     basis_r, vals_r, basis_k = split
     if basis_k.shape[1] > 0:
         kvals, kvecs = hermitian_eigh(x, basis=basis_k)
-        if float(kvals[-1]) > tol.psd_floor * max(1.0, _herm_norm(x)):
+        norm = float(np.max(np.abs(hermitian_eigh(x, vectors=False))))
+        if float(kvals[-1]) > tol.psd_floor * max(1.0, norm):
             obstruction = _normalize(basis_k @ kvecs[:, -1])
             return PencilBound(value=math.inf, obstruction=obstruction)
     if basis_r.shape[1] == 0:
@@ -176,8 +175,13 @@ def hyponormality(
     # T is scaled by 2**-e (e = 0 for ordinary entries) so the products stay
     # finite; eigenvalues scale back by 4**e, the norm by 2**e.
     t, exponent = _pow2_scaled(t)
-    tt_adjoint, t_adjoint_t, _ = _window_products(t)
-    commutator = t_adjoint_t - tt_adjoint
+    form = _monomial(t)
+    if form is None:
+        commutator = t.conj().T @ t - t @ t.conj().T
+    else:  # diagonal: |phase[i]|^2 at index[i], less |phase[i]|^2 at i
+        weight = form[1].real ** 2 + form[1].imag ** 2
+        commutator = np.diag(-weight)
+        commutator[form[0], form[0]] += weight
     vals = _reference_eigh(commutator, vectors=False)
     min_eig = float(vals[0]) if vals.size else 0.0
     norm = op_norm(t)
@@ -223,15 +227,15 @@ def relative_hyponormality(
         raise DimensionMismatch(
             f"T1*T1 is {t1.shape[1]}x{t1.shape[1]} but T2 T2* is {t2.shape[0]}x{t2.shape[0]}"
         )
-    x = hermitize(t2 @ t2.conj().T)
-    y = t1.conj().T @ t1
-    bound = pencil_sup(x, y, tol)
-    holds = math.isfinite(bound.value)
-    degenerate = holds and bound.value <= tol.psd_floor
+    # T1 and T2 are each scaled by 2**-e (e = 0 for ordinary entries); lambda scales back.
+    (t1, e1), (t2, e2) = _pow2_scaled(t1), _pow2_scaled(t2)
+    bound = _pencil_sup(hermitize(t2 @ t2.conj().T), _gram_splits(t1, tol, left=False)[1], tol)
+    lambda_opt = _pow2_restored(bound.value, 2 * (e2 - e1))
+    holds = math.isfinite(lambda_opt)
     return RelativeHyponormalityReport(
         holds=holds,
-        lambda_opt=bound.value,
-        degenerate=degenerate,
+        lambda_opt=lambda_opt,
+        degenerate=holds and lambda_opt <= tol.psd_floor,
         witness=bound.witness,
         obstruction=bound.obstruction,
     )
@@ -272,12 +276,13 @@ def douglas_check(t1, t2, tol: Tolerance = DEFAULT_TOL) -> DouglasReport:
             f"operators must share a codomain: {t1.shape[0]} vs {t2.shape[0]} rows"
         )
     both, exponent = _pow2_scaled(np.concatenate([t1, t2], axis=1))
-    if exponent:
-        t1, t2 = np.split(both, [t1.shape[1]], axis=1)
+    t1, t2 = np.split(both, [t1.shape[1]], axis=1)
     included = range_inclusion(t1, t2, tol)
-    majorize = pencil_sup(hermitize(t1 @ t1.conj().T), t2 @ t2.conj().T, tol)
+    # One SVD of T2 (full on the left if T2 is tall) gives the split of T2 T2* and pinv(T2).
+    factors = svd(t2, full=t2.shape[0] > t2.shape[1])
+    majorize = _pencil_sup(hermitize(t1 @ t1.conj().T), _svd_split(factors[0], factors[1], tol), tol)
     lambda_min = math.sqrt(majorize.value) if math.isfinite(majorize.value) else math.inf
-    candidate = pinv(t2, tol) @ t1
+    candidate = _svd_pinv(*factors, tol) @ t1
     residual = op_norm(t2 @ candidate - t1)
     factor_ok = residual <= tol.verdict_rel * op_norm(t1)
     consistent = included == math.isfinite(lambda_min) == factor_ok

@@ -18,17 +18,21 @@ truncated one-sided shift breaks the full-space identities, from every
 operator before the pencils run.
 
 Vectors or windows with entries beyond 2**200 are scaled by powers of two
-before S, Theta Theta* and Theta* Theta are formed, and the constants are
-scaled back exactly (``pencil(a X, b Y) = (a / b) pencil(X, Y)``); a constant
-beyond the float range raises OverflowError.
+before S is formed and Theta split, and the constants are scaled back
+exactly (``pencil(a X, b Y) = (a / b) pencil(X, Y)``); a constant beyond
+the float range raises OverflowError.
 
-A monomial window, such as any grid operation, has diagonal products Theta
-Theta* and Theta* Theta, placed in O(n).  When its phases also have unit
-modulus, C = D = I up to the rounding of ``|phase|^2``, and the constants
-are the extreme eigenvalues of S, read from one ``_frame_spectrum``: the
-``_lattice_spectrum`` of a stamped system with no margin (S is never
-formed), else one decomposition of S.  Any other window's C and D are split
-once per check, and each pencil decomposes S whitened by them.
+C and D are never formed: ``_gram_splits`` splits both from Theta (from
+``Theta[:n-m, :]`` and ``Theta[:, :n-m]`` under a margin), cutting on its
+singular values, and a monomial window, such as any grid operation, in O(n).
+When its phases also have unit modulus, C = D = I up to the rounding of
+``|phase|^2``, and the constants are the extreme eigenvalues of S, read from
+one ``_frame_spectrum``: the ``_lattice_spectrum`` of a stamped system with
+no margin (S is never formed), else one decomposition of S.  Any other
+window is split once per check, and each pencil decomposes S whitened by it.
+Whitening magnifies the rounding of S by up to ``1 / s_k^2`` for the least
+kept singular value s_k, so a lower verdict that this could flip raises
+Unresolved instead of guessing.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .errors import (
     NotParseval,
     NotThetaFrame,
     SingularU,
+    Unresolved,
 )
 from .frame_core import (
     FrameSystem,
@@ -56,14 +61,17 @@ from .frame_core import (
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
+    _gram_splits,
+    _monomial,
+    _monomial_splits,
     _pow2_restored,
     _pow2_scaled,
-    _window_products,
+    _svd_splits,
     as_operator,
+    compress,
     hermitian_eigh,
     hermitize,
     op_norm,
-    psd_split,
     rank_mask,
     restrict,
     svd,
@@ -74,9 +82,7 @@ from .operator_theory import (
     _pencil_inf,
     _pencil_sup,
     hyponormality,
-    pencil_inf,
-    pencil_sup,
-    relative_hyponormality,
+    pencil_inf,  # unused here, but perfbench's tracer patches and restores it in this module
 )
 
 
@@ -120,8 +126,7 @@ def check_theta_frame(
     coordinates first and the inequalities are scored there.
     """
     window = _window_splits(_checked_window(theta, system.n), tol, margin)
-    frame = _frame_spectrum(system, margin) if window[1] is None else _scaled_frame_operator(system)
-    return _theta_frame_report(frame, window, tol, margin)
+    return _system_report(system, window, tol, margin)
 
 
 # Squared phases within this much of 1 make a monomial window unit-modulus:
@@ -130,21 +135,26 @@ def check_theta_frame(
 _UNIT_SLACK = 4 * np.finfo(float).eps
 
 
-def _scaled_window(theta: np.ndarray, margin: int | None):
-    """``(e, (C, D))``: ``theta`` scaled by ``_pow2_scaled`` and its products restricted
-    by ``margin``, with None for the products of a unit-modulus monomial ``theta``."""
+def _window_splits(theta: np.ndarray, tol: Tolerance, margin: int | None, upper: bool = True):
+    """``(e, (C split, D split))`` of ``theta * 2**-e`` (``_pow2_scaled``) restricted by
+    ``margin``; D's is None unless ``upper``, and both are None for a unit monomial."""
     theta, exponent = _pow2_scaled(theta)
-    c, d, weight = _window_products(theta)
-    if weight is not None and np.all(np.abs(weight - 1.0) <= _UNIT_SLACK):
-        return exponent, None
-    return exponent, (restrict(c, margin), restrict(d, margin))
+    form = _monomial(theta)
+    rows = restrict(theta, margin).shape[0]
+    if form is not None:
+        if np.all(np.abs(form[1].real**2 + form[1].imag**2 - 1.0) <= _UNIT_SLACK):
+            return exponent, None
+        return exponent, _monomial_splits(form, len(theta), tol, True, upper, size=rows)
+    if margin is None:
+        return exponent, _svd_splits(theta, tol, True, upper)
+    lower = _svd_splits(theta[:rows], tol, right=False)[0]
+    return exponent, (lower, _svd_splits(theta[:, :rows], tol, left=False)[1] if upper else None)
 
 
-def _window_splits(theta: np.ndarray, tol: Tolerance, margin: int | None):
-    """:func:`_scaled_window` with the ``psd_split`` of C and of D in place of the
-    products: every report of one check shares them."""
-    exponent, products = _scaled_window(theta, margin)
-    return exponent, None if products is None else tuple(psd_split(x, tol) for x in products)
+def _system_report(system: FrameSystem, window, tol: Tolerance, margin: int | None) -> ThetaFrameReport:
+    """:func:`check_theta_frame` of ``system`` given ``_window_splits``."""
+    frame = _frame_spectrum(system, margin) if window[1] is None else _scaled_frame_operator(system)
+    return _theta_frame_report(frame, window, tol, margin)
 
 
 def _unit_pencils(spectrum) -> tuple[PencilBound, PencilBound]:
@@ -161,25 +171,48 @@ def _theta_frame_report(frame, window, tol: Tolerance, margin: int | None) -> Th
     the ``_frame_spectrum``, else the ``_scaled_frame_operator``."""
     theta_exp, splits = window
     if splits is None:
-        s_exp = frame.exponent
+        s, s_exp = None, frame.exponent
         lower, upper = _unit_pencils(frame)
     else:
         s, s_exp = frame
         s = restrict(s, margin)
         lower, upper = _pencil_inf(s, splits[0], tol), _pencil_sup(s, splits[1], tol)
-    alpha = _pow2_restored(lower.value, 2 * (s_exp - theta_exp))
+    alpha, lower_ok = _lower_verdict(lower, 2 * (s_exp - theta_exp), tol, s, splits)
     beta = _pow2_restored(upper.value, 2 * (s_exp - theta_exp))
-    lower_ok = lower.degenerate or alpha > tol.psd_floor
     return ThetaFrameReport(
         alpha_opt=alpha,
         beta_opt=beta,
-        lower_ok=bool(lower_ok),
+        lower_ok=lower_ok,
         upper_ok=bool(math.isfinite(beta)),
         lower_witness=lower.witness,
         upper_witness=upper.witness,
         kernel_obstruction=upper.obstruction,
         lower_degenerate=lower.degenerate,
     )
+
+
+def _lower_verdict(lower: PencilBound, exponent: int, tol: Tolerance, s=None, splits=None):
+    """``(alpha, alpha > psd_floor)`` for the pencil ``lower`` scaled back by ``2**exponent``,
+    guarded by :func:`_whitened_error` when ``splits`` whitened S (unit windows are not)."""
+    alpha = _pow2_restored(lower.value, exponent)
+    if lower.degenerate:
+        return alpha, True
+    error = 0.0 if splits is None else _pow2_restored(_whitened_error(s, splits[0][1]), exponent)
+    return alpha, _above(alpha, tol.psd_floor, error, "lower constant")
+
+
+def _whitened_error(s: np.ndarray, kept: np.ndarray) -> float:
+    """Round-off bound ``n eps ||S||_F / s_k^2`` of an eigenvalue of ``s`` whitened by a window
+    split whose ``kept`` squared singular values ascend from s_k^2: whitening scales the
+    rounding of S by up to ``1 / s_k^2`` (Higham, *Accuracy and Stability*, section 3.5)."""
+    return len(s) * np.finfo(float).eps * float(np.linalg.norm(s)) / kept[0]
+
+
+def _above(value: float, threshold: float, error: float, what: str) -> bool:
+    """``value > threshold``; Unresolved when ``value`` lies within ``error`` of it."""
+    if abs(value - threshold) < error:
+        raise Unresolved(f"{what} {value:.3e} is within its round-off bound {error:.3e} of {threshold:.3e}")
+    return bool(value > threshold)
 
 
 @dataclass(frozen=True)
@@ -202,20 +235,21 @@ def check_k_frame(
     A ``margin`` restricts both operators as in :func:`check_theta_frame`.
     Both constants of a unit-modulus monomial K read one ``_frame_spectrum``.
     """
-    k_exp, products = _scaled_window(_checked_window(k, system.n), margin)
-    if products is None:
-        spectrum = _frame_spectrum(system, margin)
+    k_exp, splits = _window_splits(_checked_window(k, system.n), tol, margin, upper=False)
+    if splits is None:
+        spectrum, s = _frame_spectrum(system, margin), None
         lower = _unit_pencils(spectrum)[0]
     else:
         frame = _scaled_frame_operator(system)
-        lower = pencil_inf(restrict(frame[0], margin), products[0], tol)
+        s = restrict(frame[0], margin)
+        lower = _pencil_inf(s, splits[0], tol)
         spectrum = _DenseSpectrum.of(frame, margin)
     high, upper_witness = spectrum.extreme(-1)
-    a_opt = _pow2_restored(lower.value, 2 * (spectrum.exponent - k_exp))
+    a_opt, lower_ok = _lower_verdict(lower, 2 * (spectrum.exponent - k_exp), tol, s, splits)
     return KFrameReport(
         a_opt=a_opt,
         b_opt=_pow2_restored(high, 2 * spectrum.exponent),
-        lower_ok=bool(lower.degenerate or a_opt > tol.psd_floor),
+        lower_ok=lower_ok,
         degenerate=lower.degenerate,
         lower_witness=lower.witness,
         upper_witness=upper_witness,
@@ -253,32 +287,37 @@ class ThetaTightReport:
 def theta_tight_check(
     system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL
 ) -> ThetaTightReport:
-    theta = _checked_window(theta, system.n)
-    s = frame_operator(system)
-    c, d, _ = _window_products(theta)
-
-    basis_r, vals_r, _ = psd_split(c, tol)
+    theta, theta_exp = _pow2_scaled(_checked_window(theta, system.n))
+    s, s_exp = _scaled_frame_operator(system)
+    (basis_r, vals_r, _), d_split = _gram_splits(theta, tol)
+    upper = _pencil_sup(s, d_split, tol)
+    exponent = 2 * (s_exp - theta_exp)
+    upper_opt = _pow2_restored(upper.value, exponent)
     if basis_r.shape[1] == 0:
         return ThetaTightReport(
             is_tight=False,
             alpha0=0.0,
             lower_spread=math.inf,
-            upper_opt=pencil_sup(s, d, tol).value,
+            upper_opt=upper_opt,
             degenerate=True,
         )
     spectrum = hermitian_eigh(s, vectors=False, basis=basis_r / np.sqrt(vals_r))
-    lo, hi = float(spectrum[0]), float(spectrum[-1])
+    lo, hi = (_pow2_restored(float(spectrum[i]), exponent) for i in (0, -1))
     alpha0 = 0.5 * (lo + hi)
     spread = hi - lo
-    equality_ok = spread <= tol.verdict_rel * max(1.0, hi)
-    upper = pencil_sup(s, d, tol)
-    upper_ok = upper.value <= alpha0 * (1.0 + tol.verdict_rel)
-    is_tight = bool(equality_ok and upper_ok and alpha0 > tol.psd_floor)
+    # Each verdict reads values whitened by C or D, which share s_k; one that round-off
+    # could flip raises Unresolved, and only when the verdicts before it hold.
+    error = 2 * _pow2_restored(_whitened_error(s, vals_r), exponent)
+    is_tight = (
+        not _above(spread, tol.verdict_rel * max(1.0, hi), error, "lower spread")
+        and not _above(upper_opt, alpha0 * (1.0 + tol.verdict_rel), error, "upper constant")
+        and _above(alpha0, tol.psd_floor, error, "alpha0")
+    )
     return ThetaTightReport(
         is_tight=is_tight,
         alpha0=float(alpha0),
         lower_spread=float(spread),
-        upper_opt=upper.value,
+        upper_opt=upper_opt,
     )
 
 
@@ -380,22 +419,25 @@ def transform_frame_check(
         raise SingularU("transform operator is numerically singular")
     u_norm = float(singulars[0])
     u_inv_norm = 1.0 / float(singulars[-1])
-    theta_norm = op_norm(theta)
+    # Both reports, ||Theta|| and lambda (over D) read one split of the scaled window.
+    exponent, splits = window = _window_splits(theta, tol, None)
+    c_split, d_split = splits or _gram_splits(_pow2_scaled(theta)[0], tol)
+    theta_norm = math.ldexp(math.sqrt(float(np.max(c_split[1], initial=0.0))), exponent)
+    lambda_rel = math.ldexp(_pencil_sup(hermitize(u.conj().T @ u), d_split, tol).value, -2 * exponent)
     commutator_norm = op_norm(u @ theta.conj().T - theta.conj().T @ u)
     commutes = commutator_norm <= tol.verdict_rel * max(1.0, u_norm * theta_norm)
     image = FrameSystem(system.vectors @ u.T, labels=system.labels)
-    base = check_theta_frame(system, theta, tol)
-    transformed = check_theta_frame(image, theta, tol)
-    rel = relative_hyponormality(theta, u.conj().T, tol)
+    base = _system_report(system, window, tol, None)
+    transformed = _system_report(image, window, tol, None)
     a1, a2 = base.alpha_opt, transformed.alpha_opt
     b1, b2 = base.beta_opt, transformed.beta_opt
     theta_norm_sq = theta_norm**2
-    if not math.isfinite(rel.lambda_opt) or math.isinf(b2):
+    if not math.isfinite(lambda_rel) or math.isinf(b2):
         # Either the relative-hyponormality premise fails or the right-hand
         # side is infinite; in both cases the chain places no constraint.
         lower_b_ok = True
     else:
-        lower_b_ok = _le_with_slack(b1, rel.lambda_opt * b2 * theta_norm_sq, tol.verdict_rel)
+        lower_b_ok = _le_with_slack(b1, lambda_rel * b2 * theta_norm_sq, tol.verdict_rel)
     report = TransformReport(
         commutes=bool(commutes),
         commutator_norm=float(commutator_norm),
@@ -403,7 +445,7 @@ def transform_frame_check(
         image=transformed,
         u_norm=u_norm,
         u_inv_norm=u_inv_norm,
-        lambda_rel=rel.lambda_opt,
+        lambda_rel=lambda_rel,
         lower_product_ok=_le_with_slack(a1 / u_norm**2, a2, tol.verdict_rel),
         upper_product_ok=_le_with_slack(a2, a1 * u_inv_norm**2, tol.verdict_rel),
         upper_b_ok=_le_with_slack(b2, b1 * u_norm**2, tol.verdict_rel),
@@ -440,12 +482,14 @@ def pseudoinverse_bound_chain(
     system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL
 ) -> PinvChainReport:
     theta = _checked_window(theta, system.n)
-    report = check_theta_frame(system, theta, tol)
+    window = _window_splits(theta, tol, None)
+    report = _system_report(system, window, tol, None)
     if not report.passes():
         raise NotThetaFrame("bound chain requires a verified window frame")
-    left, singulars, right = svd(theta)
-    keep = rank_mask(singulars, tol)
-    basis = left[:, keep]
+    # The margins are homogeneous in Theta: read the scaled split, constants scaled to match.
+    theta, exponent = _pow2_scaled(theta)
+    alpha, beta = (_pow2_restored(c, 2 * exponent) for c in (report.alpha_opt, report.beta_opt))
+    (basis, kept, _), (right, right_kept, _) = window[1] or _gram_splits(theta, tol)
     if basis.shape[1] == 0:
         return PinvChainReport(
             projector_residual=0.0,
@@ -456,23 +500,22 @@ def pseudoinverse_bound_chain(
             chain_ok=True,
             degenerate=True,
         )
-    # pinv(Theta) = V_k diag(1/s_k) U_k*, so Theta pinv(Theta) B = Theta V_k / s_k
-    # and ||pinv(Theta)||^-2 is the least kept singular value squared.
-    kept = singulars[keep]
-    projector_residual = op_norm(theta @ (right[:, keep] / kept) - basis)
+    # pinv(Theta) = V_k diag(1/s_k^2) V_k* Theta* from the D split, so Theta pinv(Theta) B
+    # = W diag(1/s_k^2) W* B for W = Theta V_k; ||pinv(Theta)||^-2 is the least kept s_k^2.
+    w = theta @ right
+    projector_residual = op_norm((w / right_kept) @ (w.conj().T @ basis) - basis)
     s = frame_operator(system)
     rvals = hermitian_eigh(s, vectors=False, basis=basis)
     restricted_min, top = float(rvals[0]), max(1.0, float(rvals[-1]))
     restricted_ok = restricted_min > tol.psd_floor * top
 
-    alpha, beta = report.alpha_opt, report.beta_opt
-    lower_min = restricted_min - (0.0 if math.isinf(alpha) else alpha) * float(kept[-1]) ** 2
-    d = _window_products(theta)[1]
-    upper_min = float(hermitian_eigh(beta * d - s, vectors=False, basis=basis)[0])
+    lower_min = restricted_min - (0.0 if math.isinf(alpha) else alpha) * float(kept[0])
+    image = theta @ basis  # B* D B = (Theta B)* (Theta B)
+    upper_min = float(hermitian_eigh(beta * (image.conj().T @ image) - compress(s, basis), vectors=False)[0])
     # Each slack scales with the operand its minimum is read from: B* S B for
     # the lower one, beta B* D B (norm beta s_1^2) for the upper one, whose
     # exact minimum is 0 since beta is optimal.
-    upper_top = max(1.0, beta * float(kept[0]) ** 2)
+    upper_top = max(1.0, beta * float(kept[-1]))
     chain_ok = bool(
         projector_residual <= tol.verdict_rel
         and lower_min >= -tol.verdict_rel * top

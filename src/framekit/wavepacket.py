@@ -357,7 +357,7 @@ def _domination(combined: FrameSystem, bases, theta, tol: Tolerance, margin: int
     and of each base, and whether theta* is hyponormal, all on one ``margin``.
 
     The reports are those of ``check_theta_frame`` and share one split of
-    each window product.  A frame operator is formed only when a dense step
+    the window, C's and D's.  A frame operator is formed only when a dense step
     reads it, and a base's is decomposed once, for its report (under a unit
     window) and the split of the constant over it.  Under a unit window with
     no margin a stamped system's report reads its lattice spectrum, and a

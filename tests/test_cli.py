@@ -552,6 +552,32 @@ def test_douglas_on_huge_entries_gets_a_verdict(tmp_path, capsys):
     assert verdicts["range_included"] is True and verdicts["factor_residual"] == 0.0
 
 
+def test_douglas_with_an_ill_conditioned_t2_is_consistent(tmp_path, capsys):
+    # T2 = Q1 diag(logspace(0, -5.5, 8)) Q2* is invertible, so R(I) lies in R(T2)
+    # with lambda_min = 1 / s_min(T2) = 10**5.5 and the factor T2^-1.
+    rng = np.random.default_rng(4)
+    q1, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    q2, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    t2 = q1 @ np.diag(np.logspace(0, -5.5, 8)) @ q2.conj().T
+    t1_path = _write(tmp_path, "t1.json", operator_to_json(np.eye(8)))
+    code, report = _run(capsys, ["douglas", t1_path, _write(tmp_path, "t2.json", operator_to_json(t2))])
+    verdicts = report["verdicts"]
+    assert code == 0 and verdicts["consistent"] is True and verdicts["range_included"] is True
+    assert verdicts["lambda_min"] == pytest.approx(10**5.5, rel=1e-6)
+    assert verdicts["factor"] is not None
+
+
+@pytest.mark.parametrize(
+    "kind, field", [("partition", "params"), ("partition", "theta"), ("partition", "cells"), ("finite-sum", "alphas")]
+)
+def test_check_comb_spec_missing_a_field_exits_two_naming_it(tmp_path, capsys, kind, field):
+    spec = {"kind": kind, "params": PARAMS_DOC, "theta": THETA_DOC, "cells": [[0]], "alphas": {"re": [1.0]}}
+    del spec[field]
+    code, report = _run(capsys, ["check-comb", _write(tmp_path, "spec.json", spec)])
+    assert code == 2
+    assert report["verdicts"]["error"] == f"combination spec JSON missing field: {field!r}"
+
+
 def test_gen_accepts_integral_floats(tmp_path, capsys):
     exact = {**PARAMS_DOC, "a_list": [3], "k_range": [0, 7]}
     floats = {**PARAMS_DOC, "a_list": [3.0], "k_range": [0, 7.0]}

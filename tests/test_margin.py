@@ -4,6 +4,9 @@ first n - m coordinate vectors.
 Each check that takes ``margin=m`` is compared, bit for bit, against a
 reference that compresses its operators with ``compress(x, E)`` for
 ``E = np.eye(n, n - m)``, over seeded random systems, windows and margins.
+A window enters through its compressed factors: C = Theta Theta* restricted
+is the Gram product of ``E* Theta`` and D = Theta* Theta restricted that of
+``Theta E``, each split from the factor as the checks split it.
 """
 
 from dataclasses import replace
@@ -13,8 +16,8 @@ import pytest
 
 from framekit.errors import NotHyponormal
 from framekit.frame_core import FrameSystem, frame_operator
-from framekit.numerics import compress, hermitian_eigh
-from framekit.operator_theory import hyponormality, pencil_inf, pencil_sup
+from framekit.numerics import DEFAULT_TOL, _gram_splits, compress, hermitian_eigh
+from framekit.operator_theory import _pencil_inf, _pencil_sup, hyponormality, pencil_inf
 from framekit.signal_space import Grid, Signal
 from framekit.theta_frame import check_k_frame, check_theta_frame, tight_frame_from_hyponormal
 from framekit.wavepacket import (
@@ -62,9 +65,10 @@ def _same(mine, reference):
 
 def _reference_theta(system, theta, margin):
     s = _compressed(frame_operator(system), margin)
-    lower = pencil_inf(s, _compressed(theta @ theta.conj().T, margin))
-    upper = pencil_sup(s, _compressed(theta.conj().T @ theta, margin))
-    return lower, upper
+    e = np.eye(system.n, system.n - margin)
+    c_split = _gram_splits(e.conj().T @ theta, right=False)[0]
+    d_split = _gram_splits(theta @ e, left=False)[1]
+    return _pencil_inf(s, c_split, DEFAULT_TOL), _pencil_sup(s, d_split, DEFAULT_TOL)
 
 
 def _assert_theta_report(report, system, theta, margin):

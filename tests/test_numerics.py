@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import framekit
 from framekit import numerics
 from framekit.cli import to_jsonable
-from framekit.errors import NoConvergence, NotHermitian
+from framekit.errors import NoConvergence, NotHermitian, NotThetaFrame, Unresolved
 from framekit.frame_core import FrameSystem, canonical_basis, frame_operator, system_to_json
 from framekit.numerics import (
     DEFAULT_TOL,
@@ -327,13 +327,34 @@ def test_rank_cut_is_shared_across_splits_pinv_and_the_bound_chain():
     assert numerical_rank(y) == 3
     truncated = (u[:, :3] / [1.0, 1.0, 2.0 * r]) @ u[:, :3].conj().T
     assert op_norm(pinv(y) - truncated) <= 1e-4 * op_norm(truncated)
-    # The bound chain cuts the window's singular values (here y's eigenvalues).
-    # A system spanning the top two directions leaves the restricted frame
-    # operator singular iff the chain keeps the third direction, and the
-    # projector residual stays small only if it drops the fourth as pinv does.
-    report = pseudoinverse_bound_chain(FrameSystem(u[:, :2].T), y)
-    assert report.projector_residual <= 1e-3
-    assert abs(report.restricted_min_eig) <= 1e-8
+    # The window check and the bound chain cut the window's singular values
+    # (here y's eigenvalues) as pinv does, not their squares: both keep the
+    # third direction.  Its singular value 2e-10 puts the round-off bound of
+    # the whitened pencil, n eps ||S||_F / s_3^2, near 3e4; a system with no
+    # energy there has alpha = 0, which that bound cannot tell from the floor,
+    # so the shared verdict is a refusal.
+    assert [split[0].shape[1] for split in numerics._gram_splits(y)] == [3, 3]
+    for check in (check_theta_frame, pseudoinverse_bound_chain):
+        with pytest.raises(Unresolved, match=r"round-off bound 3\.\d+e\+04"):
+            check(FrameSystem(u[:, :2].T), y)
+    # With the cut at 1e-3 the same layout resolves: energy on the dropped
+    # fourth direction is a kernel obstruction, and a system on the top two
+    # fails the lower inequality on the kept third, so no chain exists.
+    tol = Tolerance(rank_rel=1e-3)
+    y = (u * [1.0, 1.0, 2e-3, 5e-4]) @ u.conj().T
+    report = check_theta_frame(FrameSystem(u[:, [0, 1, 3]].T), y, tol)
+    assert report.beta_opt == np.inf and abs(np.vdot(u[:, 3], report.kernel_obstruction)) >= 1 - 1e-6
+    system = FrameSystem(u[:, :2].T)
+    report = check_theta_frame(system, y, tol)
+    assert report.alpha_opt <= 1e-10 and not report.lower_ok and report.upper_ok
+    with pytest.raises(NotThetaFrame):
+        pseudoinverse_bound_chain(system, y, tol)
+    # A system on the top three is a window frame: the chain restricts S to
+    # those three directions, and its projector residual stays small only if
+    # it drops the fourth.
+    chain = pseudoinverse_bound_chain(FrameSystem(u[:, :3].T), y, tol)
+    assert chain.projector_residual <= 1e-3
+    assert abs(chain.restricted_min_eig - 1.0) <= 1e-8
 
 
 def test_linalg_eigensolvers_are_called_only_in_numerics():
@@ -513,7 +534,15 @@ def test_a_unit_window_report_is_the_extreme_eigenpairs_of_s(kind, value, margin
     assert report.kernel_obstruction is None and not report.lower_degenerate
 
 
-def test_a_finite_sum_check_splits_each_window_product_once(lapack_log):
+def test_a_finite_sum_check_splits_each_window_product_once(lapack_log, monkeypatch):
+    svd_log = []
+    real_svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        svd_log.append(hashlib.sha256(np.ascontiguousarray(a)).hexdigest())
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     rng = np.random.default_rng(9)
     grid = Grid(4, 4)
     psis = tuple(Signal(grid, rng.normal(size=16) + 1j * rng.normal(size=16)) for _ in range(2))
@@ -521,14 +550,15 @@ def test_a_finite_sum_check_splits_each_window_product_once(lapack_log):
     theta, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
     report = finite_sum_criterion_check(FiniteSumSpec((1.0, 0.5j), psis), params, theta)
     assert report.sum_report.passes() and all(r.passes() for r in report.single_reports)
+    # C and D both come from one SVD of theta; neither product is formed and decomposed.
+    assert svd_log.count(hashlib.sha256(np.ascontiguousarray(theta)).hexdigest()) == 1
     products = [hermitize(theta @ theta.conj().T), hermitize(theta.conj().T @ theta)]
     for product in products:
         key = ("eigh", hashlib.sha256(np.ascontiguousarray(product)).hexdigest())
-        assert lapack_log.count(key) == 1
-    # C and D once each, then per single its frame operator and the summed
-    # system whitened by it, two pencils for each of the 1 + 2 reports, and
-    # the self-commutator of theta*.
-    assert len(lapack_log) == len(set(lapack_log)) == 2 + 2 * 2 + 3 * 2 + 1
+        assert key not in lapack_log
+    # Per single its frame operator and the summed system whitened by it, two
+    # pencils for each of the 1 + 2 reports, and the self-commutator of theta*.
+    assert len(lapack_log) == len(set(lapack_log)) == 2 * 2 + 3 * 2 + 1
 
 
 def test_only_operands_beyond_two_to_the_200_are_scaled():

@@ -227,6 +227,43 @@ def test_relative_hyponormality_scaling():
         assert scaled.lambda_opt == pytest.approx(9.0 * base.lambda_opt, rel=1e-9)
 
 
+def _ill_conditioned(seed, n=8):
+    """Q1 diag(logspace(0, -5.5, n)) Q2*: invertible, condition number 10**5.5."""
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q1 @ np.diag(np.logspace(0, -5.5, n)) @ q2.conj().T
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_relative_hyponormality_of_an_ill_conditioned_t1_is_finite(seed):
+    # lam T1*T1 >= I needs lam = 1 / s_min(T1)**2 = 1e11; the rank cut falls on
+    # the singular values of T1, not on their squares, so no direction is lost.
+    rep = relative_hyponormality(_ill_conditioned(seed), np.eye(8))
+    assert rep.holds and rep.obstruction is None
+    assert rep.lambda_opt == pytest.approx(1e11, rel=1e-6)
+
+
+def test_relative_hyponormality_scales_a_dense_factor_beyond_the_float_square():
+    # T1 = 1e160 Q: T1*T1 and the squares of its singular values overflow, so
+    # T1 and T2 are scaled by powers of two first; lam = (1e161 / 1e160)**2.
+    rng = np.random.default_rng(160)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    rep = relative_hyponormality(1e160 * q, 1e161 * np.eye(6))
+    assert rep.holds and rep.obstruction is None and not rep.degenerate
+    assert rep.lambda_opt == pytest.approx(100.0, rel=1e-12)
+
+
+def test_a_wide_t1_still_finds_its_kernel_obstruction():
+    # T1*T1 of a 3 x 8 T1 has a 5-dimensional kernel, which the split must
+    # complete with the full right singular vectors.
+    rng = np.random.default_rng(31)
+    t1 = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
+    rep = relative_hyponormality(t1, np.eye(8))
+    assert not rep.holds and np.isinf(rep.lambda_opt)
+    assert np.linalg.norm(t1 @ rep.obstruction) <= 1e-10 * np.linalg.norm(rep.obstruction)
+
+
 def test_relative_hyponormality_shape_check():
     with pytest.raises(DimensionMismatch):
         relative_hyponormality(np.ones((2, 3)), np.ones((2, 2)))

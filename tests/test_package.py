@@ -13,7 +13,8 @@ import framekit
 _PUBLIC = {
     "errors": """DimensionMismatch FramekitError NoConvergence NonCoprimeDilation NotAFrame
         NotHermitian NotHyponormal NotParseval NotSquare NotThetaFrame OffGridEndpoints
-        OffGridFrequency OffGridShift PartitionNotDisjoint PartitionNotExhaustive SingularU""",
+        OffGridFrequency OffGridShift PartitionNotDisjoint PartitionNotExhaustive SingularU
+        Unresolved""",
     "frame_core": """FrameBounds FrameSystem analysis_matrix canonical_basis frame_operator
         optimal_bounds reconstruct synthesis_matrix system_from_json system_to_json""",
     "numerics": """DEFAULT_TOL Tolerance adjoint herm_eig hermitize is_psd numerical_rank op_norm
@@ -38,7 +39,7 @@ _HOMES = {name: module for module, names in _PUBLIC.items() for name in names.sp
 
 
 def test_all_lists_the_public_names_once():
-    assert len(_HOMES) == len(framekit.__all__) == 93
+    assert len(_HOMES) == len(framekit.__all__) == 94
     assert sorted(framekit.__all__) == sorted(_HOMES)
 
 

@@ -14,6 +14,7 @@ from framekit.errors import (
     NotParseval,
     NotThetaFrame,
     SingularU,
+    Unresolved,
 )
 from framekit.frame_core import FrameSystem, canonical_basis, frame_operator, optimal_bounds
 from framekit.numerics import DEFAULT_TOL, adjoint, op_norm
@@ -414,9 +415,9 @@ def test_pinv_chain_margins_are_the_least_eigenvalues_of_the_compressions(seed, 
 
 def test_pinv_chain_passes_an_ill_conditioned_verified_frame():
     # Singular values down to 10**-4.5: the upper minimum is 0 up to round-off
-    # of order eps * beta * ||D||, about 4e-7 below zero here, beyond a slack
-    # taken relative to ||S|| (7e-8) but inside one relative to beta s_1^2.
-    rng = np.random.default_rng([8, 45, 14])
+    # of order eps * beta * ||D||, about 3e-7 below zero here, beyond a slack
+    # taken relative to ||S|| (8e-8) but inside one relative to beta s_1^2.
+    rng = np.random.default_rng([8, 45, 8])
     n = 8
     theta = _unitary(rng, n) @ np.diag(np.logspace(0, -4.5, n)) @ _unitary(rng, n).conj().T
     vectors = (rng.normal(size=(2 * n, n)) + 1j * rng.normal(size=(2 * n, n))) / np.sqrt(n)
@@ -425,6 +426,90 @@ def test_pinv_chain_passes_an_ill_conditioned_verified_frame():
     rep = pseudoinverse_bound_chain(system, theta)
     assert rep.chain_ok
     assert rep.upper_margin_min < -DEFAULT_TOL.verdict_rel * op_norm(frame_operator(system))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_an_invertible_ill_conditioned_window_is_not_refused(seed):
+    # Condition number 10**5.5: the squared products span 11 decades, past a
+    # rank cut of 1e-10 on their eigenvalues, but every singular value of the
+    # window lies well above the cut, so C and D are invertible and 16 random
+    # vectors in C^8 are a window frame with finite constants.
+    rng = np.random.default_rng(seed)
+    n = 8
+    theta = _unitary(rng, n) @ np.diag(np.logspace(0, -5.5, n)) @ _unitary(rng, n).conj().T
+    system = _random_system(rng, 2 * n, n)
+    rep = check_theta_frame(system, theta)
+    assert rep.passes() and rep.kernel_obstruction is None
+    # Sandwich check on random vectors, relative to the largest side.
+    s = frame_operator(system)
+    for f in (rng.normal(size=(n, 8)) + 1j * rng.normal(size=(n, 8))).T:
+        quad = np.vdot(f, s @ f).real
+        lower = rep.alpha_opt * np.linalg.norm(theta.conj().T @ f) ** 2
+        upper = rep.beta_opt * np.linalg.norm(theta @ f) ** 2
+        assert lower <= quad * (1 + 1e-8) and quad <= upper * (1 + 1e-8)
+
+
+@pytest.mark.parametrize("exponent", [4, 9])
+@pytest.mark.parametrize("seed", range(5))
+def test_an_ill_conditioned_window_never_passes_a_non_frame(exponent, seed):
+    # S is singular along the window's least left singular vector u, where
+    # Theta* still has energy, so alpha = 0.  Whitening by the kept singular
+    # values magnifies the rounding of S by up to 1 / s_min**2 (1e8 and 1e18
+    # here), and the computed alpha lands anywhere inside that bound, above
+    # the floor for about half of such systems.  Both checks refuse it.
+    rng = np.random.default_rng([16, seed])
+    n = 8
+    left = _unitary(rng, n)
+    theta = left @ np.diag(np.logspace(0, -exponent, n)) @ _unitary(rng, n).conj().T
+    vectors = (rng.normal(size=(2 * n, n)) + 1j * rng.normal(size=(2 * n, n))) / np.sqrt(n)
+    u = left[:, -1]
+    singular = FrameSystem(vectors - np.outer(vectors @ u.conj(), u))
+    for check in (check_theta_frame, check_k_frame):
+        with pytest.raises(Unresolved, match="round-off bound"):
+            check(singular, theta)
+    # The frame the vectors span is resolved at condition 1e4, where alpha is
+    # far above its bound, and refused at 1e9, where the bound swamps it.
+    if exponent == 4:
+        assert check_theta_frame(FrameSystem(vectors), theta).passes()
+    else:
+        with pytest.raises(Unresolved):
+            check_theta_frame(FrameSystem(vectors), theta)
+
+
+@pytest.mark.parametrize("exponent", [2, 6])
+@pytest.mark.parametrize("seed", range(3))
+def test_an_ill_conditioned_tight_image_is_tight_or_refused(exponent, seed):
+    # A Parseval basis under a normal window has S = Theta Theta*: tight with
+    # alpha0 = 1.  Whitened by C, its spread is round-off of up to about
+    # n eps ||S||_F / s_k^2, which passes the 1e-8 tightness slack once s_k^2
+    # falls below about 1e-7; the check then refuses instead of answering no.
+    rng = np.random.default_rng([7, seed])
+    n = 8
+    u = _unitary(rng, n)
+    theta = u @ np.diag(np.logspace(0, -exponent, n)) @ u.conj().T
+    image = FrameSystem(np.conj(_unitary(rng, n)) @ theta.T)
+    if exponent == 2:
+        tight = theta_tight_check(image, theta)
+        assert tight.is_tight and tight.alpha0 == pytest.approx(1.0, rel=1e-9)
+    else:
+        with pytest.raises(Unresolved, match="lower spread"):
+            theta_tight_check(image, theta)
+
+
+def test_a_dense_window_beyond_the_float_square_is_scaled():
+    # Theta = 1e160 Q and vectors 1e160 e_k: Theta* Theta and S would overflow,
+    # but both are scaled by powers of two before they are split or formed,
+    # so the tight constant 1 of S = Theta Theta* comes back exactly scaled.
+    rng = np.random.default_rng(160)
+    n = 6
+    theta = 1e160 * _unitary(rng, n)
+    system = FrameSystem(1e160 * np.eye(n))
+    tight = theta_tight_check(system, theta)
+    assert tight.is_tight and not tight.degenerate
+    assert tight.alpha0 == pytest.approx(1.0, rel=1e-12) and tight.upper_opt == pytest.approx(1.0, rel=1e-12)
+    rep = check_theta_frame(system, theta)
+    assert rep.passes() and rep.alpha_opt == pytest.approx(1.0, rel=1e-12)
+    assert rep.beta_opt == pytest.approx(1.0, rel=1e-12)
 
 
 def test_bound_chain_makes_two_svds_and_tightness_none(monkeypatch):
@@ -439,11 +524,20 @@ def test_bound_chain_makes_two_svds_and_tightness_none(monkeypatch):
     rng = np.random.default_rng(16)
     theta = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     system = _random_system(rng, 32, 16)
+    # One SVD of theta serves the check's splits and the chain; the other is
+    # the norm of the projector residual.
     assert pseudoinverse_bound_chain(system, theta).chain_ok
-    assert len(calls) == 2
+    assert calls == [(16, 16), (16, 16)]
+    # The tightness check splits C and D from one SVD and decomposes neither product.
     calls.clear()
+    eigh_operands = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: eigh_operands.append(h) or real_eigh(h))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: eigh_operands.append(h) or real_eigh(h)[0])
     theta_tight_check(system, theta)
-    assert calls == []
+    assert calls == [(16, 16)]
+    products = [theta @ theta.conj().T, theta.conj().T @ theta]
+    assert not any(np.allclose(h, p) for h in eigh_operands for p in products)
 
 
 # ---------------------------------------------------------------------------
