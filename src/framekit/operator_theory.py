@@ -40,13 +40,15 @@ from .numerics import (
     _svd_split,
     as_operator,
     compress,
+    extreme_eigh,
     hermitian_eigh,
     hermitize,
     is_psd,
+    numerical_rank,
     op_norm,
     pinv,
     psd_split,
-    range_inclusion,
+    rank_mask,
     restrict,
     svd,
 )
@@ -82,21 +84,31 @@ def pencil_sup(x, y, tol: Tolerance = DEFAULT_TOL) -> PencilBound:
     return _pencil_sup(x, psd_split(y, tol), tol)
 
 
-def _pencil_sup(x: np.ndarray, split, tol: Tolerance) -> PencilBound:
-    """:func:`pencil_sup` given ``psd_split(y)``."""
+def _pencil_sup(x: np.ndarray, split, tol: Tolerance, witness: bool = True) -> PencilBound:
+    """:func:`pencil_sup` given ``psd_split(y)``; without ``witness`` only the value is computed."""
     basis_r, vals_r, basis_k = split
     if basis_k.shape[1] > 0:
-        kvals, kvecs = hermitian_eigh(x, basis=basis_k)
+        kvals, kvec = _extreme(x, -1, basis_k, witness)
         norm = float(np.max(np.abs(hermitian_eigh(x, vectors=False))))
         if float(kvals[-1]) > tol.psd_floor * max(1.0, norm):
-            obstruction = _normalize(basis_k @ kvecs[:, -1])
+            obstruction = None if kvec is None else _normalize(basis_k @ kvec)
             return PencilBound(value=math.inf, obstruction=obstruction)
     if basis_r.shape[1] == 0:
         return PencilBound(value=0.0, degenerate=True)
     whitener = basis_r / np.sqrt(vals_r)
-    cvals, cvecs = hermitian_eigh(x, basis=whitener)
-    witness = _normalize(whitener @ cvecs[:, -1])
+    cvals, cvec = _extreme(x, -1, whitener, witness)
+    witness = None if cvec is None else _normalize(whitener @ cvec)
     return PencilBound(value=float(cvals[-1]), witness=witness)
+
+
+def _extreme(x: np.ndarray, position: int, basis, witness: bool):
+    """Eigenvalues of ``x`` (of ``compress(x, basis)`` with a ``basis``; an ``x`` taken as it is
+    must be exactly Hermitian) and, with ``witness``, the unit eigenvector at ``position``, the
+    only one computed; None without."""
+    if not witness:
+        return hermitian_eigh(x, vectors=False, basis=basis), None
+    values, vectors = extreme_eigh(x, (position,), basis)
+    return values, vectors[:, 0]
 
 
 def pencil_inf(x, y, tol: Tolerance = DEFAULT_TOL) -> PencilBound:
@@ -114,23 +126,23 @@ def pencil_inf(x, y, tol: Tolerance = DEFAULT_TOL) -> PencilBound:
     return _pencil_inf(x, psd_split(y, tol), tol)
 
 
-def _pencil_inf(x: np.ndarray, split, tol: Tolerance) -> PencilBound:
-    """:func:`pencil_inf` given ``psd_split(y)``."""
+def _pencil_inf(x: np.ndarray, split, tol: Tolerance, witness: bool = True) -> PencilBound:
+    """:func:`pencil_inf` given ``psd_split(y)``; without ``witness`` only the value is computed."""
     basis_r, vals_r, basis_k = split
     if basis_r.shape[1] == 0:
         return PencilBound(value=math.inf, degenerate=True)
     whitener = basis_r / np.sqrt(vals_r)
     if basis_k.shape[1] == 0:
-        cvals, cvecs = hermitian_eigh(x, basis=whitener)
-        witness = whitener @ cvecs[:, 0]
+        operand, basis, lift = x, whitener, whitener
     else:
         cross = whitener.conj().T @ x @ basis_k
         kernel_pinv = pinv(compress(x, basis_k), tol)
-        kernel_lift = -basis_k @ kernel_pinv @ cross.conj().T
-        cvals, cvecs = hermitian_eigh(compress(x, whitener) - cross @ kernel_pinv @ cross.conj().T)
-        witness = whitener @ cvecs[:, 0] + kernel_lift @ cvecs[:, 0]
+        lift = whitener - basis_k @ kernel_pinv @ cross.conj().T
+        operand, basis = hermitize(compress(x, whitener) - cross @ kernel_pinv @ cross.conj().T), None
+    cvals, cvec = _extreme(operand, 0, basis, witness)
     value = float(cvals[0])
-    return PencilBound(value=value if value > 0.0 else 0.0, witness=_normalize(witness))
+    witness = None if cvec is None else _normalize(lift @ cvec)
+    return PencilBound(value=value if value > 0.0 else 0.0, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +289,11 @@ def douglas_check(t1, t2, tol: Tolerance = DEFAULT_TOL) -> DouglasReport:
         )
     both, exponent = _pow2_scaled(np.concatenate([t1, t2], axis=1))
     t1, t2 = np.split(both, [t1.shape[1]], axis=1)
-    included = range_inclusion(t1, t2, tol)
-    # One SVD of T2 (full on the left if T2 is tall) gives the split of T2 T2* and pinv(T2).
+    # One SVD of T2 (full on the left if T2 is tall) gives rank(T2) for the range test,
+    # the split of T2 T2* and pinv(T2).
     factors = svd(t2, full=t2.shape[0] > t2.shape[1])
+    rank = int(np.count_nonzero(rank_mask(factors[1], tol)))
+    included = numerical_rank(np.concatenate([t2, t1], axis=1), tol) == rank
     majorize = _pencil_sup(hermitize(t1 @ t1.conj().T), _svd_split(factors[0], factors[1], tol), tol)
     lambda_min = math.sqrt(majorize.value) if math.isfinite(majorize.value) else math.inf
     candidate = _svd_pinv(*factors, tol) @ t1

@@ -423,7 +423,8 @@ def transform_frame_check(
     exponent, splits = window = _window_splits(theta, tol, None)
     c_split, d_split = splits or _gram_splits(_pow2_scaled(theta)[0], tol)
     theta_norm = math.ldexp(math.sqrt(float(np.max(c_split[1], initial=0.0))), exponent)
-    lambda_rel = math.ldexp(_pencil_sup(hermitize(u.conj().T @ u), d_split, tol).value, -2 * exponent)
+    lambda_rel = _pencil_sup(hermitize(u.conj().T @ u), d_split, tol, witness=False).value
+    lambda_rel = math.ldexp(lambda_rel, -2 * exponent)
     commutator_norm = op_norm(u @ theta.conj().T - theta.conj().T @ u)
     commutes = commutator_norm <= tol.verdict_rel * max(1.0, u_norm * theta_norm)
     image = FrameSystem(system.vectors @ u.T, labels=system.labels)

@@ -52,11 +52,12 @@ from .numerics import (
     as_integer,
     as_operator,
     as_real,
+    psd_split,
     range_inclusion,
     rank_mask,
     restrict,
 )
-from .operator_theory import _pencil_inf, hyponormality, pencil_inf, relative_hyponormality
+from .operator_theory import _pencil_inf, hyponormality, relative_hyponormality
 from .signal_space import Grid, Signal, _index_phase
 from .theta_frame import (
     ThetaFrameReport,
@@ -372,7 +373,7 @@ def _domination(combined: FrameSystem, bases, theta, tol: Tolerance, margin: int
     )
     frame = None if spectrum and all(lattices) else _scaled_frame_operator(combined)
     operators = [None if x else _scaled_frame_operator(base) for base, x in zip(bases, lattices)]
-    base_spectra = [x or _DenseSpectrum.of(s, margin) for x, s in zip(lattices, operators)]
+    base_spectra = [x or _DenseSpectrum.of(s, margin, vectors=True) for x, s in zip(lattices, operators)]
     constants = tuple(_least_ratio(frame, spectrum, base, tol, margin) for base in base_spectra)
     if unit:  # the reports read spectra, else the pencils read the frame operators
         frames = [spectrum or _DenseSpectrum.of(frame, margin), *base_spectra]
@@ -396,10 +397,12 @@ def _least_ratio(frame, spectrum, base, tol: Tolerance, margin: int | None):
     """
     if isinstance(base, _DenseSpectrum):
         s, s_exp = frame
-        value = _pencil_inf(restrict(s, margin), _split(base.values, base.vectors, tol), tol).value
+        split = _split(base.values, base.vectors, tol)
+        value = _pencil_inf(restrict(s, margin), split, tol, witness=False).value
     elif spectrum is None:
         s, s_exp = frame
-        value = pencil_inf(base.in_modes(s), np.diag(base.values.reshape(-1)), tol).value
+        split = psd_split(np.diag(base.values.reshape(-1)), tol)
+        value = _pencil_inf(base.in_modes(s), split, tol, witness=False).value
     else:
         s_exp = spectrum.exponent
         keep = rank_mask(base.values, tol)

@@ -18,12 +18,13 @@ import framekit
 from framekit import numerics
 from framekit.cli import to_jsonable
 from framekit.errors import NoConvergence, NotHermitian, NotThetaFrame, Unresolved
-from framekit.frame_core import FrameSystem, canonical_basis, frame_operator, system_to_json
+from framekit.frame_core import FrameSystem, _DenseSpectrum, canonical_basis, frame_operator, system_to_json
 from framekit.numerics import (
     DEFAULT_TOL,
     Tolerance,
     adjoint,
     as_real,
+    extreme_eigh,
     herm_eig,
     hermitian_eigh,
     hermitize,
@@ -37,7 +38,7 @@ from framekit.numerics import (
     range_inclusion,
     svd,
 )
-from framekit.operator_theory import hyponormality, pencil_inf, pencil_sup
+from framekit.operator_theory import _pencil_inf, _pencil_sup, douglas_check, hyponormality, pencil_inf, pencil_sup
 from framekit.signal_space import Grid, Signal, indicator, operator_of, signal_to_json
 from framekit.theta_frame import (
     check_k_frame,
@@ -410,6 +411,153 @@ def test_as_real_overflows_like_float():
 
 
 # ---------------------------------------------------------------------------
+# extreme eigenpairs: eigvalsh values, witnesses from one solve or a full eigh
+
+
+def _assert_certified(h, values, witnesses, positions):
+    """Values bit-equal to eigvalsh; each witness a unit vector in canonical phase whose
+    residual is within the certification bound and whose Rayleigh quotient is its value."""
+    eps = np.finfo(float).eps
+    assert np.array_equal(values, np.linalg.eigvalsh(h))
+    norm = float(np.max(np.abs(values)))
+    bound = numerics._WITNESS_C * len(h) * eps * norm
+    for column, position in enumerate(positions):
+        w, lam = witnesses[:, column], values[position]
+        assert abs(np.linalg.norm(w) - 1.0) <= 8 * eps
+        assert np.linalg.norm(h @ w - lam * w) <= bound
+        assert abs(np.vdot(w, h @ w).real - lam) <= 1e-12 * norm
+        top = int(np.argmax(np.abs(w)))
+        assert w[top].imag == 0.0 and w[top].real > 0.0
+
+
+def _random_hermitian(rng, n, kind):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "gram":
+        h = a @ a.conj().T
+    elif kind == "indefinite":
+        h = a + a.conj().T
+    else:  # graded: eigenvalues from 1 down to 1e-12
+        q, _ = np.linalg.qr(a)
+        h = (q * np.logspace(0, -12, n)) @ q.conj().T
+    return hermitize(h)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("kind", ["gram", "indefinite", "graded"])
+def test_extreme_eigh_agrees_with_dense_eigh(lapack_log, seed, kind):
+    rng = np.random.default_rng(seed)
+    h = _random_hermitian(rng, int(rng.integers(2, 48)), kind)
+    values, witnesses = extreme_eigh(h)
+    # Simple extremes: one solve each, no full eigh; each witness is eigh's
+    # eigenvector up to a unit scalar (the gaps here exceed 1e-6 * ||H||).
+    assert _solvers(lapack_log) == ["eigvalsh", "solve", "solve"]
+    _assert_certified(h, values, witnesses, (0, -1))
+    _, vectors = np.linalg.eigh(h)
+    for column, position in enumerate((0, -1)):
+        assert abs(abs(np.vdot(vectors[:, position], witnesses[:, column])) - 1.0) <= 1e-9
+    assert np.array_equal(extreme_eigh(h, (-1,))[1][:, 0], witnesses[:, 1])
+
+
+def test_extreme_eigh_falls_back_to_eigh_on_a_singular_shift_or_a_repeated_eigenvalue(lapack_log):
+    # S = I: every eigenvalue is repeated, so no solve is tried.
+    identity = np.eye(4, dtype=np.complex128)
+    values, witnesses = extreme_eigh(identity)
+    assert _solvers(lapack_log) == ["eigvalsh", "eigh"]
+    assert np.array_equal(values, np.ones(4)) and np.array_equal(witnesses, identity[:, [0, -1]])
+    # Eigenvalues exactly 1 and 3: h - 1 I is exactly singular and the solve raises.
+    lapack_log.clear()
+    h = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=np.complex128)
+    values, witnesses = extreme_eigh(h)
+    assert values.tolist() == [1.0, 3.0]
+    assert _solvers(lapack_log) == ["eigvalsh", "solve", "eigh", "solve"]  # h - 3 I is singular too
+    _assert_certified(h, values, witnesses, (0, -1))
+    assert np.allclose(witnesses, np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2), rtol=0, atol=1e-15)
+    # A repeated least eigenvalue falls back; the simple top one, asked for first, is one solve.
+    lapack_log.clear()
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    h = hermitize((q * [1.0, 1.0, 2.0, 3.0, 4.0, 5.0]) @ q.conj().T)
+    values, witnesses = extreme_eigh(h, (-1, 0))
+    assert _solvers(lapack_log) == ["eigvalsh", "solve", "eigh"]
+    _assert_certified(h, values, witnesses, (-1, 0))
+    # The fallback applies the same phase: the witness is eigh's column in canonical phase.
+    column = np.linalg.eigh(h)[1][:, 0]
+    assert np.array_equal(witnesses[:, 1], numerics._canonical_phase(column[:, None])[:, 0])
+
+
+def test_extreme_eigh_at_n_1_and_on_diagonal_operands(lapack_log):
+    values, witnesses = extreme_eigh(np.array([[2.5]], dtype=np.complex128))
+    assert values.tolist() == [2.5] and witnesses.tolist() == [[1.0, 1.0]]
+    assert _solvers(lapack_log) == ["eigvalsh", "solve", "eigh", "solve"]  # h - 2.5 I = 0, one eigh
+    lapack_log.clear()
+    # An exactly diagonal operand is read off, with no LAPACK call, as a frame
+    # operator's spectrum is (a canonical basis, n = 1 too).
+    values, witnesses = numerics._reference_eigh(np.diag([3.0, 1.0, 2.0]).astype(complex), (0, -1))
+    assert values.tolist() == [1.0, 2.0, 3.0]
+    assert np.array_equal(witnesses, np.eye(3)[:, [1, 0]])
+    for n in (1, 3):
+        spectrum = _DenseSpectrum.of((frame_operator(canonical_basis(n)), 0), None)
+        assert spectrum.values.tolist() == [1.0] * n and spectrum.vectors is None
+        assert np.array_equal(spectrum.witnesses, np.eye(n)[:, [0, n - 1]])
+    assert lapack_log == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_extreme_path_takes_s_as_frame_operator_builds_it(lapack_log, seed):
+    rng = np.random.default_rng(seed)
+    system = FrameSystem(rng.normal(size=(20, 12)) + 1j * rng.normal(size=(20, 12)))
+    s = frame_operator(system)
+    # S is exactly Hermitian as built, and hermitize leaves its bits alone.
+    assert hermitize(s).tobytes() == s.tobytes()
+    spectrum = _DenseSpectrum.of((s, 0), None)
+    assert lapack_log[0] == ("eigvalsh", hashlib.sha256(np.ascontiguousarray(s)).hexdigest())
+    _assert_certified(s, spectrum.values, spectrum.witnesses, (0, -1))
+    # With all vectors (a dense base a pencil is split over) the witnesses are
+    # eigh's columns 0 and -1 in the same canonical phase.
+    full = _DenseSpectrum.of((s, 0), None, vectors=True)
+    values, vectors = np.linalg.eigh(s)
+    assert np.array_equal(full.values, values) and np.array_equal(full.vectors, vectors)
+    assert np.array_equal(full.witnesses, numerics._canonical_phase(vectors[:, [0, -1]]))
+    for column in (0, 1):
+        assert abs(abs(np.vdot(full.witnesses[:, column], spectrum.witnesses[:, column])) - 1) <= 1e-9
+
+
+def _psd(rng, n, rank):
+    a = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    return hermitize(a @ a.conj().T)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_kernel_branches_of_the_pencils_certify_their_witnesses(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 12))
+    x, y = _psd(rng, n, n), _psd(rng, n, n - 2)
+    split = psd_split(y)
+    assert split[2].shape[1] == 2
+    # pencil_inf reduces x by the Schur complement against y's kernel; the witness
+    # attains the optimum as a generalized Rayleigh quotient.
+    lower = _pencil_inf(x, split, DEFAULT_TOL)
+    assert lower.value == _pencil_inf(x, split, DEFAULT_TOL, witness=False).value > 0.0
+    w = lower.witness
+    assert abs(np.vdot(w, x @ w).real - lower.value * np.vdot(w, y @ w).real) <= 1e-9 * op_norm(x)
+    # pencil_sup: x with energy on ker(y) is obstructed, certified by the top
+    # eigenvector of x compressed to that kernel.
+    upper = _pencil_sup(x, split, DEFAULT_TOL)
+    assert upper.value == np.inf and _pencil_sup(x, split, DEFAULT_TOL, witness=False).witness is None
+    kernel = split[2]
+    top = np.linalg.eigvalsh(numerics.compress(x, kernel))[-1]
+    assert abs(np.linalg.norm(kernel.conj().T @ upper.obstruction) - 1.0) <= 1e-12
+    assert abs(np.vdot(upper.obstruction, x @ upper.obstruction).real - top) <= 1e-10 * op_norm(x)
+    # x vanishing on ker(y): the whitened top eigenpair attains the optimum.
+    p = split[0] @ split[0].conj().T
+    x = hermitize(p @ x @ p)
+    upper = _pencil_sup(x, split, DEFAULT_TOL)
+    assert upper.value == _pencil_sup(x, split, DEFAULT_TOL, witness=False).value < np.inf
+    w = upper.witness
+    assert abs(np.vdot(w, x @ w).real - upper.value * np.vdot(w, y @ w).real) <= 1e-9 * op_norm(x)
+
+
+# ---------------------------------------------------------------------------
 # decompositions a check makes
 
 
@@ -439,6 +587,10 @@ def _unstamped(system):
     return FrameSystem(system.vectors, system.labels)
 
 
+def _solvers(log):
+    return [solver for solver, _ in log]
+
+
 def test_partition_domination_check_decomposes_each_operand_once(lapack_log):
     base, theta, pc = _partition_case()
     log = lapack_log
@@ -448,8 +600,11 @@ def test_partition_domination_check_decomposes_each_operand_once(lapack_log):
     # both I here, so each windowed pencil whitens S_phi or S_base by I, and
     # S_base is already known.  Both upper pencils have a full-rank
     # Theta* Theta, so neither decomposes S_base or S_phi for a positivity
-    # floor it would never compare against.
-    assert len(log) == len(set(log)) == 3
+    # floor it would never compare against.  Only S_base's eigenvectors are
+    # read in full (they split the pencil over it); the constant over it reads
+    # values alone, and S_phi's report its values and one solve per witness.
+    assert _solvers(log) == ["eigh", "eigvalsh", "eigvalsh", "solve", "solve"]
+    assert len(set(log)) == 5
 
 
 def test_partition_domination_check_on_a_stamped_base_decomposes_two_operands(lapack_log):
@@ -458,15 +613,27 @@ def test_partition_domination_check_on_a_stamped_base_decomposes_two_operands(la
     log = lapack_log
     partition_domination_check(base, pc, theta)
     # S_phi whitened by S_base, and S_phi.  S_base is split by its lattice
-    # spectrum, which also gives the base report under the unit window.
-    assert len(log) == len(set(log)) == 2
+    # spectrum, which also gives the base report under the unit window.  The
+    # constant reads values alone, and S_phi's report one solve per witness.
+    assert _solvers(log) == ["eigvalsh", "eigvalsh", "solve", "solve"]
+    assert len(set(log)) == 4
 
 
-def test_check_theta_frame_with_a_unitary_window_makes_no_values_only_decomposition(lapack_log):
+def test_check_theta_frame_with_a_unitary_window_decomposes_only_s(lapack_log):
     base, theta, _ = _partition_case()
-    log = lapack_log
+    s = frame_operator(base)
+    key = hashlib.sha256(np.ascontiguousarray(s)).hexdigest()
     check_theta_frame(_unstamped(base), theta)
-    assert log and {solver for solver, _ in log} == {"eigh"}
+    # S = 4 I up to round-off: its extreme eigenvalues are repeated, so after
+    # the values the witnesses come from one full eigh of the same operand.
+    assert np.allclose(s, 4 * np.eye(16), rtol=0, atol=1e-13)
+    assert lapack_log == [("eigvalsh", key), ("eigh", key)]
+    lapack_log.clear()
+    rng = np.random.default_rng(5)
+    system = FrameSystem(rng.normal(size=(24, 16)) + 1j * rng.normal(size=(24, 16)))
+    check_theta_frame(system, theta)
+    # Simple extreme eigenvalues: the values and one solve per witness.
+    assert _solvers(lapack_log) == ["eigvalsh", "solve", "solve"]
 
 
 @pytest.mark.parametrize("kind, value", [("modulate", 1.0), ("translate", 0.5), ("dilate", 3)])
@@ -515,7 +682,8 @@ def test_check_k_frame_with_a_named_window_reads_one_spectrum(lapack_log, kind, 
     stamped = check_k_frame(base, k)
     assert lapack_log == []
     dense = check_k_frame(_unstamped(base), k)
-    assert len(lapack_log) == 1
+    # One operand, S: its values, then (S = 4 I repeats its extreme eigenvalues) one full eigh.
+    assert _solvers(lapack_log) == ["eigvalsh", "eigh"] and len({key for _, key in lapack_log}) == 1
     assert stamped.lower_ok and dense.lower_ok
     assert abs(stamped.a_opt - dense.a_opt) <= 1e-12 * dense.b_opt
     assert abs(stamped.b_opt - dense.b_opt) <= 1e-12 * dense.b_opt
@@ -527,10 +695,11 @@ def test_a_unit_window_report_is_the_extreme_eigenpairs_of_s(kind, value, margin
     base, _, _ = _partition_case()
     base = _unstamped(base)
     report = check_theta_frame(base, operator_of(Grid(4, 4), kind, value), margin=margin)
-    vals, vecs = hermitian_eigh(numerics.restrict(frame_operator(base), margin))
+    s = numerics.restrict(frame_operator(base), margin)
+    vals = np.linalg.eigvalsh(s)
     assert report.alpha_opt == max(float(vals[0]), 0.0) and report.beta_opt == float(vals[-1])
-    for witness, column in [(report.lower_witness, vecs[:, 0]), (report.upper_witness, vecs[:, -1])]:
-        assert np.array_equal(witness, column / np.linalg.norm(column))
+    witnesses = np.stack([report.lower_witness, report.upper_witness], axis=1)
+    _assert_certified(s, vals, witnesses, (0, -1))
     assert report.kernel_obstruction is None and not report.lower_degenerate
 
 
@@ -556,9 +725,34 @@ def test_a_finite_sum_check_splits_each_window_product_once(lapack_log, monkeypa
     for product in products:
         key = ("eigh", hashlib.sha256(np.ascontiguousarray(product)).hexdigest())
         assert key not in lapack_log
-    # Per single its frame operator and the summed system whitened by it, two
-    # pencils for each of the 1 + 2 reports, and the self-commutator of theta*.
-    assert len(lapack_log) == len(set(lapack_log)) == 2 * 2 + 3 * 2 + 1
+    # Per single its frame operator (in full: it splits the constant over it)
+    # and the summed system whitened by it (values alone), two pencils for
+    # each of the 1 + 2 reports (values and one solve for the witness), and
+    # the self-commutator of theta* (values alone).
+    solvers = _solvers(lapack_log)
+    assert len(lapack_log) == len(set(lapack_log)) == 2 * 2 + 3 * 2 * 2 + 1
+    assert solvers[:4] == ["eigh", "eigh", "eigvalsh", "eigvalsh"]
+    assert solvers[4:] == ["eigvalsh", "solve"] * 6 + ["eigvalsh"]
+
+
+def test_a_douglas_check_takes_the_rank_of_t2_from_its_svd(monkeypatch):
+    svd_log = []
+    real_svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        svd_log.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    rng = np.random.default_rng(4)
+    t2 = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
+    t1 = t2 @ (rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5)))
+    report = douglas_check(t1, t2)
+    assert report.range_included and report.consistent and report.factor is not None
+    # The full SVD of T2 (its rank, the split of T2 T2* and pinv(T2)), rank
+    # [T2 | T1], and the norms of the residual and of T1; no second SVD of T2.
+    assert svd_log == [(12, 4), (12, 9), (12, 5), (12, 5)]
+    assert not douglas_check(np.eye(12)[:, :5], t2).range_included
 
 
 def test_only_operands_beyond_two_to_the_200_are_scaled():
