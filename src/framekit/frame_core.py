@@ -18,7 +18,6 @@ from .errors import DimensionMismatch, NotAFrame
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
-    _canonical_phase,
     _pow2_restored,
     _pow2_scaled,
     _reference_eigh,
@@ -132,24 +131,21 @@ def _scaled_frame_operator(system: FrameSystem) -> tuple[np.ndarray, int]:
 @dataclass(frozen=True, eq=False)
 class _DenseSpectrum:
     """Spectrum of a formed frame operator scaled by ``4**-exponent``: ``values``
-    ascending, ``witnesses`` the unit eigenvectors at positions 0 and -1 in
-    canonical phase, and ``vectors`` all eigenvectors where a split reads them,
-    else None."""
+    ascending and ``witnesses`` the unit eigenvectors at positions 0 and -1, both
+    ``numerics.extreme_eigh``'s."""
 
     values: np.ndarray
     witnesses: np.ndarray
     exponent: int
-    vectors: np.ndarray | None = None
 
     @classmethod
-    def of(cls, frame: tuple[np.ndarray, int], margin: int | None, vectors: bool = False) -> _DenseSpectrum:
-        """The spectrum of ``frame``, a ``_scaled_frame_operator``, restricted by ``margin``:
-        ``extreme_eigh``'s, or with ``vectors`` one full decomposition."""
-        s = restrict(frame[0], margin)
-        if not vectors:
-            return cls(*_reference_eigh(s, (0, -1)), frame[1])
-        values, full = _reference_eigh(s)
-        return cls(values, _canonical_phase(full[:, [0, -1]]), frame[1], full)
+    def of(
+        cls, frame: tuple[np.ndarray, int], margin: int | None, eigenvectors: np.ndarray | None = None
+    ) -> _DenseSpectrum:
+        """The spectrum of ``frame``, a ``_scaled_frame_operator``, restricted by ``margin``;
+        ``eigenvectors``, those of a full ``eigh`` of that operand already made, serve a
+        witness that falls back."""
+        return cls(*_reference_eigh(restrict(frame[0], margin), (0, -1), eigenvectors), frame[1])
 
     def extreme(self, position: int) -> tuple[float, np.ndarray]:
         """The ``position``-th eigenvalue (0 or -1), and a copy of its witness."""

@@ -310,7 +310,7 @@ _WITNESS_C = 32.0
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def extreme_eigh(h, positions=(0, -1), basis=None):
+def extreme_eigh(h, positions=(0, -1), basis=None, eigenvectors=None):
     """All eigenvalues (ascending) of the Hermitian ``h``, and unit eigenvectors at
     ``positions`` only, as the columns of an ``n x len(positions)`` array.
 
@@ -322,10 +322,12 @@ def extreme_eigh(h, positions=(0, -1), basis=None):
     (Parlett, *The Symmetric Eigenvalue Problem*, sections 4-5).  When a solve
     raises, a residual misses the bound, or ``lam`` lies within the bound of a
     neighbouring eigenvalue (a repeated one, as for h = I), that eigenvector is
-    read from a full ``eigh``, made at most once per call; the values stay
-    ``eigvalsh``'s.  Either way each eigenvector has the canonical phase of
-    :func:`_canonical_phase` and does not depend on the other positions asked
-    for.  Raises NoConvergence as :func:`hermitian_eigh` does.
+    read from a full ``eigh``, made at most once per call, or from
+    ``eigenvectors`` where a caller has already made that ``eigh`` of the
+    operand; the values stay ``eigvalsh``'s.  Either way each eigenvector has
+    the canonical phase of :func:`_canonical_phase` and does not depend on the
+    other positions asked for.  Raises NoConvergence as :func:`hermitian_eigh`
+    does.
     """
     if basis is not None:
         with np.errstate(invalid="ignore", over="ignore"):
@@ -334,7 +336,7 @@ def extreme_eigh(h, positions=(0, -1), basis=None):
     n = values.size
     bound = _WITNESS_C * n * np.finfo(float).eps * float(np.max(np.abs(values), initial=0.0))
     start = np.exp(2j * np.pi * (np.arange(n) ** 2 * _GOLDEN % 1.0))
-    columns, full = [], None
+    columns, full = [], eigenvectors
     for position in positions:
         witness = _inverse_iteration(h, values, position % n, start, bound)
         if witness is None:
@@ -372,7 +374,7 @@ def _canonical_phase(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reference_eigh(h, vectors=True):
+def _reference_eigh(h, vectors=True, eigenvectors=None):
     """:func:`hermitian_eigh`, read off the diagonal when ``h`` is exactly diagonal.
 
     For the Gram products and the hyponormality commutator of a monomial
@@ -384,13 +386,16 @@ def _reference_eigh(h, vectors=True):
     non-diagonal operand goes to :func:`hermitian_eigh`, which refuses or
     decomposes it.  With a tuple of positions for ``vectors``, only the
     eigenvectors at those positions are returned, and a non-diagonal operand,
-    which must then be exactly Hermitian, goes to :func:`extreme_eigh`.
+    which must then be exactly Hermitian, goes to :func:`extreme_eigh` with
+    ``eigenvectors``.
     """
     h = as_operator(h)
     n = h.shape[0]
     form = _monomial(h) if h.shape == (n, n) else None
     if form is None or not (form[0] == np.arange(n)).all() or not np.isfinite(form[1]).all():
-        return extreme_eigh(h, vectors) if isinstance(vectors, tuple) else hermitian_eigh(h, vectors)
+        if isinstance(vectors, tuple):
+            return extreme_eigh(h, vectors, eigenvectors=eigenvectors)
+        return hermitian_eigh(h, vectors)
     order = np.argsort(form[1].real, kind="stable")
     values = form[1].real[order]
     if vectors is False:

@@ -294,7 +294,8 @@ def douglas_check(t1, t2, tol: Tolerance = DEFAULT_TOL) -> DouglasReport:
     factors = svd(t2, full=t2.shape[0] > t2.shape[1])
     rank = int(np.count_nonzero(rank_mask(factors[1], tol)))
     included = numerical_rank(np.concatenate([t2, t1], axis=1), tol) == rank
-    majorize = _pencil_sup(hermitize(t1 @ t1.conj().T), _svd_split(factors[0], factors[1], tol), tol)
+    split = _svd_split(factors[0], factors[1], tol)
+    majorize = _pencil_sup(hermitize(t1 @ t1.conj().T), split, tol, witness=False)
     lambda_min = math.sqrt(majorize.value) if math.isfinite(majorize.value) else math.inf
     candidate = _svd_pinv(*factors, tol) @ t1
     residual = op_norm(t2 @ candidate - t1)

@@ -290,7 +290,7 @@ def theta_tight_check(
     theta, theta_exp = _pow2_scaled(_checked_window(theta, system.n))
     s, s_exp = _scaled_frame_operator(system)
     (basis_r, vals_r, _), d_split = _gram_splits(theta, tol)
-    upper = _pencil_sup(s, d_split, tol)
+    upper = _pencil_sup(s, d_split, tol, witness=False)
     exponent = 2 * (s_exp - theta_exp)
     upper_opt = _pow2_restored(upper.value, exponent)
     if basis_r.shape[1] == 0:

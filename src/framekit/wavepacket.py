@@ -47,6 +47,7 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     _pow2_restored,
+    _reference_eigh,
     _split,
     adjoint,
     as_integer,
@@ -359,10 +360,12 @@ def _domination(combined: FrameSystem, bases, theta, tol: Tolerance, margin: int
 
     The reports are those of ``check_theta_frame`` and share one split of
     the window, C's and D's.  A frame operator is formed only when a dense step
-    reads it, and a base's is decomposed once, for its report (under a unit
-    window) and the split of the constant over it.  Under a unit window with
-    no margin a stamped system's report reads its lattice spectrum, and a
-    constant over a stamped base is diagonal in the base's Fourier modes.
+    reads it.  A dense base's is decomposed in full once, for the split of the
+    constant over it; under a unit window its report reads the values and
+    witnesses ``check_theta_frame`` of the base reads, and a witness that
+    falls back reads those eigenvectors.  Under a unit window with no margin
+    a stamped system's report reads its lattice spectrum, and a constant over
+    a stamped base is diagonal in the base's Fourier modes.
     """
     theta = _checked_window(theta, combined.n)
     window = _window_splits(theta, tol, margin)
@@ -373,10 +376,17 @@ def _domination(combined: FrameSystem, bases, theta, tol: Tolerance, margin: int
     )
     frame = None if spectrum and all(lattices) else _scaled_frame_operator(combined)
     operators = [None if x else _scaled_frame_operator(base) for base, x in zip(bases, lattices)]
-    base_spectra = [x or _DenseSpectrum.of(s, margin, vectors=True) for x, s in zip(lattices, operators)]
-    constants = tuple(_least_ratio(frame, spectrum, base, tol, margin) for base in base_spectra)
+    # A dense base is decomposed in full once: its eigenpairs split the constant over it.
+    eighs = [None if x else _reference_eigh(restrict(s[0], margin)) for x, s in zip(lattices, operators)]
+    constants = tuple(
+        _least_ratio(frame, spectrum, x or (*e, s[1]), tol, margin)
+        for x, s, e in zip(lattices, operators, eighs)
+    )
     if unit:  # the reports read spectra, else the pencils read the frame operators
-        frames = [spectrum or _DenseSpectrum.of(frame, margin), *base_spectra]
+        frames = [spectrum or _DenseSpectrum.of(frame, margin)]
+        frames += [
+            x or _DenseSpectrum.of(s, margin, e[1]) for x, s, e in zip(lattices, operators, eighs)
+        ]
     else:
         frames = [frame, *operators]
     combined_report, *base_reports = (_theta_frame_report(f, window, tol, margin) for f in frames)
@@ -387,19 +397,21 @@ def _domination(combined: FrameSystem, bases, theta, tol: Tolerance, margin: int
 def _least_ratio(frame, spectrum, base, tol: Tolerance, margin: int | None):
     """Greatest lambda with ``lambda S_base <= S``, from the scaled frame operator
     ``frame`` of the combined system or, where given, its lattice ``spectrum``,
-    over the spectrum ``base`` of the base system.
+    over the base system's lattice spectrum ``base`` or, for a dense base,
+    ``(values, vectors, exponent)``: the full eigenpairs of its frame operator
+    scaled by ``4**-exponent`` and restricted by ``margin``.
 
-    Over a dense base the pencil reads the base's eigenpairs as its split.
+    Over a dense base the pencil reads those eigenpairs as its split.
     Over a stamped base the pencil is diagonal in the base's Fourier modes:
     against a stamped system too it is the least ratio of their eigenvalues
     on the modes the base keeps, and otherwise the ``pencil_inf`` of S in
     those modes against the diagonal of the base's eigenvalues.
     """
-    if isinstance(base, _DenseSpectrum):
-        s, s_exp = frame
-        split = _split(base.values, base.vectors, tol)
-        value = _pencil_inf(restrict(s, margin), split, tol, witness=False).value
-    elif spectrum is None:
+    if isinstance(base, tuple):
+        (s, s_exp), (values, vectors, base_exp) = frame, base
+        value = _pencil_inf(restrict(s, margin), _split(values, vectors, tol), tol, witness=False).value
+        return _pow2_restored(value, 2 * (s_exp - base_exp))
+    if spectrum is None:
         s, s_exp = frame
         split = psd_split(np.diag(base.values.reshape(-1)), tol)
         value = _pencil_inf(base.in_modes(s), split, tol, witness=False).value

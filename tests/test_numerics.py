@@ -481,8 +481,12 @@ def test_extreme_eigh_falls_back_to_eigh_on_a_singular_shift_or_a_repeated_eigen
     assert _solvers(lapack_log) == ["eigvalsh", "solve", "eigh"]
     _assert_certified(h, values, witnesses, (-1, 0))
     # The fallback applies the same phase: the witness is eigh's column in canonical phase.
-    column = np.linalg.eigh(h)[1][:, 0]
-    assert np.array_equal(witnesses[:, 1], numerics._canonical_phase(column[:, None])[:, 0])
+    vectors = np.linalg.eigh(h)[1]
+    assert np.array_equal(witnesses[:, 1], numerics._canonical_phase(vectors[:, :1])[:, 0])
+    # Given the eigenvectors of that eigh, the fallback reads them and makes no eigh.
+    lapack_log.clear()
+    assert np.array_equal(extreme_eigh(h, (-1, 0), eigenvectors=vectors)[1], witnesses)
+    assert _solvers(lapack_log) == ["eigvalsh", "solve"]
 
 
 def test_extreme_eigh_at_n_1_and_on_diagonal_operands(lapack_log):
@@ -497,7 +501,7 @@ def test_extreme_eigh_at_n_1_and_on_diagonal_operands(lapack_log):
     assert np.array_equal(witnesses, np.eye(3)[:, [1, 0]])
     for n in (1, 3):
         spectrum = _DenseSpectrum.of((frame_operator(canonical_basis(n)), 0), None)
-        assert spectrum.values.tolist() == [1.0] * n and spectrum.vectors is None
+        assert spectrum.values.tolist() == [1.0] * n
         assert np.array_equal(spectrum.witnesses, np.eye(n)[:, [0, n - 1]])
     assert lapack_log == []
 
@@ -512,14 +516,14 @@ def test_the_extreme_path_takes_s_as_frame_operator_builds_it(lapack_log, seed):
     spectrum = _DenseSpectrum.of((s, 0), None)
     assert lapack_log[0] == ("eigvalsh", hashlib.sha256(np.ascontiguousarray(s)).hexdigest())
     _assert_certified(s, spectrum.values, spectrum.witnesses, (0, -1))
-    # With all vectors (a dense base a pencil is split over) the witnesses are
-    # eigh's columns 0 and -1 in the same canonical phase.
-    full = _DenseSpectrum.of((s, 0), None, vectors=True)
-    values, vectors = np.linalg.eigh(s)
-    assert np.array_equal(full.values, values) and np.array_equal(full.vectors, vectors)
-    assert np.array_equal(full.witnesses, numerics._canonical_phase(vectors[:, [0, -1]]))
-    for column in (0, 1):
-        assert abs(abs(np.vdot(full.witnesses[:, column], spectrum.witnesses[:, column])) - 1) <= 1e-9
+    # Given the eigenvectors of a full eigh of S (a dense base a pencil is
+    # split over), the spectrum is the same bit for bit: they serve only a
+    # witness that falls back, and these extremes are simple.
+    lapack_log.clear()
+    given = _DenseSpectrum.of((s, 0), None, np.linalg.eigh(s)[1])
+    assert _solvers(lapack_log) == ["eigh", "eigvalsh", "solve", "solve"]
+    assert np.array_equal(given.values, spectrum.values)
+    assert np.array_equal(given.witnesses, spectrum.witnesses)
 
 
 def _psd(rng, n, rank):
@@ -603,8 +607,11 @@ def test_partition_domination_check_decomposes_each_operand_once(lapack_log):
     # floor it would never compare against.  Only S_base's eigenvectors are
     # read in full (they split the pencil over it); the constant over it reads
     # values alone, and S_phi's report its values and one solve per witness.
-    assert _solvers(log) == ["eigh", "eigvalsh", "eigvalsh", "solve", "solve"]
-    assert len(set(log)) == 5
+    # S_base's report reads the values check_theta_frame reads; S_base = 4 I
+    # repeats its extreme eigenvalues, so its witnesses come from the
+    # eigenvectors already made.  No operand goes to one solver twice.
+    assert _solvers(log) == ["eigh", "eigvalsh", "eigvalsh", "solve", "solve", "eigvalsh"]
+    assert len(set(log)) == 6 and log[0][1] == log[-1][1]
 
 
 def test_partition_domination_check_on_a_stamped_base_decomposes_two_operands(lapack_log):
@@ -753,6 +760,26 @@ def test_a_douglas_check_takes_the_rank_of_t2_from_its_svd(monkeypatch):
     # [T2 | T1], and the norms of the residual and of T1; no second SVD of T2.
     assert svd_log == [(12, 4), (12, 9), (12, 5), (12, 5)]
     assert not douglas_check(np.eye(12)[:, :5], t2).range_included
+
+
+def test_value_only_pencils_make_no_solve_and_no_eigh(lapack_log):
+    # theta_tight_check reads the value of its upper pencil, and douglas_check
+    # that of its majorization pencil: each pencil is one eigvalsh, with no
+    # witness solve and no fallback eigh, also on a tight frame (S = 4 I).
+    base, _, _ = _partition_case()
+    rng = np.random.default_rng(3)
+    theta, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+    generic = FrameSystem(rng.normal(size=(24, 16)) + 1j * rng.normal(size=(24, 16)))
+    for system in (_unstamped(base), generic):
+        lapack_log.clear()
+        theta_tight_check(system, theta)
+        assert _solvers(lapack_log) == ["eigvalsh", "eigvalsh"]  # the upper pencil, the whitened S
+    lapack_log.clear()
+    t2 = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
+    t1 = t2 @ (rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5)))
+    assert douglas_check(t1, t2).range_included
+    # T2 T2* has a kernel here: T1 T1* compressed onto it, T1 T1* for the floor, then whitened.
+    assert _solvers(lapack_log) == ["eigvalsh"] * 3
 
 
 def test_only_operands_beyond_two_to_the_200_are_scaled():

@@ -17,7 +17,7 @@ from framekit.errors import (
     Unresolved,
 )
 from framekit.frame_core import FrameSystem, canonical_basis, frame_operator, optimal_bounds
-from framekit.numerics import DEFAULT_TOL, adjoint, op_norm
+from framekit.numerics import DEFAULT_TOL, adjoint, compress, hermitize, op_norm, pinv
 from framekit.operator_theory import pencil_inf
 from framekit.signal_space import (
     Grid,
@@ -28,6 +28,7 @@ from framekit.signal_space import (
     shift_operators,
 )
 from framekit.theta_frame import (
+    _window_splits,
     check_k_frame,
     check_theta_frame,
     pseudoinverse_bound_chain,
@@ -563,16 +564,20 @@ def test_round_off_below_zero_reads_as_a_zero_lower_constant():
 
     # An exact zero after a Schur complement against the kernel of C: the
     # least eigenvalue of the reduced pencil is round-off again (5.0e-17 from
-    # its eigvalsh), and both checks read the same one.
+    # its eigvalsh), and both checks read exactly that one.
     back, _ = shift_operators(TruncatedSequenceSpace(6, 1))
     system = FrameSystem(np.eye(6)[:-1] + np.eye(6)[1:])
     theta_rep = check_theta_frame(system, back)
     k_rep = check_k_frame(system, back)
-    assert theta_rep.alpha_opt == k_rep.a_opt and 0.0 <= k_rep.a_opt <= 1e-15
+    s = frame_operator(system)
+    basis_r, vals_r, basis_k = _window_splits(back, DEFAULT_TOL, None)[1][0]
+    whitener = basis_r / np.sqrt(vals_r)
+    cross = whitener.conj().T @ s @ basis_k
+    reduced = hermitize(compress(s, whitener) - cross @ pinv(compress(s, basis_k)) @ cross.conj().T)
+    assert theta_rep.alpha_opt == k_rep.a_opt == max(float(np.linalg.eigvalsh(reduced)[0]), 0.0)
     assert not theta_rep.lower_ok and not k_rep.lower_ok
     # the witness still attains the (zero) optimum
     w = k_rep.lower_witness
-    s = frame_operator(system)
     assert abs(np.vdot(w, s @ w).real) <= 1e-12 * np.vdot(w, back @ back.conj().T @ w).real
 
 
