@@ -9,8 +9,12 @@ fills the ``seed`` key of every report.
 
 The report on stdout and the ``gen --out`` file are the text of
 ``json.dump(obj, indent=2, sort_keys=True)``, byte for byte, written as a
-stream of chunks by ``_json_chunks``; a list of finite floats becomes one
-chunk formatted by ``float.__repr__`` at C speed.
+stream of chunks by ``_json_chunks``, the one writer.  A list of finite
+floats becomes one chunk formatted by ``float.__repr__`` at C speed.  ``gen``
+hands it no float lists: every atom is a gather ``windows[row, index]`` from
+the window table of ``wavepacket._gather_form``, so each vector part is a
+``_Gathered`` leaf, and ``_FloatTexts`` formats each row of the table once,
+on its first read, into fixed-width ASCII that every later atom gathers.
 
 Importing this module loads only ``errors`` and ``numerics``; each verb
 imports the rest of what it runs when it runs.
@@ -33,7 +37,8 @@ import numpy as np
 
 from .errors import FramekitError
 from .numerics import (
-    DEFAULT_TOL, Tolerance, complex_from_json, complex_to_json, operator_from_json, operator_to_json
+    DEFAULT_TOL, Tolerance, _dense_size_checked, complex_from_json, complex_to_json, operator_from_json,
+    operator_to_json,
 )
 
 if TYPE_CHECKING:
@@ -83,13 +88,44 @@ def _all_floats(items) -> bool:
     return set(map(type, items)) == {float}
 
 
+class _FloatTexts:
+    """json.dump's text of every entry of a float64 table, each row formatted on its first read.
+
+    A row is kept as fixed-width ASCII, as wide as its longest text (at most
+    24 bytes, as for ``-2.2250738585072014e-308``), where a str object takes
+    over 70 bytes an entry.
+    """
+
+    def __init__(self, table: np.ndarray):
+        self._table = table
+        self._rows: list[np.ndarray | None] = [None] * len(table)
+
+    def row(self, i: int) -> np.ndarray:
+        texts = self._rows[i]
+        if texts is None:
+            # json's own encoder: float.__repr__, and NaN and Infinity spelled as json.dump does.
+            items = json.dumps(self._table[i].tolist())[1:-1].split(", ")
+            texts = self._rows[i] = np.array(items, dtype=bytes)
+        return texts
+
+
+@dataclasses.dataclass(frozen=True)
+class _Gathered:
+    """A non-empty float list given by reference: entries ``index`` of row ``row`` of ``texts``."""
+
+    texts: _FloatTexts
+    row: int
+    index: np.ndarray
+
+
 def _json_chunks(obj, pad: str = "\n"):
     """Yield the text of ``json.dumps(obj, indent=2, sort_keys=True)`` in chunks.
 
     ``pad`` is the newline and indent of the enclosing level.  Dict keys must
-    be strings.  A non-empty list of exact floats, all finite, is one chunk;
-    every other scalar is ``json.dumps`` of itself, so NaN, infinities, ints,
-    bools, None and strings keep json's form.
+    be strings.  A non-empty list of exact floats, all finite, or of exact
+    ints is one chunk, and so is a ``_Gathered`` leaf, written as the float
+    list it names; every other scalar is ``json.dumps`` of itself, so NaN,
+    infinities, ints, bools, None and strings keep json's form.
     """
     if isinstance(obj, dict) and obj:
         inner = pad + "  "
@@ -99,10 +135,15 @@ def _json_chunks(obj, pad: str = "\n"):
             yield from _json_chunks(obj[key], inner)
             opener = "," + inner
         yield pad + "}"
+    elif isinstance(obj, _Gathered):
+        inner = pad + "  "
+        texts = obj.texts.row(obj.row)[obj.index].tolist()
+        yield "[" + inner + ("," + inner).encode().join(texts).decode() + pad + "]"
     elif isinstance(obj, (list, tuple)) and obj:
         inner = pad + "  "
-        if _all_floats(obj):
-            text = ("," + inner).join(map(float.__repr__, obj))
+        kinds = set(map(type, obj))
+        if kinds == {float} or kinds == {int}:
+            text = ("," + inner).join(map(kinds.pop().__repr__, obj))
             if "n" not in text:  # finite reprs have no "n"; "inf" and "nan" do
                 yield "[" + inner + text + pad + "]"
                 return
@@ -165,6 +206,7 @@ def _operator_from_any(doc) -> np.ndarray:
             grid, value = _grid(doc), doc["value"]
         except KeyError as exc:
             raise ValueError(f"named operator JSON missing field: {exc}") from None
+        _dense_size_checked(grid.n, "named operator grid n")
         from .signal_space import operator_of
 
         return operator_of(grid, doc["kind"], value)
@@ -202,10 +244,30 @@ def _tolerance(args) -> Tolerance:
 # imports what it runs when it runs, so a verb loads only its own modules.
 
 
-def _cmd_gen(args, tol):
-    from .frame_core import system_to_json
-    from .wavepacket import generate_system
+def _system_payload(params: WavePacketParams) -> dict:
+    """``system_to_json(generate_system(params))`` with each vector part a ``_Gathered`` leaf.
 
+    The atoms are gathered from the one window table, deduplicated and
+    labelled by ``wavepacket._system``; each kept atom's real and imaginary
+    parts name its row of the table's real and imaginary parts.
+    """
+    from .wavepacket import _gather_form, _system
+
+    windows, rows, index = _gather_form(params)
+    system, counts = _system(params, windows[rows[:, None], index])
+    kept = counts > 0
+    texts, offset = _FloatTexts(np.concatenate((windows.real, windows.imag))), len(windows)
+    return {
+        "n": system.n,
+        "vectors": [
+            {"re": _Gathered(texts, row, at), "im": _Gathered(texts, offset + row, at)}
+            for row, at in zip(rows[kept].tolist(), index[kept])
+        ],
+        "labels": [list(lab) for lab in system.labels],
+    }
+
+
+def _cmd_gen(args, tol):
     doc = _load_json(args.params)
     params = _params_from_json(doc)
     if params.b == 0.0 and params.dedupe:
@@ -215,14 +277,14 @@ def _cmd_gen(args, tol):
         )
     if not np.any(params.psi.values):
         print("warning: degenerate window (zero signal)", file=sys.stderr)
-    system = generate_system(params)
-    payload = system_to_json(system)
+    payload = _system_payload(params)
+    verdicts = {"vectors": len(payload["vectors"]), "dimension": payload["n"]}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.writelines(_json_chunks(payload))
-        verdicts = {"written": args.out, "vectors": len(system), "dimension": system.n}
+        verdicts["written"] = args.out
     else:
-        verdicts = {"vectors": len(system), "dimension": system.n, "system": payload}
+        verdicts["system"] = payload
     return verdicts, {"params": doc}, 0
 
 

@@ -18,6 +18,7 @@ from .errors import DimensionMismatch, NotAFrame
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
+    _dense_size_checked,
     _pow2_restored,
     _pow2_scaled,
     _reference_eigh,
@@ -237,18 +238,21 @@ def reconstruct(
 
     Coefficients are ``<S^{-1} f, f_k>``; the reassembled vector is their
     synthesis and must reproduce ``f``.  Raises NotAFrame when the frame
-    operator is singular at the working tolerance.
+    operator is singular at the working tolerance, judged on the extreme
+    eigenvalues of S scaled as ``optimal_bounds`` scales it; that one S is
+    decomposed for its values only and then solved.
     """
     f = as_vector(f)
     if f.shape[0] != system.n:
         raise DimensionMismatch(f"vector of length {f.shape[0]} in dimension {system.n}")
-    s = frame_operator(system)
-    bounds = optimal_bounds(system, tol)
-    if bounds.lower <= tol.psd_floor * max(1.0, bounds.upper):
+    s, exponent = _scaled_frame_operator(system)
+    values = _reference_eigh(s, vectors=False)
+    lower, upper = (_pow2_restored(values[i], 2 * exponent) for i in (0, -1))
+    if lower <= tol.psd_floor * max(1.0, upper):
         raise NotAFrame(
-            f"frame operator is singular: min eigenvalue {bounds.lower:.3e}"
+            f"frame operator is singular: min eigenvalue {lower:.3e}"
         )
-    dual_image = np.linalg.solve(s, f)
+    dual_image = np.linalg.solve(s, f) * math.ldexp(1.0, -2 * exponent)
     w = analysis_matrix(system)
     coefficients = w @ dual_image
     reassembled = w.conj().T @ coefficients
@@ -274,7 +278,7 @@ def system_from_json(obj: dict) -> FrameSystem:
     if not isinstance(obj, dict):
         raise ValueError(f"system JSON must be an object, got {type(obj).__name__}")
     try:
-        n = as_integer(obj["n"], "system JSON n")
+        n = _dense_size_checked(as_integer(obj["n"], "system JSON n"), "system JSON n")
         raw = obj["vectors"]
         parts = {
             "re": [entry["re"] for entry in raw],

@@ -99,6 +99,23 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
+# The most complex entries a dense input may make framekit hold: a label box's
+# atoms times grid size, and n*n for a system or operator read from JSON, whose
+# checks form n x n operators.  A larger input is refused before anything is
+# allocated.  It is 2**24 (256 MiB of entries, n <= 4096), over 200 times the
+# largest box the benchmark generates (384 atoms on 192 points).
+MAX_ATOM_ENTRIES = 2**24
+
+
+def _dense_size_checked(n: int, what: str) -> int:
+    """``n``, or ValueError naming the limit when an n x n operand exceeds ``MAX_ATOM_ENTRIES``."""
+    if n * n > MAX_ATOM_ENTRIES:
+        raise ValueError(
+            f"{what} {n} exceeds the dense limit: n x n must stay within "
+            f"MAX_ATOM_ENTRIES = {MAX_ATOM_ENTRIES} entries (n <= {math.isqrt(MAX_ATOM_ENTRIES)})"
+        )
+    return n
+
 
 def as_operator(entries) -> np.ndarray:
     """Coerce input to a 2-D complex128 matrix."""
@@ -604,4 +621,5 @@ def operator_from_json(obj: dict) -> np.ndarray:
     for what, size in (("rows", rows), ("cols", cols)):
         if size < 0:
             raise ValueError(f"operator {what} must be nonnegative, got {size}")
+        _dense_size_checked(size, f"operator {what}")
     return complex_from_json(obj, (rows * cols,), "operator JSON entries").reshape(rows, cols)

@@ -45,6 +45,7 @@ from .frame_core import (
 )
 from .numerics import (
     DEFAULT_TOL,
+    MAX_ATOM_ENTRIES,
     Tolerance,
     _pow2_restored,
     _reference_eigh,
@@ -69,12 +70,6 @@ from .theta_frame import (
 )
 
 _DEDUPE_ATOL = 1e-12
-
-# The most complex entries, atoms times grid size, a label box may generate:
-# a larger box is refused before anything is allocated.  It is 2**24 (256 MiB
-# of atoms), over 200 times the largest box the benchmark generates (384
-# atoms on 192 points).
-MAX_ATOM_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -144,13 +139,15 @@ def _labels(params: WavePacketParams) -> list[tuple[int, int, int]]:
     ]
 
 
-def _atoms(params: WavePacketParams) -> np.ndarray:
-    """Every atom ``dilate_a(translate_{bk}(modulate_c(psi)))``, one row per label.
+def _gather_form(params: WavePacketParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(windows, rows, index)``: atom a, in ``_labels`` order, is ``windows[rows[a], index[a]]``.
 
-    Rows follow ``_labels`` order.  Indices and phases come from
+    ``windows`` holds one modulated window ``phase_c * psi / sqrt(q)`` per
+    frequency c, ``rows`` the frequency of each atom and ``index`` its
+    translated and dilated coordinates.  Indices and phases come from
     ``_index_phase``, which checks every parameter, and the arithmetic is that
     of the grid operations in their order (phase, product, then the coordinate
-    scaling), so every row equals the composed grid operations bit for bit.
+    scaling), so every atom equals the composed grid operations bit for bit.
     """
     grid = params.grid
     phases = np.array([_index_phase(grid, "modulate", c)[1] for c in params.c_list])
@@ -160,8 +157,14 @@ def _atoms(params: WavePacketParams) -> np.ndarray:
     dilations = np.array([_index_phase(grid, "dilate", a)[0] for a in params.a_list])
     windows = phases * params.psi.values / math.sqrt(grid.q)
     index = shifts[np.arange(len(shifts))[:, None], dilations[:, None, :]]  # [j, k, i]
-    rows = np.arange(len(params.c_list))[:, None]
-    return windows[rows, index[:, :, None, :]].reshape(-1, grid.n)
+    rows = np.tile(np.arange(len(windows)), len(dilations) * len(shifts))
+    return windows, rows, np.repeat(index.reshape(-1, grid.n), len(windows), axis=0)
+
+
+def _atoms(params: WavePacketParams) -> np.ndarray:
+    """Every atom ``dilate_a(translate_{bk}(modulate_c(psi)))``, one row per label."""
+    windows, rows, index = _gather_form(params)
+    return windows[rows[:, None], index]
 
 
 def _dedupe_counts(vectors: np.ndarray) -> np.ndarray:
@@ -220,9 +223,9 @@ def _lattice_closed(params: WavePacketParams) -> bool:
     return np.array_equal(steps, np.roll(steps, q)) and np.array_equal(freqs, np.roll(freqs, P))
 
 
-def _system(params: WavePacketParams, vectors: np.ndarray) -> tuple[FrameSystem, int]:
+def _system(params: WavePacketParams, vectors: np.ndarray) -> tuple[FrameSystem, np.ndarray]:
     """Labelled system of the atoms in ``_labels`` order, deduplicated if asked,
-    and the most atoms dedupe folded into one of its vectors (1 if none).
+    and how many atoms dedupe folded into each atom (0 for a dropped one).
 
     The system is stamped lattice-closed when dedupe kept every atom and
     ``_lattice_closed(params)``.
@@ -233,7 +236,7 @@ def _system(params: WavePacketParams, vectors: np.ndarray) -> tuple[FrameSystem,
     system = FrameSystem(vectors[keep], labels=labels)
     if keep.all() and _lattice_closed(params):
         _stamp_lattice(system, params.grid.q)
-    return system, int(counts.max())
+    return system, counts
 
 
 def generate_system(params: WavePacketParams) -> FrameSystem:
@@ -586,7 +589,7 @@ def finite_sum_criterion_check(
     """Score ``finite_sum_system(spec, params)`` against each single-window system."""
     boxes = [replace(params, psi=psi) for psi in spec.psis]
     atoms = [_atoms(box) for box in boxes]
-    singles, folds = zip(*(_system(box, a) for box, a in zip(boxes, atoms)))
+    singles, counts = zip(*(_system(box, a) for box, a in zip(boxes, atoms)))
     mu_opts, sum_report, single_reports, adjoint_hypo = _domination(
         _summed_system(spec, params, atoms), singles, theta, tol, margin
     )
@@ -596,7 +599,7 @@ def finite_sum_criterion_check(
     best_xi = int(np.argmax([(-math.inf if math.isinf(m) else m) for m in mu_opts]))
     agrees = exists == sum_report.passes()
 
-    betas = [m * r.beta_opt for m, r in zip(folds, single_reports)]
+    betas = [int(c.max()) * r.beta_opt for c, r in zip(counts, single_reports)]
     upper_estimate = spec.p * max(abs(a) ** 2 for a in spec.alphas) * sum(betas)
     upper_ok = math.isinf(upper_estimate) or (
         sum_report.beta_opt <= upper_estimate * (1.0 + tol.verdict_rel)

@@ -190,7 +190,9 @@ _WRITER_SCALARS = (
     | _WRITER_FLOATS.map(np.float64)
 )
 _WRITER_DOCUMENTS = st.recursive(
-    _WRITER_SCALARS | st.lists(_WRITER_FLOATS, min_size=1),
+    _WRITER_SCALARS
+    | st.lists(_WRITER_FLOATS, min_size=1)
+    | st.lists(st.integers(min_value=-(10**40), max_value=10**40), min_size=1),
     lambda children: st.lists(children)
     | st.lists(children).map(tuple)
     | st.dictionaries(st.text(), children),
@@ -202,52 +204,103 @@ _WRITER_DOCUMENTS = st.recursive(
 @given(_WRITER_DOCUMENTS)
 @example([1, 1.0, True])
 @example({"\u00e9\"\x01\u2603": [[], {}, (), [0.5, float("nan")], [np.float64(0.5), 0.5]]})
+@example([[1, True], [True, False], (10**40, -3), [2, 2.0]])
 def test_writer_chunks_are_the_text_of_json_dumps(doc):
     assert "".join(_json_chunks(doc)) == json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _gen_params(seed, q, P, periods=1):
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_WRITER_FLOATS, min_size=1, max_size=6), st.data())
+@example([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, float("nan"), float("-inf")], None)
+def test_a_gathered_leaf_is_the_text_of_the_floats_it_names(row, data):
+    table = np.array([row, row[::-1]])
+    if data is None:
+        index = np.array([5, 0, 1, 1, 3, 2, 4])
+    else:
+        index = np.array(data.draw(st.lists(st.integers(0, len(row) - 1), min_size=1, max_size=8)))
+    texts = cli._FloatTexts(table)
+    doc = {"x": [cli._Gathered(texts, 1, index), {"y": cli._Gathered(texts, 0, index)}]}
+    named = {"x": [table[1, index].tolist(), {"y": table[0, index].tolist()}]}
+    assert "".join(_json_chunks(doc)) == json.dumps(named, indent=2, sort_keys=True)
+
+
+def _gen_params(seed, q, P, periods=1, a_list=(1,), b=1.0, k_range=None, zeros=False):
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(q * P) + 1j * rng.standard_normal(q * P)
+    if zeros:  # signed zeros in both parts, where they meet nonzero parts too
+        psi.real[::3], psi.imag[1::3], psi.real[2::4] = 0.0, -0.0, -0.0
     return {
         "grid": {"q": q, "P": P},
         "psi": {"q": q, "P": P, "re": psi.real.tolist(), "im": psi.imag.tolist()},
-        "a_list": [1],
-        "b": 1.0,
-        "k_range": [0, P - 1],
+        "a_list": list(a_list),
+        "b": b,
+        "k_range": k_range or [0, P - 1],
         "c_list": [float(c) for c in range(periods * q)],
         "dedupe": True,
     }
 
 
-@pytest.mark.parametrize("seed, q, P", [(0, 4, 4), (1, 8, 6)])
-def test_gen_out_file_is_the_text_of_json_dump(tmp_path, capsys, seed, q, P):
-    doc = _gen_params(seed, q, P)
+_GEN_SHAPES = {
+    "one-period": dict(seed=0, q=4, P=4),
+    "tall": dict(seed=1, q=8, P=6),
+    "two-periods": dict(seed=3, q=4, P=4, periods=2),
+    "two-dilations": dict(seed=4, q=4, P=6, a_list=(1, 5)),
+    "step-two": dict(seed=5, q=4, P=4, b=2.0),
+    "partial-k": dict(seed=6, q=4, P=6, k_range=[2, 4]),
+    "signed-zeros": dict(seed=7, q=4, P=4, zeros=True),
+}
+
+
+@pytest.mark.parametrize(
+    "shape, to_file",
+    [
+        pytest.param("one-period", True, id="0-4-4"),
+        pytest.param("tall", True, id="1-8-6"),
+        *(pytest.param(shape, True, id=shape) for shape in list(_GEN_SHAPES)[2:]),
+        *(pytest.param(shape, False, id="stdout-" + shape) for shape in ("two-periods", "signed-zeros")),
+    ],
+)
+def test_gen_out_file_is_the_text_of_json_dump(tmp_path, capsys, shape, to_file):
+    doc = _gen_params(**_GEN_SHAPES[shape])
+    params = cli._params_from_json(doc)
+    system = generate_system(params)
+    if shape == "two-periods":
+        assert 2 * len(system) == len(params.k_values()) * len(params.c_list)  # dedupe drops half
+    if shape == "signed-zeros":
+        parts = np.concatenate((system.vectors.real, system.vectors.imag)).ravel()
+        assert (parts == 0.0).any() and np.signbit(parts[parts == 0.0]).any()
+        assert not np.signbit(parts[parts == 0.0]).all()
     out_path = tmp_path / "system.json"
-    code = main(["gen", _write(tmp_path, "params.json", doc), "--out", str(out_path)])
+    argv = ["gen", _write(tmp_path, "params.json", doc)] + (["--out", str(out_path)] * to_file)
+    code = main(argv)
     report_text = capsys.readouterr().out
     assert code == 0
     expected = io.StringIO()
-    system = generate_system(cli._params_from_json(doc))
     json.dump(system_to_json(system), expected, indent=2, sort_keys=True)
-    assert out_path.read_bytes() == expected.getvalue().encode("utf-8")
-    # The report is the same text that print(json.dumps(...)) wrote.
-    assert report_text == json.dumps(json.loads(report_text), indent=2, sort_keys=True) + "\n"
+    if to_file:
+        assert out_path.read_bytes() == expected.getvalue().encode("utf-8")
+        # The report is the same text that print(json.dumps(...)) wrote.
+        assert report_text == json.dumps(json.loads(report_text), indent=2, sort_keys=True) + "\n"
+    else:
+        report = json.loads(report_text)
+        report["verdicts"]["system"] = system_to_json(system)
+        assert report_text == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def test_gen_writes_its_file_as_a_stream(tmp_path, capsys, monkeypatch):
-    # n = 192: the system alone is about 2 MB of JSON text.
-    params = _write(tmp_path, "params.json", _gen_params(2, 16, 12))
+def _gen_peak_while_writing(tmp_path, capsys, monkeypatch, shape) -> tuple[int, int]:
+    """(file size, peak traced memory while ``gen --out`` writes, over what its payload holds)."""
+    params = _write(tmp_path, "params.json", _gen_params(**shape))
     out_path = tmp_path / "system.json"
     held = {}
 
-    def to_json_then_mark(system):
-        payload = system_to_json(system)
+    def payload_then_mark(params):
+        payload = system_payload(params)
         tracemalloc.reset_peak()
         held["before_writing"] = tracemalloc.get_traced_memory()[0]
         return payload
 
-    monkeypatch.setattr(frame_core, "system_to_json", to_json_then_mark)
+    system_payload = cli._system_payload
+    monkeypatch.setattr(cli, "_system_payload", payload_then_mark)
     tracemalloc.start()
     try:
         code = main(["gen", params, "--out", str(out_path)])
@@ -256,9 +309,22 @@ def test_gen_writes_its_file_as_a_stream(tmp_path, capsys, monkeypatch):
         tracemalloc.stop()
     capsys.readouterr()
     assert code == 0
-    size = out_path.stat().st_size
+    return out_path.stat().st_size, peak - held["before_writing"]
+
+
+def test_gen_writes_its_file_as_a_stream(tmp_path, capsys, monkeypatch):
+    # n = 192: the system alone is about 2 MB of JSON text.
+    size, peak = _gen_peak_while_writing(tmp_path, capsys, monkeypatch, dict(seed=2, q=16, P=12))
     assert size > 2_000_000
-    assert peak - held["before_writing"] < size / 10
+    assert peak < size / 10
+
+
+def test_gen_writes_a_two_dilation_file_as_a_stream(tmp_path, capsys, monkeypatch):
+    # n = 96 with two dilations: about 1 MB of JSON text.
+    shape = dict(seed=8, q=8, P=12, a_list=(1, 5))
+    size, peak = _gen_peak_while_writing(tmp_path, capsys, monkeypatch, shape)
+    assert size > 1_000_000
+    assert peak < size / 10
 
 
 def test_reader_closing_mid_report_exits_two_without_a_traceback(tmp_path):
@@ -526,6 +592,41 @@ def test_an_oversized_label_box_exits_two_before_allocating(tmp_path, capsys, ve
     assert code == 2 and peak < 10_000_000
     assert captured.err.count("\n") == 1 and "exceeds" in captured.err
     assert "exceeds" in json.loads(captured.out)["verdicts"]["error"]
+
+
+_WIDE_SYSTEM = {"n": 4097, "vectors": [{"re": [1.0] * 4097}]}
+_WIDE_OPERATOR = {"rows": 4097, "cols": 4097, "re": [], "im": []}
+
+
+@pytest.mark.parametrize(
+    "verb, docs",
+    [
+        ("check-frame", [_WIDE_SYSTEM]),
+        ("check-theta", [_WIDE_SYSTEM, THETA_DOC]),
+        ("check-hypo", [_WIDE_OPERATOR]),
+        ("check-hypo", [{"grid": {"q": 4097, "P": 1}, "kind": "modulate", "value": 1.0}]),
+        ("douglas", [{"rows": 1, "cols": 1, "re": [1.0]}, {**_WIDE_OPERATOR, "rows": 1}]),
+    ],
+)
+def test_an_oversized_dense_input_exits_two_naming_the_limit(tmp_path, capsys, verb, docs):
+    paths = [_write(tmp_path, f"doc{i}.json", doc) for i, doc in enumerate(docs)]
+    tracemalloc.start()
+    try:
+        code = main([verb, *paths])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and peak < 10_000_000
+    assert captured.err.count("\n") == 1
+    assert "4097 exceeds the dense limit" in captured.err and "MAX_ATOM_ENTRIES" in captured.err
+    assert "(n <= 4096)" in json.loads(captured.out)["verdicts"]["error"]
+
+
+def test_the_dense_limit_admits_n_4096():
+    assert frame_core.system_from_json({**_WIDE_SYSTEM, "n": 4096, "vectors": [{"re": [1.0] * 4096}]}).n == 4096
+    with pytest.raises(ValueError, match="need shape"):
+        operator_from_json({**_WIDE_OPERATOR, "rows": 4096, "cols": 4096})
 
 
 @pytest.mark.parametrize("verb", ["gen", "check-comb"])

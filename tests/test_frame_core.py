@@ -1,5 +1,7 @@
 """Frame systems, optimal classical bounds, and dual-frame reconstruction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,26 @@ def test_reconstruct_round_trip():
     coeffs, back = reconstruct(system, f)
     assert coeffs.shape == (7,)
     assert np.allclose(back, f, atol=1e-10)
+
+
+def test_reconstruct_decomposes_s_once_for_its_values_then_solves(lapack_log):
+    rng = np.random.default_rng(607)
+    system = FrameSystem(rng.normal(size=(12, 8)) + 1j * rng.normal(size=(12, 8)))
+    f = rng.normal(size=8) + 1j * rng.normal(size=8)
+    coeffs, back = reconstruct(system, f)
+    s = frame_operator(system)
+    key = hashlib.sha256(np.ascontiguousarray(s)).hexdigest()
+    assert lapack_log == [("eigvalsh", key), ("solve", key)]
+    assert np.array_equal(coeffs, analysis_matrix(system) @ np.linalg.solve(s, f))
+    assert np.allclose(back, f, atol=1e-10)
+    # Entries beyond 2**200: S is scaled by a power of two, exactly, before both steps.
+    del lapack_log[:]
+    big = FrameSystem(system.vectors * 2.0**300)
+    big_coeffs, big_back = reconstruct(big, f)
+    (first, scaled), (second, solved) = lapack_log
+    assert (first, second) == ("eigvalsh", "solve") and scaled == solved
+    assert np.array_equal(big_coeffs, coeffs * 2.0**-300)
+    assert np.allclose(big_back, f, atol=1e-10)
 
 
 def test_reconstruct_rejects_deficient_system():
