@@ -403,6 +403,8 @@ def _cmd_check_comb(args, tol):
     else:
         alphas = tuple(complex_from_json(doc["alphas"], None, "alphas re/im lists"))
         if "psis" in doc:
+            if not isinstance(doc["psis"], list):
+                raise ValueError(f"psis must be a list of window signals, got {type(doc['psis']).__name__}")
             psis = tuple(signal_from_json(d) for d in doc["psis"])
         else:
             psis = tuple(params.psi for _ in alphas)
@@ -444,79 +446,65 @@ def _cmd_prop_run(args, tol):
     return verdicts, {"suite": args.suite, "trials": args.trials}, code
 
 
-def _build_parser(default_seed: int) -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--tol-psd", type=float, default=DEFAULT_TOL.psd_floor, help="positivity floor"
-    )
-    common.add_argument(
-        "--tol-rank", type=float, default=DEFAULT_TOL.rank_rel, help="relative rank cutoff"
-    )
-    common.add_argument(
-        "--tol-verdict", type=float, default=DEFAULT_TOL.verdict_rel, help="relative verdict slack"
-    )
+_TOLERANCE_FLAGS = (
+    ("--tol-psd", dict(type=float, default=DEFAULT_TOL.psd_floor, help="positivity floor")),
+    ("--tol-rank", dict(type=float, default=DEFAULT_TOL.rank_rel, help="relative rank cutoff")),
+    ("--tol-verdict", dict(type=float, default=DEFAULT_TOL.verdict_rel, help="relative verdict slack")),
+)
+_MARGIN = ("--margin", dict(type=int, metavar="M", help="drop the last M coordinates"))
 
+# Every verb: its help line, its handler, and its arguments after the tolerance flags.
+_VERBS = {
+    "gen": ("generate a wave-packet system", _cmd_gen, (
+        ("params", dict(help="WavePacketParams JSON file")),
+        ("--out", dict(default=None, help="write the system here")),
+    )),
+    "check-frame": ("classical optimal bounds", _cmd_check_frame, (
+        ("system", dict(help="FrameSystem JSON file")),
+    )),
+    "check-theta": ("two-sided window bounds", _cmd_check_theta, (
+        ("system", {}), ("theta", dict(help="window operator JSON file")), _MARGIN,
+    )),
+    "check-k": ("windowed lower bound only", _cmd_check_k, (
+        ("system", {}), ("k", dict(help="lower-window operator JSON file")), _MARGIN,
+    )),
+    "check-hypo": ("self-commutator positivity", _cmd_check_hypo, (("operator", {}), _MARGIN)),
+    "douglas": ("range inclusion three ways", _cmd_douglas, (("t1", {}), ("t2", {}))),
+    "pinv": ("pseudoinverse bound chain", _cmd_pinv, (("system", {}), ("theta", {}))),
+    "check-comb": ("combined-system criteria", _cmd_check_comb, (
+        ("spec", dict(help="partition or finite-sum spec JSON file")),
+    )),
+    "verify-example": ("run a pinned case model", _cmd_verify_example, (
+        ("case", dict(help="case name or short code")),
+    )),
+    "prop-run": ("randomized invariant suite", _cmd_prop_run, (
+        ("suite", {}),
+        ("--trials", dict(type=int, default=100)),
+        ("--seed", dict(type=int, help="seed for randomized work (default: FRAMEKIT_SEED or 0)")),
+    )),
+}
+
+
+def _build_parser(default_seed: int, verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or of ``verb`` alone: a call builds only what it runs.
+
+    Every namespace carries ``seed``, the default of ``prop-run --seed``.  A
+    one-verb parser spells every verb in its usage line, so its errors print
+    the usage of the full parser; the full parser names its verb argument
+    ``command`` in its own errors, as a spelled-out metavar would not.
+    """
     parser = argparse.ArgumentParser(
         prog="framekit",
         description="Window-controlled frame inequalities on cyclic sample grids",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", parents=[common], help="generate a wave-packet system")
-    p.add_argument("params", help="WavePacketParams JSON file")
-    p.add_argument("--out", default=None, help="write the system here")
-    p.set_defaults(handler=_cmd_gen)
-
-    p = sub.add_parser("check-frame", parents=[common], help="classical optimal bounds")
-    p.add_argument("system", help="FrameSystem JSON file")
-    p.set_defaults(handler=_cmd_check_frame)
-
-    p = sub.add_parser("check-theta", parents=[common], help="two-sided window bounds")
-    p.add_argument("system")
-    p.add_argument("theta", help="window operator JSON file")
-    p.add_argument("--margin", type=int, metavar="M", help="drop the last M coordinates")
-    p.set_defaults(handler=_cmd_check_theta)
-
-    p = sub.add_parser("check-k", parents=[common], help="windowed lower bound only")
-    p.add_argument("system")
-    p.add_argument("k", help="lower-window operator JSON file")
-    p.add_argument("--margin", type=int, metavar="M", help="drop the last M coordinates")
-    p.set_defaults(handler=_cmd_check_k)
-
-    p = sub.add_parser("check-hypo", parents=[common], help="self-commutator positivity")
-    p.add_argument("operator")
-    p.add_argument("--margin", type=int, metavar="M", help="drop the last M coordinates")
-    p.set_defaults(handler=_cmd_check_hypo)
-
-    p = sub.add_parser("douglas", parents=[common], help="range inclusion three ways")
-    p.add_argument("t1")
-    p.add_argument("t2")
-    p.set_defaults(handler=_cmd_douglas)
-
-    p = sub.add_parser("pinv", parents=[common], help="pseudoinverse bound chain")
-    p.add_argument("system")
-    p.add_argument("theta")
-    p.set_defaults(handler=_cmd_pinv)
-
-    p = sub.add_parser("check-comb", parents=[common], help="combined-system criteria")
-    p.add_argument("spec", help="partition or finite-sum spec JSON file")
-    p.set_defaults(handler=_cmd_check_comb)
-
-    p = sub.add_parser("verify-example", parents=[common], help="run a pinned case model")
-    p.add_argument("case", help="case name or short code")
-    p.set_defaults(handler=_cmd_verify_example)
-
-    p = sub.add_parser("prop-run", parents=[common], help="randomized invariant suite")
-    p.add_argument("suite")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=default_seed,
-        help="seed for randomized work (default: FRAMEKIT_SEED or 0)",
-    )
-    p.set_defaults(handler=_cmd_prop_run)
-
+    spelled = None if verb is None else "{" + ",".join(_VERBS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=spelled)
+    for name in _VERBS if verb is None else (verb,):
+        help_line, handler, arguments = _VERBS[name]
+        p = sub.add_parser(name, help=help_line)
+        for flag, options in _TOLERANCE_FLAGS + arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler, seed=default_seed)
     return parser
 
 
@@ -526,8 +514,8 @@ def main(argv=None) -> int:
     except ValueError:
         print("FRAMEKIT_SEED must be an integer", file=sys.stderr)
         return 2
-    parser = _build_parser(default_seed)
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(default_seed, argv[0] if argv and argv[0] in _VERBS else None).parse_args(argv)
     started = time.perf_counter()
     try:
         tol = _tolerance(args)
@@ -540,7 +528,7 @@ def main(argv=None) -> int:
         "command": args.command,
         "inputs_digest": digest,
         "verdicts": verdicts,
-        "seed": getattr(args, "seed", default_seed),
+        "seed": args.seed,
         "duration_ms": int((time.perf_counter() - started) * 1000),
     }
     try:

@@ -175,6 +175,7 @@ def _dedupe_counts(vectors: np.ndarray) -> np.ndarray:
     kept row counts itself too.  The test is relative (exactly zero rows fold
     into each other), and the rows are scaled first by the power of two that
     brings the largest entry into [1/2, 1), so no scale changes the result.
+
     The norm test only runs on candidate pairs: rows are projected onto one
     fixed real unit vector w of C^n = R^2n (any w keeps the result exact; it
     only sets how many pairs are tested), and since ``|<x - v, w>| <= ||x -
@@ -184,6 +185,19 @@ def _dedupe_counts(vectors: np.ndarray) -> np.ndarray:
     each and the norms by a relative ``n * eps``, so the window below, twice
     the first term plus ``8 n eps s``, holds every such pair with room to
     spare.  Non-finite rows make every earlier row a candidate.
+
+    Each row's candidates are a run ``[lo, hi)`` of the rows in projection
+    order, and its first candidate is the least row index in that run, found
+    for every row at once by a sparse-table range minimum built one level at
+    a time.  Every row with an earlier first candidate is tested against it
+    in one batch: one difference and two norms per row, so each temporary
+    is at most the size of ``vectors``.  Rows are then settled in order: a
+    row whose first candidate is still kept and passes folds into it, which
+    is the greedy rule, as that candidate is the first the greedy scan
+    tries; any other row scans its later candidates one by one as before.
+    The batched norms are ``sqrt(re @ re + im @ im)`` over the strided real
+    and imaginary views, the same dot products ``np.linalg.norm`` takes of
+    one row, so every test reads the same bits as the one-row test.
     """
     count, n = vectors.shape
     top = float(np.max(np.abs(vectors)))
@@ -201,17 +215,51 @@ def _dedupe_counts(vectors: np.ndarray) -> np.ndarray:
     order = np.argsort(proj)
     lo = np.searchsorted(proj[order], proj - window, side="left")
     hi = np.searchsorted(proj[order], proj + window, side="right")
+    first = _range_min(order, lo, hi)
+    tested = np.flatnonzero(first < np.arange(count))
+    first = first[tested]
+    diff = vectors[first]
+    bound = _DEDUPE_ATOL * _row_norms(diff)
+    passed = _row_norms(np.subtract(vectors[tested], diff, out=diff)) <= bound
     counts = np.ones(count, dtype=int)
-    for i in np.flatnonzero(hi - lo > 1):
+    for i, f, ok in zip(tested.tolist(), first.tolist(), passed.tolist()):
+        if ok and counts[f]:
+            counts[i] = 0
+            counts[f] += 1
+            continue
         candidates = order[lo[i] : hi[i]]
         vec = vectors[i]
-        for j in np.sort(candidates[(candidates < i) & (counts[candidates] > 0)]):
+        for j in np.sort(candidates[(candidates > f) & (candidates < i) & (counts[candidates] > 0)]):
             v = vectors[j]
             if np.linalg.norm(vec - v) <= _DEDUPE_ATOL * np.linalg.norm(v):
                 counts[i] = 0
                 counts[j] += 1
                 break
     return counts
+
+
+def _range_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``min(values[lo[i]:hi[i]])`` for every i (each run non-empty), by a sparse table.
+
+    Level k holds the minima of the runs of length 2**k; a run of length
+    ``L`` is covered by two runs of length ``2**floor(log2 L)``.  Only one
+    level is held at a time.
+    """
+    level = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo))
+    result = np.empty_like(values, shape=lo.shape)
+    table, width = values, 1
+    for k in range(int(level.max()) + 1):
+        at = np.flatnonzero(level == k)
+        result[at] = np.minimum(table[lo[at]], table[hi[at] - width])
+        table = np.minimum(table[:-width], table[width:])
+        width *= 2
+    return result
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row, bit for bit: the same strided dot products, batched."""
+    re, im = rows.real, rows.imag
+    return np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]).ravel()
 
 
 def _lattice_closed(params: WavePacketParams) -> bool:

@@ -1,5 +1,6 @@
 """CLI surface: one JSON report on stdout, exit codes 0/1/2, env seeding."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framekit import cli, frame_core, registry
+from framekit import cli, frame_core, registry, wavepacket
 from framekit.cli import _digest, _json_chunks, main, to_jsonable
 from framekit.frame_core import FrameSystem, system_to_json
 from framekit.numerics import operator_from_json, operator_to_json
@@ -325,6 +326,24 @@ def test_gen_writes_a_two_dilation_file_as_a_stream(tmp_path, capsys, monkeypatc
     size, peak = _gen_peak_while_writing(tmp_path, capsys, monkeypatch, shape)
     assert size > 1_000_000
     assert peak < size / 10
+
+
+def test_gen_writes_a_two_period_file_within_its_repr_table(tmp_path, capsys, monkeypatch):
+    # n = 128 over two modulation periods: about 1 MB of JSON text.  Dedupe
+    # keeps the first period, whose atoms read 16 rows of the window table, so
+    # the writer holds those rows' texts (about a tenth of the file) on top of
+    # the tenth the other stream cases are held to.
+    shape = dict(seed=3, q=16, P=8, periods=2)
+    windows, rows, index = wavepacket._gather_form(cli._params_from_json(_gen_params(**shape)))
+    read = np.unique(rows[wavepacket._dedupe_counts(windows[rows[:, None], index]) > 0])
+    table = sum(
+        part.size * max(len(json.dumps(x)) for x in part.tolist())
+        for row in read.tolist()
+        for part in (windows[row].real, windows[row].imag)
+    )
+    size, peak = _gen_peak_while_writing(tmp_path, capsys, monkeypatch, shape)
+    assert size > 900_000 and read.size == 16
+    assert peak < table + size / 10
 
 
 def test_reader_closing_mid_report_exits_two_without_a_traceback(tmp_path):
@@ -679,6 +698,14 @@ def test_check_comb_spec_missing_a_field_exits_two_naming_it(tmp_path, capsys, k
     assert report["verdicts"]["error"] == f"combination spec JSON missing field: {field!r}"
 
 
+@pytest.mark.parametrize("psis", [5, None, "x", {}], ids=["int", "null", "text", "object"])
+def test_check_comb_psis_that_are_not_a_list_exit_two_naming_it(tmp_path, capsys, psis):
+    spec = {"kind": "finite-sum", "params": PARAMS_DOC, "theta": THETA_DOC, "alphas": {"re": [1.0]}, "psis": psis}
+    code, report = _run(capsys, ["check-comb", _write(tmp_path, "spec.json", spec)])
+    assert code == 2
+    assert report["verdicts"]["error"].startswith("psis must be a list of window signals, got ")
+
+
 def test_gen_accepts_integral_floats(tmp_path, capsys):
     exact = {**PARAMS_DOC, "a_list": [3], "k_range": [0, 7]}
     floats = {**PARAMS_DOC, "a_list": [3.0], "k_range": [0, 7.0]}
@@ -901,7 +928,8 @@ def _paths(doc, prefix=()):
 
 
 _SMALL_WINDOW = {**THETA_DOC, "grid": {"q": 1, "P": 2}}
-# The documents each verb reads, in argv order; unchanged, every verb exits 0.
+# The documents each case reads, in argv order; unchanged, every case exits 0.
+# A case is named by its verb, and a further case of a verb by "verb:what".
 _FUZZ_DOCS = {
     "gen": [PARAMS_DOC],
     "check-frame": [{**_BASIS, "labels": [[0, 0, 0], [0, 1, 0]]}],
@@ -918,8 +946,17 @@ _FUZZ_DOCS = {
             "coefficients": {"re": [1.0] * 16},
         }
     ],
+    "check-comb:finite-sum": [
+        {
+            "kind": "finite-sum",
+            "params": PARAMS_DOC,
+            "theta": THETA_DOC,
+            "alphas": {"re": [1.0, 2.0], "im": [0.0, 0.5]},
+            "psis": [PARAMS_DOC["psi"], {"q": 4, "P": 4, "indicator": [1, 2]}],
+        }
+    ],
 }
-_FUZZ_PATHS = {verb: list(_paths(docs)) for verb, docs in _FUZZ_DOCS.items()}
+_FUZZ_PATHS = {case: list(_paths(docs)) for case, docs in _FUZZ_DOCS.items()}
 _DELETE = object()
 # Numbers stay small: grid sizes and label ranges multiply into array sizes.
 _FUZZ_LEAVES = (
@@ -963,12 +1000,13 @@ def _mutated(docs, mutations):
 
 @st.composite
 def _fuzz_cases(draw):
-    verb = draw(st.sampled_from(sorted(_FUZZ_DOCS)))
-    mutation = st.tuples(st.sampled_from(_FUZZ_PATHS[verb]), _FUZZ_VALUES | st.just(_DELETE))
-    return verb, draw(st.lists(mutation, min_size=1, max_size=3))
+    name = draw(st.sampled_from(sorted(_FUZZ_DOCS)))
+    mutation = st.tuples(st.sampled_from(_FUZZ_PATHS[name]), _FUZZ_VALUES | st.just(_DELETE))
+    return name, draw(st.lists(mutation, min_size=1, max_size=3))
 
 
-def _run_documents(verb, docs):
+def _run_documents(case, docs):
+    verb = case.partition(":")[0]
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
@@ -981,9 +1019,9 @@ def _run_documents(verb, docs):
     return code, json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
-@pytest.mark.parametrize("verb", sorted(_FUZZ_DOCS))
-def test_fuzz_documents_pass_unchanged(verb):
-    assert _run_documents(verb, _FUZZ_DOCS[verb])[0] == 0
+@pytest.mark.parametrize("case", sorted(_FUZZ_DOCS))
+def test_fuzz_documents_pass_unchanged(case):
+    assert _run_documents(case, _FUZZ_DOCS[case])[0] == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -996,11 +1034,13 @@ def test_fuzz_documents_pass_unchanged(verb):
 @example(("check-frame", [((0, "n"), 0), ((0, "vectors", 0, "re"), []), ((0, "vectors", 1, "re"), [])]))
 @example(("check-comb", [((0, "params"), None)]))
 @example(("check-comb", [((0, "cells"), None)]))
+@example(("check-comb:finite-sum", [((0, "psis"), 5)]))
+@example(("check-comb:finite-sum", [((0, "psis"), None)]))
 def test_malformed_documents_keep_the_exit_code_contract(case):
-    verb, mutations = case
-    code, report = _run_documents(verb, _mutated(_FUZZ_DOCS[verb], mutations))
+    name, mutations = case
+    code, report = _run_documents(name, _mutated(_FUZZ_DOCS[name], mutations))
     assert code in (0, 1, 2)
-    assert report["command"] == verb
+    assert report["command"] == name.partition(":")[0]
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])
@@ -1088,6 +1128,44 @@ def test_seed_is_refused_by_every_verb_but_prop_run(capsys, argv):
         main([*argv, "--seed", "5"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
+def _verbs_of(parser):
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        [],
+        ["no-such-verb"],
+        ["gen"],
+        ["check-theta", "s.json"],
+        ["gen", "p.json", "--bogus"],
+        *([verb, "--help"] for verb in cli._VERBS),
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_a_verb_call_parses_with_that_verb_alone_and_prints_what_all_ten_print(capsys, monkeypatch, argv):
+    built = []
+
+    def recorded(default_seed, verb=None):
+        built.append(build(default_seed, verb))
+        return built[-1]
+
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", recorded)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    called = (exit_info.value.code, *capsys.readouterr())
+    assert _verbs_of(built[0]) == ([argv[0]] if argv and argv[0] in cli._VERBS else list(cli._VERBS))
+    full = build(0)
+    assert len(_verbs_of(full)) == 10
+    with pytest.raises(SystemExit) as exit_info:
+        full.parse_args(argv)
+    assert called == (exit_info.value.code, *capsys.readouterr())
 
 
 # ---------------------------------------------------------------------------

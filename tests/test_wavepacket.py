@@ -6,6 +6,7 @@ to modulations only, the frame operator collapses to the coordinate projection
 onto the window's support.  Both facts are used as exact oracles below.
 """
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -44,6 +45,7 @@ from framekit.wavepacket import (
     MAX_ATOM_ENTRIES,
     WavePacketParams,
     _DEDUPE_ATOL,
+    _atoms,
     _dedupe_counts,
     finite_sum_criterion_check,
     finite_sum_system,
@@ -341,6 +343,63 @@ def test_dedupe_matches_the_greedy_loop_on_random_families():
                 rows.append(_near(rng, src, rng.choice([0.0, 0.5, 0.99, 1.01, 2.0])))
         vectors = np.array(rows)
         assert np.array_equal(_dedupe_counts(vectors), _greedy_counts(vectors))
+
+
+def _two_period_atoms():
+    """The atoms of the benchmark's n = 128 box over two modulation periods: half repeat."""
+    grid = Grid(16, 8)
+    rng = np.random.default_rng(3)
+    psi = Signal(grid, rng.standard_normal(128) + 1j * rng.standard_normal(128))
+    return _atoms(
+        WavePacketParams(grid=grid, psi=psi, a_list=(1,), b=1.0, k_range=(0, 7), c_list=tuple(range(32)))
+    )
+
+
+def _zeros_and_near_duplicates():
+    rng = np.random.default_rng(19)
+    u, v = rng.normal(size=(2, 9)) + 1j * rng.normal(size=(2, 9))
+    zero = np.zeros(9, dtype=complex)
+    rows = [zero, u, _near(rng, u, 0.5), zero, v, _near(rng, v, 2.0), _near(rng, u, 2.0), zero]
+    return np.array(rows + [_near(rng, rows[i], f) for i in (1, 2, 4, 5, 6) for f in (0.5, 2.0)])
+
+
+def _non_finite_rows():
+    rng = np.random.default_rng(23)
+    u, v = rng.normal(size=(2, 7)) + 1j * rng.normal(size=(2, 7))
+    inf_row, nan_row = u.copy(), v.copy()
+    inf_row[2], nan_row[4] = np.inf, complex(np.nan, 1.0)
+    return np.array([u, inf_row, u.copy(), nan_row, _near(rng, u, 0.5), v, v.copy()])
+
+
+@pytest.mark.parametrize(
+    "make, kept",
+    [
+        (_two_period_atoms, 128),
+        (lambda: np.zeros((1024, 64), dtype=complex), 1),  # gen with psi = 0: every pair a candidate
+        (_zeros_and_near_duplicates, None),
+        (_non_finite_rows, None),
+    ],
+    ids=["two-periods", "all-zero", "zeros-and-near", "non-finite"],
+)
+def test_batched_dedupe_matches_the_greedy_loop(make, kept):
+    vectors = make()
+    with np.errstate(invalid="ignore"):  # the inf row's complex squares meet inf - inf
+        counts, expected = _dedupe_counts(vectors), _greedy_counts(vectors)
+    assert np.array_equal(counts, expected)
+    if kept is not None:
+        assert np.count_nonzero(counts) == kept
+
+
+def test_dedupe_of_an_all_zero_family_holds_a_few_atom_arrays():
+    vectors = np.zeros((2048, 64), dtype=complex)
+    tracemalloc.start()
+    try:
+        counts = _dedupe_counts(vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.tolist() == [2048] + [0] * 2047
+    assert peak < 3 * vectors.nbytes
 
 
 def test_generated_keep_set_and_labels_match_the_greedy_loop():
