@@ -21,11 +21,11 @@ from .numerics import (
     _dense_size_checked,
     _pow2_restored,
     _pow2_scaled,
-    _reference_eigh,
     as_integer,
     as_vector,
     complex_from_json,
     complex_to_json,
+    hermitian_eigh,
     hermitize,
     restrict,
 )
@@ -133,7 +133,7 @@ def _scaled_frame_operator(system: FrameSystem) -> tuple[np.ndarray, int]:
 class _DenseSpectrum:
     """Spectrum of a formed frame operator scaled by ``4**-exponent``: ``values``
     ascending and ``witnesses`` the unit eigenvectors at positions 0 and -1, both
-    ``numerics.extreme_eigh``'s."""
+    ``numerics.hermitian_eigh``'s, through LAPACK for a diagonal S too."""
 
     values: np.ndarray
     witnesses: np.ndarray
@@ -146,7 +146,7 @@ class _DenseSpectrum:
         """The spectrum of ``frame``, a ``_scaled_frame_operator``, restricted by ``margin``;
         ``eigenvectors``, those of a full ``eigh`` of that operand already made, serve a
         witness that falls back."""
-        return cls(*_reference_eigh(restrict(frame[0], margin), (0, -1), eigenvectors), frame[1])
+        return cls(*hermitian_eigh(restrict(frame[0], margin), (0, -1), None, eigenvectors), frame[1])
 
     def extreme(self, position: int) -> tuple[float, np.ndarray]:
         """The ``position``-th eigenvalue (0 or -1), and a copy of its witness."""
@@ -246,7 +246,7 @@ def reconstruct(
     if f.shape[0] != system.n:
         raise DimensionMismatch(f"vector of length {f.shape[0]} in dimension {system.n}")
     s, exponent = _scaled_frame_operator(system)
-    values = _reference_eigh(s, vectors=False)
+    values = hermitian_eigh(s, ())[0]
     lower, upper = (_pow2_restored(values[i], 2 * exponent) for i in (0, -1))
     if lower <= tol.psd_floor * max(1.0, upper):
         raise NotAFrame(

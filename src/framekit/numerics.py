@@ -11,21 +11,16 @@ The spectral step every criterion shares lives here, once:
 * ``_monomial`` is the one structure test: the exact index-and-phase form
   ``(index, phase)``, ``m[i, index[i]] = phase[i]``, of an operand with at
   most one nonzero in each row and column, as every grid operation is, or
-  None.  ``_reference_eigh`` reads an exactly diagonal operand off its
-  diagonal without LAPACK, ``compress`` onto a basis with one nonzero per
-  column is a gather, and ``op_norm`` of a monomial is its largest ``|phase|``.
-* ``_eigh`` is the only caller of ``np.linalg.eigh`` / ``eigvalsh`` in the
-  package: it refuses non-finite entries, maps LAPACK failures to
-  ``NoConvergence`` and keeps no state between calls.  Two entry points
-  reach it.  ``hermitian_eigh`` hermitizes its operand once and returns all
-  eigenpairs, or the values alone, for callers that read everything;
-  ``herm_eig`` adds a Hermiticity verdict in front of it.  ``extreme_eigh``
-  serves callers that read a constant and its witness: it takes an exactly
-  Hermitian operand as it is, computes the values with ``eigvalsh`` and an
-  eigenvector only at the positions asked for, each from one inverse-iteration
-  solve certified by its residual, falling back to a full ``eigh``, in the
-  canonical phase of ``_canonical_phase``.  A whitened pencil goes straight
-  to one of the two.
+  None.  ``psd_split`` reads an exactly diagonal operand off its diagonal
+  without LAPACK, ``compress`` onto a basis with one nonzero per column is a
+  gather, and ``op_norm`` of a monomial is its largest ``|phase|``.
+* ``hermitian_eigh`` is the one Hermitian eigensolver: it hermitizes (or
+  compresses) its operand once and returns every eigenpair, the values
+  alone, or the values and certified inverse-iteration eigenvectors at the
+  positions asked for.  ``_eigh``, the package's only caller of
+  ``np.linalg.eigh`` / ``eigvalsh``, refuses non-finite entries and maps
+  LAPACK failures to ``NoConvergence``.  ``herm_eig`` adds a Hermiticity
+  verdict; an operand diagonal by construction goes to ``_diagonal_eigh``.
 * ``svd`` is the one singular-value decomposition: the only caller of
   ``np.linalg.svd``, mapping LAPACK failures to ``NoConvergence``.
   ``op_norm`` of any non-monomial operand reads its top singular value.
@@ -248,7 +243,8 @@ def compress(x, basis) -> np.ndarray:
 
 
 def restrict(x: np.ndarray, margin: int | None) -> np.ndarray:
-    """Leading ``(n - margin)`` square block of the n x n ``x``; ``x`` itself for None.
+    """Leading ``(n - margin)`` square block of the n x n ``x``, or leading ``n - margin``
+    entries of a 1-D ``x``; ``x`` itself for None.
 
     This drops the last ``margin`` coordinates, where a truncated one-sided
     shift breaks the identities of the full sequence space.  Raises
@@ -259,7 +255,7 @@ def restrict(x: np.ndarray, margin: int | None) -> np.ndarray:
     n = x.shape[0]
     if not (isinstance(margin, int) and 0 <= margin < n):
         raise ValueError(f"margin must satisfy 0 <= margin < dimension, got {margin!r}")
-    return x[: n - margin, : n - margin]
+    return x[(slice(n - margin),) * x.ndim]
 
 
 # Operands with a real or imaginary part beyond this magnitude are scaled by a
@@ -290,19 +286,51 @@ def _pow2_restored(value: float, exponent: int, what: str = "optimal constant") 
         raise OverflowError(f"{what} {value!r} * 2**{exponent} is non-finite in float64") from None
 
 
-def hermitian_eigh(h, vectors: bool = True, basis=None):
-    """Eigenvalues (ascending) and eigenvectors of the Hermitian part of ``h``.
+# A witness from one solve is kept when ||H w - lam w|| <= _WITNESS_C * n * eps * ||H||.
+# The worst ratio measured was 7.0 on the eigenvalue problems of the benchmark's
+# four workloads (n <= 192) and 18.7 on 800 extreme eigenpairs of random Hermitian
+# operands with n < 200, graded spectra down to 1e-12 included.
+_WITNESS_C = 32.0
+# Fractional part of the golden ratio: the start vector is the chirp exp(2 pi i g j^2),
+# which no Fourier mode or coordinate vector is close to orthogonal to.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-    With a ``basis``, the operand is ``compress(h, basis)`` instead.  Either
-    way it is hermitized exactly once, so callers pass raw products.  With
-    ``vectors`` False only the eigenvalues are computed and returned.
-    Raises NoConvergence for an operand with a non-finite entry and when the
-    LAPACK iteration fails.
+
+def hermitian_eigh(h, positions=None, basis=None, eigenvectors=None):
+    """``(values, vectors)``: eigenvalues (ascending) and unit eigenvectors of the Hermitian
+    part of ``h``, or of ``compress(h, basis)`` with a ``basis``; hermitized once, which
+    keeps the bits of an exactly Hermitian ``h`` (all but subnormal entries).
+
+    ``positions`` None gives every eigenpair from one ``eigh``; ``()`` the ``eigvalsh``
+    values and None.  A tuple gives those values and, as ``n x len(positions)`` columns,
+    the eigenvectors at those positions only, each one step of inverse iteration
+    ``solve(h - lam I, b)`` from a fixed start b, certified by its residual ``||h w - lam
+    w|| <= _WITNESS_C * n * eps * ||h||`` (Parlett, *The Symmetric Eigenvalue Problem*,
+    sections 4-5).  A failed solve or residual, or a ``lam`` within the bound of a neighbour
+    (a repeated one, as for h = I), reads that eigenvector from one full ``eigh``, or from
+    ``eigenvectors`` where the caller holds it.  Each has the canonical phase of
+    :func:`_canonical_phase`, whatever the path and the other positions.  A non-finite
+    entry or a LAPACK failure raises NoConvergence.
     """
     # Non-finite entries and overflowed products are refused by _eigh, silently.
     with np.errstate(invalid="ignore", over="ignore"):
         h = hermitize(h) if basis is None else compress(h, basis)
-    return _eigh(h, vectors)
+    if positions is None:
+        return _eigh(h, vectors=True)
+    values = _eigh(h, vectors=False)
+    if not positions:
+        return values, None
+    n = values.size
+    bound = _WITNESS_C * n * np.finfo(float).eps * float(np.max(np.abs(values), initial=0.0))
+    start = np.exp(2j * np.pi * (np.arange(n) ** 2 * _GOLDEN % 1.0))
+    columns, full = [], eigenvectors
+    for position in positions:
+        witness = _inverse_iteration(h, values, position % n, start, bound)
+        if witness is None:
+            full = _eigh(h, vectors=True)[1] if full is None else full
+            witness = full[:, position]
+        columns.append(witness)
+    return values, _canonical_phase(np.stack(columns, axis=1))
 
 
 def _eigh(h: np.ndarray, vectors: bool):
@@ -317,50 +345,15 @@ def _eigh(h: np.ndarray, vectors: bool):
         raise NoConvergence(str(exc)) from exc
 
 
-# A witness from one solve is kept when ||H w - lam w|| <= _WITNESS_C * n * eps * ||H||.
-# The worst ratio measured was 7.0 on the eigenvalue problems of the benchmark's
-# four workloads (n <= 192) and 18.7 on 800 extreme eigenpairs of random Hermitian
-# operands with n < 200, graded spectra down to 1e-12 included.
-_WITNESS_C = 32.0
-# Fractional part of the golden ratio: the start vector is the chirp exp(2 pi i g j^2),
-# which no Fourier mode or coordinate vector is close to orthogonal to.
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def extreme_eigh(h, positions=(0, -1), basis=None, eigenvectors=None):
-    """All eigenvalues (ascending) of the Hermitian ``h``, and unit eigenvectors at
-    ``positions`` only, as the columns of an ``n x len(positions)`` array.
-
-    ``h`` is taken as it is, so it must be exactly Hermitian (a frame operator, a
-    hermitized product); with a ``basis`` the operand is ``compress(h, basis)``.
-    The values are those of ``eigvalsh``.  Each eigenvector is one step of inverse
-    iteration, ``solve(h - lam I, b)`` from a fixed start vector b, normalized and
-    certified by its residual ``||h w - lam w|| <= _WITNESS_C * n * eps * ||h||``
-    (Parlett, *The Symmetric Eigenvalue Problem*, sections 4-5).  When a solve
-    raises, a residual misses the bound, or ``lam`` lies within the bound of a
-    neighbouring eigenvalue (a repeated one, as for h = I), that eigenvector is
-    read from a full ``eigh``, made at most once per call, or from
-    ``eigenvectors`` where a caller has already made that ``eigh`` of the
-    operand; the values stay ``eigvalsh``'s.  Either way each eigenvector has
-    the canonical phase of :func:`_canonical_phase` and does not depend on the
-    other positions asked for.  Raises NoConvergence as :func:`hermitian_eigh`
-    does.
-    """
-    if basis is not None:
-        with np.errstate(invalid="ignore", over="ignore"):
-            h = compress(h, basis)
-    values = _eigh(h, vectors=False)
-    n = values.size
-    bound = _WITNESS_C * n * np.finfo(float).eps * float(np.max(np.abs(values), initial=0.0))
-    start = np.exp(2j * np.pi * (np.arange(n) ** 2 * _GOLDEN % 1.0))
-    columns, full = [], eigenvectors
-    for position in positions:
-        witness = _inverse_iteration(h, values, position % n, start, bound)
-        if witness is None:
-            full = _eigh(h, vectors=True)[1] if full is None else full
-            witness = full[:, position]
-        columns.append(witness)
-    return values, _canonical_phase(np.stack(columns, axis=1))
+def _diagonal_eigh(d: np.ndarray):
+    """:func:`hermitian_eigh` of ``diag(d)`` from the 1-D ``d``, with no LAPACK call: the real
+    parts of ``d`` in stable ascending order, and the coordinate vectors in that order."""
+    if not np.isfinite(d).all():
+        raise NoConvergence("eigenvalue problem has a non-finite entry")
+    order = np.argsort(d.real, kind="stable")
+    vectors = np.zeros((d.size, d.size), dtype=np.complex128)
+    vectors[order, np.arange(d.size)] = 1.0
+    return d.real[order], vectors
 
 
 def _inverse_iteration(h: np.ndarray, values: np.ndarray, i: int, start: np.ndarray, bound: float):
@@ -391,38 +384,6 @@ def _canonical_phase(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reference_eigh(h, vectors=True, eigenvectors=None):
-    """:func:`hermitian_eigh`, read off the diagonal when ``h`` is exactly diagonal.
-
-    For the Gram products and the hyponormality commutator of a monomial
-    factor, diagonal by construction, a diagonal pencil reference, and a frame
-    operator a check decomposes once to read several things from.  The
-    eigenvalues are the diagonal's real parts, the Hermitian part's diagonal,
-    in stable ascending order, and the eigenvectors the coordinate vectors in
-    the same order; no LAPACK call.  A non-finite or
-    non-diagonal operand goes to :func:`hermitian_eigh`, which refuses or
-    decomposes it.  With a tuple of positions for ``vectors``, only the
-    eigenvectors at those positions are returned, and a non-diagonal operand,
-    which must then be exactly Hermitian, goes to :func:`extreme_eigh` with
-    ``eigenvectors``.
-    """
-    h = as_operator(h)
-    n = h.shape[0]
-    form = _monomial(h) if h.shape == (n, n) else None
-    if form is None or not (form[0] == np.arange(n)).all() or not np.isfinite(form[1]).all():
-        if isinstance(vectors, tuple):
-            return extreme_eigh(h, vectors, eigenvectors=eigenvectors)
-        return hermitian_eigh(h, vectors)
-    order = np.argsort(form[1].real, kind="stable")
-    values = form[1].real[order]
-    if vectors is False:
-        return values
-    columns = np.arange(n) if vectors is True else np.asarray(vectors) % n
-    coordinates = np.zeros((n, columns.size), dtype=np.complex128)
-    coordinates[order[columns], np.arange(columns.size)] = 1.0
-    return values, coordinates
-
-
 def herm_eig(h, tol: Tolerance = DEFAULT_TOL, vectors: bool = True):
     """Eigenvalues (ascending, real) and orthonormal eigenvectors of a Hermitian matrix;
     the eigenvalues alone without ``vectors``.
@@ -439,7 +400,7 @@ def herm_eig(h, tol: Tolerance = DEFAULT_TOL, vectors: bool = True):
         raise NotHermitian(
             f"asymmetry {dev:.3e} exceeds verdict_rel * ||H|| = {tol.verdict_rel * scale:.3e}"
         )
-    return hermitian_eigh(h, vectors)
+    return hermitian_eigh(h) if vectors else hermitian_eigh(h, ())[0]
 
 
 def rank_mask(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -459,7 +420,10 @@ def psd_split(y, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, 
     eigenvectors of the discarded kernel.  The cut falls on the eigenvalues
     of ``y``; an exactly diagonal ``y`` is split without LAPACK.
     """
-    return _split(*_reference_eigh(y), tol)
+    y = as_operator(y)
+    form = _monomial(y) if y.shape[0] == y.shape[1] else None
+    diagonal = form is not None and (form[0] == np.arange(len(y))).all()
+    return _split(*(_diagonal_eigh(form[1]) if diagonal else hermitian_eigh(y)), tol)
 
 
 def _split(vals: np.ndarray, vecs: np.ndarray, tol: Tolerance, cut: np.ndarray | None = None):
@@ -491,8 +455,8 @@ def _monomial_splits(form, cols: int, tol: Tolerance, left: bool = True, right: 
     near = np.stack([phase.real**2 + phase.imag**2, np.abs(phase)])
     far = np.zeros((2, cols))
     far[:, index] = near
-    return tuple(  # read off by _reference_eigh, in the stable ascending order of |phase|^2
-        _split(*_reference_eigh(np.diag(w)), tol, s[np.argsort(w, kind="stable")]) if wanted else None
+    return tuple(  # in the stable ascending order of |phase|^2, as _diagonal_eigh sorts w
+        _split(*_diagonal_eigh(w), tol, s[np.argsort(w, kind="stable")]) if wanted else None
         for (w, s), wanted in ((near[:, :size], left), (far[:, :size], right))
     )
 

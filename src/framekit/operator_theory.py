@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -34,13 +35,12 @@ from .numerics import (
     _pow2_restored,
     _pow2_scaled,
     _gram_splits,
+    _diagonal_eigh,
     _monomial,
-    _reference_eigh,
     _svd_pinv,
     _svd_split,
     as_operator,
     compress,
-    extreme_eigh,
     hermitian_eigh,
     hermitize,
     is_psd,
@@ -85,30 +85,22 @@ def pencil_sup(x, y, tol: Tolerance = DEFAULT_TOL) -> PencilBound:
 
 
 def _pencil_sup(x: np.ndarray, split, tol: Tolerance, witness: bool = True) -> PencilBound:
-    """:func:`pencil_sup` given ``psd_split(y)``; without ``witness`` only the value is computed."""
+    """:func:`pencil_sup` given ``psd_split(y)``; without ``witness`` each compression of
+    ``x`` goes to :func:`hermitian_eigh` with ``()``, for its values only."""
     basis_r, vals_r, basis_k = split
+    top = (-1,) if witness else ()
     if basis_k.shape[1] > 0:
-        kvals, kvec = _extreme(x, -1, basis_k, witness)
-        norm = float(np.max(np.abs(hermitian_eigh(x, vectors=False))))
+        kvals, kvec = hermitian_eigh(x, top, basis_k)
+        norm = float(np.max(np.abs(hermitian_eigh(x, ())[0])))
         if float(kvals[-1]) > tol.psd_floor * max(1.0, norm):
-            obstruction = None if kvec is None else _normalize(basis_k @ kvec)
+            obstruction = None if kvec is None else _normalize(basis_k @ kvec[:, 0])
             return PencilBound(value=math.inf, obstruction=obstruction)
     if basis_r.shape[1] == 0:
         return PencilBound(value=0.0, degenerate=True)
     whitener = basis_r / np.sqrt(vals_r)
-    cvals, cvec = _extreme(x, -1, whitener, witness)
-    witness = None if cvec is None else _normalize(whitener @ cvec)
+    cvals, cvec = hermitian_eigh(x, top, whitener)
+    witness = None if cvec is None else _normalize(whitener @ cvec[:, 0])
     return PencilBound(value=float(cvals[-1]), witness=witness)
-
-
-def _extreme(x: np.ndarray, position: int, basis, witness: bool):
-    """Eigenvalues of ``x`` (of ``compress(x, basis)`` with a ``basis``; an ``x`` taken as it is
-    must be exactly Hermitian) and, with ``witness``, the unit eigenvector at ``position``, the
-    only one computed; None without."""
-    if not witness:
-        return hermitian_eigh(x, vectors=False, basis=basis), None
-    values, vectors = extreme_eigh(x, (position,), basis)
-    return values, vectors[:, 0]
 
 
 def pencil_inf(x, y, tol: Tolerance = DEFAULT_TOL) -> PencilBound:
@@ -127,7 +119,8 @@ def pencil_inf(x, y, tol: Tolerance = DEFAULT_TOL) -> PencilBound:
 
 
 def _pencil_inf(x: np.ndarray, split, tol: Tolerance, witness: bool = True) -> PencilBound:
-    """:func:`pencil_inf` given ``psd_split(y)``; without ``witness`` only the value is computed."""
+    """:func:`pencil_inf` given ``psd_split(y)``; without ``witness`` the reduced operand
+    goes to :func:`hermitian_eigh` with ``()``, for its values only."""
     basis_r, vals_r, basis_k = split
     if basis_r.shape[1] == 0:
         return PencilBound(value=math.inf, degenerate=True)
@@ -138,10 +131,10 @@ def _pencil_inf(x: np.ndarray, split, tol: Tolerance, witness: bool = True) -> P
         cross = whitener.conj().T @ x @ basis_k
         kernel_pinv = pinv(compress(x, basis_k), tol)
         lift = whitener - basis_k @ kernel_pinv @ cross.conj().T
-        operand, basis = hermitize(compress(x, whitener) - cross @ kernel_pinv @ cross.conj().T), None
-    cvals, cvec = _extreme(operand, 0, basis, witness)
+        operand, basis = compress(x, whitener) - cross @ kernel_pinv @ cross.conj().T, None
+    cvals, cvec = hermitian_eigh(operand, (0,) if witness else (), basis)
     value = float(cvals[0])
-    witness = None if cvec is None else _normalize(lift @ cvec)
+    witness = None if cvec is None else _normalize(lift @ cvec[:, 0])
     return PencilBound(value=value if value > 0.0 else 0.0, witness=witness)
 
 
@@ -176,10 +169,11 @@ def hyponormality(
     On C^n the self-commutator has zero trace, so the global verdict can only
     pass for (numerically) normal operators; genuinely one-sided behavior is
     captured by dropping the last ``margin`` coordinates of the commutator.
-    A monomial T (every grid operation) has a diagonal commutator and needs
-    no decomposition.  Entries beyond 2**200 are scaled by a power of two
-    first and the reported values scaled back exactly; an eigenvalue beyond
-    the float range raises OverflowError.
+    A monomial T (every grid operation) has a diagonal commutator, placed as
+    a 1-D diagonal and read by ``_diagonal_eigh``, and a norm of its largest
+    ``|phase|``.  Entries beyond 2**200 are scaled by a power of two first and
+    the reported values scaled back exactly; an eigenvalue beyond the float
+    range raises OverflowError.
     """
     t = as_operator(t)
     if t.shape[0] != t.shape[1]:
@@ -190,18 +184,21 @@ def hyponormality(
     form = _monomial(t)
     if form is None:
         commutator = t.conj().T @ t - t @ t.conj().T
+        eigh = partial(hermitian_eigh, positions=())
     else:  # diagonal: |phase[i]|^2 at index[i], less |phase[i]|^2 at i
         weight = form[1].real ** 2 + form[1].imag ** 2
-        commutator = np.diag(-weight)
-        commutator[form[0], form[0]] += weight
-    vals = _reference_eigh(commutator, vectors=False)
+        commutator = -weight
+        with np.errstate(invalid="ignore"):  # inf - inf: _diagonal_eigh refuses the NaN
+            commutator[form[0]] += weight
+        eigh = _diagonal_eigh
+    vals = eigh(commutator)[0]
     min_eig = float(vals[0]) if vals.size else 0.0
-    norm = op_norm(t)
+    norm = op_norm(t) if form is None else float(np.max(np.abs(form[1]), initial=0.0))
     floor = tol.psd_floor * max(math.ldexp(1.0, -2 * exponent), norm**2)
     margin_verdict = None
     margin_min = None
     if margin is not None:
-        margin_min = float(_reference_eigh(restrict(commutator, margin), vectors=False)[0])
+        margin_min = float(eigh(restrict(commutator, margin))[0][0])
         margin_verdict = margin_min >= -floor
         margin_min = _pow2_restored(margin_min, 2 * exponent, "commutator eigenvalue")
     return HyponormalityReport(

@@ -301,7 +301,7 @@ def theta_tight_check(
             upper_opt=upper_opt,
             degenerate=True,
         )
-    spectrum = hermitian_eigh(s, vectors=False, basis=basis_r / np.sqrt(vals_r))
+    spectrum = hermitian_eigh(s, (), basis_r / np.sqrt(vals_r))[0]
     lo, hi = (_pow2_restored(float(spectrum[i]), exponent) for i in (0, -1))
     alpha0 = 0.5 * (lo + hi)
     spread = hi - lo
@@ -506,13 +506,13 @@ def pseudoinverse_bound_chain(
     w = theta @ right
     projector_residual = op_norm((w / right_kept) @ (w.conj().T @ basis) - basis)
     s = frame_operator(system)
-    rvals = hermitian_eigh(s, vectors=False, basis=basis)
+    rvals = hermitian_eigh(s, (), basis)[0]
     restricted_min, top = float(rvals[0]), max(1.0, float(rvals[-1]))
     restricted_ok = restricted_min > tol.psd_floor * top
 
     lower_min = restricted_min - (0.0 if math.isinf(alpha) else alpha) * float(kept[0])
     image = theta @ basis  # B* D B = (Theta B)* (Theta B)
-    upper_min = float(hermitian_eigh(beta * (image.conj().T @ image) - compress(s, basis), vectors=False)[0])
+    upper_min = float(hermitian_eigh(beta * (image.conj().T @ image) - compress(s, basis), ())[0][0])
     # Each slack scales with the operand its minimum is read from: B* S B for
     # the lower one, beta B* D B (norm beta s_1^2) for the upper one, whose
     # exact minimum is 0 since beta is optimal.

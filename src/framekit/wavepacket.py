@@ -47,14 +47,14 @@ from .numerics import (
     DEFAULT_TOL,
     MAX_ATOM_ENTRIES,
     Tolerance,
+    _diagonal_eigh,
     _pow2_restored,
-    _reference_eigh,
     _split,
     adjoint,
     as_integer,
     as_operator,
     as_real,
-    psd_split,
+    hermitian_eigh,
     range_inclusion,
     rank_mask,
     restrict,
@@ -428,7 +428,7 @@ def _domination(combined: FrameSystem, bases, theta, tol: Tolerance, margin: int
     frame = None if spectrum and all(lattices) else _scaled_frame_operator(combined)
     operators = [None if x else _scaled_frame_operator(base) for base, x in zip(bases, lattices)]
     # A dense base is decomposed in full once: its eigenpairs split the constant over it.
-    eighs = [None if x else _reference_eigh(restrict(s[0], margin)) for x, s in zip(lattices, operators)]
+    eighs = [None if x else hermitian_eigh(restrict(s[0], margin)) for x, s in zip(lattices, operators)]
     constants = tuple(
         _least_ratio(frame, spectrum, x or (*e, s[1]), tol, margin)
         for x, s, e in zip(lattices, operators, eighs)
@@ -464,7 +464,7 @@ def _least_ratio(frame, spectrum, base, tol: Tolerance, margin: int | None):
         return _pow2_restored(value, 2 * (s_exp - base_exp))
     if spectrum is None:
         s, s_exp = frame
-        split = psd_split(np.diag(base.values.reshape(-1)), tol)
+        split = _split(*_diagonal_eigh(base.values.reshape(-1)), tol)
         value = _pencil_inf(base.in_modes(s), split, tol, witness=False).value
     else:
         s_exp = spectrum.exponent

@@ -155,20 +155,33 @@ def test_the_structure_test_reads_index_and_phase_or_refuses():
 
 
 def test_a_diagonal_reference_is_read_off_in_ascending_order(monkeypatch):
-    d = np.array([3.0, -1.0, 0.0, 3.0, -2.5, 0.0])
+    d = np.array([3.0, -1.0, 0.0, 3.0, -0.0, -2.5, 0.0, -1.0])
     expected = np.linalg.eigvalsh(np.diag(d))
     _refuse_lapack(monkeypatch)
-    vals, vecs = numerics._reference_eigh(np.diag(d))
-    assert np.array_equal(vals, expected)
-    assert np.array_equal(numerics._reference_eigh(np.diag(d), False), vals)
+    vals, vecs = numerics._diagonal_eigh(d)
+    assert vals.tobytes() == expected.tobytes()  # signed zeros included
     # Stable order: ties keep their coordinate order, and vecs permutes the identity.
-    assert np.argmax(np.abs(vecs), axis=0).tolist() == [4, 1, 2, 5, 0, 3]
+    assert np.argmax(np.abs(vecs), axis=0).tolist() == [5, 1, 7, 2, 4, 6, 0, 3]
     assert np.array_equal(vecs @ np.diag(vals) @ vecs.T, np.diag(d))
+    # psd_split of an exactly diagonal operand reads it off the same way, with no LAPACK call.
     basis_r, vals_r, basis_k = psd_split(np.diag(d))
-    assert np.array_equal(vals_r, [3.0, 3.0]) and basis_k.shape == (6, 4)
+    assert np.array_equal(vals_r, [3.0, 3.0]) and basis_k.shape == (8, 6)
+    assert np.array_equal(np.hstack([basis_k, basis_r]), vecs)
     # A non-finite diagonal is refused, as hermitian_eigh refuses it.
-    with pytest.raises(NoConvergence):
-        numerics._reference_eigh(np.diag([np.inf, 1.0]))
+    for diagonal in ([np.inf, 1.0], [1.0, np.nan]):
+        with pytest.raises(NoConvergence, match="^eigenvalue problem has a non-finite entry$"):
+            numerics._diagonal_eigh(np.array(diagonal))
+        with pytest.raises(NoConvergence, match="^eigenvalue problem has a non-finite entry$"):
+            psd_split(np.diag(diagonal))
+
+
+@pytest.mark.parametrize("margin", [None, 1])
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_hyponormality_refuses_a_non_finite_monomial(monkeypatch, entry, margin):
+    # The commutator's diagonal holds inf - inf = NaN; it is refused before any norm is read.
+    _refuse_lapack(monkeypatch)
+    with pytest.raises(NoConvergence, match="^eigenvalue problem has a non-finite entry$"):
+        hyponormality(np.diag([entry, 1.0]), margin=margin)
 
 
 def test_a_whitened_pencil_is_decomposed_even_when_diagonal(monkeypatch):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import framekit
 from framekit import numerics
-from framekit.cli import to_jsonable
+from framekit.cli import main, to_jsonable
 from framekit.errors import NoConvergence, NotHermitian, NotThetaFrame, Unresolved
 from framekit.frame_core import FrameSystem, _DenseSpectrum, canonical_basis, frame_operator, system_to_json
 from framekit.numerics import (
@@ -24,7 +24,6 @@ from framekit.numerics import (
     Tolerance,
     adjoint,
     as_real,
-    extreme_eigh,
     herm_eig,
     hermitian_eigh,
     hermitize,
@@ -447,7 +446,7 @@ def _random_hermitian(rng, n, kind):
 def test_extreme_eigh_agrees_with_dense_eigh(lapack_log, seed, kind):
     rng = np.random.default_rng(seed)
     h = _random_hermitian(rng, int(rng.integers(2, 48)), kind)
-    values, witnesses = extreme_eigh(h)
+    values, witnesses = hermitian_eigh(h, (0, -1))
     # Simple extremes: one solve each, no full eigh; each witness is eigh's
     # eigenvector up to a unit scalar (the gaps here exceed 1e-6 * ||H||).
     assert _solvers(lapack_log) == ["eigvalsh", "solve", "solve"]
@@ -455,19 +454,19 @@ def test_extreme_eigh_agrees_with_dense_eigh(lapack_log, seed, kind):
     _, vectors = np.linalg.eigh(h)
     for column, position in enumerate((0, -1)):
         assert abs(abs(np.vdot(vectors[:, position], witnesses[:, column])) - 1.0) <= 1e-9
-    assert np.array_equal(extreme_eigh(h, (-1,))[1][:, 0], witnesses[:, 1])
+    assert np.array_equal(hermitian_eigh(h, (-1,))[1][:, 0], witnesses[:, 1])
 
 
 def test_extreme_eigh_falls_back_to_eigh_on_a_singular_shift_or_a_repeated_eigenvalue(lapack_log):
     # S = I: every eigenvalue is repeated, so no solve is tried.
     identity = np.eye(4, dtype=np.complex128)
-    values, witnesses = extreme_eigh(identity)
+    values, witnesses = hermitian_eigh(identity, (0, -1))
     assert _solvers(lapack_log) == ["eigvalsh", "eigh"]
     assert np.array_equal(values, np.ones(4)) and np.array_equal(witnesses, identity[:, [0, -1]])
     # Eigenvalues exactly 1 and 3: h - 1 I is exactly singular and the solve raises.
     lapack_log.clear()
     h = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=np.complex128)
-    values, witnesses = extreme_eigh(h)
+    values, witnesses = hermitian_eigh(h, (0, -1))
     assert values.tolist() == [1.0, 3.0]
     assert _solvers(lapack_log) == ["eigvalsh", "solve", "eigh", "solve"]  # h - 3 I is singular too
     _assert_certified(h, values, witnesses, (0, -1))
@@ -477,7 +476,7 @@ def test_extreme_eigh_falls_back_to_eigh_on_a_singular_shift_or_a_repeated_eigen
     rng = np.random.default_rng(7)
     q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
     h = hermitize((q * [1.0, 1.0, 2.0, 3.0, 4.0, 5.0]) @ q.conj().T)
-    values, witnesses = extreme_eigh(h, (-1, 0))
+    values, witnesses = hermitian_eigh(h, (-1, 0))
     assert _solvers(lapack_log) == ["eigvalsh", "solve", "eigh"]
     _assert_certified(h, values, witnesses, (-1, 0))
     # The fallback applies the same phase: the witness is eigh's column in canonical phase.
@@ -485,25 +484,43 @@ def test_extreme_eigh_falls_back_to_eigh_on_a_singular_shift_or_a_repeated_eigen
     assert np.array_equal(witnesses[:, 1], numerics._canonical_phase(vectors[:, :1])[:, 0])
     # Given the eigenvectors of that eigh, the fallback reads them and makes no eigh.
     lapack_log.clear()
-    assert np.array_equal(extreme_eigh(h, (-1, 0), eigenvectors=vectors)[1], witnesses)
+    assert np.array_equal(hermitian_eigh(h, (-1, 0), eigenvectors=vectors)[1], witnesses)
     assert _solvers(lapack_log) == ["eigvalsh", "solve"]
 
 
 def test_extreme_eigh_at_n_1_and_on_diagonal_operands(lapack_log):
-    values, witnesses = extreme_eigh(np.array([[2.5]], dtype=np.complex128))
+    values, witnesses = hermitian_eigh(np.array([[2.5]], dtype=np.complex128), (0, -1))
     assert values.tolist() == [2.5] and witnesses.tolist() == [[1.0, 1.0]]
     assert _solvers(lapack_log) == ["eigvalsh", "solve", "eigh", "solve"]  # h - 2.5 I = 0, one eigh
-    lapack_log.clear()
-    # An exactly diagonal operand is read off, with no LAPACK call, as a frame
-    # operator's spectrum is (a canonical basis, n = 1 too).
-    values, witnesses = numerics._reference_eigh(np.diag([3.0, 1.0, 2.0]).astype(complex), (0, -1))
-    assert values.tolist() == [1.0, 2.0, 3.0]
-    assert np.array_equal(witnesses, np.eye(3)[:, [1, 0]])
-    for n in (1, 3):
+    # The exactly diagonal frame operator of a canonical basis goes to LAPACK like any
+    # other; its repeated eigenvalue 1 sends both witnesses to the fallback eigh, which
+    # gives coordinate vectors.
+    for n in (1, 3, 32):
+        lapack_log.clear()
         spectrum = _DenseSpectrum.of((frame_operator(canonical_basis(n)), 0), None)
         assert spectrum.values.tolist() == [1.0] * n
         assert np.array_equal(spectrum.witnesses, np.eye(n)[:, [0, n - 1]])
-    assert lapack_log == []
+        assert _solvers(lapack_log) == (["eigvalsh", "solve", "eigh", "solve"] if n == 1 else ["eigvalsh", "eigh"])
+
+
+def test_values_only_make_one_eigvalsh_and_no_solve(lapack_log):
+    h = _random_hermitian(np.random.default_rng(5), 9, "indefinite")
+    values, vectors = hermitian_eigh(h, ())
+    assert _solvers(lapack_log) == ["eigvalsh"] and vectors is None
+    assert np.array_equal(values, np.linalg.eigvalsh(h))
+
+
+def test_empty_operands_have_empty_spectra(tmp_path, capsys):
+    empty = np.zeros((0, 0))
+    assert is_psd(empty) == (True, 0.0)
+    assert herm_eig(empty, vectors=False).shape == (0,)
+    report = hyponormality(empty)
+    assert (report.commutator_min_eig, report.operator_norm) == (0.0, 0.0)
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(operator_to_json(empty)))
+    assert main(["check-hypo", str(path)]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert (verdicts["commutator_min_eig"], verdicts["operator_norm"]) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("seed", range(6))
