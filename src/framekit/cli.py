@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import FramekitError
 from .numerics import (
-    DEFAULT_TOL, Tolerance, _dense_size_checked, complex_from_json, complex_to_json, operator_from_json,
+    DEFAULT_TOL, MAX_ATOM_ENTRIES, Tolerance, complex_from_json, complex_to_json, operator_from_json,
     operator_to_json,
 )
 
@@ -199,17 +199,20 @@ def _grid(doc) -> Grid:
     return Grid(grid["q"], grid["P"])
 
 
-def _operator_from_any(doc) -> np.ndarray:
-    """Accept a raw matrix document or a named grid operator description."""
+def _operator_from_any(doc):
+    """A raw matrix document as a matrix, or a named grid operator description as its
+    ``numerics.Monomial``, which every verb takes as it is or densifies where it must."""
     if isinstance(doc, dict) and "kind" in doc:
         try:
             grid, value = _grid(doc), doc["value"]
         except KeyError as exc:
             raise ValueError(f"named operator JSON missing field: {exc}") from None
-        _dense_size_checked(grid.n, "named operator grid n")
-        from .signal_space import operator_of
+        limit = MAX_ATOM_ENTRIES // 8  # a check holds a few n-vectors of the form at once
+        if grid.n > limit:
+            raise ValueError(f"named operator grid n {grid.n} exceeds MAX_ATOM_ENTRIES / 8 = {limit}")
+        from .signal_space import _index_phase
 
-        return operator_of(grid, doc["kind"], value)
+        return _index_phase(grid, doc["kind"], value)
     return operator_from_json(doc)
 
 
@@ -304,14 +307,18 @@ def _cmd_check_frame(args, tol):
     return verdicts, {"system": doc}, 0
 
 
-def _cmd_check_theta(args, tol):
+def _system_and_operator(system_path: str, operator_path: str):
+    """``(system doc, system, operator doc, operator)`` read from the two files, in that order."""
     from .frame_core import system_from_json
+
+    sys_doc, op_doc = _load_json(system_path), _load_json(operator_path)
+    return sys_doc, system_from_json(sys_doc), op_doc, _operator_from_any(op_doc)
+
+
+def _cmd_check_theta(args, tol):
     from .theta_frame import check_theta_frame
 
-    sys_doc = _load_json(args.system)
-    theta_doc = _load_json(args.theta)
-    system = system_from_json(sys_doc)
-    theta = _operator_from_any(theta_doc)
+    sys_doc, system, theta_doc, theta = _system_and_operator(args.system, args.theta)
     rep = check_theta_frame(system, theta, tol, margin=args.margin)
     verdicts = {
         "alpha_opt": to_jsonable(rep.alpha_opt),
@@ -329,13 +336,9 @@ def _cmd_check_theta(args, tol):
 
 
 def _cmd_check_k(args, tol):
-    from .frame_core import system_from_json
     from .theta_frame import check_k_frame
 
-    sys_doc = _load_json(args.system)
-    k_doc = _load_json(args.k)
-    system = system_from_json(sys_doc)
-    k = _operator_from_any(k_doc)
+    sys_doc, system, k_doc, k = _system_and_operator(args.system, args.k)
     rep = check_k_frame(system, k, tol, margin=args.margin)
     return to_jsonable(rep), {"system": sys_doc, "k": k_doc, "margin": args.margin}, 0
 
@@ -359,13 +362,9 @@ def _cmd_douglas(args, tol):
 
 
 def _cmd_pinv(args, tol):
-    from .frame_core import system_from_json
     from .theta_frame import pseudoinverse_bound_chain
 
-    sys_doc = _load_json(args.system)
-    theta_doc = _load_json(args.theta)
-    system = system_from_json(sys_doc)
-    theta = _operator_from_any(theta_doc)
+    sys_doc, system, theta_doc, theta = _system_and_operator(args.system, args.theta)
     rep = pseudoinverse_bound_chain(system, theta, tol)
     code = 0 if rep.chain_ok else 1
     if code:
@@ -394,10 +393,9 @@ def _cmd_check_comb(args, tol):
     theta = _operator_from_any(doc["theta"])
     if kind == "partition":
         base = generate_system(params)
+        coeffs = np.ones(len(base), dtype=np.complex128)
         if "coefficients" in doc:
             coeffs = complex_from_json(doc["coefficients"], None, "coefficients re/im lists")
-        else:
-            coeffs = np.ones(len(base), dtype=np.complex128)
         pc = PartitionCombination(cells=doc["cells"], coefficients=coeffs)
         rep = partition_domination_check(base, pc, theta, tol)
     else:

@@ -116,7 +116,8 @@ def synthesis_matrix(system: FrameSystem) -> np.ndarray:
 
 
 def frame_operator(system: FrameSystem) -> np.ndarray:
-    """S = W* W = sum_k f_k f_k*, Hermitian PSD."""
+    """S = W* W = sum_k f_k f_k*, Hermitian PSD; refused, naming the limit, beyond n = 4096."""
+    _dense_size_checked(system.n, "frame operator n")
     w = analysis_matrix(system)
     return hermitize(w.conj().T @ w)
 

@@ -8,12 +8,12 @@ operator inequalities need once they meet floating point.
 
 The spectral step every criterion shares lives here, once:
 
-* ``_monomial`` is the one structure test: the exact index-and-phase form
-  ``(index, phase)``, ``m[i, index[i]] = phase[i]``, of an operand with at
-  most one nonzero in each row and column, as every grid operation is, or
-  None.  ``psd_split`` reads an exactly diagonal operand off its diagonal
-  without LAPACK, ``compress`` onto a basis with one nonzero per column is a
-  gather, and ``op_norm`` of a monomial is its largest ``|phase|``.
+* ``Monomial`` is the one form of a grid operation, ``m[i, index[i]] =
+  phase[i]``.  It travels from ``signal_space._index_phase`` into the kernels,
+  which read it in O(n), and the split of a diagonal keeps its coordinate
+  basis as one, which ``compress`` gathers.  A dense operand meets the one
+  structure test, ``_monomial``, once, in ``_structure``, and ``as_operator``
+  densifies a Monomial where a product with a dense operand needs it.
 * ``hermitian_eigh`` is the one Hermitian eigensolver: it hermitizes (or
   compresses) its operand once and returns every eigenpair, the values
   alone, or the values and certified inverse-iteration eigenvectors at the
@@ -94,11 +94,13 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
-# The most complex entries a dense input may make framekit hold: a label box's
-# atoms times grid size, and n*n for a system or operator read from JSON, whose
-# checks form n x n operators.  A larger input is refused before anything is
-# allocated.  It is 2**24 (256 MiB of entries, n <= 4096), over 200 times the
-# largest box the benchmark generates (384 atoms on 192 points).
+# The most complex entries an input may make framekit hold: a label box's atoms
+# times grid size, eight times the n of a named operator's form (check-hypo of a
+# modulation peaks at 4.5 n-vectors), and n*n for a system or operator read from
+# JSON and wherever a check forms an n x n operator (a frame operator, a densified
+# Monomial).  A larger input is refused before anything is allocated.  It is 2**24
+# (256 MiB of entries, n <= 4096), over 200 times the largest box the benchmark
+# generates (384 atoms on 192 points).
 MAX_ATOM_ENTRIES = 2**24
 
 
@@ -112,8 +114,32 @@ def _dense_size_checked(n: int, what: str) -> int:
     return n
 
 
+@dataclass(frozen=True, eq=False)
+class Monomial:
+    """Form ``m[i, index[i]] = phase[i]``, every other entry 0, of a matrix with no more rows
+    than its ``n`` columns and at most one nonzero in each row and column (``index`` takes
+    distinct columns), as every grid operation is (``signal_space._index_phase``); a split
+    basis of coordinate columns is kept as the Monomial of its transpose."""
+
+    index: np.ndarray
+    phase: np.ndarray
+    n: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.index), self.n
+
+    def dense(self) -> np.ndarray:
+        m = np.zeros(self.shape, dtype=np.complex128)
+        m[np.arange(len(self.index)), self.index] = self.phase
+        return m
+
+
 def as_operator(entries) -> np.ndarray:
-    """Coerce input to a 2-D complex128 matrix."""
+    """Coerce input to a 2-D complex128 matrix; a Monomial is densified within the dense limit."""
+    if isinstance(entries, Monomial):
+        _dense_size_checked(entries.n, "grid operator n")
+        return entries.dense()
     m = np.asarray(entries, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
@@ -160,22 +186,21 @@ def as_real(value, what: str) -> float:
     return real
 
 
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
+def adjoint(m):
+    """Conjugate transpose; a square Monomial's is one too."""
+    if isinstance(m, Monomial) and len(m.index) == m.n:
+        inverse = np.argsort(m.index)  # the row of m that holds each column's nonzero
+        return Monomial(inverse, m.phase.conj()[inverse], m.n)
     return as_operator(m).conj().T
 
 
-def _monomial(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Index-and-phase form ``(index, phase)`` of a monomial ``m``; None for any other ``m``.
+def _monomial(m: np.ndarray) -> Monomial | None:
+    """The Monomial form of ``m``, or None when ``m`` is not one.
 
-    ``m`` is monomial here when it has no more rows than columns and each row
-    and each column holds at most one nonzero.  Then ``m[i, index[i]] =
-    phase[i]`` and every other entry is zero, so ``(m @ x)[i] = phase[i] *
-    x[index[i]]``; ``index`` takes distinct columns, a zero row having phase 0
-    and the least column no other row takes.  An exactly diagonal ``m`` has
-    ``index = arange(rows)``.  The test is exact, with no tolerance, and one
-    ``count_nonzero`` refuses an operand with more nonzeros than rows before
-    any index array is made.
+    The test is exact, with no tolerance, and one ``count_nonzero`` refuses an
+    operand with more nonzeros than rows before any index array is made.  A zero
+    row has phase 0 and the least column no other row takes; an exactly diagonal
+    ``m`` has ``index = arange(rows)``.  Only :func:`_structure` calls it.
     """
     rows, cols = m.shape
     count = np.count_nonzero(m)
@@ -183,7 +208,7 @@ def _monomial(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     diagonal = m.diagonal()
     if np.count_nonzero(diagonal) == count:
-        return np.arange(rows), diagonal.astype(np.complex128)
+        return Monomial(np.arange(rows), diagonal.astype(np.complex128), cols)
     r, c = np.nonzero(m)  # row-major, so r ascends
     taken = np.zeros(cols, dtype=bool)
     taken[c] = True
@@ -192,29 +217,34 @@ def _monomial(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     phase = np.zeros(rows, dtype=np.complex128)
     phase[r] = m[r, c]
     if count == rows:
-        return c, phase
+        return Monomial(c, phase, cols)
     index = np.empty(rows, dtype=np.intp)
     zero_rows = phase == 0
     index[zero_rows] = np.flatnonzero(~taken)[: rows - count]
     index[r] = c
-    return index, phase
+    return Monomial(index, phase, cols)
+
+
+def _structure(m):
+    """``m`` as the kernels take it: a Monomial, found by the one structure test, or a matrix."""
+    if isinstance(m, Monomial):
+        return m
+    m = as_operator(m)
+    return _monomial(m) or m
 
 
 def op_norm(m) -> float:
     """Spectral (operator 2-) norm; zero for empty matrices.
 
-    A monomial operand's norm is its largest ``|phase|``, read off without
-    LAPACK; any other operand's is its top singular value.
+    A Monomial's norm is its largest ``|phase|``, read off without LAPACK; any
+    other operand's is its top singular value.
     """
-    m = as_operator(m)
-    if m.size == 0:
-        return 0.0
-    form = _monomial(m)
-    if form is not None:
-        norm = float(np.max(np.abs(form[1])))
-        if math.isfinite(norm):  # else the SVD refuses the operand
-            return norm
-    return float(svd(m, vectors=False)[0])
+    m = _structure(m)
+    if isinstance(m, Monomial):
+        norm = float(np.max(np.abs(m.phase), initial=0.0))
+        if math.isfinite(norm):
+            return norm  # else the SVD refuses it
+    return float(svd(m, vectors=False)[0]) if min(m.shape) else 0.0
 
 
 def hermitize(m) -> np.ndarray:
@@ -231,15 +261,26 @@ def hermitize(m) -> np.ndarray:
 def compress(x, basis) -> np.ndarray:
     """Hermitian part of ``basis* x basis``.
 
-    When ``basis`` has at most one nonzero ``b_j`` per column, in distinct
-    rows ``r_j`` (a whitener of a diagonal operand), this gathers
-    ``conj(b_i) x[r_i, r_j] b_j`` in O(r^2) in place of two products.
+    A Monomial ``basis``, the form a split keeps for coordinate columns ``b_j``
+    at rows ``r_j``, is a gather of ``conj(b_i) x[r_i, r_j] b_j`` in O(r^2) in
+    place of two products.
     """
-    form = _monomial(basis.T)
-    if form is None:
+    if not isinstance(basis, Monomial):
         return hermitize(basis.conj().T @ x @ basis)
-    rows, phase = form
+    rows, phase = basis.index, basis.phase
     return hermitize(phase.conj()[:, None] * x[rows[:, None], rows] * phase)
+
+
+def _columns(basis) -> np.ndarray:
+    """The n x r matrix of a split basis, laid out as a dense split's for a Monomial one."""
+    return np.ascontiguousarray(basis.dense().T) if isinstance(basis, Monomial) else basis
+
+
+def _whitener(basis, vals: np.ndarray):
+    """``basis / sqrt(vals)``, each column of a split basis by its root; a Monomial stays one."""
+    if isinstance(basis, Monomial):
+        return Monomial(basis.index, basis.phase / np.sqrt(vals), basis.n)
+    return basis / np.sqrt(vals)
 
 
 def restrict(x: np.ndarray, margin: int | None) -> np.ndarray:
@@ -264,14 +305,18 @@ def restrict(x: np.ndarray, margin: int | None) -> np.ndarray:
 _SCALE_ABOVE = 2.0**200
 
 
-def _pow2_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+def _pow2_scaled(m):
     """``(m * 2**-e, e)`` with ``e = 0`` unless a part of an entry exceeds ``_SCALE_ABOVE``.
 
     A scaled operand's largest real or imaginary part lands in [1, 2).  Only
-    exponents change, so the scaling is exact and signed zeros stay.
+    exponents change, so the scaling is exact and signed zeros stay.  A Monomial
+    scales its phases.
     """
+    if isinstance(m, Monomial):
+        phase, exponent = _pow2_scaled(m.phase)
+        return Monomial(m.index, phase, m.n), exponent
     parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
-    top = float(np.max(np.abs(parts), initial=0.0))
+    top = max(float(np.max(parts, initial=0.0)), -float(np.min(parts, initial=0.0)))  # no |parts| copy
     if top <= _SCALE_ABOVE:
         return m, 0
     exponent = math.frexp(top)[1] - 1
@@ -347,13 +392,12 @@ def _eigh(h: np.ndarray, vectors: bool):
 
 def _diagonal_eigh(d: np.ndarray):
     """:func:`hermitian_eigh` of ``diag(d)`` from the 1-D ``d``, with no LAPACK call: the real
-    parts of ``d`` in stable ascending order, and the coordinate vectors in that order."""
+    parts of ``d`` in stable ascending order, and the coordinate vectors in that order, as
+    the Monomial of their transpose."""
     if not np.isfinite(d).all():
         raise NoConvergence("eigenvalue problem has a non-finite entry")
     order = np.argsort(d.real, kind="stable")
-    vectors = np.zeros((d.size, d.size), dtype=np.complex128)
-    vectors[order, np.arange(d.size)] = 1.0
-    return d.real[order], vectors
+    return d.real[order], Monomial(order, np.ones(d.size, dtype=np.complex128), d.size)
 
 
 def _inverse_iteration(h: np.ndarray, values: np.ndarray, i: int, start: np.ndarray, bound: float):
@@ -394,12 +438,15 @@ def herm_eig(h, tol: Tolerance = DEFAULT_TOL, vectors: bool = True):
     h = as_operator(h)
     if h.shape[0] != h.shape[1]:
         raise NotHermitian(f"matrix of shape {h.shape} cannot be Hermitian")
-    dev = op_norm(h - h.conj().T)
-    scale = op_norm(h)
-    if dev > tol.verdict_rel * scale:
-        raise NotHermitian(
-            f"asymmetry {dev:.3e} exceeds verdict_rel * ||H|| = {tol.verdict_rel * scale:.3e}"
-        )
+    # An exactly Hermitian h has deviation 0, which passes at any scale; a NaN never compares equal.
+    if not np.array_equal(h, h.conj().T):
+        with np.errstate(invalid="ignore"):  # inf - inf: the SVD refuses the NaN
+            dev = op_norm(h - h.conj().T)
+        scale = op_norm(h)
+        if dev > tol.verdict_rel * scale:
+            raise NotHermitian(
+                f"asymmetry {dev:.3e} exceeds verdict_rel * ||H|| = {tol.verdict_rel * scale:.3e}"
+            )
     return hermitian_eigh(h) if vectors else hermitian_eigh(h, ())[0]
 
 
@@ -416,45 +463,48 @@ def rank_mask(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def psd_split(y, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split a PSD matrix at the rank cut.
 
-    Returns the kept eigenvectors, their eigenvalues (ascending) and the
-    eigenvectors of the discarded kernel.  The cut falls on the eigenvalues
+    Returns the kept eigenvectors as columns, their eigenvalues (ascending) and
+    the eigenvectors of the discarded kernel.  The cut falls on the eigenvalues
     of ``y``; an exactly diagonal ``y`` is split without LAPACK.
     """
-    y = as_operator(y)
-    form = _monomial(y) if y.shape[0] == y.shape[1] else None
-    diagonal = form is not None and (form[0] == np.arange(len(y))).all()
-    return _split(*(_diagonal_eigh(form[1]) if diagonal else hermitian_eigh(y)), tol)
+    form = _structure(y)
+    if isinstance(form, Monomial) and np.array_equal(form.index, np.arange(form.n)):
+        kept, vals, kernel = _split(*_diagonal_eigh(form.phase), tol)
+        return _columns(kept), vals, _columns(kernel)
+    return _split(*hermitian_eigh(y), tol)
 
 
-def _split(vals: np.ndarray, vecs: np.ndarray, tol: Tolerance, cut: np.ndarray | None = None):
+def _split(vals: np.ndarray, vecs, tol: Tolerance, cut: np.ndarray | None = None):
     """:func:`psd_split` given ascending eigenpairs, cut on ``cut`` (a factor's singular
-    values, in the same order) when given, else on ``vals``."""
+    values, in the same order) when given, else on ``vals``; coordinate ``vecs`` from
+    :func:`_diagonal_eigh` keep their Monomial form."""
     keep = rank_mask(vals if cut is None else cut, tol)
+    if isinstance(vecs, Monomial):
+        kept, kernel = (Monomial(vecs.index[s], vecs.phase[s], vecs.n) for s in (keep, ~keep))
+        return kept, vals[keep], kernel
     return vecs[:, keep], vals[keep], vecs[:, ~keep]
 
 
-def _gram_splits(t: np.ndarray, tol: Tolerance = DEFAULT_TOL, left: bool = True, right: bool = True):
+def _gram_splits(t, tol: Tolerance = DEFAULT_TOL, left: bool = True, right: bool = True):
     """``(psd_split(t t*), psd_split(t* t))`` from the factor ``t``, cut on its singular
     values, forming neither product; None for a side not asked for.  A tall ``t`` is
     monomial when ``t.T`` is, whose products are the conjugates of ``t``'s, swapped."""
     rows, cols = t.shape
-    form = _monomial(t.T if rows > cols else t)
-    if form is None:
+    form = _structure(t.T if rows > cols else t)
+    if not isinstance(form, Monomial):
         return _svd_splits(t, tol, left, right)
     if rows > cols:
-        return _monomial_splits(form, rows, tol, right, left)[::-1]
-    return _monomial_splits(form, cols, tol, left, right)
+        return _monomial_splits(form, tol, right, left)[::-1]
+    return _monomial_splits(form, tol, left, right)
 
 
-def _monomial_splits(form, cols: int, tol: Tolerance, left: bool = True, right: bool = True, size=None):
-    """:func:`_gram_splits` of a wide monomial with index-and-phase ``form`` and ``cols``
-    columns, in O(n): ``t t*`` holds ``|phase|^2`` on its diagonal and ``t* t`` holds
-    ``|phase[i]|^2`` at ``index[i]``, cut on ``|phase|``.  With ``size``, both products are
-    restricted to their leading ``size`` coordinates."""
-    index, phase = form
-    near = np.stack([phase.real**2 + phase.imag**2, np.abs(phase)])
-    far = np.zeros((2, cols))
-    far[:, index] = near
+def _monomial_splits(t: Monomial, tol: Tolerance, left: bool = True, right: bool = True, size=None):
+    """:func:`_gram_splits` of a Monomial ``t`` in O(n): ``t t*`` holds ``|phase|^2`` on its
+    diagonal and ``t* t`` holds ``|phase[i]|^2`` at ``index[i]``, cut on ``|phase|``.  With
+    ``size``, both products are restricted to their leading ``size`` coordinates."""
+    near = np.stack([t.phase.real**2 + t.phase.imag**2, np.abs(t.phase)])
+    far = np.zeros((2, t.n))
+    far[:, t.index] = near
     return tuple(  # in the stable ascending order of |phase|^2, as _diagonal_eigh sorts w
         _split(*_diagonal_eigh(w), tol, s[np.argsort(w, kind="stable")]) if wanted else None
         for (w, s), wanted in ((near[:, :size], left), (far[:, :size], right))

@@ -31,14 +31,17 @@ import numpy as np
 from .errors import DimensionMismatch, NotSquare
 from .numerics import (
     DEFAULT_TOL,
+    Monomial,
     Tolerance,
+    _columns,
     _pow2_restored,
     _pow2_scaled,
     _gram_splits,
     _diagonal_eigh,
-    _monomial,
+    _structure,
     _svd_pinv,
     _svd_split,
+    _whitener,
     as_operator,
     compress,
     hermitian_eigh,
@@ -89,17 +92,17 @@ def _pencil_sup(x: np.ndarray, split, tol: Tolerance, witness: bool = True) -> P
     ``x`` goes to :func:`hermitian_eigh` with ``()``, for its values only."""
     basis_r, vals_r, basis_k = split
     top = (-1,) if witness else ()
-    if basis_k.shape[1] > 0:
+    if vals_r.size < len(x):  # a kernel: the bases of a split span C^n
         kvals, kvec = hermitian_eigh(x, top, basis_k)
         norm = float(np.max(np.abs(hermitian_eigh(x, ())[0])))
         if float(kvals[-1]) > tol.psd_floor * max(1.0, norm):
-            obstruction = None if kvec is None else _normalize(basis_k @ kvec[:, 0])
+            obstruction = None if kvec is None else _normalize(_columns(basis_k) @ kvec[:, 0])
             return PencilBound(value=math.inf, obstruction=obstruction)
-    if basis_r.shape[1] == 0:
+    if vals_r.size == 0:
         return PencilBound(value=0.0, degenerate=True)
-    whitener = basis_r / np.sqrt(vals_r)
+    whitener = _whitener(basis_r, vals_r)
     cvals, cvec = hermitian_eigh(x, top, whitener)
-    witness = None if cvec is None else _normalize(whitener @ cvec[:, 0])
+    witness = None if cvec is None else _normalize(_columns(whitener) @ cvec[:, 0])
     return PencilBound(value=float(cvals[-1]), witness=witness)
 
 
@@ -122,19 +125,20 @@ def _pencil_inf(x: np.ndarray, split, tol: Tolerance, witness: bool = True) -> P
     """:func:`pencil_inf` given ``psd_split(y)``; without ``witness`` the reduced operand
     goes to :func:`hermitian_eigh` with ``()``, for its values only."""
     basis_r, vals_r, basis_k = split
-    if basis_r.shape[1] == 0:
+    if vals_r.size == 0:
         return PencilBound(value=math.inf, degenerate=True)
-    whitener = basis_r / np.sqrt(vals_r)
-    if basis_k.shape[1] == 0:
+    whitener = _whitener(basis_r, vals_r)
+    if vals_r.size == len(x):  # no kernel: the bases of a split span C^n
         operand, basis, lift = x, whitener, whitener
     else:
-        cross = whitener.conj().T @ x @ basis_k
+        columns, kernel = _columns(whitener), _columns(basis_k)
+        cross = columns.conj().T @ x @ kernel
         kernel_pinv = pinv(compress(x, basis_k), tol)
-        lift = whitener - basis_k @ kernel_pinv @ cross.conj().T
+        lift = columns - kernel @ kernel_pinv @ cross.conj().T
         operand, basis = compress(x, whitener) - cross @ kernel_pinv @ cross.conj().T, None
     cvals, cvec = hermitian_eigh(operand, (0,) if witness else (), basis)
     value = float(cvals[0])
-    witness = None if cvec is None else _normalize(lift @ cvec[:, 0])
+    witness = None if cvec is None else _normalize(_columns(lift) @ cvec[:, 0])
     return PencilBound(value=value if value > 0.0 else 0.0, witness=witness)
 
 
@@ -175,28 +179,26 @@ def hyponormality(
     the reported values scaled back exactly; an eigenvalue beyond the float
     range raises OverflowError.
     """
-    t = as_operator(t)
+    t = _structure(t)
     if t.shape[0] != t.shape[1]:
         raise NotSquare(f"hyponormality needs a square operator, got {t.shape}")
     # T is scaled by 2**-e (e = 0 for ordinary entries) so the products stay
     # finite; eigenvalues scale back by 4**e, the norm by 2**e.
     t, exponent = _pow2_scaled(t)
-    form = _monomial(t)
-    if form is None:
-        commutator = t.conj().T @ t - t @ t.conj().T
-        eigh = partial(hermitian_eigh, positions=())
-    else:  # diagonal: |phase[i]|^2 at index[i], less |phase[i]|^2 at i
-        weight = form[1].real ** 2 + form[1].imag ** 2
-        commutator = -weight
-        with np.errstate(invalid="ignore"):  # inf - inf: _diagonal_eigh refuses the NaN
-            commutator[form[0]] += weight
-        eigh = _diagonal_eigh
+    with np.errstate(invalid="ignore", over="ignore"):  # the eigensolvers refuse the non-finite
+        if isinstance(t, Monomial):  # diagonal: |phase[i]|^2 at index[i], less |phase[i]|^2 at i
+            weight = t.phase.real**2 + t.phase.imag**2
+            commutator = -weight
+            commutator[t.index] += weight
+            eigh = _diagonal_eigh
+        else:
+            commutator = t.conj().T @ t - t @ t.conj().T
+            eigh = partial(hermitian_eigh, positions=())
     vals = eigh(commutator)[0]
     min_eig = float(vals[0]) if vals.size else 0.0
-    norm = op_norm(t) if form is None else float(np.max(np.abs(form[1]), initial=0.0))
+    norm = op_norm(t)
     floor = tol.psd_floor * max(math.ldexp(1.0, -2 * exponent), norm**2)
-    margin_verdict = None
-    margin_min = None
+    margin_verdict = margin_min = None
     if margin is not None:
         margin_min = float(eigh(restrict(commutator, margin))[0][0])
         margin_verdict = margin_min >= -floor

@@ -56,10 +56,7 @@ class ExampleOutcome:
     assertions: tuple[AssertionRecord, ...]
 
     def first_failure(self) -> AssertionRecord | None:
-        for record in self.assertions:
-            if not record.passed:
-                return record
-        return None
+        return next((record for record in self.assertions if not record.passed), None)
 
 
 def _outcome(case_id: str, title: str, records: list[AssertionRecord]) -> ExampleOutcome:
@@ -78,6 +75,12 @@ def _close(observed: float, expected: float, atol: float) -> bool:
 def _energy_against(system: FrameSystem, f: np.ndarray) -> float:
     coeffs = system.vectors.conj() @ f
     return float(np.sum(np.abs(coeffs) ** 2))
+
+
+def _indicator_box(b: float, c_list: tuple[float, ...]) -> WavePacketParams:
+    """The unit indicator window on Grid(4, 4), translation step ``b`` with k = 0..3, and ``c_list``."""
+    grid = Grid(4, 4)
+    return WavePacketParams(grid, indicator(grid, 0, 1), (1,), b, (0, 3), c_list)
 
 
 def _case_shift_basis() -> ExampleOutcome:
@@ -115,22 +118,17 @@ def _case_shift_basis() -> ExampleOutcome:
     else:
         overlap = float(abs(w[0]))
         killed = float(np.linalg.norm(back @ w))
-        records.append(
+        records += [
             AssertionRecord(
                 "obstruction-is-first-basis-vector",
                 overlap >= 1.0 - 1e-9,
                 overlap,
                 "|<w, e_0>| == 1 within 1e-9",
-            )
-        )
-        records.append(
+            ),
             AssertionRecord(
-                "window-annihilates-obstruction",
-                killed <= 1e-9,
-                killed,
-                "||window @ w|| <= 1e-9",
-            )
-        )
+                "window-annihilates-obstruction", killed <= 1e-9, killed, "||window @ w|| <= 1e-9"
+            ),
+        ]
     return _outcome("shift-basis", "backward-shift window separates the two frame notions", records)
 
 
@@ -171,11 +169,8 @@ def _case_pairwise_sum() -> ExampleOutcome:
 
 def _case_unit_window() -> ExampleOutcome:
     """Unit indicator window against the four translated indicators on Grid(4, 4)."""
-    grid = Grid(4, 4)
-    psi = indicator(grid, 0, 1)
-    params = WavePacketParams(
-        grid=grid, psi=psi, a_list=(1,), b=1.0, k_range=(0, 3), c_list=(0.0,)
-    )
+    params = _indicator_box(1.0, (0.0,))
+    grid, psi = params.grid, params.psi
     system = generate_system(params)
     theta = mult_operator(psi)
     rep = check_theta_frame(system, theta)
@@ -196,40 +191,36 @@ def _case_unit_window() -> ExampleOutcome:
         s = frame_operator(system)
         killed = float(np.linalg.norm(theta @ w))
         energy = float(np.vdot(w, s @ w).real)
-        records.append(
+        records += [
             AssertionRecord(
                 "window-annihilates-obstruction", killed <= 1e-9, killed, "||window @ w|| <= 1e-9"
-            )
-        )
-        records.append(
+            ),
             AssertionRecord(
                 "obstruction-carries-analysis-energy",
                 energy >= 1.0 - 1e-9,
                 energy,
                 "<Sw, w> == 1 within 1e-9",
-            )
-        )
+            ),
+        ]
     # Hand witness: indicator on [0,1) plus indicator on [2,3); analysis energy
     # splits as 1 + 1 while the window only sees the first unit of mass.
     h = indicator(grid, 0, 1).coordinates + indicator(grid, 2, 3).coordinates
     total = _energy_against(system, h)
     window_mass = float(np.linalg.norm(theta @ h) ** 2)
-    records.append(
+    records += [
         AssertionRecord(
             "hand-witness-analysis-energy",
             _close(total, 2.0, 1e-10),
             total,
             "sum of squared coefficients == 2 within 1e-10",
-        )
-    )
-    records.append(
+        ),
         AssertionRecord(
             "hand-witness-window-energy",
             _close(window_mass, 1.0, 1e-10),
             window_mass,
             "||window @ h||^2 == 1 within 1e-10",
-        )
-    )
+        ),
+    ]
     return _outcome("unit-window", "indicator window misses off-support analysis energy", records)
 
 
@@ -336,17 +327,8 @@ def _case_commuting_transform() -> ExampleOutcome:
 
 def _case_shifted_window() -> ExampleOutcome:
     """Translating a modulation family off its window support destroys the lower bound."""
-    grid = Grid(4, 4)
-    psi = indicator(grid, 0, 1)
-    params = WavePacketParams(
-        grid=grid,
-        psi=psi,
-        a_list=(1,),
-        b=0.0,
-        k_range=(0, 3),
-        c_list=(0.0, 1.0, 2.0, 3.0),
-        dedupe=True,
-    )
+    params = _indicator_box(0.0, (0.0, 1.0, 2.0, 3.0))
+    grid, psi = params.grid, params.psi
     system = generate_system(params)
     theta = mult_operator(psi)
     rng = np.random.default_rng(31206)
@@ -401,17 +383,8 @@ def _case_shifted_window() -> ExampleOutcome:
 
 def _case_modulation_sum() -> ExampleOutcome:
     """Weighted sums of a full time-frequency family: constant |sum of weights|^2."""
-    grid = Grid(4, 4)
-    psi = indicator(grid, 0, 1)
-    params = WavePacketParams(
-        grid=grid,
-        psi=psi,
-        a_list=(1,),
-        b=1.0,
-        k_range=(0, 3),
-        c_list=(0.0, 1.0, 2.0, 3.0),
-        dedupe=True,
-    )
+    params = _indicator_box(1.0, (0.0, 1.0, 2.0, 3.0))
+    grid, psi = params.grid, params.psi
     theta = operator_of(grid, "modulate", 1.0)
     weights = (1.0, 2.0, -1.0)
     spec = FiniteSumSpec(alphas=weights, psis=(psi, psi, psi))
@@ -468,11 +441,9 @@ _CASES: dict[str, tuple[str, Callable[[], ExampleOutcome]]] = {
 }
 
 # Both the semantic name and the short code resolve to the same builder.
-REGISTRY: dict[str, Callable[[], ExampleOutcome]] = {}
-for _entry in _CASES.items():
-    REGISTRY[_entry[0]] = _entry[1][1]
-    REGISTRY[_entry[1][0]] = _entry[1][1]
-del _entry
+REGISTRY: dict[str, Callable[[], ExampleOutcome]] = {
+    key: builder for name, (code, builder) in _CASES.items() for key in (name, code)
+}
 
 
 def case_names() -> tuple[str, ...]:

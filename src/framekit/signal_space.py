@@ -32,7 +32,7 @@ from .errors import (
     OffGridFrequency,
     OffGridShift,
 )
-from .numerics import as_integer, as_real, complex_from_json, complex_to_json
+from .numerics import Monomial, as_integer, as_real, complex_from_json, complex_to_json
 
 _ALIGN_ATOL = 1e-12
 
@@ -90,59 +90,63 @@ class Signal:
         return math.sqrt(max(self.inner(self).real, 0.0))
 
 
-def _aligned_int(value: float, scale: int, err, what: str) -> int:
-    scaled = as_real(value, what) * scale
-    nearest = round(scaled)
-    if abs(scaled - nearest) > _ALIGN_ATOL:
-        raise err(f"{what} {value!r} is off-grid: {what}*{scale} = {scaled!r} is not an integer")
-    return int(nearest)
+def _aligned(values: list[float], scale: int, err, what: str) -> np.ndarray:
+    """``values * scale`` rounded; ``err`` names the first value off by over ``_ALIGN_ATOL``."""
+    scaled = np.array(values, dtype=np.float64) * scale
+    nearest = np.round(scaled)
+    off = np.flatnonzero(np.abs(scaled - nearest) > _ALIGN_ATOL)
+    if off.size:
+        value, product = values[off[0]], float(scaled[off[0]])
+        raise err(f"{what} {value!r} is off-grid: {what}*{scale} = {product!r} is not an integer")
+    return nearest
 
 
-def _index_phase(grid: Grid, kind: str, value) -> tuple[np.ndarray, np.ndarray | None]:
-    """Gather index and phase of a named grid operation: ``g[i] = phase[i] * f[index[i]]``.
+def _index_phase(grid: Grid, kind: str, value) -> Monomial:
+    """The Monomial of a named grid operation, ``g[i] = phase[i] * f[index[i]]``; the phase
+    is all ones for the permutations 'translate' and 'dilate'."""
+    index, phase = _index_phases(grid, kind, [value])
+    return Monomial(index[0], phase[0], grid.n)
 
-    The phase is None for the permutations 'translate' and 'dilate', which must
-    multiply nothing: ``(1+0j) * z`` turns a -0.0 real part of ``z`` into 0.0.
-    """
+
+def _index_phases(grid: Grid, kind: str, values) -> tuple[np.ndarray, np.ndarray]:
+    """``(index, phase)`` of :func:`_index_phase` for each of the ``values`` at once, row r
+    that of ``values[r]``; every value is checked, and the first one off the grid named."""
     n = grid.n
     if kind == "translate":
-        steps = _aligned_int(value, grid.q, OffGridShift, "shift")
-        return (np.arange(n) - steps % n) % n, None
-    if kind == "modulate":
-        _aligned_int(value, grid.P, OffGridFrequency, "frequency")
-        return np.arange(n), np.exp(2j * np.pi * value * grid.times)
-    if kind == "dilate":
-        c = as_integer(value, "dilation factor")
-        if math.gcd(c, n) != 1:
-            raise NonCoprimeDilation(
-                f"dilation factor {c} shares divisor {math.gcd(c, n)} with grid size {n}"
-            )
-        return (c % n * np.arange(n)) % n, None
-    raise ValueError(f"unknown operator kind {kind!r}")
-
-
-def _dense(index: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
-    """Matrix ``m`` with ``(m @ x)[i] = phase[i] * x[index[i]]`` (phase 1 when None)."""
-    n = index.shape[0]
-    m = np.zeros((n, n), dtype=np.complex128)
-    m[np.arange(n), index] = 1.0 if phase is None else phase
-    return m
+        steps = _aligned([as_real(v, "shift") for v in values], grid.q, OffGridShift, "shift")
+        index = (np.arange(n) - np.mod(steps, n).astype(np.intp)[:, None]) % n
+    elif kind == "modulate":
+        freqs = [as_real(v, "frequency") for v in values]
+        _aligned(freqs, grid.P, OffGridFrequency, "frequency")
+        phase = np.exp(2j * np.pi * np.array(freqs)[:, None] * grid.times)
+        return np.broadcast_to(np.arange(n), phase.shape), phase
+    elif kind == "dilate":
+        factors = [as_integer(v, "dilation factor") for v in values]
+        for c in factors:
+            if math.gcd(c, n) != 1:
+                raise NonCoprimeDilation(
+                    f"dilation factor {c} shares divisor {math.gcd(c, n)} with grid size {n}"
+                )
+        index = np.array([c % n for c in factors])[:, None] * np.arange(n) % n
+    else:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    return index, np.ones(index.shape, dtype=np.complex128)
 
 
 def translate(f: Signal, a: float) -> Signal:
     """Cyclic time shift by ``a`` units; ``a*q`` must be an integer."""
-    return Signal(f.grid, f.values[_index_phase(f.grid, "translate", a)[0]])
+    return Signal(f.grid, f.values[_index_phase(f.grid, "translate", a).index])
 
 
 def modulate(f: Signal, b: float) -> Signal:
     """Multiply by ``exp(2*pi*i*b*t)``; ``b*P`` must be an integer for periodicity."""
-    index, phase = _index_phase(f.grid, "modulate", b)
-    return Signal(f.grid, phase * f.values[index])
+    form = _index_phase(f.grid, "modulate", b)
+    return Signal(f.grid, form.phase * f.values[form.index])
 
 
 def dilate(f: Signal, c: int) -> Signal:
     """Index dilation ``g[i] = f[(c*i) mod n]``; requires ``gcd(c, n) = 1``."""
-    return Signal(f.grid, f.values[_index_phase(f.grid, "dilate", c)[0]])
+    return Signal(f.grid, f.values[_index_phase(f.grid, "dilate", c).index])
 
 
 def indicator(grid: Grid, s: float, t: float) -> Signal:
@@ -153,8 +157,8 @@ def indicator(grid: Grid, s: float, t: float) -> Signal:
         raise OffGridEndpoints(
             f"[{s}, {t}) must sit inside one period [0, {grid.P})"
         )
-    si = _aligned_int(s, grid.q, OffGridEndpoints, "endpoint")
-    ti = _aligned_int(t, grid.q, OffGridEndpoints, "endpoint")
+    ends = [as_real(end, "endpoint") for end in (s, t)]
+    si, ti = _aligned(ends, grid.q, OffGridEndpoints, "endpoint").astype(np.intp)
     values = np.zeros(grid.n, dtype=np.complex128)
     values[si:ti] = 1.0
     return Signal(grid, values)
@@ -162,16 +166,17 @@ def indicator(grid: Grid, s: float, t: float) -> Signal:
 
 def mult_operator(g: Signal) -> np.ndarray:
     """Matrix of pointwise multiplication by ``g``."""
-    return _dense(np.arange(g.grid.n), g.values)
+    return Monomial(np.arange(g.grid.n), g.values, g.grid.n).dense()
 
 
 def operator_of(grid: Grid, kind: str, value) -> np.ndarray:
     """Matrix realization of a grid operation: 'translate', 'modulate', or 'dilate'.
 
     The matrices act on sample values and (identically) on coordinates, and
-    each is exactly unitary.
+    each is exactly unitary.  The kernels take the operation's Monomial,
+    ``_index_phase(grid, kind, value)``, as well, in O(n).
     """
-    return _dense(*_index_phase(grid, kind, value))
+    return _index_phase(grid, kind, value).dense()
 
 
 @dataclass(frozen=True)

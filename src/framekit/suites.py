@@ -65,13 +65,6 @@ def random_normal_operator(rng: np.random.Generator, n: int) -> np.ndarray:
     return v @ np.diag(eigs) @ v.conj().T
 
 
-def random_parseval(rng: np.random.Generator, m: int, n: int) -> FrameSystem:
-    if m < n:
-        raise ValueError("a Parseval system spanning C^n needs at least n vectors")
-    q, _ = np.linalg.qr(complex_gaussian(rng, m, n))
-    return FrameSystem(np.conj(q))
-
-
 def random_system(rng: np.random.Generator, m: int, n: int) -> FrameSystem:
     return FrameSystem(complex_gaussian(rng, m, n) / np.sqrt(n))
 
@@ -182,22 +175,14 @@ def _trial_theta_selfcheck(rng: np.random.Generator, tol: Tolerance) -> None:
             assert quad <= upper + slack, (
                 f"upper sandwich violated: {quad:.6e} > {upper:.6e}"
             )
-    if rep.lower_witness is not None and math.isfinite(rep.alpha_opt):
-        w = rep.lower_witness
-        denom = float(np.vdot(w, c @ w).real)
-        if denom > 1e-12:
-            quotient = float(np.vdot(w, s @ w).real) / denom
-            assert abs(quotient - rep.alpha_opt) <= 1e-6 * max(1.0, rep.alpha_opt), (
-                f"lower witness quotient {quotient:.9e} misses alpha {rep.alpha_opt:.9e}"
-            )
-    if rep.upper_witness is not None and math.isfinite(rep.beta_opt):
-        w = rep.upper_witness
-        denom = float(np.vdot(w, d @ w).real)
-        if denom > 1e-12:
-            quotient = float(np.vdot(w, s @ w).real) / denom
-            assert abs(quotient - rep.beta_opt) <= 1e-6 * max(1.0, rep.beta_opt), (
-                f"upper witness quotient {quotient:.9e} misses beta {rep.beta_opt:.9e}"
-            )
+    quotient = _quotient(rep.lower_witness, s, c, 1e-12) if math.isfinite(rep.alpha_opt) else None
+    assert quotient is None or abs(quotient - rep.alpha_opt) <= 1e-6 * max(1.0, rep.alpha_opt), (
+        f"lower witness quotient {quotient:.9e} misses alpha {rep.alpha_opt:.9e}"
+    )
+    quotient = _quotient(rep.upper_witness, s, d, 1e-12) if math.isfinite(rep.beta_opt) else None
+    assert quotient is None or abs(quotient - rep.beta_opt) <= 1e-6 * max(1.0, rep.beta_opt), (
+        f"upper witness quotient {quotient:.9e} misses beta {rep.beta_opt:.9e}"
+    )
     if not rep.upper_ok:
         w = rep.kernel_obstruction
         assert w is not None, "infinite upper constant must come with an obstruction"
@@ -270,20 +255,18 @@ def _trial_pencil(rng: np.random.Generator, tol: Tolerance) -> None:
     # Witness quotients: on badly conditioned reference operators the witness
     # can sit mostly in near-kernel directions, so guard the denominator and
     # allow a slightly wider band than the frame-level sharpness tests use.
-    if sup.witness is not None and math.isfinite(sup.value):
-        w = sup.witness
-        denom = float(np.vdot(w, y @ w).real)
-        if denom > 1e-8:
-            q = float(np.vdot(w, x @ w).real) / denom
-            assert abs(q - sup.value) <= 1e-5 * max(1.0, sup.value), "sup witness misses optimum"
-    if inf.witness is not None and not inf.degenerate:
-        w = inf.witness
-        denom = float(np.vdot(w, y @ w).real)
-        if denom > 1e-8:
-            q = float(np.vdot(w, x @ w).real) / denom
-            assert abs(q - inf.value) <= 1e-5 * max(1.0, abs(inf.value)), (
-                "inf witness misses optimum"
-            )
+    q = _quotient(sup.witness, x, y, 1e-8) if math.isfinite(sup.value) else None
+    assert q is None or abs(q - sup.value) <= 1e-5 * max(1.0, sup.value), "sup witness misses optimum"
+    q = None if inf.degenerate else _quotient(inf.witness, x, y, 1e-8)
+    assert q is None or abs(q - inf.value) <= 1e-5 * max(1.0, abs(inf.value)), "inf witness misses optimum"
+
+
+def _quotient(w, x: np.ndarray, y: np.ndarray, floor: float) -> float | None:
+    """``<w, x w> / <w, y w>``; None for no witness ``w`` or a denominator at most ``floor``."""
+    if w is None:
+        return None
+    denom = float(np.vdot(w, y @ w).real)
+    return float(np.vdot(w, x @ w).real) / denom if denom > floor else None
 
 
 _GRIDS = (Grid(4, 4), Grid(8, 4), Grid(4, 8), Grid(8, 8))
@@ -308,24 +291,15 @@ def _gabor_params(rng: np.random.Generator, grid: Grid, psi: Signal, full: bool)
 
 def _trial_synthesis(rng: np.random.Generator, tol: Tolerance) -> None:
     grid = _GRIDS[int(rng.integers(0, len(_GRIDS)))]
+    # Branch 0: the full orbit of a random window under a unitary window, so both sides of
+    # the criterion hold; 1: the full orbit under a window on one cell, which analysis energy
+    # escapes; 2: modulations only under a unitary window, a rank-deficient system failing
+    # below; 3: the modulations of the one-cell window scored by that same cell.
     branch = int(rng.integers(0, 4))
-    if branch == 0:
-        # Full orbit, unitary window: both sides of the criterion hold.
-        system = generate_system(_gabor_params(rng, grid, _random_signal(rng, grid), True))
-        theta = random_unitary(rng, grid.n)
-    elif branch == 1:
-        # Full orbit, window supported on one cell: analysis energy escapes it.
-        system = generate_system(_gabor_params(rng, grid, _random_signal(rng, grid), True))
-        theta = mult_operator(indicator(grid, 0, 1))
-    elif branch == 2:
-        # Modulations only, unitary window: rank-deficient system fails below.
-        system = generate_system(_gabor_params(rng, grid, _random_signal(rng, grid), False))
-        theta = random_unitary(rng, grid.n)
-    else:
-        # Modulations of a one-cell window scored by that same cell.
-        psi = indicator(grid, 0, 1)
-        system = generate_system(_gabor_params(rng, grid, psi, False))
-        theta = mult_operator(psi)
+    cell = indicator(grid, 0, 1)
+    psi = cell if branch == 3 else _random_signal(rng, grid)
+    system = generate_system(_gabor_params(rng, grid, psi, branch < 2))
+    theta = random_unitary(rng, grid.n) if branch in (0, 2) else mult_operator(cell)
     check = synthesis_criterion_check(system, theta, tol)
     assert check.agrees, check.counterexample or "criterion disagrees with frame verdict"
 
@@ -341,9 +315,7 @@ def _trial_combination(rng: np.random.Generator, tol: Tolerance) -> None:
         order = rng.permutation(size)
         ncells = int(rng.integers(1, 6))
         splits = sorted(rng.choice(np.arange(1, size), size=ncells - 1, replace=False)) if ncells > 1 else []
-        cells = tuple(
-            tuple(int(i) for i in chunk) for chunk in np.split(order, splits)
-        )
+        cells = tuple(np.split(order, splits))  # PartitionCombination reads the indices as ints
     coeffs = rng.uniform(0.5, 1.5, size) * np.exp(2j * np.pi * rng.uniform(0, 1, size))
     pc = PartitionCombination(cells=cells, coefficients=coeffs)
     rep = partition_domination_check(base, pc, theta, tol)
@@ -438,7 +410,6 @@ __all__ = [
     "complex_gaussian",
     "random_unitary",
     "random_normal_operator",
-    "random_parseval",
     "random_system",
     "random_psd",
     "random_window",

@@ -60,13 +60,16 @@ from .frame_core import (
 )
 from .numerics import (
     DEFAULT_TOL,
+    Monomial,
     Tolerance,
+    _columns,
     _gram_splits,
-    _monomial,
     _monomial_splits,
     _pow2_restored,
     _pow2_scaled,
+    _structure,
     _svd_splits,
+    _whitener,
     as_operator,
     compress,
     hermitian_eigh,
@@ -86,8 +89,9 @@ from .operator_theory import (
 )
 
 
-def _checked_window(theta, n: int) -> np.ndarray:
-    theta = as_operator(theta)
+def _checked_window(theta, n: int):
+    """``theta`` in the form the kernels take (``numerics._structure``), checked to act on C^n."""
+    theta = _structure(theta)
     if theta.shape != (n, n):
         raise DimensionMismatch(f"window operator is {theta.shape}, system lives in C^{n}")
     return theta
@@ -135,16 +139,17 @@ def check_theta_frame(
 _UNIT_SLACK = 4 * np.finfo(float).eps
 
 
-def _window_splits(theta: np.ndarray, tol: Tolerance, margin: int | None, upper: bool = True):
-    """``(e, (C split, D split))`` of ``theta * 2**-e`` (``_pow2_scaled``) restricted by
-    ``margin``; D's is None unless ``upper``, and both are None for a unit monomial."""
+def _window_splits(theta, tol: Tolerance, margin: int | None, upper: bool = True):
+    """``(e, (C split, D split))`` of the ``_checked_window`` ``theta * 2**-e``
+    (``_pow2_scaled``) restricted by ``margin``; D's is None unless ``upper``, and both
+    are None for a unit Monomial."""
     theta, exponent = _pow2_scaled(theta)
-    form = _monomial(theta)
-    rows = restrict(theta, margin).shape[0]
-    if form is not None:
-        if np.all(np.abs(form[1].real**2 + form[1].imag**2 - 1.0) <= _UNIT_SLACK):
+    monomial = isinstance(theta, Monomial)
+    rows = len(restrict(theta.index if monomial else theta, margin))
+    if monomial:
+        if np.all(np.abs(theta.phase.real**2 + theta.phase.imag**2 - 1.0) <= _UNIT_SLACK):
             return exponent, None
-        return exponent, _monomial_splits(form, len(theta), tol, True, upper, size=rows)
+        return exponent, _monomial_splits(theta, tol, True, upper, size=rows)
     if margin is None:
         return exponent, _svd_splits(theta, tol, True, upper)
     lower = _svd_splits(theta[:rows], tol, right=False)[0]
@@ -264,7 +269,7 @@ def theta_to_k_bounds(report: ThetaFrameReport, theta) -> tuple[float, float]:
     """
     if not report.passes():
         raise NotThetaFrame("conversion needs both window inequalities to hold")
-    return report.alpha_opt, report.beta_opt * op_norm(as_operator(theta)) ** 2
+    return report.alpha_opt, report.beta_opt * op_norm(theta) ** 2
 
 
 @dataclass(frozen=True)
@@ -293,7 +298,7 @@ def theta_tight_check(
     upper = _pencil_sup(s, d_split, tol, witness=False)
     exponent = 2 * (s_exp - theta_exp)
     upper_opt = _pow2_restored(upper.value, exponent)
-    if basis_r.shape[1] == 0:
+    if vals_r.size == 0:
         return ThetaTightReport(
             is_tight=False,
             alpha0=0.0,
@@ -301,7 +306,7 @@ def theta_tight_check(
             upper_opt=upper_opt,
             degenerate=True,
         )
-    spectrum = hermitian_eigh(s, (), basis_r / np.sqrt(vals_r))[0]
+    spectrum = hermitian_eigh(s, (), _whitener(basis_r, vals_r))[0]
     lo, hi = (_pow2_restored(float(spectrum[i]), exponent) for i in (0, -1))
     alpha0 = 0.5 * (lo + hi)
     spread = hi - lo
@@ -351,7 +356,7 @@ def tight_frame_from_hyponormal(
     with the same constant.  A ``margin`` lets the window pass as hyponormal
     on the first n - margin coordinates (see :func:`hyponormality`).
     """
-    theta = _checked_window(theta, parseval.n)
+    theta = as_operator(_checked_window(theta, parseval.n))  # the image and Theta Theta* are dense
     bounds = optimal_bounds(parseval, tol)
     slack = tol.verdict_rel * max(1.0, bounds.upper)
     if abs(bounds.lower - 1.0) > slack or abs(bounds.upper - 1.0) > slack:
@@ -412,16 +417,16 @@ class TransformReport:
 def transform_frame_check(
     system: FrameSystem, theta, u, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[FrameSystem, TransformReport]:
-    theta = _checked_window(theta, system.n)
-    u = _checked_window(u, system.n)
+    form = _checked_window(theta, system.n)
+    theta, u = as_operator(theta), as_operator(_checked_window(u, system.n))  # for dense products
     singulars = svd(u, vectors=False)
     if singulars.size == 0 or not rank_mask(singulars, tol).all():
         raise SingularU("transform operator is numerically singular")
     u_norm = float(singulars[0])
     u_inv_norm = 1.0 / float(singulars[-1])
     # Both reports, ||Theta|| and lambda (over D) read one split of the scaled window.
-    exponent, splits = window = _window_splits(theta, tol, None)
-    c_split, d_split = splits or _gram_splits(_pow2_scaled(theta)[0], tol)
+    exponent, splits = window = _window_splits(form, tol, None)
+    c_split, d_split = splits or _gram_splits(_pow2_scaled(form)[0], tol)
     theta_norm = math.ldexp(math.sqrt(float(np.max(c_split[1], initial=0.0))), exponent)
     lambda_rel = _pencil_sup(hermitize(u.conj().T @ u), d_split, tol, witness=False).value
     lambda_rel = math.ldexp(lambda_rel, -2 * exponent)
@@ -482,16 +487,15 @@ class PinvChainReport:
 def pseudoinverse_bound_chain(
     system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL
 ) -> PinvChainReport:
-    theta = _checked_window(theta, system.n)
-    window = _window_splits(theta, tol, None)
+    window = _window_splits(_checked_window(theta, system.n), tol, None)
     report = _system_report(system, window, tol, None)
     if not report.passes():
         raise NotThetaFrame("bound chain requires a verified window frame")
     # The margins are homogeneous in Theta: read the scaled split, constants scaled to match.
-    theta, exponent = _pow2_scaled(theta)
+    theta, exponent = _pow2_scaled(as_operator(theta))  # the products below are dense
     alpha, beta = (_pow2_restored(c, 2 * exponent) for c in (report.alpha_opt, report.beta_opt))
     (basis, kept, _), (right, right_kept, _) = window[1] or _gram_splits(theta, tol)
-    if basis.shape[1] == 0:
+    if kept.size == 0:
         return PinvChainReport(
             projector_residual=0.0,
             lower_margin_min=0.0,
@@ -503,15 +507,15 @@ def pseudoinverse_bound_chain(
         )
     # pinv(Theta) = V_k diag(1/s_k^2) V_k* Theta* from the D split, so Theta pinv(Theta) B
     # = W diag(1/s_k^2) W* B for W = Theta V_k; ||pinv(Theta)||^-2 is the least kept s_k^2.
-    w = theta @ right
-    projector_residual = op_norm((w / right_kept) @ (w.conj().T @ basis) - basis)
+    w, columns = theta @ _columns(right), _columns(basis)
+    projector_residual = op_norm((w / right_kept) @ (w.conj().T @ columns) - columns)
     s = frame_operator(system)
     rvals = hermitian_eigh(s, (), basis)[0]
     restricted_min, top = float(rvals[0]), max(1.0, float(rvals[-1]))
     restricted_ok = restricted_min > tol.psd_floor * top
 
     lower_min = restricted_min - (0.0 if math.isinf(alpha) else alpha) * float(kept[0])
-    image = theta @ basis  # B* D B = (Theta B)* (Theta B)
+    image = theta @ columns  # B* D B = (Theta B)* (Theta B)
     upper_min = float(hermitian_eigh(beta * (image.conj().T @ image) - compress(s, basis), ())[0][0])
     # Each slack scales with the operand its minimum is read from: B* S B for
     # the lower one, beta B* D B (norm beta s_1^2) for the upper one, whose

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from .numerics import (
     restrict,
 )
 from .operator_theory import _pencil_inf, hyponormality, relative_hyponormality
-from .signal_space import Grid, Signal, _index_phase
+from .signal_space import Grid, Signal, _index_phases
 from .theta_frame import (
     ThetaFrameReport,
     _checked_window,
@@ -131,12 +132,7 @@ class WavePacketParams:
 
 
 def _labels(params: WavePacketParams) -> list[tuple[int, int, int]]:
-    return [
-        (j, k, m)
-        for j in range(len(params.a_list))
-        for k in params.k_values()
-        for m in range(len(params.c_list))
-    ]
+    return list(product(range(len(params.a_list)), params.k_values(), range(len(params.c_list))))
 
 
 def _gather_form(params: WavePacketParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,17 +140,16 @@ def _gather_form(params: WavePacketParams) -> tuple[np.ndarray, np.ndarray, np.n
 
     ``windows`` holds one modulated window ``phase_c * psi / sqrt(q)`` per
     frequency c, ``rows`` the frequency of each atom and ``index`` its
-    translated and dilated coordinates.  Indices and phases come from
-    ``_index_phase``, which checks every parameter, and the arithmetic is that
-    of the grid operations in their order (phase, product, then the coordinate
-    scaling), so every atom equals the composed grid operations bit for bit.
+    translated and dilated coordinates.  Indices and phases come from one
+    ``_index_phases`` call per kind, which checks every parameter, and the
+    arithmetic is that of the grid operations in their order (phase, product,
+    then the coordinate scaling), so every atom equals the composed grid
+    operations bit for bit.
     """
     grid = params.grid
-    phases = np.array([_index_phase(grid, "modulate", c)[1] for c in params.c_list])
-    shifts = np.array(
-        [_index_phase(grid, "translate", params.b * k)[0] for k in params.k_values()]
-    )
-    dilations = np.array([_index_phase(grid, "dilate", a)[0] for a in params.a_list])
+    phases = _index_phases(grid, "modulate", list(params.c_list))[1]
+    shifts = _index_phases(grid, "translate", [params.b * k for k in params.k_values()])[0]
+    dilations = _index_phases(grid, "dilate", list(params.a_list))[0]
     windows = phases * params.psi.values / math.sqrt(grid.q)
     index = shifts[np.arange(len(shifts))[:, None], dilations[:, None, :]]  # [j, k, i]
     rows = np.tile(np.arange(len(windows)), len(dilations) * len(shifts))
@@ -297,10 +292,8 @@ def system_from_signals(signals, labels=None) -> FrameSystem:
     sigs = list(signals)
     if not sigs:
         raise ValueError("need at least one signal")
-    grid = sigs[0].grid
-    for s in sigs[1:]:
-        if s.grid != grid:
-            raise DimensionMismatch("signals live on different grids")
+    if any(s.grid != sigs[0].grid for s in sigs):
+        raise DimensionMismatch("signals live on different grids")
     return FrameSystem(np.array([s.coordinates for s in sigs]), labels=labels)
 
 
@@ -516,8 +509,7 @@ def partition_domination_check(
     dominates = lambda_opt > tol.psd_floor
     agrees = dominates == phi_report.passes()
 
-    proof_lambda = None
-    proof_ok = None
+    proof_lambda = proof_ok = None
     if (
         adjoint_hypo
         and base_report.passes()

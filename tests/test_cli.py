@@ -615,6 +615,11 @@ def test_an_oversized_label_box_exits_two_before_allocating(tmp_path, capsys, ve
 
 _WIDE_SYSTEM = {"n": 4097, "vectors": [{"re": [1.0] * 4097}]}
 _WIDE_OPERATOR = {"rows": 4097, "cols": 4097, "re": [], "im": []}
+_WIDE_PARTITION = {
+    "params": {"grid": {"q": 4097, "P": 1}, "psi": {"q": 4097, "P": 1, "indicator": [0, 1]}, "b": 1.0, "k_range": [0, 0]},
+    "theta": {"grid": {"q": 4097, "P": 1}, "kind": "modulate", "value": 1.0},
+    "cells": [[0]],
+}
 
 
 @pytest.mark.parametrize(
@@ -623,8 +628,9 @@ _WIDE_OPERATOR = {"rows": 4097, "cols": 4097, "re": [], "im": []}
         ("check-frame", [_WIDE_SYSTEM]),
         ("check-theta", [_WIDE_SYSTEM, THETA_DOC]),
         ("check-hypo", [_WIDE_OPERATOR]),
-        ("check-hypo", [{"grid": {"q": 4097, "P": 1}, "kind": "modulate", "value": 1.0}]),
+        ("douglas", [{"grid": {"q": 4097, "P": 1}, "kind": "modulate", "value": 1.0}, THETA_DOC]),
         ("douglas", [{"rows": 1, "cols": 1, "re": [1.0]}, {**_WIDE_OPERATOR, "rows": 1}]),
+        ("check-comb", [_WIDE_PARTITION]),  # the partition's frame operator is dense
     ],
 )
 def test_an_oversized_dense_input_exits_two_naming_the_limit(tmp_path, capsys, verb, docs):
@@ -640,6 +646,36 @@ def test_an_oversized_dense_input_exits_two_naming_the_limit(tmp_path, capsys, v
     assert captured.err.count("\n") == 1
     assert "4097 exceeds the dense limit" in captured.err and "MAX_ATOM_ENTRIES" in captured.err
     assert "(n <= 4096)" in json.loads(captured.out)["verdicts"]["error"]
+
+
+def test_a_named_operator_above_the_dense_limit_is_checked_in_o_of_n(tmp_path, capsys):
+    # Only a verb that densifies a named operator is bound by the dense limit.
+    doc = {"grid": {"q": 128, "P": 64}, "kind": "dilate", "value": 3}
+    tracemalloc.start()
+    try:
+        code, report = _run(capsys, ["check-hypo", _write(tmp_path, "dilate.json", doc)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 10_000_000
+    verdicts = report["verdicts"]
+    assert verdicts["global_verdict"] is True and verdicts["operator_norm"] == 1.0
+    assert verdicts["commutator_min_eig"] == 0.0
+
+
+@pytest.mark.parametrize("q, P", [(2**20, 2**20), (2**21 + 1, 1)])
+def test_a_named_operator_beyond_an_eighth_of_max_atom_entries_points_exits_two_before_allocating(
+    tmp_path, capsys, q, P
+):
+    doc = {"grid": {"q": q, "P": P}, "kind": "translate", "value": 1.0}
+    tracemalloc.start()
+    try:
+        code, report = _run(capsys, ["check-hypo", _write(tmp_path, "huge.json", doc)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 10_000_000
+    assert report["verdicts"]["error"] == f"named operator grid n {q * P} exceeds MAX_ATOM_ENTRIES / 8 = {2**21}"
 
 
 def test_the_dense_limit_admits_n_4096():

@@ -7,16 +7,20 @@ an eigensolver or an SVD.  The references here are the dense products and
 ``np.linalg`` decompositions written out in the test.
 """
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from framekit import numerics
 from framekit.errors import NoConvergence
 from framekit.frame_core import FrameSystem
-from framekit.numerics import DEFAULT_TOL, compress, op_norm, psd_split
+from framekit.numerics import DEFAULT_TOL, adjoint, compress, op_norm, psd_split
 from framekit.operator_theory import hyponormality, pencil_inf, pencil_sup
-from framekit.signal_space import Grid, operator_of
+from framekit.signal_space import Grid, _index_phase, indicator, operator_of
 from framekit.theta_frame import check_k_frame, check_theta_frame
+from framekit.wavepacket import WavePacketParams, generate_system
 
 
 def _raw_window(rng, n):
@@ -115,6 +119,47 @@ def test_fast_path_matches_the_dense_formulas(case):
     assert abs(op_norm(theta) - norm) <= 1e-12 * norm
 
 
+def _bits(report):
+    """Every field of a report, arrays as their bytes."""
+    return [
+        value.tobytes() if isinstance(value, np.ndarray) else value
+        for value in dataclasses.astuple(report)
+    ]
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_a_window_given_as_its_form_reports_as_its_dense_matrix(case):
+    kind, q, P, value, margin, ratio = case
+    n = q * P
+    rng = np.random.default_rng(n + (margin or 0))
+    dense = _window(rng, case)
+    form = numerics._monomial(dense) if kind == "raw" else _index_phase(Grid(q, P), kind, value)
+    assert np.array_equal(form.dense(), dense)
+    count = int(ratio * n)
+    system = FrameSystem(rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n)))
+    for check, args in ((check_theta_frame, (system,)), (check_k_frame, (system,)), (hyponormality, ())):
+        assert _bits(check(*args, form, margin=margin)) == _bits(check(*args, dense, margin=margin))
+    assert op_norm(form) == op_norm(dense)
+    assert np.array_equal(adjoint(form).dense(), dense.conj().T)
+    assert _bits(hyponormality(adjoint(form))) == _bits(hyponormality(dense.conj().T))
+
+
+def test_a_named_window_check_on_a_stamped_box_allocates_no_n_by_n_operand():
+    grid = Grid(32, 32)
+    system = generate_system(
+        WavePacketParams(grid, indicator(grid, 0, 1), (1,), 1.0, (0, 31), tuple(range(32)))
+    )
+    assert system._lattice == 32 and len(system) == grid.n == 1024
+    tracemalloc.start()
+    try:
+        report = check_theta_frame(system, _index_phase(grid, "modulate", 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.n**2 * 16 / 8
+    assert report.passes() and report.beta_opt == 1.0
+
+
 def _refuse_lapack(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK reached")
@@ -137,10 +182,11 @@ def test_a_monomial_windows_hyponormality_and_norm_make_no_lapack_call(monkeypat
 def test_the_structure_test_reads_index_and_phase_or_refuses():
     m = np.zeros((4, 4), dtype=np.complex128)
     m[0, 2], m[2, 0], m[3, 3] = 2.0, -1j, 0.5  # row 1 is zero
-    index, phase = numerics._monomial(m)
-    assert index.tolist() == [2, 1, 0, 3] and phase.tolist() == [2.0, 0.0, -1j, 0.5]
+    form = numerics._monomial(m)
+    assert form.index.tolist() == [2, 1, 0, 3] and form.phase.tolist() == [2.0, 0.0, -1j, 0.5]
+    assert np.array_equal(form.dense(), m) and form.shape == (4, 4)
     # An exactly diagonal operand with zeros keeps the identity index.
-    assert numerics._monomial(np.diag([0.0, 3.0, 0.0]))[0].tolist() == [0, 1, 2]
+    assert numerics._monomial(np.diag([0.0, 3.0, 0.0])).index.tolist() == [0, 1, 2]
     refused = [
         np.ones((3, 3)),
         np.array([[1.0, 1.0], [0.0, 0.0]]),  # two nonzeros in a row
@@ -160,13 +206,16 @@ def test_a_diagonal_reference_is_read_off_in_ascending_order(monkeypatch):
     _refuse_lapack(monkeypatch)
     vals, vecs = numerics._diagonal_eigh(d)
     assert vals.tobytes() == expected.tobytes()  # signed zeros included
-    # Stable order: ties keep their coordinate order, and vecs permutes the identity.
-    assert np.argmax(np.abs(vecs), axis=0).tolist() == [5, 1, 7, 2, 4, 6, 0, 3]
-    assert np.array_equal(vecs @ np.diag(vals) @ vecs.T, np.diag(d))
-    # psd_split of an exactly diagonal operand reads it off the same way, with no LAPACK call.
+    # Stable order: ties keep their coordinate order, and the vectors permute the identity,
+    # kept as the Monomial of their transpose.
+    assert vecs.index.tolist() == [5, 1, 7, 2, 4, 6, 0, 3] and np.array_equal(vecs.phase, np.ones(8))
+    columns = numerics._columns(vecs)
+    assert np.array_equal(columns @ np.diag(vals) @ columns.T, np.diag(d))
+    # psd_split of an exactly diagonal operand reads it off the same way, with no LAPACK call,
+    # and returns its bases as matrices of columns, as for any other operand.
     basis_r, vals_r, basis_k = psd_split(np.diag(d))
-    assert np.array_equal(vals_r, [3.0, 3.0]) and basis_k.shape == (8, 6)
-    assert np.array_equal(np.hstack([basis_k, basis_r]), vecs)
+    assert type(basis_r) is type(basis_k) is np.ndarray and basis_k.shape == (8, 6)
+    assert np.array_equal(vals_r, [3.0, 3.0]) and np.array_equal(np.hstack([basis_k, basis_r]), columns)
     # A non-finite diagonal is refused, as hermitian_eigh refuses it.
     for diagonal in ([np.inf, 1.0], [1.0, np.nan]):
         with pytest.raises(NoConvergence, match="^eigenvalue problem has a non-finite entry$"):

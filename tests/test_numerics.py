@@ -315,6 +315,38 @@ def test_non_finite_operand_raises_no_convergence():
         hyponormality(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+_INFINITE = np.array([[np.inf, 1.0], [1.0, 0.0]])
+
+
+def test_hyponormality_of_an_infinite_product_operand_raises_no_convergence_not_a_warning():
+    # T*T - TT* holds inf - inf; under the suite's error::RuntimeWarning filter a
+    # warning while forming it would escape as RuntimeWarning.
+    with pytest.raises(NoConvergence, match="^eigenvalue problem has a non-finite entry$"):
+        hyponormality(_INFINITE)
+
+
+@pytest.mark.parametrize("operand", [_INFINITE, np.array([[np.inf, 1.0], [2.0, 0.0]])], ids=["hermitian", "not"])
+def test_herm_eig_of_an_infinite_operand_raises_no_convergence_not_a_warning(operand):
+    with pytest.raises(NoConvergence):
+        herm_eig(operand)
+
+
+def test_herm_eig_reads_no_norm_of_an_exactly_hermitian_operand(monkeypatch):
+    svds = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: svds.append(a.shape) or real(a, *args, **kwargs))
+    rng = np.random.default_rng(21)
+    h = hermitize(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    values = herm_eig(h, vectors=False)
+    assert svds == []
+    # A rounding of asymmetry takes the verdict, which reads both norms and passes.
+    h[0, 1:3] *= 1.0 + 2.0**-52
+    assert np.allclose(herm_eig(h, vectors=False), values, rtol=0.0, atol=1e-13)
+    assert svds == [(5, 5), (5, 5)]
+    with pytest.raises(NotHermitian):
+        herm_eig(h + np.triu(np.ones((5, 5)), 1))
+
+
 def test_rank_cut_is_shared_across_splits_pinv_and_the_bound_chain():
     # Eigenvalues straddle the cutoff rank_rel * top at 2x and 0.5x: every
     # truncating kernel must keep exactly the top three directions.

@@ -14,6 +14,8 @@ from framekit.signal_space import (
     Grid,
     Signal,
     TruncatedSequenceSpace,
+    _index_phase,
+    _index_phases,
     dilate,
     indicator,
     modulate,
@@ -148,6 +150,25 @@ def test_operator_of_matches_function_action():
             assert np.allclose(op @ f.coordinates, expected.coordinates, atol=1e-12)
             # each symmetry operator is unitary
             assert np.allclose(op.conj().T @ op, np.eye(g.n), atol=1e-12)
+
+
+def test_index_phases_stacks_the_forms_of_its_values():
+    g = Grid(4, 6)
+    for kind, values in [
+        ("translate", [0.0, 0.25, -1.75, 6.0, 1e17]),
+        ("modulate", [0.0, 1 / 6, -5 / 6, 3.0]),
+        ("dilate", [1, 5, -7, 5 + 24 * 2**64]),
+    ]:
+        index, phase = _index_phases(g, kind, values)
+        for row, value in enumerate(values):
+            form = _index_phase(g, kind, value)
+            assert _same_bytes(index[row], form.index) and _same_bytes(phase[row], form.phase)
+            assert kind == "modulate" or np.array_equal(form.phase, np.ones(g.n))
+    # The first value off the grid names itself, as a check of that value alone does.
+    with pytest.raises(OffGridShift, match=r"^shift 0\.3 is off-grid: shift\*4 = 1\.2 is not an integer$"):
+        _index_phases(g, "translate", [0.25, 0.3, 0.1])
+    with pytest.raises(NonCoprimeDilation, match="^dilation factor 2 shares"):
+        _index_phases(g, "dilate", [1, 2, 3])
 
 
 def test_operator_of_rejects_bad_input():

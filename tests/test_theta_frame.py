@@ -17,7 +17,7 @@ from framekit.errors import (
     Unresolved,
 )
 from framekit.frame_core import FrameSystem, canonical_basis, frame_operator, optimal_bounds
-from framekit.numerics import DEFAULT_TOL, adjoint, compress, hermitize, op_norm, pinv
+from framekit.numerics import DEFAULT_TOL, _columns, _whitener, adjoint, compress, hermitize, op_norm, pinv
 from framekit.operator_theory import pencil_inf
 from framekit.signal_space import (
     Grid,
@@ -28,6 +28,7 @@ from framekit.signal_space import (
     shift_operators,
 )
 from framekit.theta_frame import (
+    _checked_window,
     _window_splits,
     check_k_frame,
     check_theta_frame,
@@ -570,9 +571,9 @@ def test_round_off_below_zero_reads_as_a_zero_lower_constant():
     theta_rep = check_theta_frame(system, back)
     k_rep = check_k_frame(system, back)
     s = frame_operator(system)
-    basis_r, vals_r, basis_k = _window_splits(back, DEFAULT_TOL, None)[1][0]
-    whitener = basis_r / np.sqrt(vals_r)
-    cross = whitener.conj().T @ s @ basis_k
+    basis_r, vals_r, basis_k = _window_splits(_checked_window(back, 6), DEFAULT_TOL, None)[1][0]
+    whitener = _whitener(basis_r, vals_r)  # coordinate columns, as the Monomial of their transpose
+    cross = _columns(whitener).conj().T @ s @ _columns(basis_k)
     reduced = hermitize(compress(s, whitener) - cross @ pinv(compress(s, basis_k)) @ cross.conj().T)
     assert theta_rep.alpha_opt == k_rep.a_opt == max(float(np.linalg.eigvalsh(reduced)[0]), 0.0)
     assert not theta_rep.lower_ok and not k_rep.lower_ok
