@@ -5,12 +5,19 @@ matrix), optionally tagged with integer label triples.  The analysis matrix W
 sends f to the coefficient sequence (<f, f_k>)_k; the frame operator
 S = W* W = sum_k f_k f_k* is Hermitian positive semidefinite, and the optimal
 classical frame bounds are its extreme eigenvalues.
+
+Every check reads a system's S through one private ``_Frame``, which scales
+the vectors by a power of two once and makes S, its eigenpairs and its
+spectrum on first read.  A system that ``wavepacket`` stamps as
+lattice-closed, read with no margin, has its spectrum from an FFT of its
+vectors instead (``_Frame.lattice``), whatever the window of the check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -122,32 +129,14 @@ def frame_operator(system: FrameSystem) -> np.ndarray:
     return hermitize(w.conj().T @ w)
 
 
-def _scaled_frame_operator(system: FrameSystem) -> tuple[np.ndarray, int]:
-    """``(S * 4**-e, e)``: the frame operator of the vectors scaled by ``_pow2_scaled``."""
-    vectors, exponent = _pow2_scaled(system.vectors)
-    if exponent:
-        system = FrameSystem(vectors, system.labels)
-    return frame_operator(system), exponent
-
-
 @dataclass(frozen=True, eq=False)
 class _DenseSpectrum:
-    """Spectrum of a formed frame operator scaled by ``4**-exponent``: ``values``
-    ascending and ``witnesses`` the unit eigenvectors at positions 0 and -1, both
-    ``numerics.hermitian_eigh``'s, through LAPACK for a diagonal S too."""
+    """Spectrum of a formed frame operator: ``values`` ascending and ``witnesses`` the unit
+    eigenvectors at positions 0 and -1, both ``numerics.hermitian_eigh``'s, through LAPACK
+    for a diagonal S too."""
 
     values: np.ndarray
     witnesses: np.ndarray
-    exponent: int
-
-    @classmethod
-    def of(
-        cls, frame: tuple[np.ndarray, int], margin: int | None, eigenvectors: np.ndarray | None = None
-    ) -> _DenseSpectrum:
-        """The spectrum of ``frame``, a ``_scaled_frame_operator``, restricted by ``margin``;
-        ``eigenvectors``, those of a full ``eigh`` of that operand already made, serve a
-        witness that falls back."""
-        return cls(*hermitian_eigh(restrict(frame[0], margin), (0, -1), None, eigenvectors), frame[1])
 
     def extreme(self, position: int) -> tuple[float, np.ndarray]:
         """The ``position``-th eigenvalue (0 or -1), and a copy of its witness."""
@@ -156,7 +145,7 @@ class _DenseSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class _LatticeSpectrum:
-    """Spectrum of a stamped system's frame operator, scaled by ``4**-exponent``.
+    """Spectrum of a stamped system's frame operator.
 
     ``values[m, r]`` is the eigenvalue of the Fourier mode ``m`` on residue
     class ``r``, the unit vector with entries ``exp(2 pi i m s / P) / sqrt(P)``
@@ -166,7 +155,6 @@ class _LatticeSpectrum:
 
     values: np.ndarray
     order: np.ndarray
-    exponent: int
 
     def extreme(self, position: int) -> tuple[float, np.ndarray]:
         """The ``position``-th eigenvalue in ``order`` (0 or -1), and its unit eigenvector."""
@@ -183,45 +171,78 @@ class _LatticeSpectrum:
         return np.fft.fft(np.fft.ifft(blocks, axis=2), axis=0).reshape(x.shape)
 
 
-def _lattice_spectrum(system: FrameSystem) -> _LatticeSpectrum | None:
-    """The spectrum of a stamped system's frame operator, None for any other system.
+class _Frame:
+    """One system's frame operator S, restricted by ``margin``, and what is read from it.
 
-    The first column of residue block r is ``S[r + q*s, r] = sum_k f_k[r + q*s] *
-    conj(f_k[r])``, and a circulant's eigenvalues are the FFT of its first
-    column; their real parts are those of the block's Hermitian part.  The
-    vectors are scaled by ``_pow2_scaled`` first.
+    The vectors are scaled once by ``_pow2_scaled`` to ``vectors * 2**-exponent``,
+    so every field is that of S scaled by ``4**-exponent``, and :meth:`restored`
+    scales a constant back.  Each field is made on first read:
+
+    * ``lattice``: the :class:`_LatticeSpectrum` of a stamped system with no
+      margin, without S; None for any other;
+    * ``operator``: S, built by :func:`frame_operator` and restricted;
+    * ``eigh``: every eigenpair of ``operator``;
+    * ``spectrum``: ``lattice`` where there is one, else the
+      :class:`_DenseSpectrum` of ``operator``, whose witness that falls back
+      reads the eigenvectors of ``eigh`` if it was read first.
+
+    So a stamped system with no margin is read through its lattice, whatever
+    the window, and S is formed only where a dense step reads it.
     """
-    q = system._lattice
-    if q is None:
-        return None
-    vectors, exponent = _pow2_scaled(system.vectors)
-    blocks = vectors.reshape(len(vectors), -1, q)  # [k, s, r]: entry r + q*s
-    columns = np.einsum("ksr,kr->sr", blocks, blocks[:, 0, :].conj())
-    values = np.fft.fft(columns, axis=0).real
-    m, r = np.divmod(np.arange(values.size), q)
-    return _LatticeSpectrum(values, np.lexsort((m, r, values.reshape(-1))), exponent)
 
+    def __init__(self, system: FrameSystem, margin: int | None = None):
+        self.system, self.margin = system, margin
+        self.vectors, self.exponent = _pow2_scaled(system.vectors)
 
-def _frame_spectrum(system: FrameSystem, margin: int | None = None):
-    """The ``_lattice_spectrum`` of a stamped system with no margin, else the
-    ``_DenseSpectrum`` of its frame operator restricted by ``margin``."""
-    spectrum = _lattice_spectrum(system) if margin is None else None
-    return spectrum or _DenseSpectrum.of(_scaled_frame_operator(system), margin)
+    @cached_property
+    def lattice(self) -> _LatticeSpectrum | None:
+        """The first column of residue block r is ``S[r + q*s, r] = sum_k f_k[r + q*s] *
+        conj(f_k[r])``, and a circulant's eigenvalues are the FFT of its first column;
+        their real parts are those of the block's Hermitian part."""
+        q = self.system._lattice
+        if q is None or self.margin is not None:
+            return None
+        blocks = self.vectors.reshape(len(self.vectors), -1, q)  # [k, s, r]: entry r + q*s
+        columns = np.einsum("ksr,kr->sr", blocks, blocks[:, 0, :].conj())
+        values = np.fft.fft(columns, axis=0).real
+        m, r = np.divmod(np.arange(values.size), q)
+        return _LatticeSpectrum(values, np.lexsort((m, r, values.reshape(-1))))
+
+    @cached_property
+    def operator(self) -> np.ndarray:
+        system = FrameSystem(self.vectors, self.system.labels) if self.exponent else self.system
+        return restrict(frame_operator(system), self.margin)
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return hermitian_eigh(self.operator)
+
+    @cached_property
+    def spectrum(self) -> _LatticeSpectrum | _DenseSpectrum:
+        if self.lattice is not None:
+            return self.lattice
+        eigenvectors = self.__dict__["eigh"][1] if "eigh" in self.__dict__ else None
+        return _DenseSpectrum(*hermitian_eigh(self.operator, (0, -1), None, eigenvectors))
+
+    def restored(self, value: float, exponent: int = 0) -> float:
+        """``value``, read from these fields against an operand scaled by ``4**-exponent``,
+        scaled back (``pencil(a X, b Y) = (a / b) pencil(X, Y)``); OverflowError beyond
+        the float range."""
+        return _pow2_restored(value, 2 * (self.exponent - exponent))
 
 
 def optimal_bounds(system: FrameSystem, tol: Tolerance = DEFAULT_TOL) -> FrameBounds:
     """Extreme eigenvalues of the frame operator, with eigenvector witnesses.
 
     ``tight`` means the two coincide within ``verdict_rel`` relatively.  S is
-    exactly Hermitian by construction, so no Hermiticity verdict runs.  A
-    stamped system's spectrum comes from ``_lattice_spectrum``, without S.
-    Vectors with huge entries are scaled by a power of two first, and a bound
-    beyond the float range raises OverflowError.
+    exactly Hermitian by construction, so no Hermiticity verdict runs.  Both
+    are read from the ``_Frame`` spectrum: a stamped system's lattice, without
+    S.  Vectors with huge entries are scaled by a power of two first, and a
+    bound beyond the float range raises OverflowError.
     """
-    spectrum = _frame_spectrum(system)
-    (low, lower_witness), (high, upper_witness) = (spectrum.extreme(i) for i in (0, -1))
-    lower = _pow2_restored(low, 2 * spectrum.exponent)
-    upper = _pow2_restored(high, 2 * spectrum.exponent)
+    frame = _Frame(system)
+    (low, lower_witness), (high, upper_witness) = (frame.spectrum.extreme(i) for i in (0, -1))
+    lower, upper = frame.restored(low), frame.restored(high)
     tight = (upper - lower) <= tol.verdict_rel * upper
     return FrameBounds(
         lower=lower,
@@ -240,20 +261,24 @@ def reconstruct(
     Coefficients are ``<S^{-1} f, f_k>``; the reassembled vector is their
     synthesis and must reproduce ``f``.  Raises NotAFrame when the frame
     operator is singular at the working tolerance, judged on the extreme
-    eigenvalues of S scaled as ``optimal_bounds`` scales it; that one S is
-    decomposed for its values only and then solved.
+    eigenvalues of the ``_Frame``: a stamped system's lattice, else the values
+    alone of its S, which is then solved.
     """
     f = as_vector(f)
     if f.shape[0] != system.n:
         raise DimensionMismatch(f"vector of length {f.shape[0]} in dimension {system.n}")
-    s, exponent = _scaled_frame_operator(system)
-    values = hermitian_eigh(s, ())[0]
-    lower, upper = (_pow2_restored(values[i], 2 * exponent) for i in (0, -1))
+    frame = _Frame(system)
+    lattice = frame.lattice
+    if lattice is None:
+        values = hermitian_eigh(frame.operator, ())[0]
+    else:
+        values = lattice.values.flat[lattice.order]
+    lower, upper = (frame.restored(values[i]) for i in (0, -1))
     if lower <= tol.psd_floor * max(1.0, upper):
         raise NotAFrame(
             f"frame operator is singular: min eigenvalue {lower:.3e}"
         )
-    dual_image = np.linalg.solve(s, f) * math.ldexp(1.0, -2 * exponent)
+    dual_image = np.linalg.solve(frame.operator, f) * math.ldexp(1.0, -2 * frame.exponent)
     w = analysis_matrix(system)
     coefficients = w @ dual_image
     reassembled = w.conj().T @ coefficients

@@ -94,13 +94,13 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
-# The most complex entries an input may make framekit hold: a label box's atoms
-# times grid size, eight times the n of a named operator's form (check-hypo of a
-# modulation peaks at 4.5 n-vectors), and n*n for a system or operator read from
-# JSON and wherever a check forms an n x n operator (a frame operator, a densified
-# Monomial).  A larger input is refused before anything is allocated.  It is 2**24
-# (256 MiB of entries, n <= 4096), over 200 times the largest box the benchmark
-# generates (384 atoms on 192 points).
+# The most complex entries an input may make framekit hold: a signal's samples,
+# a label box's atoms times grid size, eight times the n of a named operator's
+# form (check-hypo of a modulation peaks at 4.5 n-vectors), and n*n for a system
+# or operator read from JSON and wherever a check forms an n x n operator (a
+# frame operator, a densified Monomial).  A larger input is refused before
+# anything is allocated.  It is 2**24 (256 MiB of entries, n <= 4096), over 200
+# times the largest box the benchmark generates (384 atoms on 192 points).
 MAX_ATOM_ENTRIES = 2**24
 
 

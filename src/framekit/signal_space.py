@@ -32,7 +32,7 @@ from .errors import (
     OffGridFrequency,
     OffGridShift,
 )
-from .numerics import Monomial, as_integer, as_real, complex_from_json, complex_to_json
+from .numerics import MAX_ATOM_ENTRIES, Monomial, as_integer, as_real, complex_from_json, complex_to_json
 
 _ALIGN_ATOL = 1e-12
 
@@ -150,7 +150,8 @@ def dilate(f: Signal, c: int) -> Signal:
 
 
 def indicator(grid: Grid, s: float, t: float) -> Signal:
-    """Indicator of ``[s, t)`` sampled on the grid; endpoints must be grid-aligned."""
+    """Indicator of ``[s, t)`` sampled on the grid; endpoints must be grid-aligned, and a
+    grid of more than ``MAX_ATOM_ENTRIES`` points raises ValueError."""
     if not (s < t):
         raise OffGridEndpoints(f"need s < t, got s={s!r}, t={t!r}")
     if s < 0 or t > grid.P:
@@ -159,9 +160,17 @@ def indicator(grid: Grid, s: float, t: float) -> Signal:
         )
     ends = [as_real(end, "endpoint") for end in (s, t)]
     si, ti = _aligned(ends, grid.q, OffGridEndpoints, "endpoint").astype(np.intp)
-    values = np.zeros(grid.n, dtype=np.complex128)
+    values = np.zeros(_signal_size_checked(grid), dtype=np.complex128)
     values[si:ti] = 1.0
     return Signal(grid, values)
+
+
+def _signal_size_checked(grid: Grid) -> int:
+    """``grid.n``, or ValueError naming the limit when a signal of n samples exceeds
+    ``MAX_ATOM_ENTRIES`` entries; called before the samples are allocated."""
+    if grid.n > MAX_ATOM_ENTRIES:
+        raise ValueError(f"signal grid n {grid.n} exceeds MAX_ATOM_ENTRIES = {MAX_ATOM_ENTRIES}")
+    return grid.n
 
 
 def mult_operator(g: Signal) -> np.ndarray:
@@ -235,4 +244,4 @@ def signal_from_json(obj: dict) -> Signal:
         if not isinstance(ends, (list, tuple)) or len(ends) != 2:
             raise ValueError(f"signal JSON indicator must be a list [s, t], got {ends!r}")
         return indicator(grid, *(as_real(end, "indicator endpoint") for end in ends))
-    return Signal(grid, complex_from_json(obj, (grid.n,), "signal JSON samples"))
+    return Signal(grid, complex_from_json(obj, (_signal_size_checked(grid),), "signal JSON samples"))

@@ -27,9 +27,10 @@ C and D are never formed: ``_gram_splits`` splits both from Theta (from
 singular values, and a monomial window, such as any grid operation, in O(n).
 When its phases also have unit modulus, C = D = I up to the rounding of
 ``|phase|^2``, and the constants are the extreme eigenvalues of S, read from
-one ``_frame_spectrum``: the ``_lattice_spectrum`` of a stamped system with
-no margin (S is never formed), else one decomposition of S.  Any other
-window is split once per check, and each pencil decomposes S whitened by it.
+the spectrum of one ``frame_core._Frame``: the lattice of a stamped system
+with no margin (S is never formed), else one decomposition of S.  Any other
+window is split once per check, and each pencil decomposes S whitened by it;
+``check_k_frame``'s plain upper bound still reads the ``_Frame`` spectrum.
 Whitening magnifies the rounding of S by up to ``1 / s_k^2`` for the least
 kept singular value s_k, so a lower verdict that this could flip raises
 Unresolved instead of guessing.
@@ -50,14 +51,7 @@ from .errors import (
     SingularU,
     Unresolved,
 )
-from .frame_core import (
-    FrameSystem,
-    _DenseSpectrum,
-    _frame_spectrum,
-    _scaled_frame_operator,
-    frame_operator,
-    optimal_bounds,
-)
+from .frame_core import FrameSystem, _DenseSpectrum, _Frame, frame_operator, optimal_bounds
 from .numerics import (
     DEFAULT_TOL,
     Monomial,
@@ -130,7 +124,7 @@ def check_theta_frame(
     coordinates first and the inequalities are scored there.
     """
     window = _window_splits(_checked_window(theta, system.n), tol, margin)
-    return _system_report(system, window, tol, margin)
+    return _theta_frame_report(_Frame(system, margin), window, tol)
 
 
 # Squared phases within this much of 1 make a monomial window unit-modulus:
@@ -156,12 +150,6 @@ def _window_splits(theta, tol: Tolerance, margin: int | None, upper: bool = True
     return exponent, (lower, _svd_splits(theta[:, :rows], tol, left=False)[1] if upper else None)
 
 
-def _system_report(system: FrameSystem, window, tol: Tolerance, margin: int | None) -> ThetaFrameReport:
-    """:func:`check_theta_frame` of ``system`` given ``_window_splits``."""
-    frame = _frame_spectrum(system, margin) if window[1] is None else _scaled_frame_operator(system)
-    return _theta_frame_report(frame, window, tol, margin)
-
-
 def _unit_pencils(spectrum) -> tuple[PencilBound, PencilBound]:
     """The pencils of S against C = D = I, the extreme eigenpairs of ``spectrum``: the lower
     value clamped at 0 and a dense spectrum's witnesses normalized, as the pencils do."""
@@ -171,19 +159,17 @@ def _unit_pencils(spectrum) -> tuple[PencilBound, PencilBound]:
     return PencilBound(low if low > 0.0 else 0.0, low_witness), PencilBound(high, high_witness)
 
 
-def _theta_frame_report(frame, window, tol: Tolerance, margin: int | None) -> ThetaFrameReport:
-    """:func:`check_theta_frame` given ``_window_splits`` and, under a unit window,
-    the ``_frame_spectrum``, else the ``_scaled_frame_operator``."""
+def _theta_frame_report(frame: _Frame, window, tol: Tolerance) -> ThetaFrameReport:
+    """:func:`check_theta_frame` of the ``_Frame`` given ``_window_splits`` on its margin:
+    a unit window reads its spectrum, any other its operator."""
     theta_exp, splits = window
     if splits is None:
-        s, s_exp = None, frame.exponent
-        lower, upper = _unit_pencils(frame)
+        lower, upper = _unit_pencils(frame.spectrum)
     else:
-        s, s_exp = frame
-        s = restrict(s, margin)
+        s = frame.operator
         lower, upper = _pencil_inf(s, splits[0], tol), _pencil_sup(s, splits[1], tol)
-    alpha, lower_ok = _lower_verdict(lower, 2 * (s_exp - theta_exp), tol, s, splits)
-    beta = _pow2_restored(upper.value, 2 * (s_exp - theta_exp))
+    alpha, lower_ok = _lower_verdict(lower, frame, theta_exp, tol, splits)
+    beta = frame.restored(upper.value, theta_exp)
     return ThetaFrameReport(
         alpha_opt=alpha,
         beta_opt=beta,
@@ -196,14 +182,15 @@ def _theta_frame_report(frame, window, tol: Tolerance, margin: int | None) -> Th
     )
 
 
-def _lower_verdict(lower: PencilBound, exponent: int, tol: Tolerance, s=None, splits=None):
-    """``(alpha, alpha > psd_floor)`` for the pencil ``lower`` scaled back by ``2**exponent``,
-    guarded by :func:`_whitened_error` when ``splits`` whitened S (unit windows are not)."""
-    alpha = _pow2_restored(lower.value, exponent)
+def _lower_verdict(lower: PencilBound, frame: _Frame, window_exp: int, tol: Tolerance, splits):
+    """``(alpha, alpha > psd_floor)`` for the pencil ``lower`` of ``frame`` over a window scaled
+    by ``2**-window_exp``, guarded by :func:`_whitened_error` when ``splits`` whitened S (unit
+    windows are not)."""
+    alpha = frame.restored(lower.value, window_exp)
     if lower.degenerate:
         return alpha, True
-    error = 0.0 if splits is None else _pow2_restored(_whitened_error(s, splits[0][1]), exponent)
-    return alpha, _above(alpha, tol.psd_floor, error, "lower constant")
+    error = 0.0 if splits is None else _whitened_error(frame.operator, splits[0][1])
+    return alpha, _above(alpha, tol.psd_floor, frame.restored(error, window_exp), "lower constant")
 
 
 def _whitened_error(s: np.ndarray, kept: np.ndarray) -> float:
@@ -238,22 +225,20 @@ def check_k_frame(
     """Greatest A with ``A ||K* f||^2 <= sum |<f, f_k>|^2``, and the plain upper bound.
 
     A ``margin`` restricts both operators as in :func:`check_theta_frame`.
-    Both constants of a unit-modulus monomial K read one ``_frame_spectrum``.
+    The upper bound, and the lower constant of a unit-modulus monomial K,
+    read the spectrum of one ``_Frame``.
     """
     k_exp, splits = _window_splits(_checked_window(k, system.n), tol, margin, upper=False)
+    frame = _Frame(system, margin)
     if splits is None:
-        spectrum, s = _frame_spectrum(system, margin), None
-        lower = _unit_pencils(spectrum)[0]
+        lower = _unit_pencils(frame.spectrum)[0]
     else:
-        frame = _scaled_frame_operator(system)
-        s = restrict(frame[0], margin)
-        lower = _pencil_inf(s, splits[0], tol)
-        spectrum = _DenseSpectrum.of(frame, margin)
-    high, upper_witness = spectrum.extreme(-1)
-    a_opt, lower_ok = _lower_verdict(lower, 2 * (spectrum.exponent - k_exp), tol, s, splits)
+        lower = _pencil_inf(frame.operator, splits[0], tol)
+    high, upper_witness = frame.spectrum.extreme(-1)
+    a_opt, lower_ok = _lower_verdict(lower, frame, k_exp, tol, splits)
     return KFrameReport(
         a_opt=a_opt,
-        b_opt=_pow2_restored(high, 2 * spectrum.exponent),
+        b_opt=frame.restored(high),
         lower_ok=lower_ok,
         degenerate=lower.degenerate,
         lower_witness=lower.witness,
@@ -293,11 +278,10 @@ def theta_tight_check(
     system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL
 ) -> ThetaTightReport:
     theta, theta_exp = _pow2_scaled(_checked_window(theta, system.n))
-    s, s_exp = _scaled_frame_operator(system)
+    frame = _Frame(system)
+    s = frame.operator
     (basis_r, vals_r, _), d_split = _gram_splits(theta, tol)
-    upper = _pencil_sup(s, d_split, tol, witness=False)
-    exponent = 2 * (s_exp - theta_exp)
-    upper_opt = _pow2_restored(upper.value, exponent)
+    upper_opt = frame.restored(_pencil_sup(s, d_split, tol, witness=False).value, theta_exp)
     if vals_r.size == 0:
         return ThetaTightReport(
             is_tight=False,
@@ -307,12 +291,12 @@ def theta_tight_check(
             degenerate=True,
         )
     spectrum = hermitian_eigh(s, (), _whitener(basis_r, vals_r))[0]
-    lo, hi = (_pow2_restored(float(spectrum[i]), exponent) for i in (0, -1))
+    lo, hi = (frame.restored(float(spectrum[i]), theta_exp) for i in (0, -1))
     alpha0 = 0.5 * (lo + hi)
     spread = hi - lo
     # Each verdict reads values whitened by C or D, which share s_k; one that round-off
     # could flip raises Unresolved, and only when the verdicts before it hold.
-    error = 2 * _pow2_restored(_whitened_error(s, vals_r), exponent)
+    error = 2 * frame.restored(_whitened_error(s, vals_r), theta_exp)
     is_tight = (
         not _above(spread, tol.verdict_rel * max(1.0, hi), error, "lower spread")
         and not _above(upper_opt, alpha0 * (1.0 + tol.verdict_rel), error, "upper constant")
@@ -433,8 +417,7 @@ def transform_frame_check(
     commutator_norm = op_norm(u @ theta.conj().T - theta.conj().T @ u)
     commutes = commutator_norm <= tol.verdict_rel * max(1.0, u_norm * theta_norm)
     image = FrameSystem(system.vectors @ u.T, labels=system.labels)
-    base = _system_report(system, window, tol, None)
-    transformed = _system_report(image, window, tol, None)
+    base, transformed = (_theta_frame_report(_Frame(x), window, tol) for x in (system, image))
     a1, a2 = base.alpha_opt, transformed.alpha_opt
     b1, b2 = base.beta_opt, transformed.beta_opt
     theta_norm_sq = theta_norm**2
@@ -488,12 +471,15 @@ def pseudoinverse_bound_chain(
     system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL
 ) -> PinvChainReport:
     window = _window_splits(_checked_window(theta, system.n), tol, None)
-    report = _system_report(system, window, tol, None)
+    frame = _Frame(system)
+    report = _theta_frame_report(frame, window, tol)
     if not report.passes():
         raise NotThetaFrame("bound chain requires a verified window frame")
-    # The margins are homogeneous in Theta: read the scaled split, constants scaled to match.
+    # The margins are homogeneous in S and Theta: read the scaled S and split, the
+    # constants scaled to match, and restore each margin.
     theta, exponent = _pow2_scaled(as_operator(theta))  # the products below are dense
-    alpha, beta = (_pow2_restored(c, 2 * exponent) for c in (report.alpha_opt, report.beta_opt))
+    shift = 2 * (exponent - frame.exponent)
+    alpha, beta = (_pow2_restored(c, shift) for c in (report.alpha_opt, report.beta_opt))
     (basis, kept, _), (right, right_kept, _) = window[1] or _gram_splits(theta, tol)
     if kept.size == 0:
         return PinvChainReport(
@@ -509,18 +495,19 @@ def pseudoinverse_bound_chain(
     # = W diag(1/s_k^2) W* B for W = Theta V_k; ||pinv(Theta)||^-2 is the least kept s_k^2.
     w, columns = theta @ _columns(right), _columns(basis)
     projector_residual = op_norm((w / right_kept) @ (w.conj().T @ columns) - columns)
-    s = frame_operator(system)
+    s = frame.operator
     rvals = hermitian_eigh(s, (), basis)[0]
-    restricted_min, top = float(rvals[0]), max(1.0, float(rvals[-1]))
+    restricted_min, top = frame.restored(float(rvals[0])), max(1.0, frame.restored(float(rvals[-1])))
     restricted_ok = restricted_min > tol.psd_floor * top
 
-    lower_min = restricted_min - (0.0 if math.isinf(alpha) else alpha) * float(kept[0])
+    lower_min = frame.restored(float(rvals[0]) - (0.0 if math.isinf(alpha) else alpha) * float(kept[0]))
     image = theta @ columns  # B* D B = (Theta B)* (Theta B)
-    upper_min = float(hermitian_eigh(beta * (image.conj().T @ image) - compress(s, basis), ())[0][0])
+    upper_min = hermitian_eigh(beta * (image.conj().T @ image) - compress(s, basis), ())[0][0]
+    upper_min = frame.restored(float(upper_min))
     # Each slack scales with the operand its minimum is read from: B* S B for
     # the lower one, beta B* D B (norm beta s_1^2) for the upper one, whose
     # exact minimum is 0 since beta is optimal.
-    upper_top = max(1.0, beta * float(kept[-1]))
+    upper_top = max(1.0, frame.restored(beta * float(kept[-1])))
     chain_ok = bool(
         projector_residual <= tol.verdict_rel
         and lower_min >= -tol.verdict_rel * top

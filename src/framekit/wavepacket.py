@@ -23,8 +23,9 @@ window the box ``replace(params, psi=psi_s)``, with the labels and ``dedupe``.
 ``generate_system`` stamps a system as lattice-closed (see ``frame_core``)
 when its parameters say so: the translation steps ``round(b k q) mod n`` are
 invariant under +q and the frequencies ``c P mod n`` under +P, each counted
-with multiplicity, and dedupe dropped no atom.  The checks then read a
-stamped system's spectrum instead of decomposing its frame operator.
+with multiplicity, and dedupe dropped no atom.  A check with no margin then
+reads a stamped system's spectrum from its ``frame_core._Frame`` lattice
+instead of decomposing its frame operator, whatever the window.
 """
 
 from __future__ import annotations
@@ -36,29 +37,19 @@ from itertools import product
 import numpy as np
 
 from .errors import DimensionMismatch, PartitionNotDisjoint, PartitionNotExhaustive
-from .frame_core import (
-    FrameSystem,
-    _DenseSpectrum,
-    _lattice_spectrum,
-    _scaled_frame_operator,
-    _stamp_lattice,
-    analysis_matrix,
-)
+from .frame_core import FrameSystem, _Frame, _stamp_lattice, analysis_matrix
 from .numerics import (
     DEFAULT_TOL,
     MAX_ATOM_ENTRIES,
     Tolerance,
     _diagonal_eigh,
-    _pow2_restored,
     _split,
     adjoint,
     as_integer,
     as_operator,
     as_real,
-    hermitian_eigh,
     range_inclusion,
     rank_mask,
-    restrict,
 )
 from .operator_theory import _pencil_inf, hyponormality, relative_hyponormality
 from .signal_space import Grid, Signal, _index_phases
@@ -402,69 +393,45 @@ def _domination(combined: FrameSystem, bases, theta, tol: Tolerance, margin: int
     """``pencil_inf`` of ``combined`` over each base, the frame reports of ``combined``
     and of each base, and whether theta* is hyponormal, all on one ``margin``.
 
-    The reports are those of ``check_theta_frame`` and share one split of
-    the window, C's and D's.  A frame operator is formed only when a dense step
-    reads it.  A dense base's is decomposed in full once, for the split of the
-    constant over it; under a unit window its report reads the values and
-    witnesses ``check_theta_frame`` of the base reads, and a witness that
-    falls back reads those eigenvectors.  Under a unit window with no margin
-    a stamped system's report reads its lattice spectrum, and a constant over
-    a stamped base is diagonal in the base's Fourier modes.
+    Each system is read through one ``_Frame``, so its frame operator, its
+    eigenpairs and its spectrum are each made at most once, and only where a
+    step reads them.  The reports are those of ``check_theta_frame`` and share
+    one split of the window, C's and D's.  With no margin a stamped system is
+    read through its lattice, whatever the window: the constant over a stamped
+    base does not involve theta, and under a unit window the report reads that
+    lattice too.
     """
     theta = _checked_window(theta, combined.n)
     window = _window_splits(theta, tol, margin)
-    unit = window[1] is None
-    spectrum, *lattices = (
-        _lattice_spectrum(system) if unit and margin is None else None
-        for system in (combined, *bases)
-    )
-    frame = None if spectrum and all(lattices) else _scaled_frame_operator(combined)
-    operators = [None if x else _scaled_frame_operator(base) for base, x in zip(bases, lattices)]
-    # A dense base is decomposed in full once: its eigenpairs split the constant over it.
-    eighs = [None if x else hermitian_eigh(restrict(s[0], margin)) for x, s in zip(lattices, operators)]
-    constants = tuple(
-        _least_ratio(frame, spectrum, x or (*e, s[1]), tol, margin)
-        for x, s, e in zip(lattices, operators, eighs)
-    )
-    if unit:  # the reports read spectra, else the pencils read the frame operators
-        frames = [spectrum or _DenseSpectrum.of(frame, margin)]
-        frames += [
-            x or _DenseSpectrum.of(s, margin, e[1]) for x, s, e in zip(lattices, operators, eighs)
-        ]
-    else:
-        frames = [frame, *operators]
-    combined_report, *base_reports = (_theta_frame_report(f, window, tol, margin) for f in frames)
+    frame, *base_frames = (_Frame(system, margin) for system in (combined, *bases))
+    constants = tuple(_least_ratio(frame, base, tol) for base in base_frames)
+    combined_report, *base_reports = (_theta_frame_report(f, window, tol) for f in (frame, *base_frames))
     adjoint_hypo = hyponormality(adjoint(theta), tol).global_verdict
     return constants, combined_report, tuple(base_reports), adjoint_hypo
 
 
-def _least_ratio(frame, spectrum, base, tol: Tolerance, margin: int | None):
-    """Greatest lambda with ``lambda S_base <= S``, from the scaled frame operator
-    ``frame`` of the combined system or, where given, its lattice ``spectrum``,
-    over the base system's lattice spectrum ``base`` or, for a dense base,
-    ``(values, vectors, exponent)``: the full eigenpairs of its frame operator
-    scaled by ``4**-exponent`` and restricted by ``margin``.
+def _least_ratio(frame: _Frame, base: _Frame, tol: Tolerance) -> float:
+    """Greatest lambda with ``lambda S_base <= S`` for the ``_Frame`` of the combined
+    system and that of a base, on their one margin.
 
-    Over a dense base the pencil reads those eigenpairs as its split.
-    Over a stamped base the pencil is diagonal in the base's Fourier modes:
-    against a stamped system too it is the least ratio of their eigenvalues
-    on the modes the base keeps, and otherwise the ``pencil_inf`` of S in
-    those modes against the diagonal of the base's eigenvalues.
+    Over a dense base the pencil reads the base's full eigenpairs as its
+    split.  Over a stamped base the pencil is diagonal in the base's Fourier
+    modes: against a stamped system too it is the least ratio of their
+    lattice eigenvalues on the modes the base keeps, and otherwise the
+    ``pencil_inf`` of S in those modes against the diagonal of the base's
+    eigenvalues.
     """
-    if isinstance(base, tuple):
-        (s, s_exp), (values, vectors, base_exp) = frame, base
-        value = _pencil_inf(restrict(s, margin), _split(values, vectors, tol), tol, witness=False).value
-        return _pow2_restored(value, 2 * (s_exp - base_exp))
-    if spectrum is None:
-        s, s_exp = frame
-        split = _split(*_diagonal_eigh(base.values.reshape(-1)), tol)
-        value = _pencil_inf(base.in_modes(s), split, tol, witness=False).value
+    lattice = base.lattice
+    if lattice is None:
+        value = _pencil_inf(frame.operator, _split(*base.eigh, tol), tol, witness=False).value
+    elif frame.lattice is None:
+        split = _split(*_diagonal_eigh(lattice.values.reshape(-1)), tol)
+        value = _pencil_inf(lattice.in_modes(frame.operator), split, tol, witness=False).value
     else:
-        s_exp = spectrum.exponent
-        keep = rank_mask(base.values, tol)
-        least = float(np.min(spectrum.values[keep] / base.values[keep], initial=math.inf))
+        keep = rank_mask(lattice.values, tol)
+        least = float(np.min(frame.lattice.values[keep] / lattice.values[keep], initial=math.inf))
         value = least if least > 0.0 else 0.0
-    return _pow2_restored(value, 2 * (s_exp - base.exponent))
+    return frame.restored(value, base.exponent)
 
 
 @dataclass(frozen=True)

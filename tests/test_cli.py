@@ -678,6 +678,33 @@ def test_a_named_operator_beyond_an_eighth_of_max_atom_entries_points_exits_two_
     assert report["verdicts"]["error"] == f"named operator grid n {q * P} exceeds MAX_ATOM_ENTRIES / 8 = {2**21}"
 
 
+_HUGE_SIGNALS = [
+    {"q": 2**20, "P": 2**20, "indicator": [0, 1]},
+    {"q": 2**24 + 1, "P": 1, "re": [1.0]},
+]
+
+
+@pytest.mark.parametrize("verb", ["gen", "check-comb"])
+@pytest.mark.parametrize("psi", _HUGE_SIGNALS, ids=["indicator", "samples"])
+def test_a_signal_beyond_max_atom_entries_points_exits_two_before_allocating(tmp_path, capsys, verb, psi):
+    grid = {"q": psi["q"], "P": psi["P"]}
+    if verb == "gen":
+        doc = {**PARAMS_DOC, "grid": grid, "psi": psi}
+    else:
+        doc = {"kind": "finite-sum", "params": PARAMS_DOC, "theta": THETA_DOC, "alphas": {"re": [1.0]}, "psis": [psi]}
+    tracemalloc.start()
+    try:
+        code = main([verb, _write(tmp_path, "doc.json", doc)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and peak < 10_000_000
+    assert captured.err.count("\n") == 1
+    n = psi["q"] * psi["P"]
+    assert json.loads(captured.out)["verdicts"]["error"] == f"signal grid n {n} exceeds MAX_ATOM_ENTRIES = {2**24}"
+
+
 def test_the_dense_limit_admits_n_4096():
     assert frame_core.system_from_json({**_WIDE_SYSTEM, "n": 4096, "vectors": [{"re": [1.0] * 4096}]}).n == 4096
     with pytest.raises(ValueError, match="need shape"):

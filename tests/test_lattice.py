@@ -12,17 +12,19 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from framekit.errors import NotAFrame, Unresolved
 from framekit.frame_core import (
     FrameSystem,
-    _lattice_spectrum,
+    _Frame,
     frame_operator,
     optimal_bounds,
+    reconstruct,
     system_from_json,
     system_to_json,
 )
 from framekit.numerics import DEFAULT_TOL
 from framekit.signal_space import Grid, Signal, indicator, operator_of
-from framekit.theta_frame import ThetaFrameReport, check_theta_frame, transform_frame_check
+from framekit.theta_frame import ThetaFrameReport, check_k_frame, check_theta_frame, transform_frame_check
 from framekit.wavepacket import (
     FiniteSumSpec,
     PartitionCombination,
@@ -109,10 +111,11 @@ def test_stamped_spectrum_and_frame_reports_match_the_dense_path(case):
     system = generate_system(_box(grid, _gaussian(rng, grid), a_list, b, k0, c0, periods, dedupe))
     dense = _unstamped(system)
     assert system._lattice == q and len(system) == len(a_list) * P * q * periods * (2 if b == 0.5 else 1)
-    assert dense._lattice is None and _lattice_spectrum(dense) is None
+    assert dense._lattice is None and _Frame(dense).lattice is None
     s = frame_operator(dense)
     eigenvalues = np.linalg.eigvalsh(s)
-    spectrum = _lattice_spectrum(system)
+    assert _Frame(system, margin=0).lattice is None  # a margin reads S
+    spectrum = _Frame(system).lattice
     lattice = np.sort(spectrum.values.reshape(-1))
     assert np.max(np.abs(lattice - eigenvalues)) <= REL * eigenvalues[-1]
 
@@ -127,6 +130,11 @@ def test_stamped_spectrum_and_frame_reports_match_the_dense_path(case):
     for _ in range(2):
         theta = _unit_window(rng, grid)
         _assert_report_close(check_theta_frame(system, theta), check_theta_frame(dense, theta), s, theta)
+
+    # reconstruct judges singularity on the lattice and solves the same S
+    f = _gaussian(rng, grid).values
+    for mine, reference in zip(reconstruct(system, f), reconstruct(dense, f), strict=True):
+        assert np.array_equal(mine, reference)
 
 
 def _partition(rng, size):
@@ -233,28 +241,84 @@ def _stamped_case():
     return grid, rng, system
 
 
+def _window_that_is_not_unit(rng, grid, kind):
+    theta = operator_of(grid, "modulate", 1.0)
+    if kind == "scaled-modulate":
+        return 2.0 * theta
+    if kind == "weighted-shift":
+        return operator_of(grid, "translate", 1.0 / grid.q) * rng.uniform(0.5, 1.5, grid.n)[:, None]
+    # 0.1 on n = 24; as 1/sqrt(n) beyond, so the condition number stays near 10 at any n
+    scale = 0.1 * math.sqrt(24 / grid.n)
+    return theta + scale * (rng.normal(size=theta.shape) + 1j * rng.normal(size=theta.shape))
+
+
 @pytest.mark.parametrize(
     "window, margin",
     [("modulate", 2), ("scaled-modulate", None), ("weighted-shift", None), ("dense", None)],
 )
-def test_a_margin_or_a_window_that_is_not_unit_keeps_the_dense_reports(window, margin):
+def test_a_margin_keeps_s_and_any_window_reads_the_lattice(window, margin):
     grid, rng, system = _stamped_case()
-    theta = operator_of(grid, "modulate", 1.0)
-    if window == "scaled-modulate":
-        theta = 2.0 * theta
-    elif window == "weighted-shift":
-        theta = operator_of(grid, "translate", 0.25) * rng.uniform(0.5, 1.5, grid.n)[:, None]
-    elif window == "dense":
-        theta = theta + 0.1 * (rng.normal(size=theta.shape) + 1j * rng.normal(size=theta.shape))
+    theta = _window_that_is_not_unit(rng, grid, window) if margin is None else operator_of(grid, "modulate", 1.0)
     dense = _unstamped(system)
+    # The pencils of a window that is not unit read S itself, on either path.
     assert _same_report(
         check_theta_frame(system, theta, margin=margin), check_theta_frame(dense, theta, margin=margin)
     )
     pc = _partition(rng, len(system))
     fast = partition_domination_check(system, pc, theta, margin=margin)
     reference = partition_domination_check(dense, pc, theta, margin=margin)
-    assert fast.lambda_opt == reference.lambda_opt
+    if margin is None:  # lambda S_base <= S does not involve theta: the base's lattice
+        assert abs(fast.lambda_opt - reference.lambda_opt) <= REL * reference.phi_report.beta_opt
+    else:
+        assert fast.lambda_opt == reference.lambda_opt
     assert _same_report(fast.base_report, reference.base_report)
+
+
+@pytest.mark.parametrize("window", ["scaled-modulate", "weighted-shift", "dense"])
+@pytest.mark.parametrize("case", range(len(CLOSED_BOXES)))
+def test_checks_over_a_window_that_is_not_unit_match_the_dense_path(case, window):
+    q, P, a_list, b, k0, c0, periods, dedupe = CLOSED_BOXES[case]
+    rng = np.random.default_rng(700 + case)
+    grid = Grid(q, P)
+    params = _box(grid, _gaussian(rng, grid), a_list, b, k0, c0, periods, dedupe)
+    theta = _window_that_is_not_unit(rng, grid, window)
+    base = generate_system(params)
+    s = frame_operator(base)
+
+    # check_k_frame's plain upper bound is the lattice's top eigenvalue
+    fast, dense = check_k_frame(base, theta), check_k_frame(_unstamped(base), theta)
+    assert (fast.a_opt, fast.lower_ok, fast.degenerate) == (dense.a_opt, dense.lower_ok, dense.degenerate)
+    assert np.array_equal(fast.lower_witness, dense.lower_witness)
+    assert abs(fast.b_opt - dense.b_opt) <= REL * dense.b_opt
+    assert abs(np.linalg.norm(fast.upper_witness) - 1.0) <= REL
+    assert abs(np.vdot(fast.upper_witness, s @ fast.upper_witness).real - fast.b_opt) <= REL * fast.b_opt
+
+    pc = _partition(rng, len(base))
+    try:
+        dense = partition_domination_check(_unstamped(base), pc, theta)
+    except Unresolved:  # phi's lower verdict, which reads S_phi on both paths alike
+        with pytest.raises(Unresolved):
+            partition_domination_check(base, pc, theta)
+    else:
+        fast = partition_domination_check(base, pc, theta)
+        assert abs(fast.lambda_opt - dense.lambda_opt) <= REL * dense.phi_report.beta_opt
+        assert _same_verdicts(
+            fast, dense, ["dominates", "adjoint_hyponormal", "agrees", "proof_bound_ok", "upper_estimate_ok"]
+        )
+        assert _same_report(fast.base_report, dense.base_report)
+        assert _same_report(fast.phi_report, dense.phi_report)
+
+    spec = FiniteSumSpec(alphas=(1.0, 0.5 - 0.25j), psis=(params.psi, _gaussian(rng, grid)))
+    summed = finite_sum_system(spec, params)
+    singles = [generate_system(replace(params, psi=psi)) for psi in spec.psis]
+    report = finite_sum_criterion_check(spec, params, theta)
+    dense = _domination(_unstamped(summed), [_unstamped(x) for x in singles], theta, DEFAULT_TOL, None)
+    for mu_fast, mu_dense in zip(report.mu_opts, dense[0], strict=True):
+        assert abs(mu_fast - mu_dense) <= REL * dense[1].beta_opt
+    assert _same_report(report.sum_report, dense[1])
+    assert all(_same_report(mine, other) for mine, other in zip(report.single_reports, dense[2], strict=True))
+    exists = any(mu > DEFAULT_TOL.psd_floor for mu in dense[0])
+    assert report.exists == exists and report.agrees == (exists == dense[1].passes())
 
 
 def test_only_generation_stamps_a_system():
@@ -357,7 +421,7 @@ def test_degenerate_eigenvalues_get_the_canonical_witness():
     c_list = (0.0, 1.0, 2.0, 3.0)
     params = WavePacketParams(grid, indicator(grid, 0.0, 1.5), (1, 3), 1.0, (0, 63), c_list)
     system = generate_system(params)
-    spectrum = _lattice_spectrum(system)
+    spectrum = _Frame(system).lattice
     values = spectrum.values.reshape(-1)
     # the double eigenvalue 9.57e-2: modes 29 and 35 of residue 0, whose
     # computed values differ in the last places, so their order is theirs
@@ -373,7 +437,7 @@ def test_degenerate_eigenvalues_get_the_canonical_witness():
     # indicator(0, 2): the least eigenvalue 0 is exact on every residue class,
     # and the tie goes to the least (r, m)
     wide = generate_system(replace(params, psi=indicator(grid, 0.0, 2.0)))
-    spectrum = _lattice_spectrum(wide)
+    spectrum = _Frame(wide).lattice
     least = spectrum.values.reshape(-1)[spectrum.order[0]]
     ties = [divmod(int(i), 4)[::-1] for i in np.flatnonzero(spectrum.values.reshape(-1) == least)]
     assert len(ties) > 1
@@ -381,4 +445,6 @@ def test_degenerate_eigenvalues_get_the_canonical_witness():
     expected = np.zeros(grid.n, dtype=np.complex128)
     expected[r::4] = np.exp(2j * np.pi * (m * np.arange(64) % 64) / 64) / 8.0
     assert np.array_equal(optimal_bounds(wide).lower_witness, expected)
+    with pytest.raises(NotAFrame):  # the lattice's least eigenvalue is an exact 0
+        reconstruct(wide, expected)
     assert np.array_equal(check_theta_frame(wide, np.eye(grid.n)).lower_witness, expected)

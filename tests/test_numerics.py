@@ -18,7 +18,7 @@ import framekit
 from framekit import numerics
 from framekit.cli import main, to_jsonable
 from framekit.errors import NoConvergence, NotHermitian, NotThetaFrame, Unresolved
-from framekit.frame_core import FrameSystem, _DenseSpectrum, canonical_basis, frame_operator, system_to_json
+from framekit.frame_core import FrameSystem, _Frame, canonical_basis, frame_operator, system_to_json
 from framekit.numerics import (
     DEFAULT_TOL,
     Tolerance,
@@ -529,7 +529,7 @@ def test_extreme_eigh_at_n_1_and_on_diagonal_operands(lapack_log):
     # gives coordinate vectors.
     for n in (1, 3, 32):
         lapack_log.clear()
-        spectrum = _DenseSpectrum.of((frame_operator(canonical_basis(n)), 0), None)
+        spectrum = _Frame(canonical_basis(n)).spectrum
         assert spectrum.values.tolist() == [1.0] * n
         assert np.array_equal(spectrum.witnesses, np.eye(n)[:, [0, n - 1]])
         assert _solvers(lapack_log) == (["eigvalsh", "solve", "eigh", "solve"] if n == 1 else ["eigvalsh", "eigh"])
@@ -562,14 +562,16 @@ def test_the_extreme_path_takes_s_as_frame_operator_builds_it(lapack_log, seed):
     s = frame_operator(system)
     # S is exactly Hermitian as built, and hermitize leaves its bits alone.
     assert hermitize(s).tobytes() == s.tobytes()
-    spectrum = _DenseSpectrum.of((s, 0), None)
+    spectrum = _Frame(system).spectrum
     assert lapack_log[0] == ("eigvalsh", hashlib.sha256(np.ascontiguousarray(s)).hexdigest())
     _assert_certified(s, spectrum.values, spectrum.witnesses, (0, -1))
-    # Given the eigenvectors of a full eigh of S (a dense base a pencil is
-    # split over), the spectrum is the same bit for bit: they serve only a
-    # witness that falls back, and these extremes are simple.
+    # With the eigenpairs of S read first (a dense base a pencil is split
+    # over), the spectrum is the same bit for bit: their eigenvectors serve
+    # only a witness that falls back, and these extremes are simple.
     lapack_log.clear()
-    given = _DenseSpectrum.of((s, 0), None, np.linalg.eigh(s)[1])
+    frame = _Frame(system)
+    assert frame.eigh[1].shape == s.shape
+    given = frame.spectrum
     assert _solvers(lapack_log) == ["eigh", "eigvalsh", "solve", "solve"]
     assert np.array_equal(given.values, spectrum.values)
     assert np.array_equal(given.witnesses, spectrum.witnesses)
@@ -781,14 +783,14 @@ def test_a_finite_sum_check_splits_each_window_product_once(lapack_log, monkeypa
     for product in products:
         key = ("eigh", hashlib.sha256(np.ascontiguousarray(product)).hexdigest())
         assert key not in lapack_log
-    # Per single its frame operator (in full: it splits the constant over it)
-    # and the summed system whitened by it (values alone), two pencils for
-    # each of the 1 + 2 reports (values and one solve for the witness), and
-    # the self-commutator of theta* (values alone).
-    solvers = _solvers(lapack_log)
-    assert len(lapack_log) == len(set(lapack_log)) == 2 * 2 + 3 * 2 * 2 + 1
-    assert solvers[:4] == ["eigh", "eigh", "eigvalsh", "eigvalsh"]
-    assert solvers[4:] == ["eigvalsh", "solve"] * 6 + ["eigvalsh"]
+    # The sum and both singles are stamped, so each constant is a ratio of
+    # lattice eigenvalues whatever the window: no single's full eigh and no
+    # sum whitened by it.  Two pencils for each of the 1 + 2 reports (values
+    # and one solve for the witness), and the self-commutator of theta*
+    # (values alone).
+    assert all(mu > 0.0 for mu in report.mu_opts)
+    assert len(lapack_log) == len(set(lapack_log)) == 3 * 2 * 2 + 1
+    assert _solvers(lapack_log) == ["eigvalsh", "solve"] * 6 + ["eigvalsh"]
 
 
 def test_a_douglas_check_takes_the_rank_of_t2_from_its_svd(monkeypatch):

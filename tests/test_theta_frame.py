@@ -16,8 +16,11 @@ from framekit.errors import (
     SingularU,
     Unresolved,
 )
+from framekit import frame_core, theta_frame
 from framekit.frame_core import FrameSystem, canonical_basis, frame_operator, optimal_bounds
-from framekit.numerics import DEFAULT_TOL, _columns, _whitener, adjoint, compress, hermitize, op_norm, pinv
+from framekit.numerics import (
+    DEFAULT_TOL, _columns, _whitener, adjoint, compress, hermitian_eigh, hermitize, op_norm, pinv,
+)
 from framekit.operator_theory import pencil_inf
 from framekit.signal_space import (
     Grid,
@@ -413,6 +416,40 @@ def test_pinv_chain_margins_are_the_least_eigenvalues_of_the_compressions(seed, 
     upper_forms = frame.beta_opt * np.einsum("ij,ij->j", f.conj(), d @ f).real - quad
     assert lower_forms.min() >= rep.lower_margin_min - 1e-10 * lower_scale
     assert upper_forms.min() >= rep.upper_margin_min - 1e-10 * upper_scale
+
+
+@pytest.mark.parametrize("seed, rank", [(1, 6), (3, 4)])
+def test_pinv_chain_forms_s_once_scaled_and_restores_each_margin(monkeypatch, seed, rank):
+    system, theta = _chain_case(seed, rank)
+    formed = []
+
+    def counted(x):
+        formed.append(x)
+        return frame_operator(x)
+
+    for module in (frame_core, theta_frame):
+        monkeypatch.setattr(module, "frame_operator", counted)
+    rep = pseudoinverse_bound_chain(system, theta)
+    assert len(formed) == 1  # the report's S is the chain's
+    # At exponent 0 the report is that of the unscaled S, bit for bit.
+    report = check_theta_frame(system, theta)
+    (basis, kept, _), _ = _window_splits(_checked_window(theta, system.n), DEFAULT_TOL, None)[1]
+    s = frame_operator(system)
+    rvals = hermitian_eigh(s, (), basis)[0]
+    image = theta @ _columns(basis)
+    upper = hermitian_eigh(report.beta_opt * (image.conj().T @ image) - compress(s, basis), ())[0][0]
+    assert rep.restricted_min_eig == float(rvals[0])
+    assert rep.lower_margin_min == float(rvals[0]) - report.alpha_opt * float(kept[0])
+    assert rep.upper_margin_min == float(upper)
+    # Vectors times 2**300 scale S by 2**600, beyond the norm at which LAPACK
+    # rescales its operand by a factor that rounds; the chain reads S scaled
+    # back by a power of two, so each margin is restored exactly.
+    big = pseudoinverse_bound_chain(FrameSystem(_times_pow2(system.vectors, 300)), theta)
+    assert (big.projector_residual, big.chain_ok, big.restricted_invertible) == (
+        rep.projector_residual, rep.chain_ok, rep.restricted_invertible
+    )
+    for name in ("lower_margin_min", "upper_margin_min", "restricted_min_eig"):
+        assert getattr(big, name) == np.ldexp(getattr(rep, name), 600)
 
 
 def test_pinv_chain_passes_an_ill_conditioned_verified_frame():

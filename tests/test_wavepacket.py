@@ -693,15 +693,16 @@ def test_criterion_check_builds_each_window_once(monkeypatch):
         built.append(params.psi)
         return atoms(params)
 
-    def capturing_frame_operator(system):
+    def capturing_frame(system, margin=None):
         checked.append(system)
-        return frame_operator(system)
+        return frame(system, margin)
 
-    atoms, frame_operator = wp._atoms, wp._scaled_frame_operator
+    atoms, frame = wp._atoms, wp._Frame
     monkeypatch.setattr(wp, "_atoms", counting_atoms)
-    monkeypatch.setattr(wp, "_scaled_frame_operator", capturing_frame_operator)
+    monkeypatch.setattr(wp, "_Frame", capturing_frame)
     finite_sum_criterion_check(spec, params, operator_of(GRID, "modulate", 1.0))
     assert [id(psi) for psi in built] == [id(psi) for psi in psis]
+    assert len(checked) == 1 + len(psis)  # one _Frame per system
     assert np.array_equal(checked[0].vectors, expected.vectors)
     assert checked[0].labels == expected.labels
 
