@@ -22,14 +22,15 @@ The spectral step every criterion shares lives here, once:
   LAPACK failures to ``NoConvergence``.  ``herm_eig`` adds a Hermiticity
   verdict; an operand diagonal by construction goes to ``_diagonal_eigh``.
 * ``svd`` is the one singular-value decomposition: the only caller of
-  ``np.linalg.svd``, mapping LAPACK failures to ``NoConvergence``.
+  ``np.linalg.svd``.  Like ``_eigh`` it refuses non-finite entries, and it
+  maps LAPACK failures to ``NoConvergence``.
   ``op_norm`` of any non-monomial operand reads its top singular value.
 * ``rank_mask`` is the one rank cut, and ``_split`` the one split of a
   spectrum at it.  ``psd_split`` splits a PSD operand at its eigenvalues.
-  ``_gram_splits`` splits ``T T*`` and ``T* T`` of a factor T at hand (a
-  window, an operator of a relative inequality) from one SVD of T
-  (``_svd_splits``) or its index-and-phase form (``_monomial_splits``),
-  never forming them, and cuts on the singular values of T as ``pinv`` and
+  ``_gram_split`` splits ``T T*`` or ``T* T`` of a factor T at hand (a
+  window, an operator of a relative inequality), restricted by a margin,
+  from T's index-and-phase form in O(n) or else one SVD of T, never forming
+  it, and cuts on the singular values of T as ``pinv`` and
   ``numerical_rank`` do, not on their squares.
 * ``compress`` is the one compression ``basis* X basis`` onto orthonormal
   columns (whitened ranges and kernels), and ``restrict`` the one margin
@@ -485,37 +486,26 @@ def _split(vals: np.ndarray, vecs, tol: Tolerance, cut: np.ndarray | None = None
     return vecs[:, keep], vals[keep], vecs[:, ~keep]
 
 
-def _gram_splits(t, tol: Tolerance = DEFAULT_TOL, left: bool = True, right: bool = True):
-    """``(psd_split(t t*), psd_split(t* t))`` from the factor ``t``, cut on its singular
-    values, forming neither product; None for a side not asked for.  A tall ``t`` is
-    monomial when ``t.T`` is, whose products are the conjugates of ``t``'s, swapped."""
+def _gram_split(t, tol: Tolerance = DEFAULT_TOL, right: bool = False, size: int | None = None):
+    """:func:`psd_split` of ``t t*`` (``t* t`` when ``right``) restricted to its leading ``size``
+    coordinates, cut on the singular values of ``t`` and never formed.  A monomial ``t`` (or
+    ``t.T`` of a tall one, whose products are the conjugates of ``t``'s, swapped) is read in
+    O(n): ``t t*`` holds ``|phase|^2`` on its diagonal and ``t* t`` holds ``|phase[i]|^2`` at
+    ``index[i]``.  Any other ``t`` loses all but its leading ``size`` rows (columns when
+    ``right``) and is split from one SVD, full on the side where it is thin."""
     rows, cols = t.shape
     form = _structure(t.T if rows > cols else t)
-    if not isinstance(form, Monomial):
-        return _svd_splits(t, tol, left, right)
-    if rows > cols:
-        return _monomial_splits(form, tol, right, left)[::-1]
-    return _monomial_splits(form, tol, left, right)
-
-
-def _monomial_splits(t: Monomial, tol: Tolerance, left: bool = True, right: bool = True, size=None):
-    """:func:`_gram_splits` of a Monomial ``t`` in O(n): ``t t*`` holds ``|phase|^2`` on its
-    diagonal and ``t* t`` holds ``|phase[i]|^2`` at ``index[i]``, cut on ``|phase|``.  With
-    ``size``, both products are restricted to their leading ``size`` coordinates."""
-    near = np.stack([t.phase.real**2 + t.phase.imag**2, np.abs(t.phase)])
-    far = np.zeros((2, t.n))
-    far[:, t.index] = near
-    return tuple(  # in the stable ascending order of |phase|^2, as _diagonal_eigh sorts w
-        _split(*_diagonal_eigh(w), tol, s[np.argsort(w, kind="stable")]) if wanted else None
-        for (w, s), wanted in ((near[:, :size], left), (far[:, :size], right))
-    )
-
-
-def _svd_splits(t: np.ndarray, tol: Tolerance, left: bool = True, right: bool = True):
-    """:func:`_gram_splits` from one SVD of ``t``, full on a side where ``t`` is thin."""
-    rows, cols = t.shape
-    u, s, v = svd(t, full=(left and rows > cols) or (right and cols > rows))
-    return tuple(_svd_split(x, s, tol) if wanted else None for x, wanted in ((u, left), (v, right)))
+    if isinstance(form, Monomial):
+        near = np.stack([form.phase.real**2 + form.phase.imag**2, np.abs(form.phase)])
+        if right != (rows > cols):  # t* t, or t t* of a tall t: at index
+            far = np.zeros((2, form.n))
+            far[:, form.index] = near
+            near = far
+        w, s = near[:, :size]  # ascending as _diagonal_eigh sorts w
+        return _split(*_diagonal_eigh(w), tol, s[np.argsort(w, kind="stable")])
+    t = t[:, :size] if right else t[:size]  # still thin on the wanted side only if it was
+    u, s, v = svd(t, full=cols > rows if right else rows > cols)
+    return _svd_split(v if right else u, s, tol)
 
 
 def _svd_split(vectors: np.ndarray, s: np.ndarray, tol: Tolerance):
@@ -529,9 +519,12 @@ def svd(m, vectors: bool = True, full: bool = False):
     """SVD ``(left, singulars, right)`` with ``M = left[:, :k] @ diag(s) @ adjoint(right[:, :k])``.
 
     Singular values are nonnegative and descending, the vectors thin unless ``full``; with
-    ``vectors`` False only the values are computed.  LAPACK failure raises NoConvergence.
+    ``vectors`` False only the values are computed.  A non-finite entry or a LAPACK failure
+    raises NoConvergence.
     """
     m = as_operator(m)
+    if not np.isfinite(m).all():  # LAPACK would return NaN singular values without raising
+        raise NoConvergence("singular value problem has a non-finite entry")
     try:
         if not vectors:
             return np.linalg.svd(m, compute_uv=False)

@@ -36,7 +36,7 @@ from .numerics import (
     _columns,
     _pow2_restored,
     _pow2_scaled,
-    _gram_splits,
+    _gram_split,
     _diagonal_eigh,
     _structure,
     _svd_pinv,
@@ -240,7 +240,7 @@ def relative_hyponormality(
         )
     # T1 and T2 are each scaled by 2**-e (e = 0 for ordinary entries); lambda scales back.
     (t1, e1), (t2, e2) = _pow2_scaled(t1), _pow2_scaled(t2)
-    bound = _pencil_sup(hermitize(t2 @ t2.conj().T), _gram_splits(t1, tol, left=False)[1], tol)
+    bound = _pencil_sup(hermitize(t2 @ t2.conj().T), _gram_split(t1, tol, right=True), tol)
     lambda_opt = _pow2_restored(bound.value, 2 * (e2 - e1))
     holds = math.isfinite(lambda_opt)
     return RelativeHyponormalityReport(

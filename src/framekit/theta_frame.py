@@ -22,15 +22,15 @@ before S is formed and Theta split, and the constants are scaled back
 exactly (``pencil(a X, b Y) = (a / b) pencil(X, Y)``); a constant beyond
 the float range raises OverflowError.
 
-C and D are never formed: ``_gram_splits`` splits both from Theta (from
-``Theta[:n-m, :]`` and ``Theta[:, :n-m]`` under a margin), cutting on its
-singular values, and a monomial window, such as any grid operation, in O(n).
-When its phases also have unit modulus, C = D = I up to the rounding of
-``|phase|^2``, and the constants are the extreme eigenvalues of S, read from
-the spectrum of one ``frame_core._Frame``: the lattice of a stamped system
-with no margin (S is never formed), else one decomposition of S.  Any other
-window is split once per check, and each pencil decomposes S whitened by it;
-``check_k_frame``'s plain upper bound still reads the ``_Frame`` spectrum.
+C and D are never formed: each check holds one ``_Window``, which splits both
+on first read (from ``Theta[:n-m, :]`` and ``Theta[:, :n-m]`` under a margin),
+cutting on Theta's singular values: a monomial window, such as any grid
+operation, in O(n), a dense one with no margin from one SVD.  When its phases
+have unit modulus, C = D = I up to the rounding of ``|phase|^2``, and the
+constants are the extreme eigenvalues of S, read from the spectrum of one
+``frame_core._Frame``: the lattice of a stamped system with no margin (S is
+never formed), else one decomposition of S.  Any other window whitens S in
+each pencil; ``check_k_frame``'s plain upper bound still reads the spectrum.
 Whitening magnifies the rounding of S by up to ``1 / s_k^2`` for the least
 kept singular value s_k, so a lower verdict that this could flip raises
 Unresolved instead of guessing.
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,12 +58,11 @@ from .numerics import (
     Monomial,
     Tolerance,
     _columns,
-    _gram_splits,
-    _monomial_splits,
+    _gram_split,
     _pow2_restored,
     _pow2_scaled,
     _structure,
-    _svd_splits,
+    _svd_split,
     _whitener,
     as_operator,
     compress,
@@ -83,12 +83,45 @@ from .operator_theory import (
 )
 
 
-def _checked_window(theta, n: int):
-    """``theta`` in the form the kernels take (``numerics._structure``), checked to act on C^n."""
-    theta = _structure(theta)
-    if theta.shape != (n, n):
-        raise DimensionMismatch(f"window operator is {theta.shape}, system lives in C^{n}")
-    return theta
+# Squared phases within this much of 1 make a monomial window unit-modulus:
+# |phase|^2 = re^2 + im^2 of a computed exp(i t) errs by a few units in the
+# last place, and C = D = I then holds up to that rounding.
+_UNIT_SLACK = 4 * np.finfo(float).eps
+
+
+class _Window:
+    """One window Theta on C^n: ``form``, Theta in the kernels' form (``numerics._structure``)
+    checked to be n x n and scaled once to ``Theta * 2**-exponent``; ``unit`` for a Monomial
+    with unit-modulus phases (C = D = I up to rounding); and ``lower`` and ``upper``, the
+    ``numerics._gram_split`` of C = Theta Theta* and of D = Theta* Theta restricted by
+    ``margin``, each made on first read, from one SVD for a dense window with no margin."""
+
+    def __init__(self, theta, n: int, tol: Tolerance, margin: int | None = None):
+        self.form, self.exponent = _pow2_scaled(_structure(theta))
+        if self.form.shape != (n, n):
+            raise DimensionMismatch(f"window operator is {self.form.shape}, system lives in C^{n}")
+        self.tol, self.size = tol, len(restrict(np.arange(n), margin))
+        self.unit = isinstance(self.form, Monomial) and bool(
+            np.all(np.abs(self.form.phase.real**2 + self.form.phase.imag**2 - 1.0) <= _UNIT_SLACK)
+        )
+
+    @cached_property
+    def lower(self):
+        return self._split(right=False)
+
+    @cached_property
+    def upper(self):
+        return self._split(right=True)
+
+    @cached_property
+    def _factors(self):
+        return svd(self.form)
+
+    def _split(self, right: bool):
+        if isinstance(self.form, Monomial) or self.size < self.form.shape[0]:
+            return _gram_split(self.form, self.tol, right, self.size)
+        u, s, v = self._factors  # a dense window with no margin: both splits from one SVD
+        return _svd_split(v if right else u, s, self.tol)
 
 
 @dataclass(frozen=True)
@@ -123,31 +156,8 @@ def check_theta_frame(
     With a ``margin`` m, all operators are restricted to the first n - m
     coordinates first and the inequalities are scored there.
     """
-    window = _window_splits(_checked_window(theta, system.n), tol, margin)
+    window = _Window(theta, system.n, tol, margin)
     return _theta_frame_report(_Frame(system, margin), window, tol)
-
-
-# Squared phases within this much of 1 make a monomial window unit-modulus:
-# |phase|^2 = re^2 + im^2 of a computed exp(i t) errs by a few units in the
-# last place, and C = D = I then holds up to that rounding.
-_UNIT_SLACK = 4 * np.finfo(float).eps
-
-
-def _window_splits(theta, tol: Tolerance, margin: int | None, upper: bool = True):
-    """``(e, (C split, D split))`` of the ``_checked_window`` ``theta * 2**-e``
-    (``_pow2_scaled``) restricted by ``margin``; D's is None unless ``upper``, and both
-    are None for a unit Monomial."""
-    theta, exponent = _pow2_scaled(theta)
-    monomial = isinstance(theta, Monomial)
-    rows = len(restrict(theta.index if monomial else theta, margin))
-    if monomial:
-        if np.all(np.abs(theta.phase.real**2 + theta.phase.imag**2 - 1.0) <= _UNIT_SLACK):
-            return exponent, None
-        return exponent, _monomial_splits(theta, tol, True, upper, size=rows)
-    if margin is None:
-        return exponent, _svd_splits(theta, tol, True, upper)
-    lower = _svd_splits(theta[:rows], tol, right=False)[0]
-    return exponent, (lower, _svd_splits(theta[:, :rows], tol, left=False)[1] if upper else None)
 
 
 def _unit_pencils(spectrum) -> tuple[PencilBound, PencilBound]:
@@ -159,17 +169,12 @@ def _unit_pencils(spectrum) -> tuple[PencilBound, PencilBound]:
     return PencilBound(low if low > 0.0 else 0.0, low_witness), PencilBound(high, high_witness)
 
 
-def _theta_frame_report(frame: _Frame, window, tol: Tolerance) -> ThetaFrameReport:
-    """:func:`check_theta_frame` of the ``_Frame`` given ``_window_splits`` on its margin:
-    a unit window reads its spectrum, any other its operator."""
-    theta_exp, splits = window
-    if splits is None:
-        lower, upper = _unit_pencils(frame.spectrum)
-    else:
-        s = frame.operator
-        lower, upper = _pencil_inf(s, splits[0], tol), _pencil_sup(s, splits[1], tol)
-    alpha, lower_ok = _lower_verdict(lower, frame, theta_exp, tol, splits)
-    beta = frame.restored(upper.value, theta_exp)
+def _theta_frame_report(frame: _Frame, window: _Window, tol: Tolerance) -> ThetaFrameReport:
+    """:func:`check_theta_frame` of the ``_Frame`` and ``_Window`` on one margin: a unit
+    window reads the frame's spectrum, any other its operator."""
+    upper = _unit_pencils(frame.spectrum)[1] if window.unit else _pencil_sup(frame.operator, window.upper, tol)
+    lower, alpha, lower_ok = _lower(frame, window, tol)
+    beta = frame.restored(upper.value, window.exponent)
     return ThetaFrameReport(
         alpha_opt=alpha,
         beta_opt=beta,
@@ -182,15 +187,17 @@ def _theta_frame_report(frame: _Frame, window, tol: Tolerance) -> ThetaFrameRepo
     )
 
 
-def _lower_verdict(lower: PencilBound, frame: _Frame, window_exp: int, tol: Tolerance, splits):
-    """``(alpha, alpha > psd_floor)`` for the pencil ``lower`` of ``frame`` over a window scaled
-    by ``2**-window_exp``, guarded by :func:`_whitened_error` when ``splits`` whitened S (unit
-    windows are not)."""
-    alpha = frame.restored(lower.value, window_exp)
-    if lower.degenerate:
-        return alpha, True
-    error = 0.0 if splits is None else _whitened_error(frame.operator, splits[0][1])
-    return alpha, _above(alpha, tol.psd_floor, frame.restored(error, window_exp), "lower constant")
+def _lower(frame: _Frame, window: _Window, tol: Tolerance):
+    """``(pencil, alpha, alpha > psd_floor)`` of S against C on one margin: a unit window reads
+    the frame's spectrum, any other whitens S by C's split, and then a verdict that round-off
+    could flip (:func:`_whitened_error`) raises Unresolved."""
+    if window.unit:
+        lower, error = _unit_pencils(frame.spectrum)[0], 0.0
+    else:
+        lower = _pencil_inf(frame.operator, window.lower, tol)
+        error = 0.0 if lower.degenerate else _whitened_error(frame.operator, window.lower[1])
+    alpha, error = (frame.restored(x, window.exponent) for x in (lower.value, error))
+    return lower, alpha, lower.degenerate or _above(alpha, tol.psd_floor, error, "lower constant")
 
 
 def _whitened_error(s: np.ndarray, kept: np.ndarray) -> float:
@@ -228,14 +235,10 @@ def check_k_frame(
     The upper bound, and the lower constant of a unit-modulus monomial K,
     read the spectrum of one ``_Frame``.
     """
-    k_exp, splits = _window_splits(_checked_window(k, system.n), tol, margin, upper=False)
+    window = _Window(k, system.n, tol, margin)
     frame = _Frame(system, margin)
-    if splits is None:
-        lower = _unit_pencils(frame.spectrum)[0]
-    else:
-        lower = _pencil_inf(frame.operator, splits[0], tol)
     high, upper_witness = frame.spectrum.extreme(-1)
-    a_opt, lower_ok = _lower_verdict(lower, frame, k_exp, tol, splits)
+    lower, a_opt, lower_ok = _lower(frame, window, tol)
     return KFrameReport(
         a_opt=a_opt,
         b_opt=frame.restored(high),
@@ -277,11 +280,11 @@ class ThetaTightReport:
 def theta_tight_check(
     system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL
 ) -> ThetaTightReport:
-    theta, theta_exp = _pow2_scaled(_checked_window(theta, system.n))
+    window = _Window(theta, system.n, tol)
     frame = _Frame(system)
     s = frame.operator
-    (basis_r, vals_r, _), d_split = _gram_splits(theta, tol)
-    upper_opt = frame.restored(_pencil_sup(s, d_split, tol, witness=False).value, theta_exp)
+    basis_r, vals_r, _ = window.lower
+    upper_opt = frame.restored(_pencil_sup(s, window.upper, tol, witness=False).value, window.exponent)
     if vals_r.size == 0:
         return ThetaTightReport(
             is_tight=False,
@@ -291,12 +294,12 @@ def theta_tight_check(
             degenerate=True,
         )
     spectrum = hermitian_eigh(s, (), _whitener(basis_r, vals_r))[0]
-    lo, hi = (frame.restored(float(spectrum[i]), theta_exp) for i in (0, -1))
+    lo, hi = (frame.restored(float(spectrum[i]), window.exponent) for i in (0, -1))
     alpha0 = 0.5 * (lo + hi)
     spread = hi - lo
     # Each verdict reads values whitened by C or D, which share s_k; one that round-off
     # could flip raises Unresolved, and only when the verdicts before it hold.
-    error = 2 * frame.restored(_whitened_error(s, vals_r), theta_exp)
+    error = 2 * frame.restored(_whitened_error(s, vals_r), window.exponent)
     is_tight = (
         not _above(spread, tol.verdict_rel * max(1.0, hi), error, "lower spread")
         and not _above(upper_opt, alpha0 * (1.0 + tol.verdict_rel), error, "upper constant")
@@ -340,7 +343,9 @@ def tight_frame_from_hyponormal(
     with the same constant.  A ``margin`` lets the window pass as hyponormal
     on the first n - margin coordinates (see :func:`hyponormality`).
     """
-    theta = as_operator(_checked_window(theta, parseval.n))  # the image and Theta Theta* are dense
+    window = _Window(theta, parseval.n, tol)
+    form = as_operator(window.form)  # the images and Theta Theta* are dense
+    theta = as_operator(theta) if window.exponent else form
     bounds = optimal_bounds(parseval, tol)
     slack = tol.verdict_rel * max(1.0, bounds.upper)
     if abs(bounds.lower - 1.0) > slack or abs(bounds.upper - 1.0) > slack:
@@ -353,8 +358,10 @@ def tight_frame_from_hyponormal(
             f"window self-commutator has negative eigenvalue {hypo.commutator_min_eig:.3e}"
         )
     image = FrameSystem(parseval.vectors @ theta.T, labels=parseval.labels)
-    c = hermitize(theta @ theta.conj().T)
-    residual = op_norm(frame_operator(image) - c) / max(1.0, op_norm(c))
+    # S of the image and Theta Theta*, both of the scaled window: the residual is their ratio.
+    scaled = FrameSystem(parseval.vectors @ form.T) if window.exponent else image
+    c = hermitize(form @ form.conj().T)
+    residual = op_norm(frame_operator(scaled) - c) / max(1.0, op_norm(c))
     report = ConstructionReport(
         operator_residual=float(residual),
         commutator_min_eig=hypo.commutator_min_eig,
@@ -401,19 +408,19 @@ class TransformReport:
 def transform_frame_check(
     system: FrameSystem, theta, u, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[FrameSystem, TransformReport]:
-    form = _checked_window(theta, system.n)
-    theta, u = as_operator(theta), as_operator(_checked_window(u, system.n))  # for dense products
+    window = _Window(theta, system.n, tol)
+    theta, u = as_operator(theta), as_operator(u)  # for dense products
+    if u.shape != (system.n, system.n):
+        raise DimensionMismatch(f"transform operator is {u.shape}, system lives in C^{system.n}")
     singulars = svd(u, vectors=False)
     if singulars.size == 0 or not rank_mask(singulars, tol).all():
         raise SingularU("transform operator is numerically singular")
     u_norm = float(singulars[0])
     u_inv_norm = 1.0 / float(singulars[-1])
-    # Both reports, ||Theta|| and lambda (over D) read one split of the scaled window.
-    exponent, splits = window = _window_splits(form, tol, None)
-    c_split, d_split = splits or _gram_splits(_pow2_scaled(form)[0], tol)
-    theta_norm = math.ldexp(math.sqrt(float(np.max(c_split[1], initial=0.0))), exponent)
-    lambda_rel = _pencil_sup(hermitize(u.conj().T @ u), d_split, tol, witness=False).value
-    lambda_rel = math.ldexp(lambda_rel, -2 * exponent)
+    # Both reports, ||Theta|| and lambda (over D) read the one window.
+    theta_norm = math.ldexp(math.sqrt(float(np.max(window.lower[1], initial=0.0))), window.exponent)
+    lambda_rel = _pencil_sup(hermitize(u.conj().T @ u), window.upper, tol, witness=False).value
+    lambda_rel = math.ldexp(lambda_rel, -2 * window.exponent)
     commutator_norm = op_norm(u @ theta.conj().T - theta.conj().T @ u)
     commutes = commutator_norm <= tol.verdict_rel * max(1.0, u_norm * theta_norm)
     image = FrameSystem(system.vectors @ u.T, labels=system.labels)
@@ -470,17 +477,17 @@ class PinvChainReport:
 def pseudoinverse_bound_chain(
     system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL
 ) -> PinvChainReport:
-    window = _window_splits(_checked_window(theta, system.n), tol, None)
+    window = _Window(theta, system.n, tol)
     frame = _Frame(system)
     report = _theta_frame_report(frame, window, tol)
     if not report.passes():
         raise NotThetaFrame("bound chain requires a verified window frame")
-    # The margins are homogeneous in S and Theta: read the scaled S and split, the
+    # The margins are homogeneous in S and Theta: read the scaled S and window, the
     # constants scaled to match, and restore each margin.
-    theta, exponent = _pow2_scaled(as_operator(theta))  # the products below are dense
-    shift = 2 * (exponent - frame.exponent)
+    theta = as_operator(window.form)  # the products below are dense
+    shift = 2 * (window.exponent - frame.exponent)
     alpha, beta = (_pow2_restored(c, shift) for c in (report.alpha_opt, report.beta_opt))
-    (basis, kept, _), (right, right_kept, _) = window[1] or _gram_splits(theta, tol)
+    (basis, kept, _), (right, right_kept, _) = window.lower, window.upper
     if kept.size == 0:
         return PinvChainReport(
             projector_residual=0.0,

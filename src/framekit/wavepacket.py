@@ -55,9 +55,8 @@ from .operator_theory import _pencil_inf, hyponormality, relative_hyponormality
 from .signal_space import Grid, Signal, _index_phases
 from .theta_frame import (
     ThetaFrameReport,
-    _checked_window,
     _theta_frame_report,
-    _window_splits,
+    _Window,
     check_theta_frame,
 )
 
@@ -396,17 +395,16 @@ def _domination(combined: FrameSystem, bases, theta, tol: Tolerance, margin: int
     Each system is read through one ``_Frame``, so its frame operator, its
     eigenpairs and its spectrum are each made at most once, and only where a
     step reads them.  The reports are those of ``check_theta_frame`` and share
-    one split of the window, C's and D's.  With no margin a stamped system is
-    read through its lattice, whatever the window: the constant over a stamped
-    base does not involve theta, and under a unit window the report reads that
-    lattice too.
+    one ``_Window``, so C's and D's splits are each made at most once.  With no
+    margin a stamped system is read through its lattice, whatever the window:
+    the constant over a stamped base does not involve theta, and under a unit
+    window the report reads that lattice too.
     """
-    theta = _checked_window(theta, combined.n)
-    window = _window_splits(theta, tol, margin)
+    window = _Window(theta, combined.n, tol, margin)
     frame, *base_frames = (_Frame(system, margin) for system in (combined, *bases))
     constants = tuple(_least_ratio(frame, base, tol) for base in base_frames)
     combined_report, *base_reports = (_theta_frame_report(f, window, tol) for f in (frame, *base_frames))
-    adjoint_hypo = hyponormality(adjoint(theta), tol).global_verdict
+    adjoint_hypo = hyponormality(adjoint(window.form), tol).global_verdict
     return constants, combined_report, tuple(base_reports), adjoint_hypo
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from framekit.errors import NotHyponormal
 from framekit.frame_core import FrameSystem, frame_operator
-from framekit.numerics import DEFAULT_TOL, _gram_splits, compress, hermitian_eigh
+from framekit.numerics import DEFAULT_TOL, _gram_split, compress, hermitian_eigh
 from framekit.operator_theory import _pencil_inf, _pencil_sup, hyponormality, pencil_inf
 from framekit.signal_space import Grid, Signal
 from framekit.theta_frame import check_k_frame, check_theta_frame, tight_frame_from_hyponormal
@@ -66,8 +66,8 @@ def _same(mine, reference):
 def _reference_theta(system, theta, margin):
     s = _compressed(frame_operator(system), margin)
     e = np.eye(system.n, system.n - margin)
-    c_split = _gram_splits(e.conj().T @ theta, right=False)[0]
-    d_split = _gram_splits(theta @ e, left=False)[1]
+    c_split = _gram_split(e.conj().T @ theta)
+    d_split = _gram_split(theta @ e, right=True)
     return _pencil_inf(s, c_split, DEFAULT_TOL), _pencil_sup(s, d_split, DEFAULT_TOL)
 
 

@@ -365,7 +365,7 @@ def test_rank_cut_is_shared_across_splits_pinv_and_the_bound_chain():
     # the whitened pencil, n eps ||S||_F / s_3^2, near 3e4; a system with no
     # energy there has alpha = 0, which that bound cannot tell from the floor,
     # so the shared verdict is a refusal.
-    assert [split[0].shape[1] for split in numerics._gram_splits(y)] == [3, 3]
+    assert [numerics._gram_split(y, right=right)[0].shape[1] for right in (False, True)] == [3, 3]
     for check in (check_theta_frame, pseudoinverse_bound_chain):
         with pytest.raises(Unresolved, match=r"round-off bound 3\.\d+e\+04"):
             check(FrameSystem(u[:, :2].T), y)

@@ -10,13 +10,14 @@ import pytest
 
 from framekit.errors import (
     DimensionMismatch,
+    NoConvergence,
     NotHyponormal,
     NotParseval,
     NotThetaFrame,
     SingularU,
     Unresolved,
 )
-from framekit import frame_core, theta_frame
+from framekit import frame_core, numerics, theta_frame
 from framekit.frame_core import FrameSystem, canonical_basis, frame_operator, optimal_bounds
 from framekit.numerics import (
     DEFAULT_TOL, _columns, _whitener, adjoint, compress, hermitian_eigh, hermitize, op_norm, pinv,
@@ -31,8 +32,7 @@ from framekit.signal_space import (
     shift_operators,
 )
 from framekit.theta_frame import (
-    _checked_window,
-    _window_splits,
+    _Window,
     check_k_frame,
     check_theta_frame,
     pseudoinverse_bound_chain,
@@ -433,7 +433,7 @@ def test_pinv_chain_forms_s_once_scaled_and_restores_each_margin(monkeypatch, se
     assert len(formed) == 1  # the report's S is the chain's
     # At exponent 0 the report is that of the unscaled S, bit for bit.
     report = check_theta_frame(system, theta)
-    (basis, kept, _), _ = _window_splits(_checked_window(theta, system.n), DEFAULT_TOL, None)[1]
+    basis, kept, _ = _Window(theta, system.n, DEFAULT_TOL).lower
     s = frame_operator(system)
     rvals = hermitian_eigh(s, (), basis)[0]
     image = theta @ _columns(basis)
@@ -551,6 +551,19 @@ def test_a_dense_window_beyond_the_float_square_is_scaled():
     assert rep.beta_opt == pytest.approx(1.0, rel=1e-12)
 
 
+def test_a_hyponormal_window_beyond_the_float_square_gives_a_tight_image():
+    # Theta Theta* of a window near 1e160 overflows; the construction forms it, and
+    # the image's S, from the scaled window, and returns the image of the unscaled one.
+    rng = np.random.default_rng(161)
+    v = _unitary(rng, 4)
+    theta = 1e160 * (v * np.exp(2j * np.pi * rng.uniform(size=4))) @ v.conj().T
+    parseval = _random_parseval(rng, 6, 4)
+    image, rep = tight_frame_from_hyponormal(parseval, theta)
+    assert np.array_equal(image.vectors, parseval.vectors @ theta.T)
+    assert rep.operator_residual <= 1e-14
+    assert rep.tight.is_tight and rep.tight.alpha0 == pytest.approx(1.0, rel=1e-12)
+
+
 def test_bound_chain_makes_two_svds_and_tightness_none(monkeypatch):
     calls = []
     real = np.linalg.svd
@@ -577,6 +590,59 @@ def test_bound_chain_makes_two_svds_and_tightness_none(monkeypatch):
     assert calls == [(16, 16)]
     products = [theta @ theta.conj().T, theta.conj().T @ theta]
     assert not any(np.allclose(h, p) for h in eigh_operands for p in products)
+
+
+def test_window_splits_are_made_once_and_only_where_a_check_reads_them(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.copy())
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(23)
+    n = 8
+    k = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    system = _random_system(rng, 12, n)
+    # The K-frame reads C's split alone: one SVD, of K's leading n - 2 rows, never D's.
+    check_k_frame(system, k, margin=2)
+    assert len(calls) == 1 and np.array_equal(calls[0], k[: n - 2])
+    # With no margin a dense window's two splits read one SVD.
+    calls.clear()
+    assert check_theta_frame(system, k).passes()
+    assert len(calls) == 1 and np.array_equal(calls[0], k)
+    # A unit window is split only by the check that whitens by it.
+    splits, real_split = [], numerics._gram_split
+    monkeypatch.setattr(theta_frame, "_gram_split", lambda *args: splits.append(args) or real_split(*args))
+    window = operator_of(Grid(2, 4), "modulate", 1.0)
+    for check in (check_theta_frame, check_k_frame):
+        check(system, window)
+    assert splits == []
+    theta_tight_check(system, window)
+    assert len(splits) == 2
+
+
+_NON_FINITE_CHECKS = {
+    "check_theta_frame": check_theta_frame,
+    "check_k_frame": check_k_frame,
+    "theta_tight_check": theta_tight_check,
+    "transform_frame_check": lambda system, theta: transform_frame_check(system, theta, np.eye(system.n)),
+    "pseudoinverse_bound_chain": pseudoinverse_bound_chain,
+    "op_norm": lambda system, theta: op_norm(theta),
+    "numerical_rank": lambda system, theta: numerics.numerical_rank(theta),
+    "pinv": lambda system, theta: pinv(theta),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_FINITE_CHECKS))
+def test_a_window_with_an_infinite_entry_is_refused(name):
+    # LAPACK returns NaN singular values for it without raising; the SVD refuses it.
+    rng = np.random.default_rng(6)
+    theta = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    theta[1, 2] = np.inf
+    with pytest.raises(NoConvergence, match="singular value problem has a non-finite entry"):
+        _NON_FINITE_CHECKS[name](_random_system(rng, 6, 4), theta)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +674,7 @@ def test_round_off_below_zero_reads_as_a_zero_lower_constant():
     theta_rep = check_theta_frame(system, back)
     k_rep = check_k_frame(system, back)
     s = frame_operator(system)
-    basis_r, vals_r, basis_k = _window_splits(_checked_window(back, 6), DEFAULT_TOL, None)[1][0]
+    basis_r, vals_r, basis_k = _Window(back, 6, DEFAULT_TOL).lower
     whitener = _whitener(basis_r, vals_r)  # coordinate columns, as the Monomial of their transpose
     cross = _columns(whitener).conj().T @ s @ _columns(basis_k)
     reduced = hermitize(compress(s, whitener) - cross @ pinv(compress(s, basis_k)) @ cross.conj().T)
