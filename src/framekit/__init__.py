@@ -34,6 +34,7 @@ _EXPORTS = {
         "PartitionNotDisjoint",
         "PartitionNotExhaustive",
         "SingularU",
+        "Underflow",
         "Unresolved",
     ),
     "frame_core": (

@@ -68,6 +68,10 @@ class Unresolved(FramekitError):
     """A computed constant lies within its round-off bound of the threshold it is judged by."""
 
 
+class Underflow(FramekitError):
+    """A kept singular value of a factor squares below the smallest normal float."""
+
+
 class PartitionNotDisjoint(FramekitError):
     """Partition cells overlap."""
 

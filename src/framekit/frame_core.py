@@ -182,6 +182,8 @@ class _Frame:
       margin, without S; None for any other;
     * ``operator``: S, built by :func:`frame_operator` and restricted;
     * ``eigh``: every eigenpair of ``operator``;
+    * ``values``: every eigenvalue, ascending: the lattice's, else those of
+      ``operator`` alone;
     * ``spectrum``: ``lattice`` where there is one, else the
       :class:`_DenseSpectrum` of ``operator``, whose witness that falls back
       reads the eigenvectors of ``eigh`` if it was read first.
@@ -216,6 +218,13 @@ class _Frame:
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         return hermitian_eigh(self.operator)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        lattice = self.lattice
+        if lattice is None:
+            return hermitian_eigh(self.operator, ())[0]
+        return lattice.values.flat[lattice.order]
 
     @cached_property
     def spectrum(self) -> _LatticeSpectrum | _DenseSpectrum:
@@ -268,12 +277,7 @@ def reconstruct(
     if f.shape[0] != system.n:
         raise DimensionMismatch(f"vector of length {f.shape[0]} in dimension {system.n}")
     frame = _Frame(system)
-    lattice = frame.lattice
-    if lattice is None:
-        values = hermitian_eigh(frame.operator, ())[0]
-    else:
-        values = lattice.values.flat[lattice.order]
-    lower, upper = (frame.restored(values[i]) for i in (0, -1))
+    lower, upper = (frame.restored(frame.values[i]) for i in (0, -1))
     if lower <= tol.psd_floor * max(1.0, upper):
         raise NotAFrame(
             f"frame operator is singular: min eigenvalue {lower:.3e}"

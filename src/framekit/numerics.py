@@ -31,7 +31,8 @@ The spectral step every criterion shares lives here, once:
   window, an operator of a relative inequality), restricted by a margin,
   from T's index-and-phase form in O(n) or else one SVD of T, never forming
   it, and cuts on the singular values of T as ``pinv`` and
-  ``numerical_rank`` do, not on their squares.
+  ``numerical_rank`` do, not on their squares; a kept one whose square
+  underflows the normal floats raises Underflow.
 * ``compress`` is the one compression ``basis* X basis`` onto orthonormal
   columns (whitened ranges and kernels), and ``restrict`` the one margin
   restriction: a window check with ``margin=m`` scores its operators on the
@@ -65,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian
+from .errors import DimensionMismatch, NoConvergence, NotHermitian, Underflow
 
 
 @dataclass(frozen=True)
@@ -478,8 +479,12 @@ def psd_split(y, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, 
 def _split(vals: np.ndarray, vecs, tol: Tolerance, cut: np.ndarray | None = None):
     """:func:`psd_split` given ascending eigenpairs, cut on ``cut`` (a factor's singular
     values, in the same order) when given, else on ``vals``; coordinate ``vecs`` from
-    :func:`_diagonal_eigh` keep their Monomial form."""
+    :func:`_diagonal_eigh` keep their Monomial form.  A kept singular value whose square
+    ``vals`` underflows the normal floats raises Underflow: whitening would divide by it."""
     keep = rank_mask(vals if cut is None else cut, tol)
+    if cut is not None and np.any(vals[keep] < np.finfo(float).tiny):
+        least = float(np.min(cut[keep]))
+        raise Underflow(f"kept singular value {least:.3e} squares below the smallest normal float")
     if isinstance(vecs, Monomial):
         kept, kernel = (Monomial(vecs.index[s], vecs.phase[s], vecs.n) for s in (keep, ~keep))
         return kept, vals[keep], kernel

@@ -182,9 +182,16 @@ def hyponormality(
     t = _structure(t)
     if t.shape[0] != t.shape[1]:
         raise NotSquare(f"hyponormality needs a square operator, got {t.shape}")
+    return _hyponormality(*_pow2_scaled(t), tol, margin)
+
+
+def _hyponormality(
+    t, exponent: int, tol: Tolerance, margin: int | None = None, norm: float | None = None
+) -> HyponormalityReport:
+    """:func:`hyponormality` of the square ``t = T * 2**-exponent`` in the kernels' form
+    (``numerics._structure``), with ``norm = ||t||`` where the caller holds it."""
     # T is scaled by 2**-e (e = 0 for ordinary entries) so the products stay
     # finite; eigenvalues scale back by 4**e, the norm by 2**e.
-    t, exponent = _pow2_scaled(t)
     with np.errstate(invalid="ignore", over="ignore"):  # the eigensolvers refuse the non-finite
         if isinstance(t, Monomial):  # diagonal: |phase[i]|^2 at index[i], less |phase[i]|^2 at i
             weight = t.phase.real**2 + t.phase.imag**2
@@ -196,7 +203,7 @@ def hyponormality(
             eigh = partial(hermitian_eigh, positions=())
     vals = eigh(commutator)[0]
     min_eig = float(vals[0]) if vals.size else 0.0
-    norm = op_norm(t)
+    norm = op_norm(t) if norm is None else norm
     floor = tol.psd_floor * max(math.ldexp(1.0, -2 * exponent), norm**2)
     margin_verdict = margin_min = None
     if margin is not None:
@@ -238,10 +245,18 @@ def relative_hyponormality(
         raise DimensionMismatch(
             f"T1*T1 is {t1.shape[1]}x{t1.shape[1]} but T2 T2* is {t2.shape[0]}x{t2.shape[0]}"
         )
+    t1, exponent = _pow2_scaled(t1)
+    return _relative_hyponormality(_gram_split(t1, tol, right=True), exponent, t2, tol)
+
+
+def _relative_hyponormality(
+    split, exponent: int, t2: np.ndarray, tol: Tolerance
+) -> RelativeHyponormalityReport:
+    """:func:`relative_hyponormality` given the split of T1*T1 for T1 scaled by ``2**-exponent``."""
     # T1 and T2 are each scaled by 2**-e (e = 0 for ordinary entries); lambda scales back.
-    (t1, e1), (t2, e2) = _pow2_scaled(t1), _pow2_scaled(t2)
-    bound = _pencil_sup(hermitize(t2 @ t2.conj().T), _gram_split(t1, tol, right=True), tol)
-    lambda_opt = _pow2_restored(bound.value, 2 * (e2 - e1))
+    t2, e2 = _pow2_scaled(t2)
+    bound = _pencil_sup(hermitize(t2 @ t2.conj().T), split, tol)
+    lambda_opt = _pow2_restored(bound.value, 2 * (e2 - exponent))
     holds = math.isfinite(lambda_opt)
     return RelativeHyponormalityReport(
         holds=holds,

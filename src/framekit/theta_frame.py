@@ -31,9 +31,12 @@ constants are the extreme eigenvalues of S, read from the spectrum of one
 ``frame_core._Frame``: the lattice of a stamped system with no margin (S is
 never formed), else one decomposition of S.  Any other window whitens S in
 each pencil; ``check_k_frame``'s plain upper bound still reads the spectrum.
-Whitening magnifies the rounding of S by up to ``1 / s_k^2`` for the least
-kept singular value s_k, so a lower verdict that this could flip raises
-Unresolved instead of guessing.
+``theta_tight_check`` follows the same rule, and ``tight_frame_from_hyponormal``
+reads its window once: one ``_Window`` serves its hyponormality test, its tight
+check and its residual.  Whitening magnifies the rounding of S by up to
+``1 / s_k^2`` for the least kept singular value s_k, so a lower verdict that
+this could flip raises Unresolved instead of guessing; a window whose kept
+s_k^2 underflows the normal floats raises Underflow.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .errors import (
     SingularU,
     Unresolved,
 )
-from .frame_core import FrameSystem, _DenseSpectrum, _Frame, frame_operator, optimal_bounds
+from .frame_core import FrameSystem, _DenseSpectrum, _Frame
 from .numerics import (
     DEFAULT_TOL,
     Monomial,
@@ -77,8 +80,8 @@ from .operator_theory import (
     PencilBound,
     _normalize,
     _pencil_inf,
+    _hyponormality,
     _pencil_sup,
-    hyponormality,
     pencil_inf,  # unused here, but perfbench's tracer patches and restores it in this module
 )
 
@@ -92,18 +95,24 @@ _UNIT_SLACK = 4 * np.finfo(float).eps
 class _Window:
     """One window Theta on C^n: ``form``, Theta in the kernels' form (``numerics._structure``)
     checked to be n x n and scaled once to ``Theta * 2**-exponent``; ``unit`` for a Monomial
-    with unit-modulus phases (C = D = I up to rounding); and ``lower`` and ``upper``, the
+    with unit-modulus phases (C = D = I up to rounding); and, each made on first read,
+    ``dense``, Theta unscaled as a matrix, and ``lower`` and ``upper``, the
     ``numerics._gram_split`` of C = Theta Theta* and of D = Theta* Theta restricted by
-    ``margin``, each made on first read, from one SVD for a dense window with no margin."""
+    ``margin``, from one SVD for a dense window with no margin."""
 
     def __init__(self, theta, n: int, tol: Tolerance, margin: int | None = None):
-        self.form, self.exponent = _pow2_scaled(_structure(theta))
+        self._theta = _structure(theta)
+        self.form, self.exponent = _pow2_scaled(self._theta)
         if self.form.shape != (n, n):
             raise DimensionMismatch(f"window operator is {self.form.shape}, system lives in C^{n}")
         self.tol, self.size = tol, len(restrict(np.arange(n), margin))
         self.unit = isinstance(self.form, Monomial) and bool(
             np.all(np.abs(self.form.phase.real**2 + self.form.phase.imag**2 - 1.0) <= _UNIT_SLACK)
         )
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        return as_operator(self._theta)
 
     @cached_property
     def lower(self):
@@ -172,7 +181,7 @@ def _unit_pencils(spectrum) -> tuple[PencilBound, PencilBound]:
 def _theta_frame_report(frame: _Frame, window: _Window, tol: Tolerance) -> ThetaFrameReport:
     """:func:`check_theta_frame` of the ``_Frame`` and ``_Window`` on one margin: a unit
     window reads the frame's spectrum, any other its operator."""
-    upper = _unit_pencils(frame.spectrum)[1] if window.unit else _pencil_sup(frame.operator, window.upper, tol)
+    upper = _upper(frame, window, tol)
     lower, alpha, lower_ok = _lower(frame, window, tol)
     beta = frame.restored(upper.value, window.exponent)
     return ThetaFrameReport(
@@ -185,6 +194,14 @@ def _theta_frame_report(frame: _Frame, window: _Window, tol: Tolerance) -> Theta
         kernel_obstruction=upper.obstruction,
         lower_degenerate=lower.degenerate,
     )
+
+
+def _upper(frame: _Frame, window: _Window, tol: Tolerance, witness: bool = True) -> PencilBound:
+    """The pencil of S against D on one margin: a unit window reads the frame's spectrum (its
+    values alone without ``witness``), any other whitens S by D's split."""
+    if not window.unit:
+        return _pencil_sup(frame.operator, window.upper, tol, witness)
+    return _unit_pencils(frame.spectrum)[1] if witness else PencilBound(float(frame.values[-1]))
 
 
 def _lower(frame: _Frame, window: _Window, tol: Tolerance):
@@ -280,26 +297,42 @@ class ThetaTightReport:
 def theta_tight_check(
     system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL
 ) -> ThetaTightReport:
-    window = _Window(theta, system.n, tol)
-    frame = _Frame(system)
-    s = frame.operator
-    basis_r, vals_r, _ = window.lower
-    upper_opt = frame.restored(_pencil_sup(s, window.upper, tol, witness=False).value, window.exponent)
-    if vals_r.size == 0:
-        return ThetaTightReport(
-            is_tight=False,
-            alpha0=0.0,
-            lower_spread=math.inf,
-            upper_opt=upper_opt,
-            degenerate=True,
-        )
-    spectrum = hermitian_eigh(s, (), _whitener(basis_r, vals_r))[0]
-    lo, hi = (frame.restored(float(spectrum[i]), window.exponent) for i in (0, -1))
+    """Whether one constant serves both window inequalities (see :class:`ThetaTightReport`).
+
+    ``alpha0`` and ``lower_spread`` are the midpoint and the spread of the
+    extreme eigenvalues of S whitened by C, and ``upper_opt`` is the least
+    constant of ``S <= c * D``.  A unit-modulus window reads all three from
+    the eigenvalues of one ``_Frame`` (a stamped system's lattice, without S
+    or LAPACK); any other whitens S by the splits of one ``_Window``, and a
+    verdict that round-off could flip raises Unresolved.  A window with no
+    range is ``degenerate``, never tight.
+    """
+    return _tight_report(_Frame(system), _Window(theta, system.n, tol), tol)
+
+
+def _tight_report(frame: _Frame, window: _Window, tol: Tolerance) -> ThetaTightReport:
+    """:func:`theta_tight_check` of the ``_Frame`` and ``_Window``: the upper constant as
+    :func:`_theta_frame_report` takes it, and the frame's values under a unit window."""
+    upper_opt = frame.restored(_upper(frame, window, tol, witness=False).value, window.exponent)
+    if window.unit:  # C = I: S's own eigenvalues, and nothing is whitened, so nothing is refused
+        values, error = frame.values, 0.0
+    else:
+        basis_r, vals_r, _ = window.lower
+        if vals_r.size == 0:
+            return ThetaTightReport(
+                is_tight=False,
+                alpha0=0.0,
+                lower_spread=math.inf,
+                upper_opt=upper_opt,
+                degenerate=True,
+            )
+        values = hermitian_eigh(frame.operator, (), _whitener(basis_r, vals_r))[0]
+        # Each verdict reads values whitened by C or D, which share s_k; one that round-off
+        # could flip raises Unresolved, and only when the verdicts before it hold.
+        error = 2 * _whitened_error(frame.operator, vals_r)
+    lo, hi, error = (frame.restored(float(x), window.exponent) for x in (values[0], values[-1], error))
     alpha0 = 0.5 * (lo + hi)
     spread = hi - lo
-    # Each verdict reads values whitened by C or D, which share s_k; one that round-off
-    # could flip raises Unresolved, and only when the verdicts before it hold.
-    error = 2 * frame.restored(_whitened_error(s, vals_r), window.exponent)
     is_tight = (
         not _above(spread, tol.verdict_rel * max(1.0, hi), error, "lower spread")
         and not _above(upper_opt, alpha0 * (1.0 + tol.verdict_rel), error, "upper constant")
@@ -344,30 +377,31 @@ def tight_frame_from_hyponormal(
     on the first n - margin coordinates (see :func:`hyponormality`).
     """
     window = _Window(theta, parseval.n, tol)
-    form = as_operator(window.form)  # the images and Theta Theta* are dense
-    theta = as_operator(theta) if window.exponent else form
-    bounds = optimal_bounds(parseval, tol)
-    slack = tol.verdict_rel * max(1.0, bounds.upper)
-    if abs(bounds.lower - 1.0) > slack or abs(bounds.upper - 1.0) > slack:
-        raise NotParseval(
-            f"optimal bounds ({bounds.lower:.3e}, {bounds.upper:.3e}) are not both 1"
-        )
-    hypo = hyponormality(theta, tol, margin=margin)
+    basis = _Frame(parseval)
+    lower, upper = (basis.restored(float(basis.values[i])) for i in (0, -1))
+    slack = tol.verdict_rel * max(1.0, upper)
+    if abs(lower - 1.0) > slack or abs(upper - 1.0) > slack:
+        raise NotParseval(f"optimal bounds ({lower:.3e}, {upper:.3e}) are not both 1")
+    # ||Theta Theta*|| = ||Theta||^2 of the scaled window, from the split the tight check reads.
+    top = float(np.max(window.lower[1], initial=0.0))
+    hypo = _hyponormality(window.form, window.exponent, tol, margin, math.sqrt(top))
     if not (hypo.global_verdict or bool(hypo.margin_verdict)):
         raise NotHyponormal(
             f"window self-commutator has negative eigenvalue {hypo.commutator_min_eig:.3e}"
         )
+    theta = window.dense  # the image and Theta Theta* are dense products
     image = FrameSystem(parseval.vectors @ theta.T, labels=parseval.labels)
-    # S of the image and Theta Theta*, both of the scaled window: the residual is their ratio.
-    scaled = FrameSystem(parseval.vectors @ form.T) if window.exponent else image
-    c = hermitize(form @ form.conj().T)
-    residual = op_norm(frame_operator(scaled) - c) / max(1.0, op_norm(c))
+    frame, form = _Frame(image), as_operator(window.form) if window.exponent else theta
+    # The image's one S, which the tight check reads too, and Theta Theta*, both of the scaled
+    # window (exact power-of-two factors): the residual is their ratio.
+    s = frame.operator * math.ldexp(1.0, 2 * (frame.exponent - window.exponent))
+    residual = op_norm(s - hermitize(form @ form.conj().T)) / max(1.0, top)
     report = ConstructionReport(
         operator_residual=float(residual),
         commutator_min_eig=hypo.commutator_min_eig,
         hyponormal_globally=hypo.global_verdict,
         hyponormal_on_margin=hypo.margin_verdict,
-        tight=theta_tight_check(image, theta, tol),
+        tight=_tight_report(frame, window, tol),
     )
     return image, report
 
@@ -408,8 +442,12 @@ class TransformReport:
 def transform_frame_check(
     system: FrameSystem, theta, u, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[FrameSystem, TransformReport]:
+    """The image ``{U f_k}`` under an invertible U, and the bound chain of
+    :class:`TransformReport` between the window-frame reports of the system and
+    of its image.  Both reports and ``||Theta||`` read one ``_Window``; a
+    numerically singular U raises SingularU."""
     window = _Window(theta, system.n, tol)
-    theta, u = as_operator(theta), as_operator(u)  # for dense products
+    theta, u = window.dense, as_operator(u)  # for dense products
     if u.shape != (system.n, system.n):
         raise DimensionMismatch(f"transform operator is {u.shape}, system lives in C^{system.n}")
     singulars = svd(u, vectors=False)
@@ -477,6 +515,9 @@ class PinvChainReport:
 def pseudoinverse_bound_chain(
     system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL
 ) -> PinvChainReport:
+    """The quadratic-form bound chain of :class:`PinvChainReport` on range(Theta), from
+    one ``_Frame`` and one ``_Window``; a system that fails either window inequality
+    raises NotThetaFrame."""
     window = _Window(theta, system.n, tol)
     frame = _Frame(system)
     report = _theta_frame_report(frame, window, tol)

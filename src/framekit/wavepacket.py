@@ -46,19 +46,13 @@ from .numerics import (
     _split,
     adjoint,
     as_integer,
-    as_operator,
     as_real,
     range_inclusion,
     rank_mask,
 )
-from .operator_theory import _pencil_inf, hyponormality, relative_hyponormality
+from .operator_theory import _hyponormality, _pencil_inf, _relative_hyponormality
 from .signal_space import Grid, Signal, _index_phases
-from .theta_frame import (
-    ThetaFrameReport,
-    _theta_frame_report,
-    _Window,
-    check_theta_frame,
-)
+from .theta_frame import ThetaFrameReport, _theta_frame_report, _Window
 
 _DEDUPE_ATOL = 1e-12
 
@@ -310,12 +304,13 @@ class SynthesisCriterion:
 def synthesis_criterion_check(
     system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL
 ) -> SynthesisCriterion:
-    theta = as_operator(theta)
+    window = _Window(theta, system.n, tol)
     xi = adjoint(analysis_matrix(system))
-    rel = relative_hyponormality(theta, xi, tol)
-    included = range_inclusion(theta, xi, tol)
+    # D's split, of the one scaled window, serves the relative pencil and the frame report.
+    rel = _relative_hyponormality(window.upper, window.exponent, xi, tol)
+    included = range_inclusion(window.dense, xi, tol)
     criterion = rel.holds and included
-    frame_report = check_theta_frame(system, theta, tol)
+    frame_report = _theta_frame_report(_Frame(system), window, tol)
     agrees = criterion == frame_report.passes()
     counterexample = None
     if not agrees:
@@ -404,7 +399,7 @@ def _domination(combined: FrameSystem, bases, theta, tol: Tolerance, margin: int
     frame, *base_frames = (_Frame(system, margin) for system in (combined, *bases))
     constants = tuple(_least_ratio(frame, base, tol) for base in base_frames)
     combined_report, *base_reports = (_theta_frame_report(f, window, tol) for f in (frame, *base_frames))
-    adjoint_hypo = hyponormality(adjoint(window.form), tol).global_verdict
+    adjoint_hypo = _hyponormality(adjoint(window.form), window.exponent, tol).global_verdict
     return constants, combined_report, tuple(base_reports), adjoint_hypo
 
 

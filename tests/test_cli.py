@@ -805,6 +805,27 @@ def test_overflowing_frame_operator_exits_two_with_strict_json(tmp_path, capsys,
     assert caught == []
 
 
+_TINY_BASIS = system_to_json(FrameSystem(1e-200 * np.eye(3)))
+_TINY_WINDOWS = {  # read as a Monomial, and dense
+    "monomial": operator_to_json(1e-200 * np.eye(3)),
+    "dense": operator_to_json(1e-200 * (2.0 * np.eye(3) + 0.5 * (np.ones((3, 3)) - np.eye(3)))),
+}
+
+
+@pytest.mark.parametrize("window", sorted(_TINY_WINDOWS))
+@pytest.mark.parametrize("verb", ["check-theta", "check-k", "pinv"])
+def test_a_window_whose_kept_squares_underflow_exits_two_without_a_warning(tmp_path, capsys, verb, window):
+    argv = [verb, _write(tmp_path, "system.json", _TINY_BASIS), _write(tmp_path, "window.json", _TINY_WINDOWS[window])]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out, parse_constant=_reject_constant)
+    assert code == 2 and caught == []
+    assert "squares below the smallest normal float" in report["verdicts"]["error"]
+    assert captured.err == f"error: {report['verdicts']['error']}\n"
+
+
 def test_check_hypo_names_the_commutator_eigenvalue_that_overflows(tmp_path, capsys):
     # A weighted shift with weight 1e308: its norm is representable, the
     # commutator eigenvalues +-1e616 are not.

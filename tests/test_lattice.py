@@ -24,7 +24,13 @@ from framekit.frame_core import (
 )
 from framekit.numerics import DEFAULT_TOL
 from framekit.signal_space import Grid, Signal, indicator, operator_of
-from framekit.theta_frame import ThetaFrameReport, check_k_frame, check_theta_frame, transform_frame_check
+from framekit.theta_frame import (
+    ThetaFrameReport,
+    check_k_frame,
+    check_theta_frame,
+    theta_tight_check,
+    transform_frame_check,
+)
 from framekit.wavepacket import (
     FiniteSumSpec,
     PartitionCombination,
@@ -319,6 +325,36 @@ def test_checks_over_a_window_that_is_not_unit_match_the_dense_path(case, window
     assert all(_same_report(mine, other) for mine, other in zip(report.single_reports, dense[2], strict=True))
     exists = any(mu > DEFAULT_TOL.psd_floor for mu in dense[0])
     assert report.exists == exists and report.agrees == (exists == dense[1].passes())
+
+
+def _assert_tight_close(fast, dense):
+    assert (fast.is_tight, fast.degenerate) == (dense.is_tight, dense.degenerate)
+    for name in ("alpha0", "lower_spread", "upper_opt"):
+        assert abs(getattr(fast, name) - getattr(dense, name)) <= REL * dense.upper_opt
+
+
+@pytest.mark.parametrize("case", range(len(CLOSED_BOXES)))
+def test_tightness_on_stamped_systems_matches_the_dense_path(case):
+    q, P, a_list, b, k0, c0, periods, dedupe = CLOSED_BOXES[case]
+    rng = np.random.default_rng(800 + case)
+    grid = Grid(q, P)
+    # The indicator of one unit cell tiles the grid evenly under every box here: S = c I.
+    tight = []
+    for psi in (_gaussian(rng, grid), indicator(grid, 0.0, 1.0)):
+        system = generate_system(_box(grid, psi, a_list, b, k0, c0, periods, dedupe))
+        assert system._lattice == q
+        kinds = ("scaled-modulate", "weighted-shift", "dense")
+        for theta in [_unit_window(rng, grid)] + [_window_that_is_not_unit(rng, grid, kind) for kind in kinds]:
+            try:
+                dense = theta_tight_check(_unstamped(system), theta)
+            except Unresolved:  # whitened values, which read S on both paths alike
+                with pytest.raises(Unresolved):
+                    theta_tight_check(system, theta)
+                continue
+            fast = theta_tight_check(system, theta)
+            _assert_tight_close(fast, dense)
+            tight.append(fast.is_tight)
+    assert any(tight) and not all(tight)
 
 
 def test_only_generation_stamps_a_system():

@@ -15,17 +15,20 @@ from framekit.errors import (
     NotParseval,
     NotThetaFrame,
     SingularU,
+    Underflow,
     Unresolved,
 )
-from framekit import frame_core, numerics, theta_frame
+from framekit import frame_core, numerics, operator_theory, theta_frame
 from framekit.frame_core import FrameSystem, canonical_basis, frame_operator, optimal_bounds
 from framekit.numerics import (
     DEFAULT_TOL, _columns, _whitener, adjoint, compress, hermitian_eigh, hermitize, op_norm, pinv,
 )
-from framekit.operator_theory import pencil_inf
+from framekit.operator_theory import douglas_check, pencil_inf, relative_hyponormality
 from framekit.signal_space import (
     Grid,
+    Signal,
     TruncatedSequenceSpace,
+    _index_phase,
     indicator,
     mult_operator,
     operator_of,
@@ -41,7 +44,7 @@ from framekit.theta_frame import (
     tight_frame_from_hyponormal,
     transform_frame_check,
 )
-from framekit.wavepacket import WavePacketParams, generate_system
+from framekit.wavepacket import WavePacketParams, generate_system, synthesis_criterion_check
 
 
 def _random_system(rng, m, n):
@@ -427,8 +430,7 @@ def test_pinv_chain_forms_s_once_scaled_and_restores_each_margin(monkeypatch, se
         formed.append(x)
         return frame_operator(x)
 
-    for module in (frame_core, theta_frame):
-        monkeypatch.setattr(module, "frame_operator", counted)
+    monkeypatch.setattr(frame_core, "frame_operator", counted)  # every S is formed by _Frame
     rep = pseudoinverse_bound_chain(system, theta)
     assert len(formed) == 1  # the report's S is the chain's
     # At exponent 0 the report is that of the unscaled S, bit for bit.
@@ -612,15 +614,96 @@ def test_window_splits_are_made_once_and_only_where_a_check_reads_them(monkeypat
     calls.clear()
     assert check_theta_frame(system, k).passes()
     assert len(calls) == 1 and np.array_equal(calls[0], k)
-    # A unit window is split only by the check that whitens by it.
+    # A unit window is split only by a check that reads its splits: the frame, K-frame and
+    # tightness checks read the spectrum of S, the bound chain both splits.
     splits, real_split = [], numerics._gram_split
     monkeypatch.setattr(theta_frame, "_gram_split", lambda *args: splits.append(args) or real_split(*args))
     window = operator_of(Grid(2, 4), "modulate", 1.0)
-    for check in (check_theta_frame, check_k_frame):
+    for check in (check_theta_frame, check_k_frame, theta_tight_check):
         check(system, window)
     assert splits == []
-    theta_tight_check(system, window)
+    assert pseudoinverse_bound_chain(system, window).chain_ok
     assert len(splits) == 2
+
+
+def _count_lapack(monkeypatch, calls):
+    """Log ``(name, operand)`` of each numpy.linalg call that reaches LAPACK."""
+    for name in ("eigh", "eigvalsh", "svd", "solve"):
+
+        def counted(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, a.copy()))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+
+def _normal_window(rng, n):
+    u = _unitary(rng, n)
+    return (u * (rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n)))) @ u.conj().T
+
+
+def test_tightness_under_a_named_unit_window_on_a_stamped_box_makes_no_lapack_call(monkeypatch):
+    grid = Grid(4, 16)
+    rng = np.random.default_rng(24)
+    psi = Signal(grid, rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n))
+    params = WavePacketParams(grid, psi, (1, 3), 1.0, (0, 15), (0.0, 1.0, 2.0, 3.0), dedupe=False)
+    system = generate_system(params)
+    assert system._lattice == 4
+    theta = _index_phase(grid, "modulate", 3.0)
+    dense = theta_tight_check(FrameSystem(system.vectors, system.labels), theta)
+    calls = []
+    _count_lapack(monkeypatch, calls)
+    report = theta_tight_check(system, theta)  # both extremes and the upper constant from the lattice
+    assert calls == []
+    assert (report.is_tight, report.degenerate) == (dense.is_tight, dense.degenerate)
+    for name in ("alpha0", "lower_spread", "upper_opt"):
+        assert getattr(report, name) == pytest.approx(getattr(dense, name), rel=1e-12)
+
+
+def test_the_tight_construction_reads_its_window_once(monkeypatch):
+    rng = np.random.default_rng(25)
+    n = 8
+    parseval = FrameSystem(_unitary(rng, n))  # an orthonormal basis of C^8
+    theta = _normal_window(rng, n)
+    structure_tests, scans = [], []
+
+    def counted(real, log):
+        def wrapper(m, *args):
+            if isinstance(m, np.ndarray) and m.shape == theta.shape and np.array_equal(m, theta):
+                log.append(m)
+            return real(m, *args)
+        return wrapper
+
+    for name, log in (("_structure", structure_tests), ("_pow2_scaled", scans)):
+        wrapper = counted(getattr(numerics, name), log)
+        for module in (numerics, theta_frame, operator_theory):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    formed, real_frame_operator = [], frame_core.frame_operator
+    monkeypatch.setattr(frame_core, "frame_operator", lambda x: formed.append(x) or real_frame_operator(x))
+    calls = []
+    _count_lapack(monkeypatch, calls)
+    image, report = tight_frame_from_hyponormal(parseval, theta)
+    assert report.tight.is_tight and report.operator_residual <= 1e-14
+    assert len(structure_tests) == 1 and len(scans) == 1
+    # S of the basis, for its Parseval test, and the image's one S, for the residual and the
+    # tight check.
+    assert len(formed) == 2 and formed[1] is image
+    # One SVD of Theta splits C and D for the tight check and gives ||Theta||^2;
+    # the other is the norm of the residual S - Theta Theta*.
+    assert [name for name, _ in calls].count("svd") <= 2
+
+
+def test_the_synthesis_criterion_splits_its_window_once(monkeypatch):
+    rng = np.random.default_rng(26)
+    theta = _normal_window(rng, 6)
+    system = _random_system(rng, 10, 6)
+    calls = []
+    _count_lapack(monkeypatch, calls)
+    check = synthesis_criterion_check(system, theta)
+    assert check.agrees and check.criterion
+    # D's split serves the relative pencil and the frame report: one SVD of Theta.
+    assert sum(name == "svd" and np.array_equal(a, theta) for name, a in calls) == 1
 
 
 _NON_FINITE_CHECKS = {
@@ -643,6 +726,30 @@ def test_a_window_with_an_infinite_entry_is_refused(name):
     theta[1, 2] = np.inf
     with pytest.raises(NoConvergence, match="singular value problem has a non-finite entry"):
         _NON_FINITE_CHECKS[name](_random_system(rng, 6, 4), theta)
+
+
+# Both raw windows are read through the one structure test: 1e-200 I as a Monomial, the
+# other dense.  Every kept singular value squares below the smallest normal float.
+_TINY_WINDOWS = {
+    "monomial": 1e-200 * np.eye(3),
+    "dense": 1e-200 * (2.0 * np.eye(3) + 0.5 * (np.ones((3, 3)) - np.eye(3))),
+}
+_TINY_CHECKS = {
+    "check_theta_frame": check_theta_frame,
+    "check_k_frame": check_k_frame,
+    "pseudoinverse_bound_chain": pseudoinverse_bound_chain,
+    "relative_hyponormality": lambda system, theta: relative_hyponormality(theta, np.eye(3)),
+    "douglas_check": lambda system, theta: douglas_check(np.eye(3), theta),
+}
+
+
+@pytest.mark.parametrize("window", sorted(_TINY_WINDOWS))
+@pytest.mark.parametrize("name", sorted(_TINY_CHECKS))
+def test_a_window_whose_kept_squares_underflow_is_refused(name, window):
+    # Whitening by such a split would divide by zero; the split refuses it by name.
+    system = FrameSystem(1e-200 * np.eye(3))
+    with pytest.raises(Underflow, match="squares below the smallest normal float"):
+        _TINY_CHECKS[name](system, _TINY_WINDOWS[window])
 
 
 # ---------------------------------------------------------------------------
