@@ -7,10 +7,12 @@ S = W* W = sum_k f_k f_k* is Hermitian positive semidefinite, and the optimal
 classical frame bounds are its extreme eigenvalues.
 
 Every check reads a system's S through one private ``_Frame``, which scales
-the vectors by a power of two once and makes S, its eigenpairs and its
-spectrum on first read.  A system that ``wavepacket`` stamps as
-lattice-closed, read with no margin, has its spectrum from an FFT of its
-vectors instead (``_Frame.lattice``), whatever the window of the check.
+the vectors by a power of two once and makes S, its eigenvalues and its
+extreme eigenpairs on first read; each extreme eigenvector is certified by
+its residual, a repeated extreme eigenvalue (a tight frame's) too.  A system
+that ``wavepacket`` stamps as lattice-closed, read with no margin, has its
+spectrum from an FFT of its vectors instead (``_Frame.lattice``), whatever
+the window of the check.
 """
 
 from __future__ import annotations
@@ -130,20 +132,6 @@ def frame_operator(system: FrameSystem) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _DenseSpectrum:
-    """Spectrum of a formed frame operator: ``values`` ascending and ``witnesses`` the unit
-    eigenvectors at positions 0 and -1, both ``numerics.hermitian_eigh``'s, through LAPACK
-    for a diagonal S too."""
-
-    values: np.ndarray
-    witnesses: np.ndarray
-
-    def extreme(self, position: int) -> tuple[float, np.ndarray]:
-        """The ``position``-th eigenvalue (0 or -1), and a copy of its witness."""
-        return float(self.values[position]), self.witnesses[:, position].copy()
-
-
-@dataclass(frozen=True, eq=False)
 class _LatticeSpectrum:
     """Spectrum of a stamped system's frame operator.
 
@@ -181,12 +169,10 @@ class _Frame:
     * ``lattice``: the :class:`_LatticeSpectrum` of a stamped system with no
       margin, without S; None for any other;
     * ``operator``: S, built by :func:`frame_operator` and restricted;
-    * ``eigh``: every eigenpair of ``operator``;
     * ``values``: every eigenvalue, ascending: the lattice's, else those of
       ``operator`` alone;
-    * ``spectrum``: ``lattice`` where there is one, else the
-      :class:`_DenseSpectrum` of ``operator``, whose witness that falls back
-      reads the eigenvectors of ``eigh`` if it was read first.
+    * :meth:`extreme`: the least or greatest eigenvalue and a unit
+      eigenvector: the lattice's, else one ``hermitian_eigh(operator, (0, -1))``.
 
     So a stamped system with no margin is read through its lattice, whatever
     the window, and S is formed only where a dense step reads it.
@@ -216,10 +202,6 @@ class _Frame:
         return restrict(frame_operator(system), self.margin)
 
     @cached_property
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        return hermitian_eigh(self.operator)
-
-    @cached_property
     def values(self) -> np.ndarray:
         lattice = self.lattice
         if lattice is None:
@@ -227,11 +209,15 @@ class _Frame:
         return lattice.values.flat[lattice.order]
 
     @cached_property
-    def spectrum(self) -> _LatticeSpectrum | _DenseSpectrum:
+    def _extremes(self) -> tuple[np.ndarray, np.ndarray]:
+        return hermitian_eigh(self.operator, (0, -1))
+
+    def extreme(self, position: int) -> tuple[float, np.ndarray]:
+        """The ``position``-th eigenvalue (0 or -1) and a unit eigenvector of its own."""
         if self.lattice is not None:
-            return self.lattice
-        eigenvectors = self.__dict__["eigh"][1] if "eigh" in self.__dict__ else None
-        return _DenseSpectrum(*hermitian_eigh(self.operator, (0, -1), None, eigenvectors))
+            return self.lattice.extreme(position)
+        values, witnesses = self._extremes
+        return float(values[position]), witnesses[:, position].copy()
 
     def restored(self, value: float, exponent: int = 0) -> float:
         """``value``, read from these fields against an operand scaled by ``4**-exponent``,
@@ -245,12 +231,12 @@ def optimal_bounds(system: FrameSystem, tol: Tolerance = DEFAULT_TOL) -> FrameBo
 
     ``tight`` means the two coincide within ``verdict_rel`` relatively.  S is
     exactly Hermitian by construction, so no Hermiticity verdict runs.  Both
-    are read from the ``_Frame`` spectrum: a stamped system's lattice, without
-    S.  Vectors with huge entries are scaled by a power of two first, and a
-    bound beyond the float range raises OverflowError.
+    are read from ``_Frame.extreme``: a stamped system's lattice, without S.
+    Vectors with huge entries are scaled by a power of two first, and a bound
+    beyond the float range raises OverflowError.
     """
     frame = _Frame(system)
-    (low, lower_witness), (high, upper_witness) = (frame.spectrum.extreme(i) for i in (0, -1))
+    (low, lower_witness), (high, upper_witness) = (frame.extreme(i) for i in (0, -1))
     lower, upper = frame.restored(low), frame.restored(high)
     tight = (upper - lower) <= tol.verdict_rel * upper
     return FrameBounds(

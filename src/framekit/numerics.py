@@ -16,10 +16,12 @@ The spectral step every criterion shares lives here, once:
   densifies a Monomial where a product with a dense operand needs it.
 * ``hermitian_eigh`` is the one Hermitian eigensolver: it hermitizes (or
   compresses) its operand once and returns every eigenpair, the values
-  alone, or the values and certified inverse-iteration eigenvectors at the
-  positions asked for.  ``_eigh``, the package's only caller of
-  ``np.linalg.eigh`` / ``eigvalsh``, refuses non-finite entries and maps
-  LAPACK failures to ``NoConvergence``.  ``herm_eig`` adds a Hermiticity
+  alone, or the values and inverse-iteration eigenvectors at the positions
+  asked for.  The residual is the one certificate of such an eigenvector,
+  for a simple and a repeated eigenvalue alike; a full ``eigh`` runs only
+  for an exactly singular shift or a failed residual.  ``_eigh``, the
+  package's only caller of ``np.linalg.eigh`` / ``eigvalsh``, refuses
+  non-finite entries and maps LAPACK failures to ``NoConvergence``.  ``herm_eig`` adds a Hermiticity
   verdict; an operand diagonal by construction goes to ``_diagonal_eigh``.
 * ``svd`` is the one singular-value decomposition: the only caller of
   ``np.linalg.svd``.  Like ``_eigh`` it refuses non-finite entries, and it
@@ -336,14 +338,17 @@ def _pow2_restored(value: float, exponent: int, what: str = "optimal constant") 
 # A witness from one solve is kept when ||H w - lam w|| <= _WITNESS_C * n * eps * ||H||.
 # The worst ratio measured was 7.0 on the eigenvalue problems of the benchmark's
 # four workloads (n <= 192) and 18.7 on 800 extreme eigenpairs of random Hermitian
-# operands with n < 200, graded spectra down to 1e-12 included.
+# operands with n < 200, graded spectra down to 1e-12 included.  On 400 clustered
+# operands with n = 4-119 (each extreme repeated 2-4 times, c I up to rounding,
+# neighbours 4e-16 apart, S of a scaled orthonormal system) it was 1.7, and none
+# needed the full eigh.
 _WITNESS_C = 32.0
 # Fractional part of the golden ratio: the start vector is the chirp exp(2 pi i g j^2),
 # which no Fourier mode or coordinate vector is close to orthogonal to.
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def hermitian_eigh(h, positions=None, basis=None, eigenvectors=None):
+def hermitian_eigh(h, positions=None, basis=None):
     """``(values, vectors)``: eigenvalues (ascending) and unit eigenvectors of the Hermitian
     part of ``h``, or of ``compress(h, basis)`` with a ``basis``; hermitized once, which
     keeps the bits of an exactly Hermitian ``h`` (all but subnormal entries).
@@ -353,9 +358,10 @@ def hermitian_eigh(h, positions=None, basis=None, eigenvectors=None):
     the eigenvectors at those positions only, each one step of inverse iteration
     ``solve(h - lam I, b)`` from a fixed start b, certified by its residual ``||h w - lam
     w|| <= _WITNESS_C * n * eps * ||h||`` (Parlett, *The Symmetric Eigenvalue Problem*,
-    sections 4-5).  A failed solve or residual, or a ``lam`` within the bound of a neighbour
-    (a repeated one, as for h = I), reads that eigenvector from one full ``eigh``, or from
-    ``eigenvectors`` where the caller holds it.  Each has the canonical phase of
+    sections 4-5).  The residual is the one certificate, for a simple and a repeated
+    ``lam`` alike: a repeated one gives some unit vector of its eigenspace.  Only an
+    exactly singular ``h - lam I`` (as for h = I) or a failed residual reads that
+    eigenvector from one full ``eigh``.  Each has the canonical phase of
     :func:`_canonical_phase`, whatever the path and the other positions.  A non-finite
     entry or a LAPACK failure raises NoConvergence.
     """
@@ -370,9 +376,9 @@ def hermitian_eigh(h, positions=None, basis=None, eigenvectors=None):
     n = values.size
     bound = _WITNESS_C * n * np.finfo(float).eps * float(np.max(np.abs(values), initial=0.0))
     start = np.exp(2j * np.pi * (np.arange(n) ** 2 * _GOLDEN % 1.0))
-    columns, full = [], eigenvectors
+    columns, full = [], None
     for position in positions:
-        witness = _inverse_iteration(h, values, position % n, start, bound)
+        witness = _inverse_iteration(h, values[position], start, bound)
         if witness is None:
             full = _eigh(h, vectors=True)[1] if full is None else full
             witness = full[:, position]
@@ -402,11 +408,8 @@ def _diagonal_eigh(d: np.ndarray):
     return d.real[order], Monomial(order, np.ones(d.size, dtype=np.complex128), d.size)
 
 
-def _inverse_iteration(h: np.ndarray, values: np.ndarray, i: int, start: np.ndarray, bound: float):
-    """Unit eigenvector of ``h`` for ``values[i]`` from one solve, or None unless certified."""
-    lam = values[i]
-    if np.any(np.diff(values)[max(i - 1, 0) : i + 1] <= bound):
-        return None  # not separated from a neighbour at the certified accuracy
+def _inverse_iteration(h: np.ndarray, lam: float, start: np.ndarray, bound: float):
+    """Unit eigenvector of ``h`` for its eigenvalue ``lam`` from one solve, or None unless certified."""
     shifted = h.copy()
     shifted.flat[:: len(h) + 1] -= lam
     with np.errstate(all="ignore"):  # an overflowed solve fails the residual test below

@@ -89,13 +89,23 @@ def pencil_sup(x, y, tol: Tolerance = DEFAULT_TOL) -> PencilBound:
 
 def _pencil_sup(x: np.ndarray, split, tol: Tolerance, witness: bool = True) -> PencilBound:
     """:func:`pencil_sup` given ``psd_split(y)``; without ``witness`` each compression of
-    ``x`` goes to :func:`hermitian_eigh` with ``()``, for its values only."""
+    ``x`` goes to :func:`hermitian_eigh` with ``()``, for its values only.
+
+    ``x`` is obstructed when its largest energy k on ker(y) exceeds ``psd_floor *
+    max(1, ||x||)``.  Since ``||x|| <= ||x||_F``, k at most ``psd_floor`` is no
+    obstruction and k above ``psd_floor * max(1, ||x||_F)`` is one; only between the
+    two are the eigenvalues of ``x`` read, for ``||x||``."""
     basis_r, vals_r, basis_k = split
     top = (-1,) if witness else ()
     if vals_r.size < len(x):  # a kernel: the bases of a split span C^n
         kvals, kvec = hermitian_eigh(x, top, basis_k)
-        norm = float(np.max(np.abs(hermitian_eigh(x, ())[0])))
-        if float(kvals[-1]) > tol.psd_floor * max(1.0, norm):
+        energy, floor = float(kvals[-1]), tol.psd_floor
+        with np.errstate(over="ignore"):  # an infinite ||x||_F decides nothing
+            frobenius = float(np.linalg.norm(x))
+        if energy > floor and (
+            energy > floor * frobenius
+            or energy > floor * float(np.max(np.abs(hermitian_eigh(x, ())[0])))
+        ):
             obstruction = None if kvec is None else _normalize(_columns(basis_k) @ kvec[:, 0])
             return PencilBound(value=math.inf, obstruction=obstruction)
     if vals_r.size == 0:

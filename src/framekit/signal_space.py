@@ -10,7 +10,9 @@ coordinates, so the two pictures mix freely.
 Translation, modulation, and dilation are realized as exactly unitary index
 maps.  Their parameters must be grid-aligned — that is what makes the group
 commutation identities hold without discretization error, and misaligned
-parameters raise instead of silently rounding.
+parameters raise instead of silently rounding.  A shift or frequency whose
+product with q or P overflows the float range is refused as off the grid
+too.
 
 ``TruncatedSequenceSpace`` models the first ``n`` coordinates of a one-sided
 sequence space.  Shift and pairwise-summing operators on it are honest on
@@ -91,10 +93,12 @@ class Signal:
 
 
 def _aligned(values: list[float], scale: int, err, what: str) -> np.ndarray:
-    """``values * scale`` rounded; ``err`` names the first value off by over ``_ALIGN_ATOL``."""
-    scaled = np.array(values, dtype=np.float64) * scale
-    nearest = np.round(scaled)
-    off = np.flatnonzero(np.abs(scaled - nearest) > _ALIGN_ATOL)
+    """``values * scale`` rounded; ``err`` names the first value off by over ``_ALIGN_ATOL``,
+    or whose product overflows the float range, which is on no grid."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.array(values, dtype=np.float64) * scale
+        nearest = np.round(scaled)
+        off = np.flatnonzero(~(np.abs(scaled - nearest) <= _ALIGN_ATOL))
     if off.size:
         value, product = values[off[0]], float(scaled[off[0]])
         raise err(f"{what} {value!r} is off-grid: {what}*{scale} = {product!r} is not an integer")

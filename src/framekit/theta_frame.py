@@ -29,7 +29,8 @@ operation, in O(n), a dense one with no margin from one SVD.  When its phases
 have unit modulus, C = D = I up to the rounding of ``|phase|^2``, and the
 constants are the extreme eigenvalues of S, read from the spectrum of one
 ``frame_core._Frame``: the lattice of a stamped system with no margin (S is
-never formed), else one decomposition of S.  Any other window whitens S in
+never formed), else the eigenvalues of S and one certified solve per
+extreme eigenvector, a tight frame's too.  Any other window whitens S in
 each pencil; ``check_k_frame``'s plain upper bound still reads the spectrum.
 ``theta_tight_check`` follows the same rule, and ``tight_frame_from_hyponormal``
 reads its window once: one ``_Window`` serves its hyponormality test, its tight
@@ -55,7 +56,7 @@ from .errors import (
     SingularU,
     Unresolved,
 )
-from .frame_core import FrameSystem, _DenseSpectrum, _Frame
+from .frame_core import FrameSystem, _Frame
 from .numerics import (
     DEFAULT_TOL,
     Monomial,
@@ -169,11 +170,11 @@ def check_theta_frame(
     return _theta_frame_report(_Frame(system, margin), window, tol)
 
 
-def _unit_pencils(spectrum) -> tuple[PencilBound, PencilBound]:
-    """The pencils of S against C = D = I, the extreme eigenpairs of ``spectrum``: the lower
-    value clamped at 0 and a dense spectrum's witnesses normalized, as the pencils do."""
-    (low, low_witness), (high, high_witness) = (spectrum.extreme(i) for i in (0, -1))
-    if isinstance(spectrum, _DenseSpectrum):
+def _unit_pencils(frame: _Frame) -> tuple[PencilBound, PencilBound]:
+    """The pencils of S against C = D = I, the extreme eigenpairs of ``frame``: the lower
+    value clamped at 0 and dense witnesses normalized, as the pencils do."""
+    (low, low_witness), (high, high_witness) = (frame.extreme(i) for i in (0, -1))
+    if frame.lattice is None:
         low_witness, high_witness = _normalize(low_witness), _normalize(high_witness)
     return PencilBound(low if low > 0.0 else 0.0, low_witness), PencilBound(high, high_witness)
 
@@ -201,7 +202,7 @@ def _upper(frame: _Frame, window: _Window, tol: Tolerance, witness: bool = True)
     values alone without ``witness``), any other whitens S by D's split."""
     if not window.unit:
         return _pencil_sup(frame.operator, window.upper, tol, witness)
-    return _unit_pencils(frame.spectrum)[1] if witness else PencilBound(float(frame.values[-1]))
+    return _unit_pencils(frame)[1] if witness else PencilBound(float(frame.values[-1]))
 
 
 def _lower(frame: _Frame, window: _Window, tol: Tolerance):
@@ -209,7 +210,7 @@ def _lower(frame: _Frame, window: _Window, tol: Tolerance):
     the frame's spectrum, any other whitens S by C's split, and then a verdict that round-off
     could flip (:func:`_whitened_error`) raises Unresolved."""
     if window.unit:
-        lower, error = _unit_pencils(frame.spectrum)[0], 0.0
+        lower, error = _unit_pencils(frame)[0], 0.0
     else:
         lower = _pencil_inf(frame.operator, window.lower, tol)
         error = 0.0 if lower.degenerate else _whitened_error(frame.operator, window.lower[1])
@@ -254,7 +255,7 @@ def check_k_frame(
     """
     window = _Window(k, system.n, tol, margin)
     frame = _Frame(system, margin)
-    high, upper_witness = frame.spectrum.extreme(-1)
+    high, upper_witness = frame.extreme(-1)
     lower, a_opt, lower_ok = _lower(frame, window, tol)
     return KFrameReport(
         a_opt=a_opt,

@@ -47,6 +47,7 @@ from .numerics import (
     adjoint,
     as_integer,
     as_real,
+    hermitian_eigh,
     range_inclusion,
     rank_mask,
 )
@@ -388,12 +389,13 @@ def _domination(combined: FrameSystem, bases, theta, tol: Tolerance, margin: int
     and of each base, and whether theta* is hyponormal, all on one ``margin``.
 
     Each system is read through one ``_Frame``, so its frame operator, its
-    eigenpairs and its spectrum are each made at most once, and only where a
-    step reads them.  The reports are those of ``check_theta_frame`` and share
-    one ``_Window``, so C's and D's splits are each made at most once.  With no
-    margin a stamped system is read through its lattice, whatever the window:
-    the constant over a stamped base does not involve theta, and under a unit
-    window the report reads that lattice too.
+    eigenvalues and its extreme eigenpairs are each made at most once, and
+    only where a step reads them.  The reports are those of
+    ``check_theta_frame`` and share one ``_Window``, so C's and D's splits are
+    each made at most once.  With no margin a stamped system is read through
+    its lattice, whatever the window: the constant over a stamped base does
+    not involve theta, and under a unit window the report reads that lattice
+    too.
     """
     window = _Window(theta, combined.n, tol, margin)
     frame, *base_frames = (_Frame(system, margin) for system in (combined, *bases))
@@ -407,16 +409,17 @@ def _least_ratio(frame: _Frame, base: _Frame, tol: Tolerance) -> float:
     """Greatest lambda with ``lambda S_base <= S`` for the ``_Frame`` of the combined
     system and that of a base, on their one margin.
 
-    Over a dense base the pencil reads the base's full eigenpairs as its
-    split.  Over a stamped base the pencil is diagonal in the base's Fourier
-    modes: against a stamped system too it is the least ratio of their
+    Over a dense base the pencil is split by one full ``eigh`` of the base's
+    frame operator.  Over a stamped base the pencil is diagonal in the base's
+    Fourier modes: against a stamped system too it is the least ratio of their
     lattice eigenvalues on the modes the base keeps, and otherwise the
     ``pencil_inf`` of S in those modes against the diagonal of the base's
     eigenvalues.
     """
     lattice = base.lattice
     if lattice is None:
-        value = _pencil_inf(frame.operator, _split(*base.eigh, tol), tol, witness=False).value
+        split = _split(*hermitian_eigh(base.operator), tol)
+        value = _pencil_inf(frame.operator, split, tol, witness=False).value
     elif frame.lattice is None:
         split = _split(*_diagonal_eigh(lattice.values.reshape(-1)), tol)
         value = _pencil_inf(lattice.in_modes(frame.operator), split, tol, witness=False).value

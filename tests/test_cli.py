@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framekit import cli, frame_core, registry, wavepacket
+from framekit import cli, frame_core, registry, suites, theta_frame, wavepacket
 from framekit.cli import _digest, _json_chunks, main, to_jsonable
 from framekit.frame_core import FrameSystem, system_to_json
 from framekit.numerics import operator_from_json, operator_to_json
@@ -506,6 +507,67 @@ def test_verify_example_failure_exits_one(capsys, monkeypatch):
     assert report["verdicts"]["passed"] is False
 
 
+_TWO_GRID_PSIS = [{"q": 4, "P": 4, "indicator": [0, 1]}, {"q": 2, "P": 8, "indicator": [0, 1]}]
+
+
+@pytest.mark.parametrize(
+    "verb, doc, message",
+    [
+        ("check-comb", {"kind": "sum", "params": PARAMS_DOC, "theta": THETA_DOC}, "unknown combination kind 'sum'"),
+        ("gen", {**PARAMS_DOC, "c_list": []}, "need at least one modulation frequency"),
+        ("gen", {**PARAMS_DOC, "b": -1}, "translation step must be >= 0, got -1.0"),
+        (
+            "check-comb",
+            {"kind": "finite-sum", "params": PARAMS_DOC, "theta": THETA_DOC, "alphas": {"re": []}},
+            "need at least one weight",
+        ),
+        (
+            "check-comb",
+            {"kind": "finite-sum", "params": PARAMS_DOC, "theta": THETA_DOC, "alphas": {"re": [1.0, 2.0]}, "psis": _TWO_GRID_PSIS},
+            "windows live on different grids",
+        ),
+    ],
+    ids=["unknown-kind", "no-frequency", "negative-step", "no-weight", "two-grids"],
+)
+def test_a_refused_input_exits_two_with_its_message(tmp_path, capsys, verb, doc, message):
+    code = main([verb, _write(tmp_path, "input.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["verdicts"]["error"] == message
+    assert captured.err == f"error: {message}\n"
+
+
+def _failing_check(monkeypatch, module, name, **fields):
+    """Patch ``module.name`` to return its real report with ``fields`` replaced."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), **fields))
+
+
+def test_a_failed_verification_exits_one_with_its_line(tmp_path, capsys, monkeypatch):
+    failure = suites.TrialFailure(index=0, seed=(3, 0), message="boom")
+    monkeypatch.setattr(suites, "run_suite", lambda *args: suites.SuiteResult("gram-psd", 1, (failure,)))
+    record = registry.AssertionRecord(label="energy", passed=False, observed=1.5, expected="<= 1")
+    failing = ExampleOutcome(case_id="x", title="t", passed=False, assertions=(record,))
+    monkeypatch.setattr(registry, "run_case", lambda case_id: failing)
+    _failing_check(monkeypatch, theta_frame, "pseudoinverse_bound_chain", chain_ok=False)
+    _failing_check(monkeypatch, wavepacket, "partition_domination_check", agrees=False)
+    system = str(tmp_path / "system.json")
+    assert main(["gen", _write(tmp_path, "params.json", PARAMS_DOC), "--out", system]) == 0
+    theta = _write(tmp_path, "theta.json", THETA_DOC)
+    partition = {"params": PARAMS_DOC, "theta": THETA_DOC, "cells": [[i] for i in range(16)]}
+    capsys.readouterr()
+    for argv, line in [
+        (["prop-run", "gram-psd", "--trials", "1"], "trial 0 failed (seed (3, 0)): boom"),
+        (["verify-example", "x"], "assertion failed: energy (observed 1.5; expected <= 1)"),
+        (["pinv", system, theta], "bound chain failed; see report for margins"),
+        (["check-comb", _write(tmp_path, "spec.json", partition)], "combination criterion disagreed with the frame verdict"),
+    ]:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == line + "\n", argv[0]
+        json.loads(captured.out)
+
+
 def test_prop_run(capsys):
     code, report = _run(capsys, ["prop-run", "gram-psd", "--trials", "10", "--seed", "3"])
     assert code == 0
@@ -824,6 +886,28 @@ def test_a_window_whose_kept_squares_underflow_exits_two_without_a_warning(tmp_p
     assert code == 2 and caught == []
     assert "squares below the smallest normal float" in report["verdicts"]["error"]
     assert captured.err == f"error: {report['verdicts']['error']}\n"
+
+
+@pytest.mark.parametrize(
+    "verb, doc, message",
+    [
+        ("check-hypo", {"grid": {"q": 3, "P": 5}, "kind": "translate", "value": 1e308}, "shift 1e+308"),
+        ("check-hypo", {"grid": {"q": 3, "P": 5}, "kind": "modulate", "value": 1e308}, "frequency 1e+308"),
+        ("gen", {**PARAMS_DOC, "c_list": [1e308]}, "frequency 1e+308"),
+    ],
+)
+def test_a_grid_parameter_whose_product_overflows_exits_two_without_a_warning(
+    tmp_path, capsys, verb, doc, message
+):
+    # 3 * 1e308 is inf, which no rounding puts on the grid: refused by name, not shifted
+    # by a garbage step or carried into a non-finite phase.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([verb, _write(tmp_path, "input.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and caught == []
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {message} is off-grid: ") and "= inf is not an integer" in captured.err
 
 
 def test_check_hypo_names_the_commutator_eigenvalue_that_overflows(tmp_path, capsys):

@@ -490,10 +490,10 @@ def test_extreme_eigh_agrees_with_dense_eigh(lapack_log, seed, kind):
 
 
 def test_extreme_eigh_falls_back_to_eigh_on_a_singular_shift_or_a_repeated_eigenvalue(lapack_log):
-    # S = I: every eigenvalue is repeated, so no solve is tried.
+    # S = I: h - 1 I is exactly zero, so each solve raises and one full eigh serves both.
     identity = np.eye(4, dtype=np.complex128)
     values, witnesses = hermitian_eigh(identity, (0, -1))
-    assert _solvers(lapack_log) == ["eigvalsh", "eigh"]
+    assert _solvers(lapack_log) == ["eigvalsh", "solve", "eigh", "solve"]
     assert np.array_equal(values, np.ones(4)) and np.array_equal(witnesses, identity[:, [0, -1]])
     # Eigenvalues exactly 1 and 3: h - 1 I is exactly singular and the solve raises.
     lapack_log.clear()
@@ -503,21 +503,46 @@ def test_extreme_eigh_falls_back_to_eigh_on_a_singular_shift_or_a_repeated_eigen
     assert _solvers(lapack_log) == ["eigvalsh", "solve", "eigh", "solve"]  # h - 3 I is singular too
     _assert_certified(h, values, witnesses, (0, -1))
     assert np.allclose(witnesses, np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2), rtol=0, atol=1e-15)
-    # A repeated least eigenvalue falls back; the simple top one, asked for first, is one solve.
+    # The fallback applies the same phase: each witness is eigh's column in canonical phase.
+    assert np.array_equal(witnesses, numerics._canonical_phase(np.linalg.eigh(h)[1]))
+    # A repeated least eigenvalue is certified by its residual, as the simple top one is:
+    # one solve each and no eigh, the witness a unit vector of the twofold eigenspace.
     lapack_log.clear()
     rng = np.random.default_rng(7)
     q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
     h = hermitize((q * [1.0, 1.0, 2.0, 3.0, 4.0, 5.0]) @ q.conj().T)
     values, witnesses = hermitian_eigh(h, (-1, 0))
-    assert _solvers(lapack_log) == ["eigvalsh", "solve", "eigh"]
+    assert _solvers(lapack_log) == ["eigvalsh", "solve", "solve"]
     _assert_certified(h, values, witnesses, (-1, 0))
-    # The fallback applies the same phase: the witness is eigh's column in canonical phase.
-    vectors = np.linalg.eigh(h)[1]
-    assert np.array_equal(witnesses[:, 1], numerics._canonical_phase(vectors[:, :1])[:, 0])
-    # Given the eigenvectors of that eigh, the fallback reads them and makes no eigh.
-    lapack_log.clear()
-    assert np.array_equal(hermitian_eigh(h, (-1, 0), eigenvectors=vectors)[1], witnesses)
-    assert _solvers(lapack_log) == ["eigvalsh", "solve"]
+    assert abs(np.linalg.norm(q[:, :2].conj().T @ witnesses[:, 1]) - 1.0) <= 1e-12
+
+
+def _clustered_hermitian(rng, n, kind):
+    """A Hermitian operand whose extreme eigenvalues are repeated or nearly so."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    if kind == "orthonormal":  # S of a scaled orthonormal system: c^2 I up to rounding
+        return frame_operator(FrameSystem(rng.uniform(0.5, 4.0) * q))
+    values = np.sort(rng.uniform(1.0, 2.0, size=n))
+    if kind == "multiplicity":  # each extreme repeated 2 to 4 times
+        values[: rng.integers(2, 5)] = 1.0
+        values[-int(rng.integers(2, 5)) :] = 2.0
+    elif kind == "scalar":  # c I up to rounding
+        values[:] = rng.uniform(0.5, 4.0)
+    else:  # each extreme with a neighbour 4e-16 apart
+        values[[0, 1, -2, -1]] = 1.0, 1.0 + 4e-16, 2.0 - 4e-16, 2.0
+    return hermitize((q * np.sort(values)) @ q.conj().T)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("kind", ["multiplicity", "scalar", "neighbours", "orthonormal"])
+def test_repeated_extreme_eigenvalues_are_certified_with_no_full_eigh(lapack_log, seed, kind):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 120))
+    h = _clustered_hermitian(rng, n, kind)
+    values, witnesses = hermitian_eigh(h, (0, -1))
+    # The residual certifies a witness of a repeated eigenvalue as it does a simple one.
+    assert _solvers(lapack_log) == ["eigvalsh", "solve", "solve"]
+    _assert_certified(h, values, witnesses, (0, -1))
 
 
 def test_extreme_eigh_at_n_1_and_on_diagonal_operands(lapack_log):
@@ -525,14 +550,15 @@ def test_extreme_eigh_at_n_1_and_on_diagonal_operands(lapack_log):
     assert values.tolist() == [2.5] and witnesses.tolist() == [[1.0, 1.0]]
     assert _solvers(lapack_log) == ["eigvalsh", "solve", "eigh", "solve"]  # h - 2.5 I = 0, one eigh
     # The exactly diagonal frame operator of a canonical basis goes to LAPACK like any
-    # other; its repeated eigenvalue 1 sends both witnesses to the fallback eigh, which
+    # other; S - I is exactly zero, so both witnesses come from the fallback eigh, which
     # gives coordinate vectors.
     for n in (1, 3, 32):
         lapack_log.clear()
-        spectrum = _Frame(canonical_basis(n)).spectrum
-        assert spectrum.values.tolist() == [1.0] * n
-        assert np.array_equal(spectrum.witnesses, np.eye(n)[:, [0, n - 1]])
-        assert _solvers(lapack_log) == (["eigvalsh", "solve", "eigh", "solve"] if n == 1 else ["eigvalsh", "eigh"])
+        frame = _Frame(canonical_basis(n))
+        (low, low_witness), (high, high_witness) = frame.extreme(0), frame.extreme(-1)
+        assert _solvers(lapack_log) == ["eigvalsh", "solve", "eigh", "solve"]
+        assert low == high == 1.0 and frame.values.tolist() == [1.0] * n
+        assert np.array_equal(np.stack([low_witness, high_witness], axis=1), np.eye(n)[:, [0, n - 1]])
 
 
 def test_values_only_make_one_eigvalsh_and_no_solve(lapack_log):
@@ -562,19 +588,19 @@ def test_the_extreme_path_takes_s_as_frame_operator_builds_it(lapack_log, seed):
     s = frame_operator(system)
     # S is exactly Hermitian as built, and hermitize leaves its bits alone.
     assert hermitize(s).tobytes() == s.tobytes()
-    spectrum = _Frame(system).spectrum
-    assert lapack_log[0] == ("eigvalsh", hashlib.sha256(np.ascontiguousarray(s)).hexdigest())
-    _assert_certified(s, spectrum.values, spectrum.witnesses, (0, -1))
-    # With the eigenpairs of S read first (a dense base a pencil is split
-    # over), the spectrum is the same bit for bit: their eigenvectors serve
-    # only a witness that falls back, and these extremes are simple.
-    lapack_log.clear()
     frame = _Frame(system)
-    assert frame.eigh[1].shape == s.shape
-    given = frame.spectrum
-    assert _solvers(lapack_log) == ["eigh", "eigvalsh", "solve", "solve"]
-    assert np.array_equal(given.values, spectrum.values)
-    assert np.array_equal(given.witnesses, spectrum.witnesses)
+    (low, low_witness), (high, high_witness) = frame.extreme(0), frame.extreme(-1)
+    assert lapack_log[0] == ("eigvalsh", hashlib.sha256(np.ascontiguousarray(s)).hexdigest())
+    assert _solvers(lapack_log) == ["eigvalsh", "solve", "solve"]
+    values = frame.values
+    assert (low, high) == (values[0], values[-1])
+    _assert_certified(s, values, np.stack([low_witness, high_witness], axis=1), (0, -1))
+    # The extreme eigenpairs are made once: a second read makes no call and gives the
+    # same pair, in an array of its own.
+    lapack_log.clear()
+    again, witness = frame.extreme(-1)
+    assert lapack_log == [] and again == high
+    assert np.array_equal(witness, high_witness) and witness is not high_witness
 
 
 def _psd(rng, n, rank):
@@ -657,12 +683,12 @@ def test_partition_domination_check_decomposes_each_operand_once(lapack_log):
     # Theta* Theta, so neither decomposes S_base or S_phi for a positivity
     # floor it would never compare against.  Only S_base's eigenvectors are
     # read in full (they split the pencil over it); the constant over it reads
-    # values alone, and S_phi's report its values and one solve per witness.
-    # S_base's report reads the values check_theta_frame reads; S_base = 4 I
-    # repeats its extreme eigenvalues, so its witnesses come from the
-    # eigenvectors already made.  No operand goes to one solver twice.
-    assert _solvers(log) == ["eigh", "eigvalsh", "eigvalsh", "solve", "solve", "eigvalsh"]
-    assert len(set(log)) == 6 and log[0][1] == log[-1][1]
+    # values alone, and each report the values of its S and one solve per
+    # witness: S_base = 4 I up to rounding repeats its extreme eigenvalues,
+    # and the residual certifies those witnesses too.  No operand goes to one
+    # solver twice.
+    assert _solvers(log) == ["eigh", "eigvalsh", "eigvalsh", "solve", "solve", "eigvalsh", "solve", "solve"]
+    assert len(set(log)) == 8 and log[0][1] == log[5][1]
 
 
 def test_partition_domination_check_on_a_stamped_base_decomposes_two_operands(lapack_log):
@@ -682,10 +708,10 @@ def test_check_theta_frame_with_a_unitary_window_decomposes_only_s(lapack_log):
     s = frame_operator(base)
     key = hashlib.sha256(np.ascontiguousarray(s)).hexdigest()
     check_theta_frame(_unstamped(base), theta)
-    # S = 4 I up to round-off: its extreme eigenvalues are repeated, so after
-    # the values the witnesses come from one full eigh of the same operand.
+    # S = 4 I up to round-off: its extreme eigenvalues are repeated, and after
+    # the values each witness is one certified solve, with no full eigh.
     assert np.allclose(s, 4 * np.eye(16), rtol=0, atol=1e-13)
-    assert lapack_log == [("eigvalsh", key), ("eigh", key)]
+    assert lapack_log[0] == ("eigvalsh", key) and _solvers(lapack_log) == ["eigvalsh", "solve", "solve"]
     lapack_log.clear()
     rng = np.random.default_rng(5)
     system = FrameSystem(rng.normal(size=(24, 16)) + 1j * rng.normal(size=(24, 16)))
@@ -740,8 +766,10 @@ def test_check_k_frame_with_a_named_window_reads_one_spectrum(lapack_log, kind, 
     stamped = check_k_frame(base, k)
     assert lapack_log == []
     dense = check_k_frame(_unstamped(base), k)
-    # One operand, S: its values, then (S = 4 I repeats its extreme eigenvalues) one full eigh.
-    assert _solvers(lapack_log) == ["eigvalsh", "eigh"] and len({key for _, key in lapack_log}) == 1
+    # S: its values, then one certified solve per witness, although S = 4 I up to rounding
+    # repeats its extreme eigenvalues; no full eigh.
+    key = hashlib.sha256(np.ascontiguousarray(frame_operator(base))).hexdigest()
+    assert lapack_log[0] == ("eigvalsh", key) and _solvers(lapack_log) == ["eigvalsh", "solve", "solve"]
     assert stamped.lower_ok and dense.lower_ok
     assert abs(stamped.a_opt - dense.a_opt) <= 1e-12 * dense.b_opt
     assert abs(stamped.b_opt - dense.b_opt) <= 1e-12 * dense.b_opt
@@ -829,8 +857,9 @@ def test_value_only_pencils_make_no_solve_and_no_eigh(lapack_log):
     t2 = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
     t1 = t2 @ (rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5)))
     assert douglas_check(t1, t2).range_included
-    # T2 T2* has a kernel here: T1 T1* compressed onto it, T1 T1* for the floor, then whitened.
-    assert _solvers(lapack_log) == ["eigvalsh"] * 3
+    # T2 T2* has a kernel here: T1 T1* compressed onto it, then whitened.  T1 T1* carries
+    # no energy there, at most psd_floor, so its own eigenvalues are not read for the floor.
+    assert _solvers(lapack_log) == ["eigvalsh"] * 2
 
 
 def test_only_operands_beyond_two_to_the_200_are_scaled():

@@ -6,6 +6,8 @@ answer is 0, because vectors mixing range and kernel of Y expose the missing
 Schur term.  It stays here as a frozen regression oracle.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,35 @@ def test_pencil_sup_kernel_obstruction():
     # the obstruction carries X-energy but no Y-energy
     assert np.vdot(w, x @ w).real > 0.5
     assert abs(np.vdot(w, y @ w)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "energy, obstructed, reads_x",
+    [
+        (0.5e-9, False, False),  # at most psd_floor: never an obstruction
+        (1e-6, True, False),  # above psd_floor * ||x||_F >= psd_floor * ||x||
+        (1.2e-8, True, True),  # between the bounds: ||x|| = 10 decides
+        (0.9e-8, False, True),
+    ],
+)
+def test_the_obstruction_floor_reads_the_eigenvalues_of_x_only_between_its_bounds(
+    lapack_log, energy, obstructed, reads_x
+):
+    # k = energy on ker(y) = span(e_4); ||x|| = 10 and ||x||_F = sqrt(300 + k^2).
+    x = np.diag([10.0, 10.0, 10.0, energy])
+    bound = pencil_sup(x, np.diag([1.0, 1.0, 1.0, 0.0]))
+    assert obstructed == (energy > DEFAULT_TOL.psd_floor * max(1.0, op_norm(x)))
+    assert (bound.value == np.inf) == (bound.obstruction is not None) == obstructed
+    key = ("eigvalsh", hashlib.sha256(np.ascontiguousarray(hermitize(x))).hexdigest())
+    assert (key in lapack_log) == reads_x
+
+
+def test_an_obstruction_floor_beyond_the_float_range_raises_no_warning():
+    # ||x||_F overflows: it decides nothing, and the eigenvalues of x decide.
+    x = np.diag([1e300, 1e300, 1e300])
+    x[0, 1] = x[1, 0] = 5e299
+    bound = pencil_sup(x, np.diag([1.0, 1.0, 0.0]))
+    assert bound.value == np.inf and np.array_equal(bound.obstruction, [0.0, 0.0, 1.0])
 
 
 def test_pencil_sup_degenerate_cases():

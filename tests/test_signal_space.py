@@ -175,6 +175,11 @@ def test_operator_of_rejects_bad_input():
     g = Grid(4, 4)
     with pytest.raises(OffGridShift):
         operator_of(g, "translate", 0.3)
+    # A product beyond the float range is on no grid: 3 * 1e308 overflows to inf.
+    with pytest.raises(OffGridShift, match=r"^shift 1e\+308 is off-grid: shift\*3 = inf is not an integer$"):
+        translate(indicator(Grid(3, 5), 0, 1), 1e308)
+    with pytest.raises(OffGridFrequency, match=r"^frequency -1e\+308 is off-grid: frequency\*5 = -inf"):
+        operator_of(Grid(3, 5), "modulate", -1e308)
     with pytest.raises(NonCoprimeDilation):
         operator_of(g, "dilate", 4)
     with pytest.raises(ValueError):

@@ -13,15 +13,18 @@ xi = m/P, m < P (Walnut 1992; Janssen 1997).  The symbol is computed here from
 psi alone, with neither atoms nor an eigensolver, and held to the lattice
 spectrum of the stamped system and to the dense eigenvalues of S.  For the
 Gaussian the extreme samples are the continuous frame bounds, since both
-extremizers of its symbol lie on the grid.
+extremizers of its symbol lie on the grid.  Atoms are linear in psi, so a
+finite sum over the box with weights alpha_s is the Gabor system of
+psi_sum = sum_s alpha_s psi_s, and the constants of its check are samples
+of the symbols of psi_sum and of each psi_s.
 """
 
 import numpy as np
 import pytest
 
 from framekit.frame_core import _Frame, frame_operator, optimal_bounds
-from framekit.signal_space import Grid, Signal
-from framekit.wavepacket import WavePacketParams, generate_system
+from framekit.signal_space import Grid, Signal, operator_of
+from framekit.wavepacket import FiniteSumSpec, WavePacketParams, finite_sum_criterion_check, generate_system
 
 P = 16
 REL = 1e-13
@@ -31,17 +34,20 @@ GAUSSIAN_A = 1.1715565326
 GAUSSIAN_B = 2.8495942824
 
 
-def _gabor_box(q: int, psi: np.ndarray):
+def _gabor_params(q: int, psi: np.ndarray) -> WavePacketParams:
     grid = Grid(q, P)
     c_list = tuple(m / 2 for m in range(2 * q))
-    params = WavePacketParams(grid, Signal(grid, psi), (1,), 1.0, (0, P - 1), c_list, dedupe=False)
-    system = generate_system(params)
+    return WavePacketParams(grid, Signal(grid, psi), (1,), 1.0, (0, P - 1), c_list, dedupe=False)
+
+
+def _gabor_box(q: int, psi: np.ndarray):
+    system = generate_system(_gabor_params(q, psi))
     assert system._lattice == q
     return system
 
 
-def _walnut_samples(q: int, psi: np.ndarray) -> np.ndarray:
-    """The symbol at x = r/q and xi = m/P, sorted, from the samples of psi on Grid(q, P).
+def _walnut_symbol(q: int, psi: np.ndarray) -> np.ndarray:
+    """The symbol at x = r/q and xi = m/P, as [m, r], from the samples of psi on Grid(q, P).
 
     One unit is q samples, so the shift l/beta = 2l is 2lq samples and the
     symbol sums G_l over l < P/2, the shifts that one period holds.
@@ -52,7 +58,12 @@ def _walnut_samples(q: int, psi: np.ndarray) -> np.ndarray:
     waves = np.exp(-2j * np.pi * np.outer(np.arange(P), 2 * np.arange(P // 2)) / P)  # [m, l]
     symbol = 2.0 * waves @ g
     assert np.max(np.abs(symbol.imag)) <= REL * np.max(np.abs(symbol.real))
-    return np.sort(symbol.real.reshape(-1))
+    return symbol.real
+
+
+def _walnut_samples(q: int, psi: np.ndarray) -> np.ndarray:
+    """The samples of :func:`_walnut_symbol`, sorted."""
+    return np.sort(_walnut_symbol(q, psi).reshape(-1))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -78,3 +89,23 @@ def test_the_gaussian_box_has_the_continuous_frame_bounds(q):
     assert bounds.upper == pytest.approx(GAUSSIAN_B, abs=1e-10)
     samples = _walnut_samples(q, psi.astype(np.complex128))
     assert (samples[0], samples[-1]) == pytest.approx((bounds.lower, bounds.upper), rel=REL)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_a_finite_sum_over_the_box_has_the_walnut_constants_of_its_summed_window(q, seed):
+    rng = np.random.default_rng(2000 * q + seed)
+    psis = [rng.normal(size=q * P) + 1j * rng.normal(size=q * P) for _ in range(2)]
+    alphas = rng.normal(size=2) + 1j * rng.normal(size=2)
+    grid = Grid(q, P)
+    spec = FiniteSumSpec(tuple(alphas), tuple(Signal(grid, psi) for psi in psis))
+    report = finite_sum_criterion_check(spec, _gabor_params(q, psis[0]), operator_of(grid, "modulate", 1.0))
+    # Under a unit window the sum's constants are the extreme samples of psi_sum's symbol.
+    summed = _walnut_symbol(q, alphas[0] * psis[0] + alphas[1] * psis[1])
+    beta = report.sum_report.beta_opt
+    assert abs(report.sum_report.alpha_opt - summed.min()) <= REL * beta
+    assert abs(beta - summed.max()) <= REL * beta
+    # Both systems are diagonal in the same modes, so mu_s is the least ratio of the symbols.
+    for mu, psi in zip(report.mu_opts, psis):
+        ratios = summed / _walnut_symbol(q, psi)
+        assert abs(mu - ratios.min()) <= REL * ratios.max()
