@@ -292,17 +292,16 @@ def _cmd_gen(args, tol):
 
 
 def _cmd_check_frame(args, tol):
-    from .frame_core import optimal_bounds, system_from_json
+    from .frame_core import _is_frame, optimal_bounds, system_from_json
 
     doc = _load_json(args.system)
     system = system_from_json(doc)
     bounds = optimal_bounds(system, tol)
-    is_frame = bounds.lower > tol.psd_floor * max(1.0, bounds.upper)
     verdicts = {
         "lower": bounds.lower,
         "upper": bounds.upper,
         "tight": bounds.tight,
-        "is_frame": bool(is_frame),
+        "is_frame": _is_frame(bounds.lower, bounds.upper, tol),
     }
     return verdicts, {"system": doc}, 0
 

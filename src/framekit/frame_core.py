@@ -248,6 +248,11 @@ def optimal_bounds(system: FrameSystem, tol: Tolerance = DEFAULT_TOL) -> FrameBo
     )
 
 
+def _is_frame(lower: float, upper: float, tol: Tolerance) -> bool:
+    """The frame verdict on optimal bounds: ``lower > psd_floor * max(1, upper)``."""
+    return bool(lower > tol.psd_floor * max(1.0, upper))
+
+
 def reconstruct(
     system: FrameSystem, f, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -264,7 +269,7 @@ def reconstruct(
         raise DimensionMismatch(f"vector of length {f.shape[0]} in dimension {system.n}")
     frame = _Frame(system)
     lower, upper = (frame.restored(frame.values[i]) for i in (0, -1))
-    if lower <= tol.psd_floor * max(1.0, upper):
+    if not _is_frame(lower, upper, tol):
         raise NotAFrame(
             f"frame operator is singular: min eigenvalue {lower:.3e}"
         )

@@ -417,7 +417,10 @@ def _inverse_iteration(h: np.ndarray, lam: float, start: np.ndarray, bound: floa
             y = np.linalg.solve(shifted, start)
         except np.linalg.LinAlgError:
             return None  # h - lam I is exactly singular
-        witness = y / np.linalg.norm(y)
+        norm = np.linalg.norm(y)
+        if not 0.0 < norm < math.inf:
+            return None  # a zero or overflowed y, whose quotient would pass any residual test
+        witness = y / norm
         residual = np.linalg.norm(h @ witness - lam * witness)
     return witness if residual <= bound else None
 

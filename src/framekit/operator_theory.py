@@ -255,18 +255,12 @@ def relative_hyponormality(
         raise DimensionMismatch(
             f"T1*T1 is {t1.shape[1]}x{t1.shape[1]} but T2 T2* is {t2.shape[0]}x{t2.shape[0]}"
         )
-    t1, exponent = _pow2_scaled(t1)
-    return _relative_hyponormality(_gram_split(t1, tol, right=True), exponent, t2, tol)
-
-
-def _relative_hyponormality(
-    split, exponent: int, t2: np.ndarray, tol: Tolerance
-) -> RelativeHyponormalityReport:
-    """:func:`relative_hyponormality` given the split of T1*T1 for T1 scaled by ``2**-exponent``."""
     # T1 and T2 are each scaled by 2**-e (e = 0 for ordinary entries); lambda scales back.
+    t1, e1 = _pow2_scaled(t1)
+    split = _gram_split(t1, tol, right=True)
     t2, e2 = _pow2_scaled(t2)
     bound = _pencil_sup(hermitize(t2 @ t2.conj().T), split, tol)
-    lambda_opt = _pow2_restored(bound.value, 2 * (e2 - exponent))
+    lambda_opt = _pow2_restored(bound.value, 2 * (e2 - e1))
     holds = math.isfinite(lambda_opt)
     return RelativeHyponormalityReport(
         holds=holds,

@@ -10,9 +10,10 @@ coordinates, so the two pictures mix freely.
 Translation, modulation, and dilation are realized as exactly unitary index
 maps.  Their parameters must be grid-aligned — that is what makes the group
 commutation identities hold without discretization error, and misaligned
-parameters raise instead of silently rounding.  A shift or frequency whose
-product with q or P overflows the float range is refused as off the grid
-too.
+parameters raise instead of silently rounding; aligned ones are rounded from
+their exact products, so a residue mod n is exact at any size.  A shift or
+frequency whose product with q or P overflows the float range is refused as
+off the grid too.
 
 ``TruncatedSequenceSpace`` models the first ``n`` coordinates of a one-sided
 sequence space.  Shift and pairwise-summing operators on it are honest on
@@ -37,6 +38,7 @@ from .errors import (
 from .numerics import MAX_ATOM_ENTRIES, Monomial, as_integer, as_real, complex_from_json, complex_to_json
 
 _ALIGN_ATOL = 1e-12
+_OFF_GRID = {"shift": OffGridShift, "frequency": OffGridFrequency, "endpoint": OffGridEndpoints}
 
 
 @dataclass(frozen=True)
@@ -92,17 +94,19 @@ class Signal:
         return math.sqrt(max(self.inner(self).real, 0.0))
 
 
-def _aligned(values: list[float], scale: int, err, what: str) -> np.ndarray:
-    """``values * scale`` rounded; ``err`` names the first value off by over ``_ALIGN_ATOL``,
-    or whose product overflows the float range, which is on no grid."""
+def _aligned(values: list[float], scale: int, what: str) -> list[int]:
+    """The integers nearest ``values * scale`` by their exact products (ties to even), so a
+    residue mod n is exact at any size; the ``_OFF_GRID`` error of ``what`` names the first
+    value off by over ``_ALIGN_ATOL``, or whose product overflows the float range."""
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = np.array(values, dtype=np.float64) * scale
-        nearest = np.round(scaled)
-        off = np.flatnonzero(~(np.abs(scaled - nearest) <= _ALIGN_ATOL))
+        off = np.flatnonzero(~(np.abs(scaled - np.round(scaled)) <= _ALIGN_ATOL))
     if off.size:
         value, product = values[off[0]], float(scaled[off[0]])
-        raise err(f"{what} {value!r} is off-grid: {what}*{scale} = {product!r} is not an integer")
-    return nearest
+        raise _OFF_GRID[what](f"{what} {value!r} is off-grid: {what}*{scale} = {product!r} is not an integer")
+    ratios = [float(value).as_integer_ratio() for value in values]
+    halves = [divmod(2 * num * scale + den, 2 * den) for num, den in ratios]  # floor(x + 1/2)
+    return [whole - (rest == 0 and whole % 2) for whole, rest in halves]
 
 
 def _index_phase(grid: Grid, kind: str, value) -> Monomial:
@@ -117,11 +121,11 @@ def _index_phases(grid: Grid, kind: str, values) -> tuple[np.ndarray, np.ndarray
     that of ``values[r]``; every value is checked, and the first one off the grid named."""
     n = grid.n
     if kind == "translate":
-        steps = _aligned([as_real(v, "shift") for v in values], grid.q, OffGridShift, "shift")
-        index = (np.arange(n) - np.mod(steps, n).astype(np.intp)[:, None]) % n
+        steps = _aligned([as_real(v, "shift") for v in values], grid.q, "shift")
+        index = (np.arange(n) - np.array([s % n for s in steps], dtype=np.intp)[:, None]) % n
     elif kind == "modulate":
         freqs = [as_real(v, "frequency") for v in values]
-        _aligned(freqs, grid.P, OffGridFrequency, "frequency")
+        _aligned(freqs, grid.P, "frequency")
         phase = np.exp(2j * np.pi * np.array(freqs)[:, None] * grid.times)
         return np.broadcast_to(np.arange(n), phase.shape), phase
     elif kind == "dilate":
@@ -163,7 +167,7 @@ def indicator(grid: Grid, s: float, t: float) -> Signal:
             f"[{s}, {t}) must sit inside one period [0, {grid.P})"
         )
     ends = [as_real(end, "endpoint") for end in (s, t)]
-    si, ti = _aligned(ends, grid.q, OffGridEndpoints, "endpoint").astype(np.intp)
+    si, ti = _aligned(ends, grid.q, "endpoint")
     values = np.zeros(_signal_size_checked(grid), dtype=np.complex128)
     values[si:ti] = 1.0
     return Signal(grid, values)

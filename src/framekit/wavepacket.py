@@ -18,7 +18,9 @@ window-frame property, and quantifies the domination constant that controls
 it (a spectral pencil of the two frame operators).  Both checks build what
 they score as ``generate_system`` does: ``partition_domination_check(base,
 combination, theta)`` combines ``base`` itself, and a finite sum gives each
-window the box ``replace(params, psi=psi_s)``, with the labels and ``dedupe``.
+window the box ``replace(params, psi=psi_s)``, with the labels and ``dedupe``,
+and the sum is ``generate_system`` of the summed window sum_s alpha_s psi_s.
+The synthesis criterion is ``check_theta_frame`` plus a range inclusion.
 
 ``generate_system`` stamps a system as lattice-closed (see ``frame_core``)
 when its parameters say so: the translation steps ``round(b k q) mod n`` are
@@ -51,9 +53,9 @@ from .numerics import (
     range_inclusion,
     rank_mask,
 )
-from .operator_theory import _hyponormality, _pencil_inf, _relative_hyponormality
-from .signal_space import Grid, Signal, _index_phases
-from .theta_frame import ThetaFrameReport, _theta_frame_report, _Window
+from .operator_theory import _hyponormality, _pencil_inf
+from .signal_space import Grid, Signal, _aligned, _index_phases
+from .theta_frame import ThetaFrameReport, _theta_frame_report, _Window, check_theta_frame
 
 _DEDUPE_ATOL = 1e-12
 
@@ -246,8 +248,9 @@ def _lattice_closed(params: WavePacketParams) -> bool:
     """Whether the steps ``round(b k q) mod n`` repeat under +q and the frequencies
     ``round(c P) mod n`` under +P, each counted with multiplicity."""
     q, P, n = params.grid.q, params.grid.P, params.grid.n
-    steps = np.bincount([round(params.b * k * q) % n for k in params.k_values()], minlength=n)
-    freqs = np.bincount([round(c * P) % n for c in params.c_list], minlength=n)
+    steps = _aligned([params.b * k for k in params.k_values()], q, "shift")
+    freqs = _aligned(list(params.c_list), P, "frequency")
+    steps, freqs = (np.bincount([x % n for x in xs], minlength=n) for xs in (steps, freqs))
     return np.array_equal(steps, np.roll(steps, q)) and np.array_equal(freqs, np.roll(freqs, P))
 
 
@@ -305,28 +308,24 @@ class SynthesisCriterion:
 def synthesis_criterion_check(
     system: FrameSystem, theta, tol: Tolerance = DEFAULT_TOL
 ) -> SynthesisCriterion:
-    window = _Window(theta, system.n, tol)
-    xi = adjoint(analysis_matrix(system))
-    # D's split, of the one scaled window, serves the relative pencil and the frame report.
-    rel = _relative_hyponormality(window.upper, window.exponent, xi, tol)
-    included = range_inclusion(window.dense, xi, tol)
-    criterion = rel.holds and included
-    frame_report = _theta_frame_report(_Frame(system), window, tol)
-    agrees = criterion == frame_report.passes()
+    # Xi Xi* = S: relative hyponormality is the upper window inequality, with lambda = beta_opt.
+    report = check_theta_frame(system, theta, tol)
+    included = range_inclusion(theta, adjoint(analysis_matrix(system)), tol)
+    criterion = report.upper_ok and included
+    agrees = criterion == report.passes()
     counterexample = None
     if not agrees:
         counterexample = (
-            f"criterion (hyponormal={rel.holds}, lambda={rel.lambda_opt:.6e}, "
+            f"criterion (hyponormal={report.upper_ok}, lambda={report.beta_opt:.6e}, "
             f"range_included={included}) disagrees with frame verdict "
-            f"(lower_ok={frame_report.lower_ok}, upper_ok={frame_report.upper_ok}, "
-            f"alpha={frame_report.alpha_opt:.6e}, beta={frame_report.beta_opt:.6e})"
+            f"(lower_ok={report.lower_ok}, alpha={report.alpha_opt:.6e})"
         )
     return SynthesisCriterion(
-        relatively_hyponormal=rel.holds,
-        lambda_opt=rel.lambda_opt,
+        relatively_hyponormal=report.upper_ok,
+        lambda_opt=report.beta_opt,
         range_included=bool(included),
         criterion=bool(criterion),
-        frame_report=frame_report,
+        frame_report=report,
         agrees=bool(agrees),
         counterexample=counterexample,
     )
@@ -542,19 +541,12 @@ class FiniteSumSpec:
         return len(self.alphas)
 
 
-def _summed_system(
-    spec: FiniteSumSpec, params: WavePacketParams, atoms: list[np.ndarray]
-) -> FrameSystem:
-    """The finite-sum system from each window's atoms, ``atoms[s]`` for ``psi_s``."""
-    return _system(params, sum(alpha * a for alpha, a in zip(spec.alphas, atoms)))[0]
-
-
 def finite_sum_system(spec: FiniteSumSpec, params: WavePacketParams) -> FrameSystem:
-    """Per-label sums sum_s alpha_s * atom(psi_s); labels from params' ranges.
-
-    A window on another grid than ``params`` raises DimensionMismatch.
-    """
-    return _summed_system(spec, params, [_atoms(replace(params, psi=psi)) for psi in spec.psis])
+    """Per-label sums sum_s alpha_s * atom(psi_s), labels from params' ranges: the system of
+    the summed window, as every atom is linear in its window.  A window on another grid
+    than ``params`` raises DimensionMismatch."""
+    summed = sum(alpha * psi.values for alpha, psi in zip(spec.alphas, spec.psis))
+    return generate_system(replace(params, psi=Signal(spec.psis[0].grid, summed)))
 
 
 @dataclass(frozen=True)
@@ -591,10 +583,9 @@ def finite_sum_criterion_check(
 ) -> FiniteSumReport:
     """Score ``finite_sum_system(spec, params)`` against each single-window system."""
     boxes = [replace(params, psi=psi) for psi in spec.psis]
-    atoms = [_atoms(box) for box in boxes]
-    singles, counts = zip(*(_system(box, a) for box, a in zip(boxes, atoms)))
+    singles, counts = zip(*(_system(box, _atoms(box)) for box in boxes))
     mu_opts, sum_report, single_reports, adjoint_hypo = _domination(
-        _summed_system(spec, params, atoms), singles, theta, tol, margin
+        finite_sum_system(spec, params), singles, theta, tol, margin
     )
     exists = any(mu > tol.psd_floor for mu in mu_opts)
     # Prefer the largest finite constant; vacuous (infinite) candidates only

@@ -922,6 +922,48 @@ def test_check_hypo_names_the_commutator_eigenvalue_that_overflows(tmp_path, cap
     assert "non-finite" in captured.err
 
 
+def _floats_and_vectors(verdicts, path=""):
+    """Every float leaf and every complex vector of a report, by path."""
+    if isinstance(verdicts, dict) and "re" in verdicts:
+        yield path, np.array(verdicts["re"]) + 1j * np.array(verdicts["im"])
+    elif isinstance(verdicts, dict):
+        for key, value in verdicts.items():
+            yield from _floats_and_vectors(value, f"{path}.{key}")
+    elif isinstance(verdicts, float):
+        yield path, verdicts
+
+
+def test_a_system_times_2_to_minus_300_gives_unit_witnesses_and_scaled_constants(tmp_path, capsys):
+    # S is 4**-300 times that of the unscaled vectors.  The one inverse-iteration solve of
+    # each witness then overflows, and its quotient, zero or NaN, is no certificate: the
+    # witness comes from the full eigh, and stdout stays strict JSON.
+    rng = np.random.default_rng(0)
+    vectors = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    dense = operator_to_json(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    named = {"grid": {"q": 2, "P": 2}, "kind": "modulate", "value": 1.0}
+    systems = [
+        _write(tmp_path, f"system{e}.json", system_to_json(FrameSystem(vectors * 2.0**e))) for e in (0, -300)
+    ]
+    named, dense = _write(tmp_path, "named.json", named), _write(tmp_path, "dense.json", dense)
+    for verb, *window in (["check-frame"], ["check-theta", named], ["check-theta", dense], ["check-k", dense]):
+        reports = []
+        for system in systems:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([verb, system, *window])
+            out = capsys.readouterr().out
+            assert code == 0 and caught == []
+            reports.append(dict(_floats_and_vectors(json.loads(out, parse_constant=_reject_constant)["verdicts"])))
+        unscaled, tiny = reports
+        assert unscaled.keys() == tiny.keys()
+        for path, value in tiny.items():
+            if isinstance(value, float):
+                expected = float(np.ldexp(unscaled[path], -600))
+                assert abs(value - expected) <= 1e-12 * abs(expected), (verb, path)
+            else:
+                assert np.isfinite(value).all() and abs(np.linalg.norm(value) - 1.0) <= 1e-12, (verb, path)
+
+
 def _scaled_basis(exponent):
     return {"n": 2, "vectors": [{"re": [2.0**exponent, 0.0]}, {"re": [0.0, 2.0**exponent]}]}
 

@@ -1,10 +1,12 @@
 """Frame systems, optimal classical bounds, and dual-frame reconstruction."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from framekit import cli
 from framekit.errors import DimensionMismatch, NotAFrame
 from framekit.frame_core import (
     FrameSystem,
@@ -112,6 +114,23 @@ def test_reconstruct_rejects_deficient_system():
         reconstruct(FrameSystem(vectors), np.array([1.0, 1.0, 1.0]))
     with pytest.raises(DimensionMismatch):
         reconstruct(canonical_basis(3), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "least, upper, is_frame", [(2e-9, 1.0, True), (5e-10, 1.0, False), (2e-9, 4.0, False), (5e-9, 4.0, True)]
+)
+def test_check_frame_and_reconstruct_read_one_frame_verdict(tmp_path, capsys, least, upper, is_frame):
+    # S = diag(least, upper): a frame exactly when least > psd_floor * max(1, upper).
+    system = FrameSystem(np.diag(np.sqrt([least, upper])))
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system_to_json(system)))
+    assert cli.main(["check-frame", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdicts"]["is_frame"] is is_frame
+    if is_frame:
+        reconstruct(system, np.ones(2))
+    else:
+        with pytest.raises(NotAFrame):
+            reconstruct(system, np.ones(2))
 
 
 def test_labels_and_accessors():

@@ -171,6 +171,16 @@ def test_index_phases_stacks_the_forms_of_its_values():
         _index_phases(g, "dilate", [1, 2, 3])
 
 
+def test_a_shift_beyond_2_to_53_takes_its_exact_residue():
+    # 3 * (2**60 + 256) = 3 * 2**60 + 768 has no float; its residue mod 15 is 3 * 257 mod 15 = 6,
+    # where the rounded float product gives 7.
+    f = Signal(Grid(3, 5), np.arange(15))
+    assert np.array_equal(translate(f, 2.0**60 + 256).values, np.roll(np.arange(15), 6))
+    # Ties round to even, as float rounding does below 2**53: 3 * (2**51 + 0.5) = 3 * 2**51 + 1.5.
+    assert np.array_equal(translate(f, 2.0**51 + 0.5).values, np.roll(np.arange(15), (3 * 2**51 + 2) % 15))
+    assert np.array_equal(translate(f, -(2.0**60 + 256)).values, np.roll(np.arange(15), -6))
+
+
 def test_operator_of_rejects_bad_input():
     g = Grid(4, 4)
     with pytest.raises(OffGridShift):

@@ -21,6 +21,7 @@ from framekit.errors import (
     PartitionNotExhaustive,
 )
 from framekit.frame_core import (
+    FrameSystem,
     analysis_matrix,
     canonical_basis,
     frame_operator,
@@ -28,6 +29,7 @@ from framekit.frame_core import (
     synthesis_matrix,
 )
 from framekit.numerics import op_norm
+from framekit.operator_theory import relative_hyponormality
 from framekit.signal_space import (
     Grid,
     Signal,
@@ -38,6 +40,7 @@ from framekit.signal_space import (
     operator_of,
     translate,
 )
+from framekit.suites import _gabor_params, random_unitary
 from framekit.theta_frame import ThetaFrameReport, check_theta_frame
 from framekit.wavepacket import (
     FiniteSumSpec,
@@ -492,6 +495,43 @@ def test_synthesis_criterion_matched_window_support():
     assert check.agrees
 
 
+@pytest.mark.parametrize("branch", range(4))
+def test_the_synthesis_criterion_decomposes_what_check_theta_frame_does(lapack_log, branch):
+    # The branches of the synthesis-criterion suite: the full orbit (0, 1) or the modulations
+    # alone (2, 3) of a random window (the one-cell window in 3), under a unitary window (0, 2)
+    # or the window on one cell (1, 3).  Xi Xi* = S, so the criterion's relative pencil is the
+    # report's upper pencil: no eigensolve or solve beyond those of check_theta_frame.
+    rng = np.random.default_rng(branch)
+    cell = indicator(GRID, 0, 1)
+    psi = cell if branch == 3 else Signal(GRID, rng.normal(size=16) + 1j * rng.normal(size=16))
+    system = generate_system(_gabor_params(rng, GRID, psi, branch < 2))
+    theta = random_unitary(rng, GRID.n) if branch in (0, 2) else mult_operator(cell)
+    check = synthesis_criterion_check(system, theta)
+    criterion_log = list(lapack_log)
+    lapack_log.clear()
+    report = check_theta_frame(system, theta)
+    assert check.agrees and criterion_log == lapack_log != []
+    assert check.lambda_opt == report.beta_opt and check.relatively_hyponormal == report.upper_ok
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("exponents", [(0, 0), (300, 0), (-300, 0), (0, 300), (0, -300)])
+def test_the_synthesis_lambda_is_the_relative_hyponormality_constant(seed, exponents):
+    # Bit for bit, at scales whose squares leave the float range: both pencils whiten the
+    # same S = Xi Xi* by the same split of Theta* Theta.
+    rng = np.random.default_rng(seed)
+    n = 3 + seed
+    vectors = (rng.normal(size=(n + seed, n)) + 1j * rng.normal(size=(n + seed, n))) * 2.0 ** exponents[0]
+    theta = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * 2.0 ** exponents[1]
+    if seed % 2:
+        theta[:, 0] = 0.0  # a kernel, which the system's energy reaches
+    system = FrameSystem(vectors)
+    check = synthesis_criterion_check(system, theta)
+    reference = relative_hyponormality(theta, analysis_matrix(system).conj().T)
+    assert check.lambda_opt == reference.lambda_opt
+    assert check.relatively_hyponormal == reference.holds
+
+
 # ---------------------------------------------------------------------------
 # partitioned combinations
 
@@ -701,7 +741,10 @@ def test_criterion_check_builds_each_window_once(monkeypatch):
     monkeypatch.setattr(wp, "_atoms", counting_atoms)
     monkeypatch.setattr(wp, "_Frame", capturing_frame)
     finite_sum_criterion_check(spec, params, operator_of(GRID, "modulate", 1.0))
-    assert [id(psi) for psi in built] == [id(psi) for psi in psis]
+    # The p single windows, then the summed one, whose system is the finite sum.
+    assert [id(psi) for psi in built[:-1]] == [id(psi) for psi in psis]
+    summed = sum(alpha * psi.values for alpha, psi in zip(spec.alphas, psis))
+    assert len(built) == len(psis) + 1 and np.array_equal(built[-1].values, summed)
     assert len(checked) == 1 + len(psis)  # one _Frame per system
     assert np.array_equal(checked[0].vectors, expected.vectors)
     assert checked[0].labels == expected.labels
@@ -769,31 +812,17 @@ def test_windows_on_another_grid_are_refused(shape):
 
 
 def test_mixed_windows_sum_system_is_the_atomwise_sum():
+    # Half the steps and frequencies with dedupe off, and the full orbit with dedupe on: a
+    # lattice-closed box, which the sum keeps whole, so it is stamped.
     rng = np.random.default_rng(5150)
     psi1 = indicator(GRID, 0.0, 1.0)
     psi2 = Signal(GRID, rng.normal(size=16) + 1j * rng.normal(size=16))
     spec = FiniteSumSpec(alphas=(1.0, 1j), psis=(psi1, psi2))
-    params = WavePacketParams(
-        grid=GRID,
-        psi=psi1,
-        a_list=(1,),
-        b=1.0,
-        k_range=(0, 1),
-        c_list=(0.0, 1.0),
-        dedupe=False,
-    )
-    combined = finite_sum_system(spec, params)
-    params2 = WavePacketParams(
-        grid=GRID,
-        psi=psi2,
-        a_list=(1,),
-        b=1.0,
-        k_range=(0, 1),
-        c_list=(0.0, 1.0),
-        dedupe=False,
-    )
-    s1 = generate_system(params)
-    s2 = generate_system(params2)
-    assert np.allclose(
-        combined.vectors, s1.vectors + 1j * s2.vectors, atol=1e-12
-    )
+    half = replace(_full_gabor_params(dedupe=False), k_range=(0, 1), c_list=(0.0, 1.0))
+    for params, stamp in ((half, None), (_full_gabor_params(dedupe=True), GRID.q)):
+        combined = finite_sum_system(spec, params)
+        s1, s2 = (generate_system(replace(params, psi=psi)) for psi in (psi1, psi2))
+        atomwise = s1.vectors + 1j * s2.vectors
+        assert combined.labels == s1.labels == s2.labels
+        assert np.linalg.norm(combined.vectors - atomwise) <= 1e-13 * np.linalg.norm(atomwise)
+        assert combined._lattice == stamp
